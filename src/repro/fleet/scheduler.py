@@ -321,7 +321,8 @@ def build_fleet(specs: List[traffic.TenantSpec], *,
     table = ShardedWorldTable(shards=shards, stride=stride)
     # The architectural EPTP list holds 512 entries; a fleet past that
     # would span hosts in hardware.  One simulated machine stands in
-    # for the whole fleet, so widen the modeled list to fit.
+    # for the whole fleet, so widen the modeled list to fit — one list
+    # the hypervisor shares across every VMCS, not one per tenant.
     machine = Machine(
         features=HardwareFeatures(vmfunc=True, crossover=True,
                                   wt_cache_entries=cache_entries,

@@ -1,9 +1,10 @@
 """Extended page tables (second-stage translation: GPA -> HPA).
 
 Each VM owns at least one :class:`EPT`.  The VMFUNC mechanism (Section
-4.1) additionally requires a per-VM :class:`EPTPList`: an array of EPT
+4.1) additionally requires an :class:`EPTPList`: an array of EPT
 pointers set up by the hypervisor, indexable by the guest via
-``VMFUNC(0, index)`` without causing a VM exit.
+``VMFUNC(0, index)`` without causing a VM exit.  The hypervisor keeps
+one such list and every VM's VMCS points at it.
 """
 
 from __future__ import annotations
@@ -111,7 +112,7 @@ class EPT:
 
 
 class EPTPList:
-    """The per-VM EPTP list VMFUNC(0) indexes into (Section 4.1).
+    """The EPTP list VMFUNC(0) indexes into (Section 4.1).
 
     The hypervisor writes entries; the guest can only *select* one by
     index.  An unset index selected by the guest raises a
@@ -139,13 +140,6 @@ class EPTPList:
         """The EPT at ``index``, or ``None`` when the slot is empty."""
         self._check_index(index)
         return self._slots[index]
-
-    def index_of(self, ept: EPT) -> Optional[int]:
-        """The slot holding ``ept``, or ``None``."""
-        for i, slot in enumerate(self._slots):
-            if slot is ept:
-                return i
-        return None
 
     def _check_index(self, index: int) -> None:
         if not 0 <= index < self.size:

@@ -1,11 +1,12 @@
 """The hypervisor (KVM-like host kernel).
 
 Owns VM lifecycle, orchestrates VM entries/exits, dispatches hypercalls,
-manages the EPTP lists that make VMFUNC-based cross-VM switching
-possible (Section 4.3: each VM's EPT pointer is stored in every VM's
-EPTP list at the offset equal to its VM ID), runs the world-registration
-service, and hosts ring-3 host processes (the "Host User" world of
-Figure 1).
+owns the one EPTP directory every VMCS shares (Section 4.3 stores each
+VM's EPT pointer in every VM's EPTP list at the offset equal to its VM
+ID, so those lists would be identical; guests only select slots, so one
+copy is equivalent and VM creation is one write, not n), runs the
+world-registration service, and hosts ring-3 host processes (the "Host
+User" world of Figure 1).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from repro import audit as _audit
 from repro import faults as _faults
 from repro.errors import ConfigurationError, GuestOSError, SimulationError
 from repro.hw.cpu import CPU, Mode, Ring
+from repro.hw.ept import EPTPList
 from repro.hw.mem import PAGE_SIZE, Frame
 from repro.hw.paging import PageTable
 from repro.hw.vmx import ExitReason
@@ -48,6 +50,8 @@ class Hypervisor:
         self._vms_by_id: Dict[int, VirtualMachine] = {}
         self._next_vm_id = 1
         self._next_common_gpa = COMMON_GPA_BASE
+        #: The one EPTP list every VM's VMCS shares (Section 4.3).
+        self.eptp_directory = EPTPList(machine.features.eptp_list_size)
 
         self.worlds = WorldService(machine.world_table)
         self.injector = Injector()
@@ -64,21 +68,19 @@ class Hypervisor:
     # ------------------------------------------------------------------
 
     def create_vm(self, name: str) -> VirtualMachine:
-        """Create a VM and wire every VM's EPTP list (Section 4.3)."""
+        """Create a VM; its EPT goes into the shared EPTP directory at
+        the slot equal to its VM ID.  A rejected request changes nothing."""
         if name in self.vms:
             raise ConfigurationError(f"VM name {name!r} already in use")
         vm_id = self._next_vm_id
-        self._next_vm_id += 1
-        vm = VirtualMachine(name, vm_id, self.machine.memory,
-                            self.machine.features.eptp_list_size)
-        if vm_id >= vm.eptp_list.size:
+        directory = self.eptp_directory
+        if vm_id >= directory.size:
             raise ConfigurationError("EPTP list exhausted; too many VMs")
+        self._next_vm_id += 1
+        vm = VirtualMachine(name, vm_id, self.machine.memory, directory)
         self.vms[name] = vm
         self._vms_by_id[vm_id] = vm
-        # Every VM (including the new one) can name every VM's EPT by ID.
-        for peer in self.vms.values():
-            peer.eptp_list.set(vm.vm_id, vm.ept)
-            vm.eptp_list.set(peer.vm_id, peer.ept)
+        directory.set(vm_id, vm.ept)
         return vm
 
     def vm_by_name(self, name: str) -> VirtualMachine:

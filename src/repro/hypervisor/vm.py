@@ -1,11 +1,11 @@
 """Virtual machines.
 
 A :class:`VirtualMachine` bundles everything the hypervisor tracks per
-guest: the EPT (second-stage translation), the per-VM EPTP list VMFUNC
-indexes into, the VMCS, a guest-physical address allocator, and the
-pending virtual-interrupt queue.  The guest kernel object itself is
-attached by the guest-OS layer (``vm.kernel``) — the hypervisor never
-looks inside it.
+guest: the EPT (second-stage translation), the VMCS (pointing at the
+hypervisor's shared EPTP directory VMFUNC indexes into), a
+guest-physical address allocator, and the pending virtual-interrupt
+queue.  The guest kernel object itself is attached by the guest-OS
+layer (``vm.kernel``) — the hypervisor never looks inside it.
 """
 
 from __future__ import annotations
@@ -27,12 +27,12 @@ class VirtualMachine:
     """One guest VM as the hypervisor sees it."""
 
     def __init__(self, name: str, vm_id: int, memory: HostMemory,
-                 eptp_list_size: int = 512) -> None:
+                 eptp_list: EPTPList) -> None:
         self.name = name
         self.vm_id = vm_id
         self.memory = memory
         self.ept = EPT(label=name)
-        self.eptp_list = EPTPList(eptp_list_size)
+        self.eptp_list = eptp_list
         self.vmcs = VMCS(name, self.ept, self.eptp_list)
         self.kernel: Optional[object] = None   # attached by repro.guestos
         self.pending_virqs: List[Tuple[int, str]] = []

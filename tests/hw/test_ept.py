@@ -88,13 +88,6 @@ class TestEPTPList:
         lst.clear(1)
         assert lst.get(1) is None
 
-    def test_index_of(self):
-        lst = EPTPList(8)
-        ept = EPT()
-        lst.set(5, ept)
-        assert lst.index_of(ept) == 5
-        assert lst.index_of(EPT()) is None
-
     def test_architectural_size_default(self):
         assert EPTPList().size == 512
 

@@ -1,13 +1,18 @@
 """Hypervisor tests: VM lifecycle, EPTP wiring, hypercalls, host
 processes."""
 
+import dataclasses
+
 import pytest
 
 from repro.errors import ConfigurationError, GuestOSError
-from repro.hw.cpu import Mode
+from repro.hw.costs import FEATURES_VMFUNC
+from repro.hw.cpu import VMFUNC_EPT_SWITCH, Mode
+from repro.hw.ept import EPT, EPTPList
 from repro.hw.paging import PageTable
 from repro.hypervisor.hypercalls import Hypercall
 from repro.guestos.kernel import KERNEL_TEXT_GVA
+from repro.machine import Machine
 
 
 class TestVMLifecycle:
@@ -37,6 +42,51 @@ class TestVMLifecycle:
         for holder in vms:
             for target in vms:
                 assert holder.eptp_list.get(target.vm_id) is target.ept
+
+    def test_create_vm_writes_one_eptp_slot(self, machine, monkeypatch):
+        """Bring-up is O(n): one directory write per VM, never a write
+        into every peer's list."""
+        calls = []
+        original = EPTPList.set
+
+        def counting_set(lst, index, ept):
+            calls.append(index)
+            original(lst, index, ept)
+
+        monkeypatch.setattr(EPTPList, "set", counting_set)
+        vms = [machine.hypervisor.create_vm(f"vm{i}") for i in range(5)]
+        assert calls == [vm.vm_id for vm in vms]
+
+    def test_every_vmcs_shares_one_eptp_list(self, machine):
+        vms = [machine.hypervisor.create_vm(f"vm{i}") for i in range(3)]
+        shared = machine.hypervisor.eptp_directory
+        assert all(vm.vmcs.guest.eptp_list is shared for vm in vms)
+
+    def test_running_guest_switches_into_later_vm(self, machine):
+        hv = machine.hypervisor
+        first = hv.create_vm("first")
+        hv.launch(machine.cpu, first)
+        late = hv.create_vm("late")
+        # The list loaded at launch is the one the later VM is written to.
+        assert machine.cpu.eptp_list is late.vmcs.guest.eptp_list
+        machine.cpu.vmfunc(VMFUNC_EPT_SWITCH, late.vm_id)
+        assert machine.cpu.ept is late.ept
+        assert machine.cpu.vm_name == "late"
+
+    def test_rejected_create_vm_leaves_no_trace(self):
+        machine = Machine(features=dataclasses.replace(
+            FEATURES_VMFUNC, eptp_list_size=3))
+        hv = machine.hypervisor
+        hv.create_vm("a")
+        hv.create_vm("b")
+        vms, by_id = dict(hv.vms), dict(hv._vms_by_id)
+        probe = EPT().eptp
+        with pytest.raises(ConfigurationError):
+            hv.create_vm("c")
+        assert hv.vms == vms and hv._vms_by_id == by_id
+        assert hv._next_vm_id == 3
+        # No EPT was built, so later EPT pointers do not shift.
+        assert EPT().eptp == probe + (1 << 12)
 
     def test_launch_enters_guest(self, machine):
         vm = machine.hypervisor.create_vm("a")

@@ -3,13 +3,14 @@
 import pytest
 
 from repro.errors import SimulationError
+from repro.hw.ept import EPTPList
 from repro.hw.mem import HostMemory, PAGE_SIZE
 from repro.hypervisor.vm import COMMON_GPA_BASE, VirtualMachine
 
 
 @pytest.fixture
 def vm():
-    return VirtualMachine("vm1", 1, HostMemory(64 << 20))
+    return VirtualMachine("vm1", 1, HostMemory(64 << 20), EPTPList())
 
 
 class TestGuestMemory:
@@ -42,8 +43,9 @@ class TestGuestMemory:
 
     def test_shared_frame_visible_via_both_vms(self):
         memory = HostMemory(64 << 20)
-        vm_a = VirtualMachine("a", 1, memory)
-        vm_b = VirtualMachine("b", 2, memory)
+        directory = EPTPList()
+        vm_a = VirtualMachine("a", 1, memory, directory)
+        vm_b = VirtualMachine("b", 2, memory, directory)
         frame = memory.allocate()
         vm_a.map_frame(COMMON_GPA_BASE, frame)
         vm_b.map_frame(COMMON_GPA_BASE, frame)

@@ -492,7 +492,8 @@ def roundtrip(value: Any) -> "tuple[bytes, Any]":
     does zero hashing of the produced wire bytes.  Callers must only use
     this while no fault engine is installed — the poison-repair CRC
     validation lives in :func:`encode` and is deliberately skipped here
-    (the superblock dispatch layer deopts whenever faults are armed).
+    (``WorldCallRuntime._call`` encodes and decodes separately whenever
+    faults are armed).
     """
     if not fastpath.enabled():
         wire = encode(value)

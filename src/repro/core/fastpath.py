@@ -19,8 +19,10 @@ counts.  ``tests/analysis/test_fastpath_equivalence.py`` is the golden
 test enforcing this; any fast-path change must keep it green.
 
 The switch is process-global (the hot loops cannot afford per-call
-indirection).  It defaults to on and can be forced off with the
-``REPRO_FASTPATH=0`` environment variable or :func:`disable`.
+indirection) and is the simulator's only execution-tier switch: on is
+the fused tier every workload runs, off is the step-by-step oracle the
+golden tests compare against.  It defaults to on and can be forced off
+with the ``REPRO_FASTPATH=0`` environment variable or :func:`disable`.
 """
 
 from __future__ import annotations
@@ -39,36 +41,16 @@ def enabled() -> bool:
 
 def enable() -> None:
     """Turn the fast-path engine on."""
-    global _enabled, _generation
+    global _enabled
     _enabled = True
-    _generation += 1
 
 
 def disable() -> None:
     """Turn the fast-path engine off (every hot loop takes the original
     step-by-step path; used as the reference side of the golden
     equivalence test)."""
-    global _enabled, _generation
+    global _enabled
     _enabled = False
-    _generation += 1
-
-
-#: Bumped by :func:`enable` / :func:`disable` / :func:`scoped` so
-#: configuration-keyed caches (the superblock cache in
-#: :mod:`repro.jit`) can tell that the engine was toggled even if the
-#: flag ends up with the same value it started with.
-_generation = 0
-
-
-def fingerprint() -> int:
-    """A small integer identifying the current fast-path configuration.
-
-    Part of the superblock cache key: superblocks are compiled against a
-    specific engine configuration, and any toggle (even off-and-back-on)
-    must invalidate them rather than let a block compiled under one
-    configuration run under another.
-    """
-    return (_generation << 1) | (1 if _enabled else 0)
 
 
 @contextlib.contextmanager
@@ -78,12 +60,10 @@ def scoped(on: bool) -> Iterator[None]:
         with fastpath.scoped(False):
             slow = run_table4()
     """
-    global _enabled, _generation
+    global _enabled
     previous = _enabled
     _enabled = on
-    _generation += 1
     try:
         yield
     finally:
         _enabled = previous
-        _generation += 1

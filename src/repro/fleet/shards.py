@@ -1,10 +1,9 @@
 """Sharded world table and per-shard WT/IWT caches (fleet scale).
 
 One simulated machine hosting *thousands* of worlds across many tenant
-VMs cannot afford the flat table's blast radius: with a single mutation
-epoch, revoking one tenant's world invalidates every other tenant's
-JIT superblocks, and with one global LRU pair, one tenant's cache-fill
-traffic evicts everyone else's hot entries.
+VMs cannot afford the flat table's blast radius: with one global LRU
+pair, one tenant's cache-fill traffic evicts everyone else's hot
+entries.
 
 :class:`ShardedWorldTable` splits the WID space into ``shards``
 contiguous ranges of ``stride`` WIDs each.  Every owner VM is pinned to
@@ -16,14 +15,12 @@ pure arithmetic — ``(wid - 1) // stride`` — so routing costs one
 integer divide, and the flat table's O(1) dict walks are untouched.
 
 :class:`ShardedWorldTableCaches` mirrors the split on the per-core
-cache pair: each shard gets its own fixed-capacity WT/IWT LRU and its
-own content epoch, so ``manage_wtc`` traffic servicing tenant A's
-misses can neither evict tenant B's resident entries nor invalidate
-superblocks compiled against B's shard.  The facade keeps the exact
-probe surface of :class:`~repro.hw.world_table.WorldTableCaches`
-(``wt``/``iwt`` with ``_entries.get``, ``lookup_*`` raising
-:class:`~repro.errors.WorldTableCacheMiss`) so the CPU datapath and
-the JIT superblocks run on it unmodified.
+cache pair: each shard gets its own fixed-capacity WT/IWT LRU, so
+``manage_wtc`` traffic servicing tenant A's misses cannot evict tenant
+B's resident entries.  The facade keeps the exact probe surface of
+:class:`~repro.hw.world_table.WorldTableCaches` (``wt``/``iwt``,
+``lookup_*`` raising :class:`~repro.errors.WorldTableCacheMiss`) so the
+CPU datapath runs on it unmodified.
 """
 
 from __future__ import annotations
@@ -57,8 +54,6 @@ class ShardedWorldTable(WorldTable):
     lookup/walk stays O(1) on the shared dicts; only WID allocation and
     epoch accounting are shard-local.
     """
-
-    sharded = True
 
     def __init__(self, shards: int = DEFAULT_SHARDS,
                  stride: int = DEFAULT_STRIDE) -> None:
@@ -125,11 +120,7 @@ class ShardedWorldTable(WorldTable):
         return wid
 
     def _bump_epoch(self, wid: int) -> None:
-        self.epoch += 1
         self._shard_epochs[self.shard_of(wid)] += 1
-
-    def epoch_of(self, wid: int) -> int:
-        return self._shard_epochs[self.shard_of(wid)]
 
     # -- inspection -----------------------------------------------------
 
@@ -155,10 +146,10 @@ class ShardedWorldTable(WorldTable):
 class _ShardedLRU:
     """Per-shard fixed-capacity LRUs behind one flat probe surface.
 
-    ``_entries`` is the union dict the JIT superblocks probe with
-    ``.get`` — O(1) and always in sync with the per-shard LRUs, which
-    carry the capacity/eviction bookkeeping so one shard's fills can
-    only evict that shard's entries.
+    ``_entries`` is the union dict every probe hits — O(1) and always
+    in sync with the per-shard LRUs, which carry the capacity/eviction
+    bookkeeping so one shard's fills can only evict that shard's
+    entries.
     """
 
     __slots__ = ("capacity", "_lrus", "_entries", "_key_shard",
@@ -226,8 +217,7 @@ class ShardedWorldTableCaches(WorldTableCaches):
     """Per-core WT/IWT caches partitioned by the table's shards.
 
     Capacity is *per shard*: tenant A's ``manage_wtc`` fills can evict
-    only shard-A entries, and only shard-A's content epoch moves — the
-    isolation the fleet's per-shard superblock keys rely on.
+    only shard-A entries.
     """
 
     def __init__(self, table: ShardedWorldTable,
@@ -235,11 +225,6 @@ class ShardedWorldTableCaches(WorldTableCaches):
         self._table = table
         self.wt = _ShardedLRU(table.shards, capacity)
         self.iwt = _ShardedLRU(table.shards, capacity)
-        self.epoch = 0
-        self._shard_epochs: List[int] = [0] * table.shards
-
-    def epoch_of(self, wid: int) -> int:
-        return self._shard_epochs[self._table.shard_of(wid)]
 
     def lookup_callee(self, wid: int) -> WorldTableEntry:
         entry = self.wt.lookup(wid)
@@ -257,18 +242,11 @@ class ShardedWorldTableCaches(WorldTableCaches):
         shard = self._table.shard_of(entry.wid)
         self.wt.fill(entry.wid, entry, shard)
         self.iwt.fill(entry.context_key(), entry, shard)
-        self.epoch += 1
-        self._shard_epochs[shard] += 1
 
     def invalidate(self, entry: WorldTableEntry) -> None:
-        shard = self._table.shard_of(entry.wid)
         self.wt.invalidate(entry.wid)
         self.iwt.invalidate(entry.context_key())
-        self.epoch += 1
-        self._shard_epochs[shard] += 1
 
     def flush(self) -> None:
         self.wt.flush()
         self.iwt.flush()
-        self.epoch += 1
-        self._shard_epochs = [e + 1 for e in self._shard_epochs]

@@ -429,7 +429,18 @@ class CPU:
         recorder = _audit._recorder
         frm = (self.world_label if trace_on or recorder is not None
                else "")
-        self.commit_world_entry(callee, caller.wid)
+        # Commit: the callee sees the hardware-authenticated caller WID.
+        self.mode = Mode.ROOT if callee.host_mode else Mode.NON_ROOT
+        self.ring = callee.ring
+        self.ept = callee.ept
+        self.page_table = callee.page_table
+        self.vm_name = callee.vm_name
+        if callee.ept is not None:
+            self.tlb.on_ept_switch(callee.ept.eptp)
+        self.tlb.on_cr3_write(callee.page_table.root)
+        self._current_wid = callee.wid
+        self.regs.write("rip", callee.pc)
+        self.regs.write(WID_REGISTER, caller.wid)
         if trace_on:
             hw_cost = self.cost_model.world_call_hw
             self.trace.record("world_call", frm, self.world_label,
@@ -443,28 +454,6 @@ class CPU:
                 mode="H" if callee.host_mode else "G", ring=self.ring,
                 cycles=self.perf.cycles)
         return caller.wid
-
-    def commit_world_entry(self, entry: WorldTableEntry,
-                           wid_register: int) -> None:
-        """Commit the CPU into ``entry``'s context — the architectural
-        effect of a successful ``world_call`` transition.
-
-        ``wid_register`` is the hardware-authenticated WID presented to
-        the destination (the caller's WID on the way out, the callee's
-        on the way back).  Shared by the interpreter datapath above and
-        the :mod:`repro.jit` superblocks so the two cannot drift.
-        """
-        self.mode = Mode.ROOT if entry.host_mode else Mode.NON_ROOT
-        self.ring = entry.ring
-        self.ept = entry.ept
-        self.page_table = entry.page_table
-        self.vm_name = entry.vm_name
-        if entry.ept is not None:
-            self.tlb.on_ept_switch(entry.ept.eptp)
-        self.tlb.on_cr3_write(entry.page_table.root)
-        self._current_wid = entry.wid
-        self.regs.write("rip", entry.pc)
-        self.regs.write(WID_REGISTER, wid_register)
 
     def _lookup_caller(self) -> WorldTableEntry:
         """Identify the calling world from the current context."""

@@ -98,34 +98,6 @@ def fuse(model: CostModel, kinds: Tuple[KindSpec, ...]) -> FusedCharge:
     return record
 
 
-class SizedBatch:
-    """A memo of complete ``(cost, events)`` batch totals parameterized
-    by a small per-call key (typically a payload length).
-
-    Superblocks (:mod:`repro.jit`) charge a whole transition as one
-    ``charge_batch``; the fixed part never varies but the copy costs
-    scale with the wire size.  Rather than re-summing ``fixed + copy(n)``
-    on every call, each distinct key builds its total once via the
-    supplied ``build(key) -> (Cost, events)`` callable and is replayed
-    from the memo afterwards.
-    """
-
-    __slots__ = ("_build", "_memo")
-
-    def __init__(self, build) -> None:
-        self._build = build
-        self._memo: Dict[object, Tuple[Cost, Dict[str, int]]] = {}
-
-    def get(self, key) -> Tuple[Cost, Dict[str, int]]:
-        hit = self._memo.get(key)
-        if hit is None:
-            hit = self._memo[key] = self._build(key)
-        return hit
-
-    def __len__(self) -> int:
-        return len(self._memo)
-
-
 # ---------------------------------------------------------------------------
 # The named call shapes of the paper's transition paths.
 # ---------------------------------------------------------------------------

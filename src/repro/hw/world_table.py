@@ -70,21 +70,10 @@ class WorldTable:
     held by a malicious caller can never alias a new world.
     """
 
-    #: Flat table: one global epoch.  The fleet's sharded subclass
-    #: flips this so per-WID consumers (the JIT world-call site) know
-    #: to key on :meth:`epoch_of` instead of :attr:`epoch`.
-    sharded = False
-
     def __init__(self) -> None:
         self._by_wid: Dict[int, WorldTableEntry] = {}
         self._by_context: Dict[ContextKey, WorldTableEntry] = {}
         self._next_wid = 1
-        #: Monotonic mutation counter.  Every structural change to the
-        #: table (create/destroy/evict/restore) bumps it; consumers that
-        #: precompute world lookups (the superblock cache in
-        #: :mod:`repro.jit`) key their entries on the epoch so any
-        #: table mutation invalidates them wholesale.
-        self.epoch = 0
         #: Live-world count per owner VM, maintained on every mutation
         #: so the per-VM DoS-quota check stays O(1) with thousands of
         #: worlds (keys are the owner objects; identity semantics).
@@ -119,8 +108,12 @@ class WorldTable:
         return wid
 
     def _bump_epoch(self, wid: int) -> None:
-        """Account one structural mutation touching ``wid``."""
-        self.epoch += 1
+        """Account one structural mutation touching ``wid``.
+
+        The flat table keeps no mutation history; the sharded table
+        (:class:`repro.fleet.shards.ShardedWorldTable`) counts the
+        owning shard's epoch for its ``shard_stats``.
+        """
 
     def create(self, *, host_mode: bool, ring: int, ept: Optional[EPT],
                page_table: PageTable, pc: int,
@@ -204,17 +197,6 @@ class WorldTable:
         """
         return self._owned.get(vm, 0)
 
-    def epoch_of(self, wid: int) -> int:
-        """The mutation epoch governing ``wid``.
-
-        The flat table has a single epoch; the sharded table
-        (:class:`repro.fleet.shards.ShardedWorldTable`) overrides this
-        to return the owning *shard's* epoch so consumers keyed per-WID
-        (the JIT's world-call superblocks) survive mutations in other
-        shards.
-        """
-        return self.epoch
-
 
 class _LRUCache:
     """Small fixed-capacity LRU used for both world-table caches."""
@@ -280,21 +262,6 @@ class WorldTableCaches:
     def __init__(self, capacity: int = 16) -> None:
         self.wt = WTCache(capacity)
         self.iwt = IWTCache(capacity)
-        #: Mutation counter for the cache *contents* (fills, explicit
-        #: invalidations, flushes).  Plain lookups do not bump it, so a
-        #: steady-state hot path keeps a stable epoch while any
-        #: ``manage_wtc`` traffic invalidates precompiled lookups.
-        self.epoch = 0
-
-    def epoch_of(self, wid: int) -> int:
-        """The content epoch governing ``wid`` (single cache: global).
-
-        The sharded caches (:class:`repro.fleet.shards.
-        ShardedWorldTableCaches`) override this with the owning shard
-        cache's epoch so ``manage_wtc`` traffic for one tenant's shard
-        cannot invalidate superblocks compiled for another's.
-        """
-        return self.epoch
 
     def lookup_callee(self, wid: int) -> WorldTableEntry:
         """WT-cache lookup by WID; raises on miss."""
@@ -314,16 +281,13 @@ class WorldTableCaches:
         """Fill both caches for ``entry`` (a ``manage_wtc`` fill)."""
         self.wt.fill(entry.wid, entry)
         self.iwt.fill(entry.context_key(), entry)
-        self.epoch += 1
 
     def invalidate(self, entry: WorldTableEntry) -> None:
         """Invalidate ``entry`` in both caches (a ``manage_wtc`` inval)."""
         self.wt.invalidate(entry.wid)
         self.iwt.invalidate(entry.context_key())
-        self.epoch += 1
 
     def flush(self) -> None:
         """Flush both caches."""
         self.wt.flush()
         self.iwt.flush()
-        self.epoch += 1

@@ -73,9 +73,9 @@ class WorldService:
     def destroy_world(self, wid: int, cpus) -> WorldTableEntry:
         """Unregister a world and invalidate it in every CPU's caches.
 
-        With a sharded table only the owning shard's epochs move, so
-        superblocks and cache entries for other tenants' shards stay
-        live.  An installed switchless engine is told to forget the
+        With a sharded table only the owning shard's epoch moves and
+        only its cache entry is dropped, so other tenants' shards stay
+        resident.  An installed switchless engine is told to forget the
         revoked world's sites — its *other* sites (other tenants'
         flips, rings, windows) survive untouched.
         """

@@ -18,7 +18,7 @@ The subsystem has four pieces:
   "switchless"``, and with no explicit choice the installed engine's
   :meth:`SwitchlessEngine.select` decides.
 
-Like telemetry, faults, audit and the JIT, the engine is a
+Like telemetry, faults and audit, the engine is a
 module-global switch that is *zero cost when disabled*: dispatch seams
 guard with ``if _switchless._engine is not None`` and the default is
 ``None``.  An engine in ``observe`` mode is installed-but-dormant — it

@@ -29,35 +29,6 @@ LOCAL_ONLY_SYSCALLS = frozenset({
 #: events keep their raw kind as the step label (e.g. ``world_call``).
 STACK_STEPS: Dict[Tuple[str, str], str] = {}
 
-#: Path steps the trace-JIT may collapse into a superblock.  A step is
-#: *superblock-safe* when its transition is straight-line: no scheduling
-#: decision point, no host-process interplay, nothing whose outcome can
-#: differ between the recorded trace and a later replay.  Each system
-#: module declares its own ``SUPERBLOCK_SAFE`` set next to its
-#: ``STACK_STEPS``; :func:`superblock_safe` is the compile-time gate the
-#: JIT consults.  The empty default means "nothing may be collapsed".
-SUPERBLOCK_SAFE: frozenset = frozenset()
-
-
-def superblock_safe(system: "CrossWorldSystem") -> bool:
-    """Whether ``system``'s whole baseline path may be trace-compiled.
-
-    True only when every step in the system module's ``STACK_STEPS``
-    is annotated in its ``SUPERBLOCK_SAFE`` set.  A system vetoes
-    compilation of its redirect path by leaving any step out — the JIT
-    then never builds a block for it and the interpreter always runs.
-    """
-    import sys
-
-    module = sys.modules.get(type(system).__module__)
-    if module is None:
-        return False
-    steps = getattr(module, "STACK_STEPS", None)
-    safe = getattr(module, "SUPERBLOCK_SAFE", SUPERBLOCK_SAFE)
-    if not steps:
-        return False
-    return set(steps.values()) <= set(safe)
-
 
 class CrossWorldSystem:
     """Base class: an app VM whose syscalls are served by a peer world.

@@ -42,14 +42,6 @@ STACK_STEPS = {
     ("vmentry", "resume shell VM"): "resume-shell",
 }
 
-#: The INT3 breakpoint round trip (``int3-exit`` -> ``inject-syscall``
-#: -> ``int3-done``) bounces through the *host* shell process between
-#: exits; host-side interplay is outside the machine state a superblock
-#: guards, so those steps are not safe to collapse and the baseline
-#: helper path stays interpreted.
-SUPERBLOCK_SAFE = frozenset(STACK_STEPS.values()) - {
-    "int3-exit", "inject-syscall", "int3-done"}
-
 
 class HyperShell(CrossWorldSystem):
     """HyperShell: shell in ``local_vm`` (optimized) or host userland

@@ -38,12 +38,6 @@ STACK_STEPS = {
     ("vmentry", "resume private VM"): "resume-private",
 }
 
-#: ``schedule-commodity`` is a VM-scheduler decision point (which VM
-#: runs next is not fixed at trace time), so the baseline hypercall
-#: path as a whole is not superblock-safe and the JIT must not compile
-#: it; only the optimized VMFUNC path gets compiled blocks.
-SUPERBLOCK_SAFE = frozenset(STACK_STEPS.values()) - {"schedule-commodity"}
-
 
 class Proxos(CrossWorldSystem):
     """Proxos: private app in ``local_vm``, commodity OS in ``remote_vm``."""

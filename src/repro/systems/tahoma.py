@@ -41,13 +41,6 @@ STACK_STEPS = {
     ("vmentry", "browser VM"): "resume-browser",
 }
 
-#: Both ``vm_schedule`` hops are scheduler decision points — the RPC
-#: blocks until the manager VM is *chosen* to run — so the XML-over-TCP
-#: baseline path is not superblock-safe; only the optimized VMFUNC path
-#: gets compiled blocks.
-SUPERBLOCK_SAFE = frozenset(STACK_STEPS.values()) - {
-    "schedule-manager", "schedule-browser"}
-
 
 class Tahoma(CrossWorldSystem):
     """Tahoma: browser instance in ``local_vm``, manager in

@@ -264,23 +264,10 @@ class TelemetrySession:
                 "faults.recoveries", policy=policy).inc
         inc()
 
-    def on_jit_stats(self, stats: Dict[str, int]) -> None:
-        """Absorb a trace-JIT engine's dispatch counters.
-
-        Superblocks only execute while *no* session is installed (an
-        installed session deopts every dispatch), so these arrive as a
-        harvested snapshot at a quiescent point — the bench harness and
-        the sweep runner call this with the engine's totals — rather
-        than as live per-call increments.
-        """
-        for name, value in stats.items():
-            if value:
-                self.metrics.counter(f"jit.{name}").inc(value)
-
     def on_fleet_stats(self, stats: Dict[str, int]) -> None:
         """Absorb one fleet-scheduler run's totals at a quiescent point
         — the ``crossover-fleet`` campaign cell calls this after its
-        event loop drains, mirroring :meth:`on_jit_stats`."""
+        event loop drains, mirroring :meth:`on_switchless_stats`."""
         for name, value in stats.items():
             if value:
                 self.metrics.counter(f"fleet.{name}").inc(value)
@@ -297,7 +284,7 @@ class TelemetrySession:
     def on_switchless_stats(self, stats: Dict[str, int]) -> None:
         """Absorb a switchless engine's counters at a quiescent point —
         the sweep runner and bench harness call this with the engine's
-        totals, mirroring :meth:`on_jit_stats`."""
+        totals rather than as live per-call increments."""
         for name, value in stats.items():
             if value:
                 self.metrics.counter(f"switchless.{name}").inc(value)

@@ -82,8 +82,11 @@ class TestShardedAllocation:
 
     def test_defaults(self):
         table = ShardedWorldTable()
-        assert table.sharded
         assert len(table.shard_stats()) == DEFAULT_SHARDS
+
+
+def shard_epochs(table):
+    return [s["epoch"] for s in table.shard_stats()]
 
 
 class TestPerShardEpochs:
@@ -96,29 +99,23 @@ class TestPerShardEpochs:
         vm_a, vm_b = VM(), VM()
         table.pin_owner(vm_a, 0)
         table.pin_owner(vm_b, 3)
-        a = create(table, 0, owner=vm_a)
-        epoch_b_before = table.epoch_of(3 * 64 + 1)
+        create(table, 0, owner=vm_a)
+        before = shard_epochs(table)
         b = create(table, 1, owner=vm_b)
-        assert table.epoch_of(b.wid) == epoch_b_before + 1
-        epoch_a = table.epoch_of(a.wid)
+        assert shard_epochs(table) == [before[0], 0, 0, before[3] + 1]
         table.destroy(b.wid)
-        assert table.epoch_of(a.wid) == epoch_a          # A untouched
-        assert table.epoch_of(b.wid) == epoch_b_before + 2
+        # A's shard untouched; B's saw the create and the destroy.
+        assert shard_epochs(table) == [before[0], 0, 0, before[3] + 2]
 
     def test_global_epoch_still_moves(self):
+        """Every structural mutation lands in exactly one shard, so the
+        table-wide total of shard epochs counts them all."""
         table = make_table()
-        before = table.epoch
-        create(table, 0)
-        assert table.epoch == before + 1
-
-    def test_flat_table_epoch_of_is_global(self):
-        from repro.hw.world_table import WorldTable
-
-        table = WorldTable()
+        before = sum(shard_epochs(table))
         entry = create(table, 0)
-        assert not table.sharded
-        assert table.epoch_of(entry.wid) == table.epoch
-        assert table.epoch_of(10 ** 9) == table.epoch
+        table.evict(entry.wid)
+        table.restore_entry(entry)
+        assert sum(shard_epochs(table)) == before + 3
 
 
 class TestShardedCaches:
@@ -136,28 +133,26 @@ class TestShardedCaches:
         caches = ShardedWorldTableCaches(table, capacity=capacity)
         return table, caches, vms
 
-    def test_fill_bumps_only_owning_shard_epoch(self):
-        table, caches, vms = self.build()
+    def test_fill_leaves_other_shards_resident(self):
+        table, caches, vms = self.build(capacity=1)
         a = create(table, 0, owner=vms[0])
         b = create(table, 1, owner=vms[1])
         caches.fill(a)
-        epoch_b = caches.epoch_of(b.wid)
-        epoch_a = caches.epoch_of(a.wid)
         caches.fill(b)
-        assert caches.epoch_of(a.wid) == epoch_a
-        assert caches.epoch_of(b.wid) == epoch_b + 1
+        assert a.wid in caches.wt and b.wid in caches.wt
+        assert a.context_key() in caches.iwt
 
-    def test_invalidate_bumps_only_owning_shard(self):
+    def test_invalidate_leaves_other_shards_resident(self):
         table, caches, vms = self.build()
         a = create(table, 0, owner=vms[0])
         b = create(table, 1, owner=vms[1])
         caches.fill(a)
         caches.fill(b)
-        epoch_a = caches.epoch_of(a.wid)
         caches.invalidate(b)
-        assert caches.epoch_of(a.wid) == epoch_a
         assert b.wid not in caches.wt
+        assert b.context_key() not in caches.iwt
         assert a.wid in caches.wt
+        assert a.context_key() in caches.iwt
 
     def test_per_shard_capacity_isolation(self):
         """Filling one shard's cache to overflow never evicts another
@@ -180,15 +175,18 @@ class TestShardedCaches:
         assert exc.value.kind == "wt"
         assert caches.wt.misses == 1
 
-    def test_flush_bumps_every_shard(self):
+    def test_flush_empties_every_shard(self):
         table, caches, vms = self.build()
         a = create(table, 0, owner=vms[0])
         b = create(table, 1, owner=vms[1])
-        epochs = (caches.epoch_of(a.wid), caches.epoch_of(b.wid))
+        caches.fill(a)
+        caches.fill(b)
         caches.flush()
-        assert caches.epoch_of(a.wid) == epochs[0] + 1
-        assert caches.epoch_of(b.wid) == epochs[1] + 1
-        assert len(caches.wt) == 0
+        assert len(caches.wt) == 0 and len(caches.iwt) == 0
+        # Capacity is per shard again after the flush.
+        caches.fill(a)
+        caches.fill(b)
+        assert a.wid in caches.wt and b.wid in caches.wt
 
 
 class TestOwnedCounts:

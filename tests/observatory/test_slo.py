@@ -81,8 +81,8 @@ class TestResolve:
         assert obj.resolve(window) == 7.0
 
     def test_subsystem_stats_resolve_as_counters(self):
-        obj = SloObjective.parse("jit.deopts.value < 5")
-        window = _window(0, subsystems={"jit.deopts": 2})
+        obj = SloObjective.parse("switchless.flips.value < 5")
+        window = _window(0, subsystems={"switchless.flips": 2})
         assert obj.resolve(window) == 2.0
 
     def test_gauge_value(self):

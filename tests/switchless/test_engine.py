@@ -112,7 +112,29 @@ class TestObserveDormancy:
         engine = SwitchlessEngine(SwitchlessConfig(mode="observe"))
         for i in range(200):
             assert engine.select("world", 1, 2, i * 10_000) is None
-        assert not engine.site_flipped("world", 1, 2)
+        # The policy still judged the hot site (observe watches); only
+        # the diversion is withheld.
+        assert engine.policy.mechanism_of(("world", 1, 2)) == "switchless"
+
+
+class TestAdaptiveRouting:
+    def test_flipped_site_routes_through_the_ring(self):
+        """Once the policy flips a hot site at a window boundary, every
+        later call on it is served by the ring, not by world_call."""
+        from repro.core import convention, fastpath
+
+        convention.clear_caches()
+        engine = SwitchlessEngine(SwitchlessConfig(mode="adaptive"))
+        with fastpath.scoped(True), sl.scoped(engine):
+            harness = _WorldCallHarness()
+            for _ in range(50):
+                harness.call()
+            assert engine.stats.calls == 0
+            harness.idle(engine.config.window_cycles + 1)
+            for _ in range(25):
+                harness.call()
+        assert engine.stats.flips_to_switchless == 1
+        assert engine.stats.calls == 25
 
 
 class TestStatsAndConfig:

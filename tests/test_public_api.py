@@ -27,6 +27,45 @@ class TestPublicAPI:
         machine = repro.Machine(features=repro.FEATURES_CROSSOVER)
         assert machine.cpu.features.crossover
 
+    def test_fastpath_is_the_only_environment_knob(self):
+        """``REPRO_FASTPATH`` (stepwise oracle vs fused fast path) is the
+        one execution-tier switch; no other ``REPRO_*`` variable may be
+        read anywhere in the package."""
+        import ast
+        import os
+
+        def knob(node):
+            if isinstance(node, ast.Constant) and \
+                    isinstance(node.value, str) and \
+                    node.value.startswith("REPRO_"):
+                return node.value
+            return None
+
+        root = os.path.dirname(repro.__file__)
+        found = {}
+        for dirpath, _dirs, files in os.walk(root):
+            for filename in files:
+                if not filename.endswith(".py"):
+                    continue
+                path = os.path.join(dirpath, filename)
+                with open(path) as fh:
+                    tree = ast.parse(fh.read())
+                for node in ast.walk(tree):
+                    if isinstance(node, ast.Call):
+                        keys = node.args[:1]
+                    elif isinstance(node, ast.Subscript):
+                        keys = [node.slice]
+                    elif isinstance(node, ast.Compare):
+                        keys = [node.left]
+                    else:
+                        continue
+                    for key in keys:
+                        name = knob(key)
+                        if name is not None:
+                            found.setdefault(name, []).append(
+                                os.path.relpath(path, root))
+        assert set(found) == {"REPRO_FASTPATH"}, found
+
 
 class TestErrorHierarchy:
     def test_everything_is_a_crossover_error(self):
@@ -239,7 +278,7 @@ class TestSwitchlessSurface:
         assert switchless.current() is None
 
     def test_switchless_core_modules_are_leaves(self):
-        """Hot datapath modules (core.call, core.crossvm, jit) import
+        """Hot datapath modules (core.call, core.crossvm) import
         repro.switchless at module top; the engine and policy modules
         must never import the machine stack at module top or the cycle
         would bite.  (Lazy function-level imports are fine; campaign
@@ -249,7 +288,7 @@ class TestSwitchlessSurface:
         from repro import switchless
         banned = ("repro.hw", "repro.core", "repro.hypervisor",
                   "repro.machine", "repro.systems", "repro.telemetry",
-                  "repro.analysis", "repro.workloads", "repro.jit")
+                  "repro.analysis", "repro.workloads")
         package_dir = os.path.dirname(switchless.__file__)
         for filename in ("__init__.py", "engine.py", "policy.py"):
             with open(os.path.join(package_dir, filename)) as fh:
@@ -311,7 +350,7 @@ class TestObservatorySurface:
         from repro import observatory
         banned = ("repro.hw", "repro.core", "repro.hypervisor",
                   "repro.machine", "repro.systems", "repro.telemetry",
-                  "repro.analysis", "repro.workloads", "repro.jit",
+                  "repro.analysis", "repro.workloads",
                   "repro.switchless", "repro.faults", "repro.audit")
         package_dir = os.path.dirname(observatory.__file__)
         for filename in ("__init__.py", "store.py", "slo.py"):
@@ -341,9 +380,8 @@ class TestFleetSurface:
         """repro.fleet is a runner-layer engine: importing it must not
         install a module-global engine anywhere."""
         import repro.fleet  # noqa: F401
-        from repro import faults, jit, switchless, telemetry
+        from repro import faults, switchless, telemetry
         assert switchless._engine is None
-        assert jit._engine is None
         assert faults._engine is None
         assert telemetry.current() is None
 

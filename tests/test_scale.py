@@ -142,9 +142,9 @@ class TestDeepNesting:
 class TestFleetScale:
     def test_thousand_world_fleet_shard_isolation(self):
         """500 tenants (1000 worlds) on the sharded table: revoking
-        tenant A's callee moves only A's shard epochs — tenant B's JIT
-        superblock key inputs (table + cache epochs) and its switchless
-        site survive untouched."""
+        tenant A's callee moves only A's shard epoch and drops only A's
+        cache entry — tenant B's shard epoch, its resident WT/IWT
+        entries and its switchless site survive untouched."""
         from repro import switchless
         from repro.fleet import traffic
         from repro.fleet.scheduler import build_fleet
@@ -164,21 +164,22 @@ class TestFleetScale:
             engine.policy.decide(site_a, 0)
             engine.policy.decide(site_b, 0)
             old_callee = a.callee_wid
-            b_table_epoch = table.epoch_of(b.callee_wid)
-            b_cache_epoch = caches.epoch_of(b.callee_wid)
-            a_table_epoch = table.epoch_of(old_callee)
+            b_entry = table.walk_by_wid(b.callee_wid)
+            caches.fill(b_entry)
+            epochs = [s["epoch"] for s in table.shard_stats()]
 
             fleet.revoke_and_recreate(a)
 
-            # B's epochs — the sharded JIT superblock guard terms — did
-            # not move, so B's compiled blocks stay valid.
-            assert table.epoch_of(b.callee_wid) == b_table_epoch
-            assert caches.epoch_of(b.callee_wid) == b_cache_epoch
-            # A's shard saw the destroy + create, and the old WID's
-            # warmed cache entry is gone.
-            assert table.epoch_of(a.callee_wid) == a_table_epoch + 2
+            after = [s["epoch"] for s in table.shard_stats()]
+            # A's shard saw the destroy + create; no other shard moved.
+            assert after[a.shard] == epochs[a.shard] + 2
+            assert [e for s, e in enumerate(after) if s != a.shard] == \
+                [e for s, e in enumerate(epochs) if s != a.shard]
+            # The old WID's warmed cache entry is gone; B's stays.
             assert a.callee_wid > old_callee
             assert old_callee not in caches.wt
+            assert b.callee_wid in caches.wt
+            assert b_entry.context_key() in caches.iwt
             # Switchless half: only A's site was dropped.
             assert site_a not in engine.policy.sites
             assert site_b in engine.policy.sites

@@ -157,7 +157,7 @@ def _merge_cell_switchless(cells: List[CellResult]) -> None:
         if cell.switchless is not None:
             engine.stats.merge(cell.switchless)
             if session is not None:
-                session.on_switchless_stats(cell.switchless)
+                session.absorb_stats("switchless", cell.switchless)
 
 
 def _merge_cell_observatory(cells: List[CellResult]) -> None:

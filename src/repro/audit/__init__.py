@@ -18,16 +18,16 @@ The subsystem has five pieces:
   ``crossover-audit`` CLI (``record`` / ``verify`` / ``query`` /
   ``graph``) and the deterministic ``crossover-audit/v1`` artifact.
 
-Like telemetry, the fast path, and fault injection, the recorder is a
-module-global switch that is *zero cost when disabled*: hot datapath
-code guards every hookpoint with ``if _audit._recorder is not None``
-and the default is ``None``.
+The recorder is one subscriber on the observer bus
+(:mod:`repro.observe`), *zero cost when disabled*: every datapath seam
+guards with the bus's one attribute read and ``None`` test.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Iterator, Optional
+from typing import ContextManager, Optional
+
+from repro import observe
 
 from .chain import require_chain, verify_chain
 from .detectors import DETECTORS, run_detectors
@@ -48,37 +48,24 @@ __all__ = [
     "verify_chain",
 ]
 
-#: The installed recorder; ``None`` means auditing is off everywhere.
-_recorder: Optional[FlightRecorder] = None
-
 
 def install(recorder: FlightRecorder) -> FlightRecorder:
     """Install ``recorder`` as the process-wide flight recorder."""
-    global _recorder
-    _recorder = recorder
-    return recorder
+    return observe.install("audit", recorder)
 
 
 def uninstall() -> None:
-    global _recorder
-    _recorder = None
+    observe.uninstall("audit")
 
 
 def enabled() -> bool:
-    return _recorder is not None
+    return observe.current("audit") is not None
 
 
 def current() -> Optional[FlightRecorder]:
-    return _recorder
+    return observe.current("audit")
 
 
-@contextmanager
-def scoped(recorder: FlightRecorder) -> Iterator[FlightRecorder]:
+def scoped(recorder: FlightRecorder) -> ContextManager[FlightRecorder]:
     """Install ``recorder`` for the duration of a with-block (nest-safe)."""
-    global _recorder
-    previous = _recorder
-    _recorder = recorder
-    try:
-        yield recorder
-    finally:
-        _recorder = previous
+    return observe.scoped("audit", recorder)

@@ -1,8 +1,10 @@
 """The flight recorder: bounded, hash-chained world-call audit log.
 
-One :class:`FlightRecorder` is installed as a module global (see
-:mod:`repro.audit`); datapath hookpoints call its ``on_*`` methods.
-Every method appends one structured record with a fixed field set:
+One :class:`FlightRecorder` is installed on the observer bus (see
+:mod:`repro.audit` and :mod:`repro.observe`); every bus record whose
+kind the recorder logs becomes one structured record with a fixed
+field set (the bus record's fields plus ``seq``, ``epoch`` and
+``hash``):
 
 ``seq``         recorder-local sequence number (0-based, contiguous)
 ``fam``         record family: ``trace`` (transition-trace events),
@@ -39,9 +41,7 @@ retained ``seq`` are declared in the exported log, and the retained
 window remains verifiable link by link.
 
 Zero cost when disabled: nothing here runs unless a recorder is
-installed; hookpoints guard with one module attribute read + None
-test, the same discipline :mod:`repro.telemetry` and
-:mod:`repro.faults` use.
+installed; seams guard with the bus's one attribute read + None test.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Deque, Dict, List, Optional
 
+from repro import observe
 from repro.audit import chain as _chain
 
 #: Fixed record field order (documentation + schema + tests).
@@ -102,30 +103,36 @@ class FlightRecorder:
         self._epoch_base = mem.mapping_epoch()
 
     # ------------------------------------------------------------------
-    # the append path
+    # the observer seam and the append path
     # ------------------------------------------------------------------
 
-    def _emit(self, fam: str, kind: str, *, frm: str = "", to: str = "",
-              caller_wid: Optional[int] = None,
-              callee_wid: Optional[int] = None,
-              mode: Optional[str] = None, ring: Optional[int] = None,
-              decision: Optional[str] = None, site: Optional[str] = None,
-              detail: str = "", cycles: int = 0) -> Dict[str, Any]:
+    def on_event(self, event) -> None:
+        """One :class:`~repro.observe.Event` from a datapath seam."""
+        handler = self._HANDLERS.get(event.kind)
+        if handler is not None:
+            handler(self, event)
+
+    def _transition(self, event) -> None:
+        """One transition-trace event, logged under its crossing kind."""
+        if self.config.transitions:
+            self._append(event, event.ref.kind)
+
+    def _append(self, event, kind: Optional[str] = None) -> None:
         record: Dict[str, Any] = {
             "seq": self._seq,
-            "fam": fam,
-            "kind": kind,
-            "frm": frm,
-            "to": to,
-            "caller_wid": caller_wid,
-            "callee_wid": callee_wid,
-            "mode": mode,
-            "ring": ring,
+            "fam": event.fam,
+            "kind": kind or event.kind,
+            "frm": event.frm,
+            "to": event.to,
+            "caller_wid": event.caller_wid,
+            "callee_wid": event.callee_wid,
+            "mode": event.mode,
+            "ring": event.ring,
             "epoch": self._mem.mapping_epoch() - self._epoch_base,
-            "decision": decision,
-            "site": site,
-            "detail": detail,
-            "cycles": cycles,
+            "decision": event.decision,
+            "site": event.site,
+            "detail": event.detail,
+            "cycles": event.cycles,
         }
         record["hash"] = _chain.link(self._prev_hash, record,
                                      self.config.algo)
@@ -135,129 +142,35 @@ class FlightRecorder:
         if len(self._records) > self.config.capacity:
             self._records.popleft()
             self._dropped += 1
-        if decision == "deny":
+        if event.decision == "deny":
             self.denials += 1
-            from repro import observatory as _observatory
-            obs = _observatory._session
-            if obs is not None:
-                obs.on_audit_anomaly(f"{fam}.{kind}", detail or frm)
-        return record
+            # The online anomaly signal: the observatory pins it to the
+            # window it happened in.
+            observe.emit("audit", "anomaly",
+                         site=f"{record['fam']}.{record['kind']}",
+                         detail=event.detail or event.frm)
+
+    #: Every kind the log records.  ``fault_injected`` is a marker for
+    #: offline correlation only; detectors must not read it (a
+    #: production fault leaves no such courtesy marker).  For
+    #: ``hw``/``world_call`` records the WIDs are the
+    #: hardware-authenticated ones — the unforgeable half of the paper's
+    #: security argument — while ``core``/``authorization`` records the
+    #: WID the callee was *presented* (which a compromised software
+    #: layer may have forged; detectors compare the two).
+    _HANDLERS = dict.fromkeys(
+        ("world_call", "ept_switch",
+         "wtc_service", "revalidate", "hypercall", "virq_inject",
+         "virq_deliver",
+         "call_begin", "call_end", "authorization", "crossvm_begin",
+         "crossvm_end", "recovery", "marshal_repair",
+         "redirect_begin", "redirect_end", "fault_injected"), _append)
+    _HANDLERS["transition"] = _transition
 
     def stats(self) -> Dict[str, int]:
         """Monotonic counters for the observatory's windowed sampling."""
         return {"records": self._seq, "dropped": self._dropped,
                 "denials": self.denials}
-
-    # ------------------------------------------------------------------
-    # hookpoints (hw layer)
-    # ------------------------------------------------------------------
-
-    def on_transition(self, kind: str, frm: str, to: str, detail: str,
-                      cycles: int) -> None:
-        """One transition-trace event (the telemetry-observer seam)."""
-        if self.config.transitions:
-            self._emit("trace", kind, frm=frm, to=to, detail=detail,
-                       cycles=cycles)
-
-    def on_world_call_hw(self, caller_wid: int, callee_wid: int, *,
-                         frm: str, to: str, mode: str, ring: int,
-                         cycles: int) -> None:
-        """A committed hardware ``world_call`` (VMFUNC fn 1).  The WIDs
-        are the hardware-authenticated ones — the unforgeable half of
-        the paper's security argument."""
-        self._emit("hw", "world_call", frm=frm, to=to,
-                   caller_wid=caller_wid, callee_wid=callee_wid,
-                   mode=mode, ring=ring, cycles=cycles)
-
-    def on_ept_switch(self, index: int, to: str, ring: int,
-                      cycles: int) -> None:
-        """A committed EPTP switch (VMFUNC fn 0)."""
-        self._emit("hw", "ept_switch", to=to, mode="G", ring=ring,
-                   detail=f"eptp[{index}]", cycles=cycles)
-
-    # ------------------------------------------------------------------
-    # hookpoints (hypervisor layer)
-    # ------------------------------------------------------------------
-
-    def on_wtc_service(self, cache: str, key: Any) -> None:
-        """The hypervisor refilled a WT/IWT cache line (manage_wtc)."""
-        self._emit("hv", "wtc_service", detail=f"{cache}:{key!r}")
-
-    def on_revalidate(self, wid: int) -> None:
-        """The hypervisor re-validated (healed) a world entry."""
-        self._emit("hv", "revalidate", callee_wid=wid)
-
-    def on_hypercall(self, number: int, vm: str, decision: str) -> None:
-        """One hypercall round trip and the handler's decision."""
-        self._emit("hv", "hypercall", frm=vm, to="host",
-                   decision=decision, detail=f"number {number:#x}")
-
-    def on_virq_inject(self, vector: int, vm: str) -> None:
-        self._emit("hv", "virq_inject", to=vm,
-                   detail=f"vector {vector:#x}")
-
-    def on_virq_deliver(self, vector: int, vm: str) -> None:
-        self._emit("hv", "virq_deliver", to=vm,
-                   detail=f"vector {vector:#x}")
-
-    # ------------------------------------------------------------------
-    # hookpoints (core layer)
-    # ------------------------------------------------------------------
-
-    def on_call_begin(self, caller_wid: int, callee_wid: int,
-                      cycles: int) -> None:
-        self._emit("core", "call_begin", caller_wid=caller_wid,
-                   callee_wid=callee_wid, cycles=cycles)
-
-    def on_call_end(self, caller_wid: int, callee_wid: int, cycles: int,
-                    outcome: str) -> None:
-        self._emit("core", "call_end", caller_wid=caller_wid,
-                   callee_wid=callee_wid, cycles=cycles, detail=outcome)
-
-    def on_authorization(self, caller_wid: int, callee_wid: int,
-                         decision: str, detail: str = "") -> None:
-        """The callee's software authorization decision over the
-        *presented* caller WID (which a compromised software layer may
-        have forged — detectors compare it against the
-        hardware-delivered WIDs in the ``hw`` records)."""
-        self._emit("core", "authorization", caller_wid=caller_wid,
-                   callee_wid=callee_wid, decision=decision,
-                   detail=detail)
-
-    def on_crossvm_begin(self, frm: str, to: str, cycles: int) -> None:
-        self._emit("core", "crossvm_begin", frm=frm, to=to, cycles=cycles)
-
-    def on_crossvm_end(self, frm: str, to: str, cycles: int,
-                       outcome: str) -> None:
-        self._emit("core", "crossvm_end", frm=frm, to=to, cycles=cycles,
-                   detail=outcome)
-
-    def on_recovery(self, policy: str) -> None:
-        self._emit("core", "recovery", detail=policy)
-
-    def on_marshal_repair(self) -> None:
-        self._emit("core", "marshal_repair",
-                   detail="poisoned encode-cache entry re-encoded")
-
-    # ------------------------------------------------------------------
-    # hookpoints (systems + faults)
-    # ------------------------------------------------------------------
-
-    def on_redirect_begin(self, system: str, variant: str, op: str,
-                          cycles: int) -> None:
-        self._emit("sys", "redirect_begin", frm=f"{system}/{variant}",
-                   detail=op, cycles=cycles)
-
-    def on_redirect_end(self, system: str, variant: str, op: str,
-                        cycles: int) -> None:
-        self._emit("sys", "redirect_end", frm=f"{system}/{variant}",
-                   detail=op, cycles=cycles)
-
-    def on_fault_injected(self, site: str) -> None:
-        """Marker written when the fault engine fires a site.  Exists
-        for offline correlation only; detectors must not read it (a
-        production fault leaves no such courtesy marker)."""
-        self._emit("fault", "fault_injected", site=site)
 
     # ------------------------------------------------------------------
     # export

@@ -28,12 +28,9 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
-from repro import audit as _audit
 from repro import faults as _faults
-from repro import observatory as _observatory
+from repro import observe
 from repro import switchless as _switchless
-from repro import telemetry
-from repro import xray as _xray
 from repro.core import convention, fastpath
 from repro.core.binding import BindingTable
 from repro.core.channel import Channel, next_channel_gva
@@ -54,6 +51,7 @@ from repro.errors import (
 from repro.hw import fused
 from repro.hw.costs import Cost
 from repro.hw.cpu import Mode, WID_REGISTER
+from repro.observe import Event
 
 
 @dataclass
@@ -72,6 +70,19 @@ _SCHED_RELOAD = Cost(15, 50)
 #: Sentinel: "no pre-decoded payload available, decode the wire".
 #: Distinct from ``None`` because ``None`` is a legitimate payload.
 _NO_PAYLOAD = object()
+
+
+def publish_authorization(caller_wid: int, callee_wid: int, decision: str,
+                          detail: str = "") -> None:
+    """Publish the callee's software authorization decision over the
+    *presented* caller WID (which a compromised software layer may have
+    forged — audit detectors compare it against the hardware-delivered
+    WIDs of the ``hw``/``world_call`` records)."""
+    observers = observe.observers
+    if observers is not None:
+        observe.publish(observers, Event(
+            "core", "authorization", caller_wid=caller_wid,
+            callee_wid=callee_wid, decision=decision, detail=detail))
 
 
 @dataclass
@@ -112,18 +123,6 @@ class WorldCallRuntime:
         self.recoveries: Counter = Counter()
         #: Calls completed over the legacy vmcall/trap fallback path.
         self.legacy_calls = 0
-
-    def _note_recovery(self, policy: str) -> None:
-        self.recoveries[policy] += 1
-        session = telemetry._session
-        if session is not None:
-            session.on_recovery(policy)
-        recorder = _audit._recorder
-        if recorder is not None:
-            recorder.on_recovery(policy)
-        obs = _observatory._session
-        if obs is not None:
-            obs.on_recovery(policy)
 
     # ------------------------------------------------------------------
     # setup (one-time, Section 3.3 "World-call setup")
@@ -189,7 +188,8 @@ class WorldCallRuntime:
                 except GuestOSError:
                     if attempt + 1 >= attempts:
                         raise
-                    self._note_recovery("hypercall_retry")
+                    self.recoveries["hypercall_retry"] += 1
+                    observe.emit("core", "recovery", detail="hypercall_retry")
         else:
             cpu.charge("timer_program")
             hypervisor.armed_timeouts[cpu.cpu_id] = (caller.entry,
@@ -228,33 +228,8 @@ class WorldCallRuntime:
         if mechanism is not None and mechanism != "world_call":
             return self._call_mechanism(mechanism, caller, callee_wid,
                                         payload, authorize=authorize)
-        session = telemetry._session
-        if session is None:
-            return self._call_guarded(caller, callee_wid, payload,
-                                      authorize=authorize)
-        # Telemetry wraps the whole round trip in a span (modeled
-        # cycles + wall-clock); collection only reads the counters, so
-        # the modeled numbers are identical to the bare path.
-        session.on_world_call(caller.wid, callee_wid)
-        cycles_before = self.machine.cpu.perf.cycles
-        with session.tracer.span("world_call", category="core",
-                                 cpu=self.machine.cpu,
-                                 caller_wid=caller.wid,
-                                 callee_wid=callee_wid):
-            result = self._call_guarded(caller, callee_wid, payload,
-                                        authorize=authorize)
-        # Latency histogram for the time-resolved view (and the SLO
-        # engine's ``world_call.cycles.p99``): pure counter read, the
-        # modeled numbers are unchanged.  With an xray session also
-        # installed, sampled calls mint a deterministic trace id that
-        # becomes the bucket's exemplar.
-        exemplar = None
-        xray_session = _xray._session
-        if xray_session is not None:
-            exemplar = xray_session.call_exemplar(caller.wid, callee_wid)
-        session.on_world_call_cycles(
-            self.machine.cpu.perf.cycles - cycles_before, exemplar)
-        return result
+        return self._call_guarded(caller, callee_wid, payload,
+                                  authorize=authorize)
 
     def _call_mechanism(self, mechanism: str, caller: World,
                         callee_wid: int, payload: Any, *,
@@ -299,12 +274,13 @@ class WorldCallRuntime:
             # stands, so no hypervisor round trip is charged.
             hypervisor.armed_timeouts[cpu.cpu_id] = (
                 caller.entry, caller.watchdog_budget)
-        # The recorder is captured once so the begin/end bracket always
-        # lands in the same log even if the recorder is swapped mid-call.
-        recorder = _audit._recorder
-        if recorder is not None:
-            recorder.on_call_begin(caller.wid, callee_wid,
-                                   cpu.perf.cycles)
+        # The observers are read once so the begin/end bracket always
+        # lands in the same ones even if an observer is swapped mid-call.
+        observers = observe.observers
+        if observers is not None:
+            observe.publish(observers, Event(
+                "core", "call_begin", caller_wid=caller.wid,
+                callee_wid=callee_wid, cycles=cpu.perf.cycles, ref=cpu))
         outcome = "ok"
         try:
             return self._call_recoverable(caller, callee_wid, payload,
@@ -316,9 +292,11 @@ class WorldCallRuntime:
             armed = hypervisor.armed_timeouts.get(cpu.cpu_id)
             if armed is not None and armed[0] is caller.entry:
                 del hypervisor.armed_timeouts[cpu.cpu_id]
-            if recorder is not None:
-                recorder.on_call_end(caller.wid, callee_wid,
-                                     cpu.perf.cycles, outcome)
+            if observers is not None:
+                observe.publish(observers, Event(
+                    "core", "call_end", caller_wid=caller.wid,
+                    callee_wid=callee_wid, detail=outcome,
+                    cycles=cpu.perf.cycles, ref=cpu))
 
     def _call_recoverable(self, caller: World, callee_wid: int,
                           payload: Any, *, authorize: bool) -> Any:
@@ -340,10 +318,12 @@ class WorldCallRuntime:
                         retries < self.recovery.max_retries and \
                         worlds.revalidate(self.machine.cpu, callee_wid):
                     retries += 1
-                    self._note_recovery("revalidate")
+                    self.recoveries["revalidate"] += 1
+                    observe.emit("core", "recovery", detail="revalidate")
                     continue
                 if self._legacy_available(caller, callee_wid):
-                    self._note_recovery("legacy_fallback")
+                    self.recoveries["legacy_fallback"] += 1
+                    observe.emit("core", "recovery", detail="legacy_fallback")
                     return self._legacy_call(caller, callee_wid, payload,
                                              authorize=authorize)
                 raise
@@ -351,7 +331,8 @@ class WorldCallRuntime:
                 # The world is gone from the table itself; re-validation
                 # cannot help, only the legacy path can.
                 if self._legacy_available(caller, callee_wid):
-                    self._note_recovery("legacy_fallback")
+                    self.recoveries["legacy_fallback"] += 1
+                    observe.emit("core", "recovery", detail="legacy_fallback")
                     return self._legacy_call(caller, callee_wid, payload,
                                              authorize=authorize)
                 raise
@@ -537,7 +518,8 @@ class WorldCallRuntime:
         if self.recovery.revalidate and worlds.revalidate(cpu, caller_wid):
             try:
                 worlds.world_call(cpu, caller_wid)
-                self._note_recovery("revalidate_return")
+                self.recoveries["revalidate_return"] += 1
+                observe.emit("core", "recovery", detail="revalidate_return")
                 return
             except WorldCallFault as second:
                 fault = second
@@ -547,7 +529,8 @@ class WorldCallRuntime:
         caller.entry.present = True
         self.machine.hypervisor.restore_world(cpu, caller.entry)
         self._unwind_caller(caller)
-        self._note_recovery("forced_restore")
+        self.recoveries["forced_restore"] += 1
+        observe.emit("core", "recovery", detail="forced_restore")
         raise WorldCallError(
             f"world call return path failed ({fault}); caller restored "
             "by the hypervisor")
@@ -610,17 +593,14 @@ class WorldCallRuntime:
                         cpu.perf.charge("sched_reload", _SCHED_RELOAD)
                 if authorize:
                     cpu.charge("world_authorize")
-                    recorder = _audit._recorder
                     try:
                         callee.policy.check(caller.wid)
-                        if recorder is not None:
-                            recorder.on_authorization(
-                                caller.wid, callee_wid, "allow")
+                        publish_authorization(caller.wid, callee_wid,
+                                              "allow")
                     except AuthorizationDenied as denied:
-                        if recorder is not None:
-                            recorder.on_authorization(
-                                caller.wid, callee_wid, "deny",
-                                denied.detail or str(denied))
+                        publish_authorization(caller.wid, callee_wid,
+                                              "deny",
+                                              denied.detail or str(denied))
                         error = denied
                 if error is None:
                     request = CallRequest(
@@ -688,7 +668,6 @@ class WorldCallRuntime:
             if authorize:
                 if not fused_entry:
                     cpu.charge("world_authorize")
-                recorder = _audit._recorder
                 try:
                     if _faults._engine is not None:
                         _faults._engine.fire("core.call.authorize",
@@ -696,14 +675,10 @@ class WorldCallRuntime:
                                              caller_wid=caller_wid)
                     callee.policy.check(caller_wid)
                 except AuthorizationDenied as denied:
-                    if recorder is not None:
-                        recorder.on_authorization(
-                            caller_wid, callee_wid, "deny",
-                            denied.detail or str(denied))
+                    publish_authorization(caller_wid, callee_wid, "deny",
+                                          denied.detail or str(denied))
                     return ("__denied__", denied.detail or str(denied))
-                if recorder is not None:
-                    recorder.on_authorization(caller_wid, callee_wid,
-                                              "allow")
+                publish_authorization(caller_wid, callee_wid, "allow")
             if in_registers:
                 payload = (convention.decode(wire)
                            if decoded is _NO_PAYLOAD else decoded)
@@ -755,7 +730,8 @@ class WorldCallRuntime:
         # OS's current-process pointer all roll back to pre-call state.
         self._unwind_caller(caller)
         caller.watchdog_armed = False
-        self._note_recovery("watchdog_timeout")
+        self.recoveries["watchdog_timeout"] += 1
+        observe.emit("core", "recovery", detail="watchdog_timeout")
         raise CallTimeout(
             f"world call from {caller.label} cancelled by the hypervisor "
             "watchdog")

@@ -21,9 +21,8 @@ import zlib
 from collections import OrderedDict
 from typing import Any
 
-from repro import audit as _audit
 from repro import faults as _faults
-from repro import telemetry as _telemetry
+from repro import observe
 from repro.core import fastpath
 from repro.errors import GuestOSError, SimulationError
 from repro.guestos.fs.inode import InodeType, StatResult
@@ -437,12 +436,9 @@ def encode(value: Any) -> bytes:
                     _encode_cache[key] = cached
                     _encode_crc[key] = zlib.crc32(cached)
                     cache_stats["poison_repaired"] += 1
-                    session = _telemetry._session
-                    if session is not None:
-                        session.on_recovery("marshal_repair")
-                    recorder = _audit._recorder
-                    if recorder is not None:
-                        recorder.on_marshal_repair()
+                    observe.emit(
+                        "core", "marshal_repair",
+                        detail="poisoned encode-cache entry re-encoded")
             _encode_cache.move_to_end(key)
             cache_stats["encode_hits"] += 1
             return cached

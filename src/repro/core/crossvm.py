@@ -36,10 +36,9 @@ from __future__ import annotations
 from collections import Counter
 from typing import Any, Callable, Dict, Optional, Tuple
 
-from repro import audit as _audit
 from repro import faults as _faults
+from repro import observe
 from repro import switchless as _switchless
-from repro import telemetry
 from repro.core import convention, fastpath
 from repro.errors import (ConfigurationError, GuestOSError, SimulationError,
                           VMFuncFault)
@@ -53,6 +52,7 @@ from repro.hw.paging import PageTable
 from repro.hw.vmx import ExitReason
 from repro.hypervisor.hypercalls import Hypercall
 from repro.hypervisor.vm import VirtualMachine
+from repro.observe import Event
 
 #: Where the cross-ring code page sits in every address space
 #: (kernel-space: supervisor-only, read-only, executable).
@@ -270,35 +270,24 @@ class CrossVMSyscallMechanism:
 
     def _roundtrip(self, from_vm: VirtualMachine, to_vm: VirtualMachine,
                    request_obj: Any, server: Callable[[Any], Any]) -> Any:
-        recorder = _audit._recorder
-        if recorder is None:
-            return self._roundtrip_observed(from_vm, to_vm, request_obj,
-                                            server)
-        cycles = self.machine.cpu.perf.cycles
-        recorder.on_crossvm_begin(from_vm.name, to_vm.name, cycles)
+        observers = observe.observers
+        if observers is None:
+            return self._roundtrip_impl(from_vm, to_vm, request_obj, server)
+        # One bracket per Figure-4 round trip (covers the fused path too).
+        cpu = self.machine.cpu
+        observe.publish(observers, Event(
+            "core", "crossvm_begin", from_vm.name, to_vm.name,
+            cycles=cpu.perf.cycles, ref=cpu))
         outcome = "ok"
         try:
-            return self._roundtrip_observed(from_vm, to_vm, request_obj,
-                                            server)
+            return self._roundtrip_impl(from_vm, to_vm, request_obj, server)
         except BaseException as exc:
             outcome = type(exc).__name__
             raise
         finally:
-            recorder.on_crossvm_end(from_vm.name, to_vm.name,
-                                    self.machine.cpu.perf.cycles, outcome)
-
-    def _roundtrip_observed(self, from_vm: VirtualMachine,
-                            to_vm: VirtualMachine, request_obj: Any,
-                            server: Callable[[Any], Any]) -> Any:
-        session = telemetry._session
-        if session is None:
-            return self._roundtrip_impl(from_vm, to_vm, request_obj, server)
-        # One span per Figure-4 round trip (covers the fused path too).
-        session.on_crossvm_roundtrip(from_vm.name, to_vm.name)
-        with session.tracer.span("crossvm_roundtrip", category="core",
-                                 cpu=self.machine.cpu,
-                                 frm=from_vm.name, to=to_vm.name):
-            return self._roundtrip_impl(from_vm, to_vm, request_obj, server)
+            observe.publish(observers, Event(
+                "core", "crossvm_end", from_vm.name, to_vm.name,
+                detail=outcome, cycles=cpu.perf.cycles, ref=cpu))
 
     def _roundtrip_impl(self, from_vm: VirtualMachine,
                         to_vm: VirtualMachine, request_obj: Any,
@@ -439,12 +428,7 @@ class CrossVMSyscallMechanism:
                                        ExitReason.VMFUNC_FAULT,
                                        "crossvm legacy")
         self.recoveries["legacy_roundtrip"] += 1
-        session = telemetry._session
-        if session is not None:
-            session.on_recovery("crossvm_legacy")
-        recorder = _audit._recorder
-        if recorder is not None:
-            recorder.on_recovery("crossvm_legacy")
+        observe.emit("core", "recovery", detail="crossvm_legacy")
         if isinstance(outcome, GuestOSError):
             raise outcome
         return outcome

@@ -13,8 +13,9 @@ The subsystem has four pieces:
   (``denied-cleanly`` / ``recovered`` / ``degraded-to-legacy`` /
   ``invariant-violation``); ``crossover-faults`` is its CLI.
 
-Like telemetry and the fast path, injection is a module-global switch
-that is *zero cost when disabled*: hot datapath code guards every
+Injection changes behaviour, so unlike the observers on
+:mod:`repro.observe` it keeps its own module-global switch, *zero cost
+when disabled*: hot datapath code guards every
 hookpoint with ``if _faults._engine is not None`` and the default is
 ``None``.
 """

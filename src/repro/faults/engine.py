@@ -19,9 +19,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro import audit as _audit
-from repro import observatory as _observatory
-from repro import telemetry
+from repro import observe
 
 from .plan import FaultPlan
 from .sites import SITES, FaultSite
@@ -89,17 +87,9 @@ class FaultEngine:
                 continue
             self.fired[plan.site] += 1
             self.fired_this_op.append(plan.site)
-            session = telemetry._session
-            if session is not None:
-                session.on_fault_injected(plan.site)
-            recorder = _audit._recorder
-            if recorder is not None:
-                # Correlation marker only — detectors ignore fam
-                # "fault" records (see repro.audit.detectors).
-                recorder.on_fault_injected(plan.site)
-            obs = _observatory._session
-            if obs is not None:
-                obs.on_fault(plan.site)
+            # Audit logs this as a correlation marker only — detectors
+            # ignore fam "fault" records (see repro.audit.detectors).
+            observe.emit("fault", "fault_injected", site=plan.site)
             value = site.action(self, ctx)
             if value is not None:
                 result = value

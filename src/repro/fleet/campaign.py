@@ -106,7 +106,7 @@ def run_fleet_cell(tenants: int, mechanism: str, seed: int,
         }
         if recorder is not None:
             stats["xray_traces_sampled"] = recorder.traces_sampled
-        session.on_fleet_stats(stats)
+        session.absorb_stats("fleet", stats)
     return result
 
 

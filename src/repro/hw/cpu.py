@@ -14,9 +14,8 @@ from __future__ import annotations
 import enum
 from typing import Optional, TYPE_CHECKING
 
-from repro import audit as _audit
 from repro import faults as _faults
-from repro import telemetry as _telemetry
+from repro import observe
 from repro.errors import (
     GeneralProtectionFault,
     InvalidOpcode,
@@ -381,10 +380,12 @@ class CPU:
             if charge:
                 self.perf.charge("vmfunc_ept_switch",
                                  self.cost_model.vmfunc_ept_switch)
-        recorder = _audit._recorder
-        if recorder is not None:
-            recorder.on_ept_switch(index, self.world_label, self.ring,
-                                   self.perf.cycles)
+        observers = observe.observers
+        if observers is not None:
+            observe.publish(observers, observe.Event(
+                "hw", "ept_switch", to=self.world_label, mode="G",
+                ring=self.ring, detail=f"eptp[{index}]",
+                cycles=self.perf.cycles))
 
     def _world_call(self, callee_wid: int) -> int:
         """The ``world_call`` datapath (Sections 3.3 and 5.1).
@@ -399,20 +400,21 @@ class CPU:
             raise InvalidOpcode(
                 "world_call requires the CrossOver extension")
         self.charge("world_call_hw")
-        # Telemetry observes the hardware datapath itself (not just the
+        # Observers see the hardware datapath itself (not just the
         # transition trace, which may be disabled on the fast path).
         # Observation never charges: modeled counters stay bit-identical.
-        session = _telemetry._session
-        if session is not None:
-            session.metrics.counter("hw.world_call", cpu=self.cpu_id).inc()
+        observers = observe.observers
+        if observers is not None:
+            observe.publish(observers, observe.Event(
+                "hw", "world_call_issue", callee_wid=callee_wid, ref=self))
         caller = self._lookup_caller()
         try:
             callee = self.wt_caches.lookup_callee(callee_wid)
         except WorldTableCacheMiss:
             self.charge("wt_miss_exception")
-            if session is not None:
-                session.metrics.counter("hw.wt_miss", cache="wt",
-                                        cpu=self.cpu_id).inc()
+            if observers is not None:
+                observe.publish(observers, observe.Event(
+                    "hw", "wt_miss", detail="wt", ref=self))
             raise
         if not callee.present:
             raise WorldNotPresent(f"world {callee_wid} is not present")
@@ -426,8 +428,7 @@ class CPU:
             callee.ept.translate(entry_gpa, execute=True)
 
         trace_on = self.trace.enabled
-        recorder = _audit._recorder
-        frm = (self.world_label if trace_on or recorder is not None
+        frm = (self.world_label if trace_on or observers is not None
                else "")
         # Commit: the callee sees the hardware-authenticated caller WID.
         self.mode = Mode.ROOT if callee.host_mode else Mode.NON_ROOT
@@ -446,13 +447,14 @@ class CPU:
             self.trace.record("world_call", frm, self.world_label,
                               f"wid {caller.wid} -> {callee_wid}",
                               hw_cost.cycles, hw_cost.instructions)
-        if recorder is not None:
-            # The semantic audit record: the WIDs here are the ones the
+        if observers is not None:
+            # The semantic record: the WIDs here are the ones the
             # hardware authenticated, independent of the trace events.
-            recorder.on_world_call_hw(
-                caller.wid, callee_wid, frm=frm, to=self.world_label,
+            observe.publish(observers, observe.Event(
+                "hw", "world_call", frm, self.world_label,
+                caller_wid=caller.wid, callee_wid=callee_wid,
                 mode="H" if callee.host_mode else "G", ring=self.ring,
-                cycles=self.perf.cycles)
+                cycles=self.perf.cycles))
         return caller.wid
 
     def _lookup_caller(self) -> WorldTableEntry:
@@ -471,10 +473,7 @@ class CPU:
             return self.wt_caches.lookup_caller(self._context_key())
         except WorldTableCacheMiss:
             self.charge("wt_miss_exception")
-            session = _telemetry._session
-            if session is not None:
-                session.metrics.counter("hw.wt_miss", cache="iwt",
-                                        cpu=self.cpu_id).inc()
+            observe.emit("hw", "wt_miss", detail="iwt", ref=self)
             raise
 
     def _context_key(self):

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Tuple, Union
 
-from repro import telemetry as _telemetry
+from repro import observe
 from repro.hw.costs import Cost, CostModel
 from repro.hw.perf import WORLD_SWITCH_KINDS
 
@@ -53,9 +53,9 @@ class FusedCharge:
         under the same event counts) onto ``perf`` in one call."""
         cost = self.cost if extra is None else self.cost + extra
         perf.charge_batch(cost, self.events)
-        session = _telemetry._session
-        if session is not None:
-            session.on_fused(self)
+        observers = observe.observers
+        if observers is not None:
+            observe.publish(observers, observe.Event("hw", "fused", ref=self))
 
 
 def _model_cache(model: CostModel) -> Dict[Tuple[KindSpec, ...],

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Mapping
 
 from repro import observatory as _observatory
+from repro import observe
 from repro.hw.costs import Cost, us
 
 #: Event kinds that count as a *world switch* in the paper's terminology:
@@ -95,8 +96,7 @@ class PerfCounters:
         self.instructions = 0
         self.cycles = 0
         self.events: Counter = Counter()
-        if _observatory._session is not None:
-            _observatory._session.adopt(self)
+        observe.emit("hw", "perf_counters", ref=self)
 
     def charge(self, kind: str, cost: Cost) -> None:
         """Record one event of ``kind`` costing ``cost``."""
@@ -133,17 +133,15 @@ class PerfCounters:
 
     def reset(self) -> None:
         """Zero every counter (used between benchmark iterations)."""
-        session = _observatory._session
-        if session is not None and self._obs is session:
-            # Close out the un-sampled tail before the cycle domain
-            # restarts at zero (a stale anchor would mis-size the next
-            # window delta).
-            session.on_boundary(self)
-        self.instructions = 0
-        self.cycles = 0
-        self.events.clear()
-        if session is not None:
-            session.adopt(self)
+        observers = observe.observers
+        if observers is not None:
+            # An observatory closes out the un-sampled tail before the
+            # cycle domain restarts at zero, and re-anchors.
+            observe.publish(observers,
+                            observe.Event("hw", "perf_reset", ref=self))
         elif self._obs is not None:
             self._obs = None
             self._obs_next = _observatory._OBS_DISABLED
+        self.instructions = 0
+        self.cycles = 0
+        self.events.clear()

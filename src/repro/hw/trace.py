@@ -1,8 +1,9 @@
 """Transition tracing.
 
 Every world switch the simulated CPU performs is appended to a
-:class:`TransitionTrace` as a :class:`TransitionEvent`.  The Figure-2
-benchmark renders these traces; tests assert on exact transition
+:class:`TransitionTrace` as a :class:`TransitionEvent` and published on
+the observer bus (:mod:`repro.observe`) as a ``transition`` record.
+The Figure-2 benchmark renders these traces; tests assert on exact transition
 sequences (e.g. that Proxos' baseline redirected syscall performs the
 six crossings the paper counts).
 """
@@ -12,6 +13,8 @@ from __future__ import annotations
 import contextlib
 from dataclasses import dataclass
 from typing import Callable, Iterator, List, Optional, Sequence
+
+from repro import observe
 
 
 @dataclass(frozen=True)
@@ -49,18 +52,6 @@ class TransitionTrace:
         self._seq = 0
         self._limit = limit
         self.enabled = True
-        # Telemetry hook: every recorded event is forwarded to the
-        # observer (one attribute read + None test when no session is
-        # installed).  Traces built while a telemetry session is
-        # installed attach automatically; telemetry.attach_machine()
-        # rebinds existing traces.  Imported locally: hw.trace is a
-        # leaf module and telemetry imports hw.perf.
-        from repro import audit, telemetry
-        self.observer: Optional[Callable[[TransitionEvent], None]] = (
-            telemetry.transition_observer())
-        # Audit hook: same discipline — the module object is bound
-        # here and its ``_recorder`` global is read per event.
-        self._audit = audit
 
     def record(self, kind: str, frm: str, to: str, detail: str = "",
                cycles: int = 0,
@@ -74,12 +65,11 @@ class TransitionTrace:
                                 instructions)
         self._seq += 1
         self._events.append(event)
-        observer = self.observer
-        if observer is not None:
-            observer(event)
-        recorder = self._audit._recorder
-        if recorder is not None:
-            recorder.on_transition(kind, frm, to, detail, cycles)
+        observers = observe.observers
+        if observers is not None:
+            observe.publish(observers, observe.Event(
+                "trace", "transition", frm, to, detail=detail,
+                cycles=cycles, ref=event))
         return event
 
     @contextlib.contextmanager

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro import audit as _audit
 from repro import faults as _faults
+from repro import observe
 from repro.errors import ConfigurationError, GuestOSError, SimulationError
 from repro.hw.cpu import CPU, Mode, Ring
 from repro.hw.ept import EPTPList
@@ -134,7 +134,7 @@ class Hypervisor:
         cpu.vmexit(ExitReason.VMCALL, f"hypercall {number:#x}")
         cpu.charge("vmexit_handle")
         cpu.charge("hypercall_dispatch")
-        recorder = _audit._recorder
+        observers = observe.observers
         try:
             if _faults._engine is not None:
                 _faults._engine.fire("hv.hypercall", hypervisor=self,
@@ -144,14 +144,21 @@ class Hypervisor:
         except GuestOSError:
             # The handler (or injected guard) rejected the request —
             # the "deny" half of the hypercall audit trail.
-            if recorder is not None:
-                recorder.on_hypercall(number, vm.name, "deny")
+            if observers is not None:
+                self._publish_hypercall(observers, number, vm, "deny")
             raise
         finally:
             cpu.vmentry(vm.vmcs, "resume")
-        if recorder is not None:
-            recorder.on_hypercall(number, vm.name, "allow")
+        if observers is not None:
+            self._publish_hypercall(observers, number, vm, "allow")
         return result
+
+    @staticmethod
+    def _publish_hypercall(observers, number: int, vm: VirtualMachine,
+                           decision: str) -> None:
+        observe.publish(observers, observe.Event(
+            "hv", "hypercall", vm.name, "host", decision=decision,
+            detail=f"number {number:#x}"))
 
     def _register_hypercalls(self) -> None:
         table = self.hypercalls

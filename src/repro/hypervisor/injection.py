@@ -12,9 +12,8 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
-from repro import audit as _audit
 from repro import faults as _faults
-from repro import telemetry
+from repro import observe
 from repro.hw.cpu import CPU
 from repro.hypervisor.vm import VirtualMachine
 
@@ -44,12 +43,11 @@ class Injector:
         self.injected += 1
         self.injected_by_vector[vector] = \
             self.injected_by_vector.get(vector, 0) + 1
-        session = telemetry._session
-        if session is not None:
-            session.on_virq_injected(vector, vm.name)
-        recorder = _audit._recorder
-        if recorder is not None:
-            recorder.on_virq_inject(vector, vm.name)
+        observers = observe.observers
+        if observers is not None:
+            observe.publish(observers, observe.Event(
+                "hv", "virq_inject", to=vm.name, detail=f"vector {vector:#x}",
+                ref=vector))
 
     def deliver_pending(self, cpu: CPU, vm: VirtualMachine,
                         charge: bool = True) -> int:
@@ -70,9 +68,11 @@ class Injector:
             prior_ring = cpu.ring
             cpu.deliver_irq(vector, detail, charge=charge)
             delivered += 1
-            recorder = _audit._recorder
-            if recorder is not None:
-                recorder.on_virq_deliver(vector, vm.name)
+            observers = observe.observers
+            if observers is not None:
+                observe.publish(observers, observe.Event(
+                    "hv", "virq_deliver", to=vm.name,
+                    detail=f"vector {vector:#x}"))
             handler = None
             if cpu.interrupts.idt is not None:
                 handler = cpu.interrupts.idt.handler(vector)

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro import audit as _audit
 from repro import faults as _faults
+from repro import observe
 from repro.errors import (
     NoSuchWorld,
     SimulationError,
@@ -117,9 +117,10 @@ class WorldService:
         if shard_of is not None:
             shard = shard_of(entry.wid)
             self.shard_misses[shard] = self.shard_misses.get(shard, 0) + 1
-        recorder = _audit._recorder
-        if recorder is not None:
-            recorder.on_wtc_service(miss.kind, miss.key)
+        observers = observe.observers
+        if observers is not None:
+            observe.publish(observers, observe.Event(
+                "hv", "wtc_service", detail=f"{miss.kind}:{miss.key!r}"))
 
     def revalidate(self, cpu: CPU, wid: int) -> bool:
         """Re-validate a world after a faulted ``world_call`` (recovery).
@@ -140,9 +141,7 @@ class WorldService:
         entry.present = True
         cpu.charge("manage_wtc")
         cpu.wt_caches.fill(entry)
-        recorder = _audit._recorder
-        if recorder is not None:
-            recorder.on_revalidate(wid)
+        observe.emit("hv", "revalidate", callee_wid=wid)
         return True
 
     def world_call(self, cpu: CPU, callee_wid: int, *,

@@ -45,6 +45,7 @@ from __future__ import annotations
 import contextlib
 from typing import Any, Dict, Iterator, List, Optional
 
+from repro import observe
 from repro.observatory.store import CLIP_COUNTER, WindowStore, crosscheck
 
 __all__ = [
@@ -122,7 +123,7 @@ class Observatory:
 
     # -- clock plumbing (called from repro.hw.perf) --------------------
 
-    def adopt(self, perf) -> None:
+    def adopt(self, perf, cycles: Optional[int] = None) -> None:
         """Start (or re-anchor) window accounting for one perf counter.
 
         Called when a :class:`~repro.hw.perf.PerfCounters` is built or
@@ -130,11 +131,15 @@ class Observatory:
         domain is mapped onto the observatory clock via a per-counter
         base, so machines created mid-recording (each restarting at
         cycle 0) extend the same time axis instead of rewinding it.
+        ``cycles`` is the counter value to anchor at (default: its
+        current one; a reset anchors at the 0 it is about to zero to).
         """
+        if cycles is None:
+            cycles = perf.cycles
         perf._obs = self
-        perf._obs_anchor = perf.cycles
-        perf._obs_base = self.clock - perf.cycles
-        perf._obs_next = perf.cycles + self.config.window_cycles
+        perf._obs_anchor = cycles
+        perf._obs_base = self.clock - cycles
+        perf._obs_next = cycles + self.config.window_cycles
         self._perf = perf
 
     def on_boundary(self, perf) -> None:
@@ -176,7 +181,13 @@ class Observatory:
         self._totals = dict(self._collect_registry()[1])
         self._flushed = True
 
-    # -- event taps (called from subsystem seams) ----------------------
+    # -- the observer seam ---------------------------------------------
+
+    def on_event(self, event) -> None:
+        """One :class:`~repro.observe.Event` from a datapath seam."""
+        handler = self._HANDLERS.get(event.kind)
+        if handler is not None:
+            handler(self, event)
 
     def _now(self) -> int:
         """Current position on the observatory clock."""
@@ -185,27 +196,52 @@ class Observatory:
             return perf._obs_base + perf.cycles
         return self.clock
 
-    def on_flip(self, site: str, mechanism: str, cycles: int) -> None:
+    def _perf_counters(self, event) -> None:
+        """A perf counter was built while this observatory watches."""
+        self.adopt(event.ref)
+
+    def _perf_reset(self, event) -> None:
+        """A perf counter is about to zero: sample its un-sampled tail
+        (a stale anchor would mis-size the next window delta), then
+        re-anchor it onto the zeroed cycle domain."""
+        perf = event.ref
+        if perf._obs is self:
+            self.on_boundary(perf)
+        self.adopt(perf, cycles=0)
+
+    def _flip(self, event) -> None:
         """A switchless adaptive-policy flip (machine-domain stamp)."""
         perf = self._perf
         base = (perf._obs_base
                 if perf is not None and getattr(perf, "_obs", None) is self
                 else 0)
-        self.store.add_event("switchless.flip", site, mechanism,
-                             base + cycles)
+        self.store.add_event("switchless.flip", event.site, event.detail,
+                             base + event.cycles)
 
-    def on_fault(self, site: str) -> None:
-        """The fault engine fired one planned fault."""
-        self.store.add_event("fault.injected", site, "", self._now())
+    def _fault(self, event) -> None:
+        self.store.add_event("fault.injected", event.site, "", self._now())
 
-    def on_recovery(self, policy: str) -> None:
-        """A graceful-degradation policy activated."""
+    def _recovery(self, event) -> None:
+        """A graceful-degradation policy activated (a ``marshal_repair``
+        is its own policy)."""
+        policy = event.detail if event.kind == "recovery" else event.kind
         self.store.add_event("fault.recovery", policy, "", self._now())
 
-    def on_audit_anomaly(self, kind: str, detail: str) -> None:
+    def _anomaly(self, event) -> None:
         """The flight recorder logged a denial — the online anomaly
         signal (the full detectors stay offline)."""
-        self.store.add_event("audit.anomaly", kind, detail, self._now())
+        self.store.add_event("audit.anomaly", event.site, event.detail,
+                             self._now())
+
+    _HANDLERS = {
+        "perf_counters": _perf_counters,
+        "perf_reset": _perf_reset,
+        "flip": _flip,
+        "fault_injected": _fault,
+        "recovery": _recovery,
+        "marshal_repair": _recovery,
+        "anomaly": _anomaly,
+    }
 
     # -- sampling ------------------------------------------------------
 
@@ -213,7 +249,7 @@ class Observatory:
         """(source, counters, gauges, histograms) from the installed
         telemetry session's registry (empty when none)."""
         from repro import telemetry
-        session = telemetry._session
+        session = telemetry.current()
         if session is None:
             return None, {}, {}, {}
         snap = session.metrics.snapshot()
@@ -239,7 +275,7 @@ class Observatory:
             counters = {f"faults.fired.{site}": fired for site, fired
                         in fe.fired_counts().items()}
             groups["faults"] = (fe, counters, {})
-        recorder = _audit._recorder
+        recorder = _audit.current()
         if recorder is not None:
             counters = {f"audit.{name}": value for name, value
                         in recorder.stats().items()}
@@ -483,33 +519,29 @@ class Observatory:
 
 
 # ---------------------------------------------------------------------------
-# the process-global switch
+# the process-global switch (one slot on the observer bus)
 # ---------------------------------------------------------------------------
-
-_session: Optional[Observatory] = None
-
 
 def current() -> Optional[Observatory]:
     """The installed observatory, or None."""
-    return _session
+    return observe.current("observatory")
 
 
 def enabled() -> bool:
     """Whether an observatory is installed."""
-    return _session is not None
+    return observe.current("observatory") is not None
 
 
 def install(observatory: Optional[Observatory] = None) -> Observatory:
     """Install ``observatory`` (or a fresh one) process-wide."""
-    global _session
-    _session = observatory if observatory is not None else Observatory()
-    return _session
+    return observe.install(
+        "observatory",
+        observatory if observatory is not None else Observatory())
 
 
 def uninstall() -> Optional[Observatory]:
     """Flush, remove and return the installed observatory."""
-    global _session
-    observatory, _session = _session, None
+    observatory = observe.uninstall("observatory")
     if observatory is not None:
         observatory.flush()
     return observatory
@@ -528,24 +560,22 @@ def scoped(observatory: Optional[Observatory] = None,
                 run_workload()
             payload = obs.to_dict()
     """
-    global _session
-    previous = _session
     if observatory is None:
+        previous = current()
         if config is None and previous is not None:
             config = previous.config
         observatory = Observatory(label, config)
-    _session = observatory
-    try:
-        yield observatory
-    finally:
-        observatory.flush()
-        _session = previous
+    with observe.scoped("observatory", observatory):
+        try:
+            yield observatory
+        finally:
+            observatory.flush()
 
 
 def _boundary(perf) -> None:
     """The ``PerfCounters.charge`` seam: route a tripped threshold to
     the installed observatory, or disarm a stale adoption."""
-    obs = _session
+    obs = current()
     if obs is None:
         perf._obs = None
         perf._obs_next = _OBS_DISABLED

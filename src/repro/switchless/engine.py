@@ -27,9 +27,10 @@ Cost accounting (all primitives live in :class:`repro.hw.costs.CostModel`):
   configless paper's CPU-waste metric), not charges on the caller: the
   caller's counters only ever contain what it actually waits on.
 
-The engine is a zero-cost-when-disabled module global (see
-``repro.switchless.install``): the dispatch seams read one module
-attribute and branch on ``None``, like telemetry/faults/audit.
+The engine is a policy, so it is a zero-cost-when-disabled module
+global of its own (see ``repro.switchless.install``) rather than an
+observer on :mod:`repro.observe`: the dispatch seams read one module
+attribute and branch on ``None``, like the fault engine.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro import observatory as _observatory
+from repro import observe
 from repro.errors import (
     AuthorizationDenied,
     ConfigurationError,
@@ -45,6 +46,7 @@ from repro.errors import (
     SimulationError,
     WorldCallError,
 )
+from repro.observe import Event
 from repro.switchless.policy import AdaptivePolicy
 
 #: Additive counters, in merge order.
@@ -200,10 +202,9 @@ class SwitchlessEngine:
         mechanism = self.policy.decide((kind, caller_id, callee_id), cycles)
         if len(self.policy.flips) != before:
             self._on_flip(self.policy.flips[-1][1])
-            obs = _observatory._session
-            if obs is not None:
-                site, to_mechanism, at_cycles = self.policy.flips[-1]
-                obs.on_flip(site, to_mechanism, at_cycles)
+            site, to_mechanism, at_cycles = self.policy.flips[-1]
+            observe.emit("switchless", "flip", site=site,
+                         detail=to_mechanism, cycles=at_cycles)
         if mode == "observe":
             return None
         return "switchless" if mechanism == "switchless" else None
@@ -211,33 +212,38 @@ class SwitchlessEngine:
     def world_call(self, runtime, caller, callee_wid: int,
                    payload: Any = None, *, authorize: bool = True) -> Any:
         """Serve one world-call site switchlessly."""
-        from repro import telemetry
-        session = telemetry._session
-        if session is None:
+        observers = observe.observers
+        if observers is None:
             return self._world_call_impl(runtime, caller, callee_wid,
                                          payload, authorize)
-        session.on_switchless_call("world")
-        with session.tracer.span("switchless_call", category="switchless",
-                                 cpu=runtime.machine.cpu,
-                                 caller_wid=caller.wid,
-                                 callee_wid=callee_wid):
+        cpu = runtime.machine.cpu
+        observe.publish(observers, Event(
+            "switchless", "switchless_begin", caller_wid=caller.wid,
+            callee_wid=callee_wid, detail="world", ref=cpu))
+        try:
             return self._world_call_impl(runtime, caller, callee_wid,
                                          payload, authorize)
+        finally:
+            observe.publish(observers, Event(
+                "switchless", "switchless_end", detail="world", ref=cpu))
 
     def crossvm_call(self, mechanism, from_vm, to_vm, request_obj: Any,
                      server) -> Any:
         """Serve one cross-VM site switchlessly."""
-        from repro import telemetry
-        session = telemetry._session
-        if session is None:
+        observers = observe.observers
+        if observers is None:
             return self._crossvm_impl(mechanism, from_vm, to_vm,
                                       request_obj, server)
-        session.on_switchless_call("crossvm")
-        with session.tracer.span("switchless_call", category="switchless",
-                                 cpu=mechanism.machine.cpu,
-                                 frm=from_vm.name, to=to_vm.name):
+        cpu = mechanism.machine.cpu
+        observe.publish(observers, Event(
+            "switchless", "switchless_begin", from_vm.name, to_vm.name,
+            detail="crossvm", ref=cpu))
+        try:
             return self._crossvm_impl(mechanism, from_vm, to_vm,
                                       request_obj, server)
+        finally:
+            observe.publish(observers, Event(
+                "switchless", "switchless_end", detail="crossvm", ref=cpu))
 
     # ------------------------------------------------------------------
     # world-call service
@@ -245,9 +251,8 @@ class SwitchlessEngine:
 
     def _world_call_impl(self, runtime, caller, callee_wid: int,
                          payload: Any, authorize: bool) -> Any:
-        from repro import audit as _audit
         from repro.core import convention
-        from repro.core.call import CallRequest
+        from repro.core.call import CallRequest, publish_authorization
 
         machine = runtime.machine
         cpu = machine.cpu
@@ -290,18 +295,14 @@ class SwitchlessEngine:
                     # The worker still checks the caller WID stamped on
                     # the ring descriptor before serving it.
                     cpu.charge("world_authorize")
-                    recorder = _audit._recorder
                     try:
                         callee.policy.check(caller.wid)
-                        if recorder is not None:
-                            recorder.on_authorization(
-                                caller.wid, callee_wid, "allow")
+                        publish_authorization(caller.wid, callee_wid,
+                                              "allow")
                     except AuthorizationDenied as denied:
                         denied_detail = denied.detail or str(denied)
-                        if recorder is not None:
-                            recorder.on_authorization(
-                                caller.wid, callee_wid, "deny",
-                                denied_detail)
+                        publish_authorization(caller.wid, callee_wid,
+                                              "deny", denied_detail)
                 if denied_detail is not None:
                     result = ("__denied__", denied_detail)
                 else:

@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-from typing import (Any, Callable, ContextManager, Dict, Iterable, Optional,
-                    Set, Tuple)
+from typing import Any, Callable, Dict, Iterable, Optional, Set, Tuple
 
-from repro import audit
-from repro import telemetry
+from repro import observe
 from repro.core.crossvm import CrossVMSyscallMechanism
 from repro.errors import ConfigurationError, GuestOSError, SimulationError
 from repro.guestos.kernel import Kernel, SyscallRedirector
@@ -14,6 +12,7 @@ from repro.guestos.process import Process
 from repro.hw.cpu import Mode
 from repro.hypervisor.vm import VirtualMachine
 from repro.machine import Machine
+from repro.observe import Event
 
 #: Syscalls that must never leave the local VM even when a system
 #: redirects "everything" (process control stays local, as in the
@@ -75,59 +74,34 @@ class CrossWorldSystem:
         """Subclass hook for system-specific plumbing."""
         return None
 
-    def _telemetry_span(self, op: str) -> Optional[ContextManager]:
-        """The session's span (or ``None``) bracketing one redirected
-        call.
-
-        Only called once the caller has seen an installed session (the
-        modeled counters are identical either way — telemetry never
-        charges; only host wall-clock differs).  The session decides
-        the span's shape: a tree span in the default mode, a sampled
-        ring record (or nothing) in the lightweight always-on mode —
-        the redirect is *counted* in every mode.
-        """
-        session = telemetry._session
-        assert session is not None
-        return session.redirect_span(self, op)
-
     def redirect_syscall(self, name: str, *args, **kwargs) -> Any:
         """Execute one syscall in the remote world.
 
         Must be invoked from the local VM's kernel at CPL 0 (i.e. from
-        the syscall dispatcher).  With no telemetry session and no
-        flight recorder installed the cost over calling
-        :meth:`_redirect` directly is two module attribute reads — this
-        is the measured hot path.
+        the syscall dispatcher).  With no observer installed the cost
+        over calling :meth:`_redirect` directly is one module attribute
+        read — this is the measured hot path.
         """
-        recorder = audit._recorder
-        if recorder is not None:
-            return self._redirect_audited(recorder, name, args, kwargs)
-        if telemetry._session is None:
+        observers = observe.observers
+        if observers is None:
             return self._redirect(name, *args, **kwargs)
-        span = self._telemetry_span(name)
-        if span is None:
-            return self._redirect(name, *args, **kwargs)
-        with span:
-            return self._redirect(name, *args, **kwargs)
+        return self._bracketed(
+            observers, name, lambda: self._redirect(name, *args, **kwargs))
 
-    def _redirect_audited(self, recorder, name: str, args: tuple,
-                          kwargs: dict) -> Any:
-        """One redirected call bracketed by audit records (and, when a
-        telemetry session is also installed, its span)."""
+    def _bracketed(self, observers, op: str, run: Callable[[], Any]) -> Any:
+        """``run()`` between ``redirect_begin``/``redirect_end`` records
+        (telemetry spans the redirect, audit logs both ends)."""
         cpu = self.machine.cpu
-        recorder.on_redirect_begin(self.name, self.variant, name,
-                                   cpu.perf.cycles)
+        frm = f"{self.name}/{self.variant}"
+        observe.publish(observers, Event(
+            "sys", "redirect_begin", frm, detail=op, cycles=cpu.perf.cycles,
+            ref=self))
         try:
-            if telemetry._session is None:
-                return self._redirect(name, *args, **kwargs)
-            span = self._telemetry_span(name)
-            if span is None:
-                return self._redirect(name, *args, **kwargs)
-            with span:
-                return self._redirect(name, *args, **kwargs)
+            return run()
         finally:
-            recorder.on_redirect_end(self.name, self.variant, name,
-                                     cpu.perf.cycles)
+            observe.publish(observers, Event(
+                "sys", "redirect_end", frm, detail=op,
+                cycles=cpu.perf.cycles, ref=self))
 
     def _redirect(self, name: str, *args, **kwargs) -> Any:
         """Subclass hook: the system's actual redirection path."""

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro import audit, telemetry
+from repro import observe
 from repro.core import convention
 from repro.errors import GuestOSError, SimulationError
 from repro.hw.cpu import Mode, Ring
@@ -86,22 +86,12 @@ class HyperShell(CrossWorldSystem):
             raise SimulationError(
                 "the baseline shell runs in host userland; CPU is at "
                 f"{cpu.world_label}")
-        recorder = audit._recorder
-        if recorder is not None:
-            recorder.on_redirect_begin(self.name, self.variant, name,
-                                       cpu.perf.cycles)
-        try:
-            if telemetry._session is None:
-                return self._shell_call(cpu, name, *args, **kwargs)
-            span = self._telemetry_span(name)
-            if span is None:
-                return self._shell_call(cpu, name, *args, **kwargs)
-            with span:
-                return self._shell_call(cpu, name, *args, **kwargs)
-        finally:
-            if recorder is not None:
-                recorder.on_redirect_end(self.name, self.variant, name,
-                                         cpu.perf.cycles)
+        observers = observe.observers
+        if observers is None:
+            return self._shell_call(cpu, name, *args, **kwargs)
+        return self._bracketed(
+            observers, name,
+            lambda: self._shell_call(cpu, name, *args, **kwargs))
 
     def _shell_call(self, cpu, name: str, *args, **kwargs) -> Any:
         # Shell's libc stub + trap into the host kernel (KVM).

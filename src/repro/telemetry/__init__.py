@@ -9,11 +9,9 @@ One :class:`TelemetrySession` bundles the two collection surfaces:
   carrying modeled cycles *and* host wall-clock, with every transition
   trace event attached as an instant to the innermost open span.
 
-Exactly one session is installed process-wide at a time (mirroring
-:mod:`repro.core.fastpath`: the hot layers cannot afford per-call
-indirection).  Instrumented code checks ``telemetry._session`` — a
-module-attribute read plus a ``None`` test — and does *nothing else*
-while no session is installed, so:
+Exactly one session is installed process-wide at a time, as one
+subscriber on the observer bus (:mod:`repro.observe`); it receives
+every datapath record through :meth:`TelemetrySession.on_event`, so:
 
 * with telemetry **off**, the hooks are a dead branch: fast-path
   equivalence and all modeled counters are untouched;
@@ -41,8 +39,9 @@ from __future__ import annotations
 
 import contextlib
 import time
-from typing import Any, Callable, Dict, Iterator, Optional
+from typing import Any, Callable, Dict, Iterator, List, Optional
 
+from repro import observe
 from repro.hw.perf import WORLD_SWITCH_KINDS
 from repro.telemetry.registry import (Counter, Gauge, Histogram,
                                       MetricsRegistry)
@@ -53,7 +52,6 @@ __all__ = [
     "Counter", "Gauge", "Histogram",
     "Tracer", "Span", "SpanEvent", "SpanRing",
     "current", "enabled", "install", "uninstall", "scoped",
-    "transition_observer", "attach_machine",
 ]
 
 
@@ -132,17 +130,21 @@ class _RingSpan:
         assert session.span_ring is not None
         session.span_ring.push((self._system, self._op, self._variant,
                                 cycles, instructions, wall))
-        session._observe_redirect_cycles(self._system, self._variant, cycles)
+        system, variant = self._system, self._variant
+        session._histogram(("system.redirect_cycles", system, variant),
+                           "system.redirect_cycles", system=system,
+                           variant=variant)(cycles)
 
 
 class TelemetrySession:
     """All telemetry collected between :func:`install` and
     :func:`uninstall`.
 
-    The hook entry points are deliberately allocation-light: every
-    labeled counter the hot paths touch is resolved once and its bound
-    ``inc`` method cached in a plain-tuple-keyed dict, skipping the
-    registry's label canonicalization on every call.
+    Observes the datapath through :meth:`on_event` (see
+    :mod:`repro.observe`).  The handlers are deliberately
+    allocation-light: every labeled counter the hot paths touch is
+    resolved once and its bound ``inc`` method cached under a plain
+    tuple, skipping the registry's label canonicalization on every call.
     """
 
     def __init__(self, label: str = "telemetry",
@@ -165,15 +167,13 @@ class TelemetrySession:
         # by plain tuples (no sort, no stringification per call).
         self._kind_counters: Dict[str, Callable] = {}
         self._matrix_counters: Dict[tuple, Callable] = {}
-        self._crossvm_counters: Dict[tuple, Callable] = {}
-        self._virq_counters: Dict[tuple, Callable] = {}
-        self._worldcall_counters: Dict[tuple, Callable] = {}
-        self._worldcall_hist: Optional[Callable] = None
-        self._redirect_counters: Dict[tuple, Callable] = {}
-        self._redirect_hists: Dict[tuple, Callable] = {}
-        self._fault_counters: Dict[str, Callable] = {}
-        self._recovery_counters: Dict[str, Callable] = {}
-        self._switchless_counters: Dict[str, Callable] = {}
+        self._counters: Dict[tuple, Callable] = {}
+        self._histograms: Dict[tuple, Callable] = {}
+        #: Open begin/end brackets, innermost last: (span context
+        #: manager or None, modeled cycles at the begin).
+        self._brackets: List[tuple] = []
+        #: The xray trace id published for the call about to end.
+        self._exemplar: Optional[str] = None
 
     @classmethod
     def lightweight(cls, label: str = "telemetry") -> "TelemetrySession":
@@ -184,12 +184,43 @@ class TelemetrySession:
                                           sample_every=64))
 
     # ------------------------------------------------------------------
-    # hook entry points (instrumented layers call these after checking
-    # a session is installed; none of them touch the perf counters)
+    # the observer seam (none of the handlers touch the perf counters)
     # ------------------------------------------------------------------
 
-    def on_transition(self, event) -> None:
+    def on_event(self, event) -> None:
+        """One :class:`~repro.observe.Event` from a datapath seam."""
+        handler = self._HANDLERS.get(event.kind)
+        if handler is not None:
+            handler(self, event)
+
+    def _inc(self, key: tuple, family: str, **labels: Any) -> None:
+        inc = self._counters.get(key)
+        if inc is None:
+            inc = self._counters[key] = self.metrics.counter(
+                family, **labels).inc
+        inc()
+
+    def _histogram(self, key: tuple, family: str, **labels: Any) -> Callable:
+        observe = self._histograms.get(key)
+        if observe is None:
+            observe = self._histograms[key] = self.metrics.histogram(
+                family, **labels).observe
+        return observe
+
+    def _open(self, span, cycles: int = 0) -> None:
+        if span is not None:
+            span.__enter__()
+        self._brackets.append((span, cycles))
+
+    def _close(self) -> int:
+        span, cycles = self._brackets.pop()
+        if span is not None:
+            span.__exit__(None, None, None)
+        return cycles
+
+    def _transition(self, event) -> None:
         """One :class:`~repro.hw.trace.TransitionEvent` was recorded."""
+        event = event.ref
         kind = event.kind
         inc = self._kind_counters.get(kind)
         if inc is None:
@@ -210,94 +241,119 @@ class TelemetrySession:
                                 cycles=event.cycles,
                                 instructions=event.instructions)
 
-    def on_fused(self, record) -> None:
+    def _fused(self, event) -> None:
         """One :class:`~repro.hw.fused.FusedCharge` batch was applied."""
         self._inc_fused_batches()
-        self._inc_fused_switches(record.world_switches)
+        self._inc_fused_switches(event.ref.world_switches)
 
-    def on_world_call(self, caller_wid: int, callee_wid: int) -> None:
-        """A :class:`~repro.core.call.WorldCallRuntime` call started."""
-        key = (caller_wid, callee_wid)
-        inc = self._worldcall_counters.get(key)
-        if inc is None:
-            inc = self._worldcall_counters[key] = self.metrics.counter(
-                "core.world_calls", caller_wid=caller_wid,
-                callee_wid=callee_wid).inc
-        inc()
+    def _world_call_issue(self, event) -> None:
+        """The CPU began a hardware ``world_call`` (it may still fault)."""
+        self.metrics.counter("hw.world_call", cpu=event.ref.cpu_id).inc()
 
-    def on_world_call_cycles(self, cycles: int,
-                             exemplar: Optional[str] = None) -> None:
-        """One completed world call cost ``cycles`` modeled cycles
-        end-to-end — the ``world_call.cycles`` latency histogram the
-        observatory's SLO engine reads per window.  ``exemplar`` (a
-        deterministic xray trace id, when an xray session is installed
-        and sampled this call) pins the bucket's exemplar trace."""
-        observe = self._worldcall_hist
-        if observe is None:
-            observe = self._worldcall_hist = self.metrics.histogram(
-                "world_call.cycles").observe
-        observe(cycles, exemplar)
+    def _wt_miss(self, event) -> None:
+        self.metrics.counter("hw.wt_miss", cache=event.detail,
+                             cpu=event.ref.cpu_id).inc()
 
-    def on_crossvm_roundtrip(self, frm: str, to: str) -> None:
-        """A Figure-4 cross-VM round trip started."""
-        key = (frm, to)
-        inc = self._crossvm_counters.get(key)
-        if inc is None:
-            inc = self._crossvm_counters[key] = self.metrics.counter(
-                "core.crossvm_roundtrips", frm=frm, to=to).inc
-        inc()
+    def _call_begin(self, event) -> None:
+        """A :class:`~repro.core.call.WorldCallRuntime` call started:
+        count it and open its span (modeled cycles + wall-clock)."""
+        caller, callee = event.caller_wid, event.callee_wid
+        self._inc(("core.world_calls", caller, callee), "core.world_calls",
+                  caller_wid=caller, callee_wid=callee)
+        self._open(self.tracer.span("world_call", category="core",
+                                    cpu=event.ref, caller_wid=caller,
+                                    callee_wid=callee), event.cycles)
 
-    def on_fault_injected(self, site: str) -> None:
-        """The fault engine fired one planned fault at ``site``."""
-        inc = self._fault_counters.get(site)
-        if inc is None:
-            inc = self._fault_counters[site] = self.metrics.counter(
-                "faults.injected", site=site).inc
-        inc()
+    def _exemplar_id(self, event) -> None:
+        """xray sampled the call about to end (it is dispatched ahead
+        of telemetry, see :data:`repro.observe.ORDER`)."""
+        self._exemplar = event.detail
 
-    def on_recovery(self, policy: str) -> None:
-        """A graceful-degradation policy activated (``policy`` names it:
-        revalidate, legacy_fallback, watchdog_timeout, ...)."""
-        inc = self._recovery_counters.get(policy)
-        if inc is None:
-            inc = self._recovery_counters[policy] = self.metrics.counter(
-                "faults.recoveries", policy=policy).inc
-        inc()
+    def _call_end(self, event) -> None:
+        """Close the call's span; a completed call also lands in the
+        ``world_call.cycles`` latency histogram the observatory's SLO
+        engine reads per window, with xray's trace id (if any) as the
+        bucket's exemplar."""
+        begin = self._close()
+        exemplar, self._exemplar = self._exemplar, None
+        if event.detail != "ok":
+            return
+        self._histogram(("world_call.cycles",), "world_call.cycles")(
+            event.cycles - begin, exemplar)
 
-    def on_fleet_stats(self, stats: Dict[str, int]) -> None:
-        """Absorb one fleet-scheduler run's totals at a quiescent point
-        — the ``crossover-fleet`` campaign cell calls this after its
-        event loop drains, mirroring :meth:`on_switchless_stats`."""
-        for name, value in stats.items():
-            if value:
-                self.metrics.counter(f"fleet.{name}").inc(value)
+    def _crossvm_begin(self, event) -> None:
+        """A Figure-4 cross-VM round trip started (one span per round
+        trip, covering the fused path too)."""
+        frm, to = event.frm, event.to
+        self._inc(("core.crossvm_roundtrips", frm, to),
+                  "core.crossvm_roundtrips", frm=frm, to=to)
+        self._open(self.tracer.span("crossvm_roundtrip", category="core",
+                                    cpu=event.ref, frm=frm, to=to))
 
-    def on_switchless_call(self, kind: str) -> None:
-        """The switchless engine diverted one call (``kind`` is
+    def _redirect_begin(self, event) -> None:
+        self._open(self.redirect_span(event.ref, event.detail))
+
+    def _switchless_begin(self, event) -> None:
+        """The switchless engine diverted one call (``detail`` is
         ``world`` or ``crossvm``)."""
-        inc = self._switchless_counters.get(kind)
-        if inc is None:
-            inc = self._switchless_counters[kind] = self.metrics.counter(
-                "switchless.calls", kind=kind).inc
-        inc()
+        kind = event.detail
+        self._inc(("switchless.calls", kind), "switchless.calls", kind=kind)
+        if kind == "world":
+            args = {"caller_wid": event.caller_wid,
+                    "callee_wid": event.callee_wid}
+        else:
+            args = {"frm": event.frm, "to": event.to}
+        self._open(self.tracer.span("switchless_call", category="switchless",
+                                    cpu=event.ref, **args))
 
-    def on_switchless_stats(self, stats: Dict[str, int]) -> None:
-        """Absorb a switchless engine's counters at a quiescent point —
-        the sweep runner and bench harness call this with the engine's
-        totals rather than as live per-call increments."""
+    def _end(self, event) -> None:
+        self._close()
+
+    def _fault_injected(self, event) -> None:
+        site = event.site
+        self._inc(("faults.injected", site), "faults.injected", site=site)
+
+    def _recovery(self, event) -> None:
+        """A graceful-degradation policy activated: a ``recovery``
+        record names it (revalidate, legacy_fallback, ...) in
+        ``detail``; a ``marshal_repair`` is its own policy."""
+        policy = event.detail if event.kind == "recovery" else event.kind
+        self._inc(("faults.recoveries", policy), "faults.recoveries",
+                  policy=policy)
+
+    def _virq_inject(self, event) -> None:
+        vector, vm = event.ref, event.to
+        self._inc(("hypervisor.virq_injected", vector, vm),
+                  "hypervisor.virq_injected", vector=f"{vector:#04x}", vm=vm)
+
+    _HANDLERS = {
+        "transition": _transition,
+        "fused": _fused,
+        "world_call_issue": _world_call_issue,
+        "wt_miss": _wt_miss,
+        "call_begin": _call_begin,
+        "exemplar": _exemplar_id,
+        "call_end": _call_end,
+        "crossvm_begin": _crossvm_begin,
+        "crossvm_end": _end,
+        "redirect_begin": _redirect_begin,
+        "redirect_end": _end,
+        "switchless_begin": _switchless_begin,
+        "switchless_end": _end,
+        "fault_injected": _fault_injected,
+        "recovery": _recovery,
+        "marshal_repair": _recovery,
+        "virq_inject": _virq_inject,
+    }
+
+    def absorb_stats(self, family: str, stats: Dict[str, int]) -> None:
+        """Absorb an engine's totals at a quiescent point as
+        ``<family>.<name>`` counters — the sweep runner passes each
+        cell's switchless counters, the ``crossover-fleet`` campaign
+        cell its scheduler totals after the event loop drains."""
         for name, value in stats.items():
             if value:
-                self.metrics.counter(f"switchless.{name}").inc(value)
-
-    def on_virq_injected(self, vector: int, vm_name: str) -> None:
-        """The hypervisor injector queued one virtual interrupt."""
-        key = (vector, vm_name)
-        inc = self._virq_counters.get(key)
-        if inc is None:
-            inc = self._virq_counters[key] = self.metrics.counter(
-                "hypervisor.virq_injected", vector=f"{vector:#04x}",
-                vm=vm_name).inc
-        inc()
+                self.metrics.counter(f"{family}.{name}").inc(value)
 
     def redirect_span(self, system, op: str):
         """Span (or ``None``) bracketing one redirected call.
@@ -309,12 +365,8 @@ class TelemetrySession:
         """
         name = system.name
         variant = system.variant
-        key = (name, variant)
-        inc = self._redirect_counters.get(key)
-        if inc is None:
-            inc = self._redirect_counters[key] = self.metrics.counter(
-                "system.redirects", system=name, variant=variant).inc
-        inc()
+        self._inc(("system.redirects", name, variant), "system.redirects",
+                  system=name, variant=variant)
         if self.span_ring is None:
             return self.tracer.span(f"{name}.redirect", category="system",
                                     cpu=system.machine.cpu, op=op,
@@ -323,16 +375,6 @@ class TelemetrySession:
         if self._redirects_seen % self.config.sample_every:
             return None
         return _RingSpan(self, system.machine.cpu, name, op, variant)
-
-    def _observe_redirect_cycles(self, system: str, variant: str,
-                                 cycles: int) -> None:
-        key = (system, variant)
-        observe = self._redirect_hists.get(key)
-        if observe is None:
-            observe = self._redirect_hists[key] = self.metrics.histogram(
-                "system.redirect_cycles", system=system,
-                variant=variant).observe
-        observe(cycles)
 
     # ------------------------------------------------------------------
     # worker merge (parallel sweeps)
@@ -373,34 +415,28 @@ class TelemetrySession:
 
 
 # ---------------------------------------------------------------------------
-# the process-global session switch
+# the process-global session switch (one slot on the observer bus)
 # ---------------------------------------------------------------------------
-
-_session: Optional[TelemetrySession] = None
-
 
 def current() -> Optional[TelemetrySession]:
     """The installed session, or None."""
-    return _session
+    return observe.current("telemetry")
 
 
 def enabled() -> bool:
     """Whether a telemetry session is installed."""
-    return _session is not None
+    return observe.current("telemetry") is not None
 
 
 def install(session: Optional[TelemetrySession] = None) -> TelemetrySession:
     """Install ``session`` (or a fresh one) as the process session."""
-    global _session
-    _session = session if session is not None else TelemetrySession()
-    return _session
+    return observe.install(
+        "telemetry", session if session is not None else TelemetrySession())
 
 
 def uninstall() -> Optional[TelemetrySession]:
     """Remove and return the installed session."""
-    global _session
-    session, _session = _session, None
-    return session
+    return observe.uninstall("telemetry")
 
 
 @contextlib.contextmanager
@@ -418,30 +454,9 @@ def scoped(label: str = "telemetry",
     session's config (so cells scoped inside a lightweight sweep stay
     lightweight), falling back to the tree default.
     """
-    global _session
-    previous = _session
+    previous = current()
     if config is None and previous is not None:
         config = previous.config
-    _session = TelemetrySession(label, config)
-    try:
-        yield _session
-    finally:
-        _session = previous
-
-
-def transition_observer() -> Optional[Callable]:
-    """The installed session's transition hook (for
-    :class:`~repro.hw.trace.TransitionTrace` construction), or None."""
-    session = _session
-    return session.on_transition if session is not None else None
-
-
-def attach_machine(machine) -> None:
-    """(Re)bind every CPU trace of ``machine`` to the current session.
-
-    Machines built *while* a session is installed attach automatically;
-    this is for machines that predate the session (or to detach them
-    all when no session is installed)."""
-    observer = transition_observer()
-    for cpu in machine.cpus:
-        cpu.trace.observer = observer
+    with observe.scoped("telemetry",
+                        TelemetrySession(label, config)) as session:
+        yield session

@@ -55,8 +55,6 @@ def trace_system(system_name: str, optimized: bool, calls: int
     label = f"{system_name.lower()}-{variant}"
     with telemetry.scoped(label) as session:
         tracer = session.tracer
-        # The machine is built while the session is installed, so its
-        # transition trace binds the session observer at construction.
         with tracer.span(f"{label}.setup", category="setup",
                          system=system_name, variant=variant):
             surface = experiments._surface_for(system_name, optimized,

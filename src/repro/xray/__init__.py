@@ -18,12 +18,10 @@ Two entry points:
   ``crossover-xray`` CLI (:mod:`repro.xray.cli`) sweeps it into a
   schema-validated ``crossover-xray/v1`` artifact;
 * the **single-machine path** — the process-global
-  :class:`XraySession` below: when installed, ``core/call.py`` mints a
-  deterministic trace id per world call and (for sampled ids) attaches
-  it as the ``world_call.cycles`` histogram exemplar.  Uninstalled, the
-  hook is one ``is None`` check inside the already-telemetry-gated
-  branch — the same zero-cost-when-dormant discipline as every other
-  subsystem global here.
+  :class:`XraySession` below, one subscriber on the observer bus
+  (:mod:`repro.observe`): it mints a deterministic trace id per
+  completed world call and publishes sampled ids, which telemetry
+  attaches as the ``world_call.cycles`` histogram exemplar.
 
 Sampling everywhere is a seeded hash of the trace id (never ``random``
 or wall-clock), so artifacts are byte-identical at 1/2/4 pool workers
@@ -32,9 +30,9 @@ and 1/2/4 scheduler lanes.
 
 from __future__ import annotations
 
-import contextlib
-from typing import Dict, Iterator, Optional, Tuple
+from typing import ContextManager, Dict, Optional, Tuple
 
+from repro import observe
 from repro.xray.trace import (
     CONTENTION,
     DEFAULT_KEEP,
@@ -94,51 +92,56 @@ class XraySession:
     def stats(self) -> Dict[str, int]:
         return {"issued": self.issued, "sampled": self.sampled}
 
+    def on_event(self, event) -> None:
+        """One :class:`~repro.observe.Event` from a datapath seam."""
+        handler = self._HANDLERS.get(event.kind)
+        if handler is not None:
+            handler(self, event)
+
+    def _call_end(self, event) -> None:
+        """A world call completed: publish its trace id when sampled
+        (ahead of telemetry, see :data:`repro.observe.ORDER`)."""
+        if event.detail != "ok":
+            return
+        tid = self.call_exemplar(event.caller_wid, event.callee_wid)
+        if tid is not None:
+            observe.emit("xray", "exemplar", caller_wid=event.caller_wid,
+                         callee_wid=event.callee_wid, detail=tid)
+
+    _HANDLERS = {"call_end": _call_end}
+
 
 # ---------------------------------------------------------------------------
-# the process-global switch
+# the process-global switch (one slot on the observer bus)
 # ---------------------------------------------------------------------------
-
-_session: Optional[XraySession] = None
-
 
 def current() -> Optional[XraySession]:
     """The installed session, or None."""
-    return _session
+    return observe.current("xray")
 
 
 def enabled() -> bool:
     """Whether an xray session is installed."""
-    return _session is not None
+    return observe.current("xray") is not None
 
 
 def install(session: Optional[XraySession] = None) -> XraySession:
     """Install ``session`` (or a fresh one) process-wide."""
-    global _session
-    _session = session if session is not None else XraySession()
-    return _session
+    return observe.install(
+        "xray", session if session is not None else XraySession())
 
 
 def uninstall() -> Optional[XraySession]:
     """Remove and return the installed session."""
-    global _session
-    session, _session = _session, None
-    return session
+    return observe.uninstall("xray")
 
 
-@contextlib.contextmanager
 def scoped(session: Optional[XraySession] = None, *,
            seed: int = 0,
            sample_every: int = DEFAULT_SAMPLE_EVERY
-           ) -> Iterator[XraySession]:
+           ) -> ContextManager[XraySession]:
     """Install a session for a ``with`` block, restoring whatever was
     installed before."""
-    global _session
-    previous = _session
     if session is None:
         session = XraySession(seed, sample_every)
-    _session = session
-    try:
-        yield session
-    finally:
-        _session = previous
+    return observe.scoped("xray", session)

@@ -5,13 +5,16 @@ import pytest
 from repro.audit import AuditConfig, FlightRecorder, verify_chain
 from repro.audit.chain import ALGORITHMS, genesis, link, require_chain
 from repro.errors import AuditViolation, CrossOverError
+from tests.audit import _feed
 
 
 def _recorded_log(n=6, algo="sha256", capacity=65536):
     rec = FlightRecorder("t", AuditConfig(algo=algo, capacity=capacity))
     for i in range(n):
-        rec.on_call_begin(1, 2, cycles=100 * i)
-        rec.on_call_end(1, 2, cycles=100 * i + 50, outcome="ok")
+        _feed(rec, "core", "call_begin", caller_wid=1, callee_wid=2,
+              cycles=100 * i)
+        _feed(rec, "core", "call_end", caller_wid=1, callee_wid=2,
+              cycles=100 * i + 50, detail="ok")
     return rec.to_log()
 
 

@@ -7,17 +7,21 @@ from repro.audit.detectors import (
     bracket_fingerprints,
     fingerprint_key,
 )
+from tests.audit import _feed
 
 
 def _clean_ops(rec, n=3):
     for i in range(n):
-        rec.on_call_begin(1, 2, cycles=1000 * i)
-        rec.on_world_call_hw(1, 2, frm="K(vm1)", to="K(vm2)", mode="G",
-                             ring=0, cycles=1000 * i + 100)
-        rec.on_authorization(1, 2, "allow")
-        rec.on_world_call_hw(2, 1, frm="K(vm2)", to="K(vm1)", mode="G",
-                             ring=0, cycles=1000 * i + 700)
-        rec.on_call_end(1, 2, cycles=1000 * i + 800, outcome="ok")
+        _feed(rec, "core", "call_begin", caller_wid=1, callee_wid=2,
+              cycles=1000 * i)
+        _feed(rec, "hw", "world_call", frm="K(vm1)", to="K(vm2)", caller_wid=1,
+              callee_wid=2, mode="G", ring=0, cycles=1000 * i + 100)
+        _feed(rec, "core", "authorization", caller_wid=1, callee_wid=2,
+              decision="allow")
+        _feed(rec, "hw", "world_call", frm="K(vm2)", to="K(vm1)", caller_wid=2,
+              callee_wid=1, mode="G", ring=0, cycles=1000 * i + 700)
+        _feed(rec, "core", "call_end", caller_wid=1, callee_wid=2,
+              cycles=1000 * i + 800, detail="ok")
 
 
 class TestRegistry:
@@ -53,14 +57,16 @@ class TestForgedWidDetector:
     def test_flags_unauthenticated_wid(self):
         rec = FlightRecorder("forged")
         _clean_ops(rec, 1)
-        rec.on_authorization(0x7FFF_FFFF, 2, "deny", "forged caller")
+        _feed(rec, "core", "authorization", caller_wid=0x7FFF_FFFF,
+              callee_wid=2, decision="deny", detail="forged caller")
         anomalies = run_detectors(rec.to_log(), names=["forged_wid"])
         assert anomalies
         assert anomalies[0]["wid"] == 0x7FFF_FFFF
 
     def test_silent_without_hw_ground_truth(self):
         rec = FlightRecorder("legacy-only")
-        rec.on_authorization(999, 2, "allow")
+        _feed(rec, "core", "authorization", caller_wid=999, callee_wid=2,
+              decision="allow")
         assert run_detectors(rec.to_log(), names=["forged_wid"]) == []
 
 
@@ -68,22 +74,26 @@ class TestDenialBurstDetector:
     def test_flags_burst(self):
         rec = FlightRecorder("burst")
         for _ in range(DENIAL_BURST_COUNT):
-            rec.on_authorization(1, 2, "deny")
+            _feed(rec, "core", "authorization", caller_wid=1, callee_wid=2,
+                  decision="deny")
         anomalies = run_detectors(rec.to_log(), names=["denial_burst"])
         assert anomalies
         assert anomalies[0]["detector"] == "denial_burst"
 
     def test_single_deny_is_quiet(self):
         rec = FlightRecorder("one-deny")
-        rec.on_authorization(1, 2, "deny")
+        _feed(rec, "core", "authorization", caller_wid=1, callee_wid=2,
+              decision="deny")
         assert run_detectors(rec.to_log(), names=["denial_burst"]) == []
 
     def test_distant_denies_are_quiet(self):
         rec = FlightRecorder("spread")
-        rec.on_authorization(1, 2, "deny")
+        _feed(rec, "core", "authorization", caller_wid=1, callee_wid=2,
+              decision="deny")
         for _ in range(60):
-            rec.on_recovery("wtc_refill")
-        rec.on_authorization(1, 2, "deny")
+            _feed(rec, "core", "recovery", detail="wtc_refill")
+        _feed(rec, "core", "authorization", caller_wid=1, callee_wid=2,
+              decision="deny")
         assert run_detectors(rec.to_log(), names=["denial_burst"]) == []
 
 
@@ -91,7 +101,7 @@ class TestInjectionStormDetector:
     def test_flags_storm_run(self):
         rec = FlightRecorder("storm")
         for _ in range(STORM_RUN_LENGTH):
-            rec.on_virq_deliver(0x20, "vm2")
+            _feed(rec, "hv", "virq_deliver", to="vm2", detail="vector 0x20")
         anomalies = run_detectors(rec.to_log(),
                                   names=["injection_storm"])
         assert anomalies
@@ -100,15 +110,16 @@ class TestInjectionStormDetector:
     def test_alternating_inject_deliver_is_quiet(self):
         rec = FlightRecorder("alternate")
         for _ in range(STORM_RUN_LENGTH):
-            rec.on_virq_inject(0x20, "vm2")
-            rec.on_virq_deliver(0x20, "vm2")
+            _feed(rec, "hv", "virq_inject", to="vm2", detail="vector 0x20")
+            _feed(rec, "hv", "virq_deliver", to="vm2", detail="vector 0x20")
         assert run_detectors(rec.to_log(),
                              names=["injection_storm"]) == []
 
     def test_mixed_vectors_reset_run(self):
         rec = FlightRecorder("mixed")
         for vector in (0x20, 0x21, 0x20, 0x21):
-            rec.on_virq_deliver(vector, "vm2")
+            _feed(rec, "hv", "virq_deliver", to="vm2",
+                  detail=f"vector {vector:#x}")
         assert run_detectors(rec.to_log(),
                              names=["injection_storm"]) == []
 
@@ -117,9 +128,12 @@ class TestCrossingDriftDetector:
     def test_flags_drifted_operation(self):
         rec = FlightRecorder("drift")
         _clean_ops(rec, 3)
-        rec.on_call_begin(1, 2, cycles=9000)
-        rec.on_recovery("legacy_fallback")   # no hw hops: degraded op
-        rec.on_call_end(1, 2, cycles=9900, outcome="ok")
+        _feed(rec, "core", "call_begin", caller_wid=1, callee_wid=2,
+              cycles=9000)
+        # no hw hops: degraded op
+        _feed(rec, "core", "recovery", detail="legacy_fallback")
+        _feed(rec, "core", "call_end", caller_wid=1, callee_wid=2, cycles=9900,
+              detail="ok")
         anomalies = run_detectors(rec.to_log(),
                                   names=["crossing_drift"])
         assert anomalies
@@ -127,10 +141,13 @@ class TestCrossingDriftDetector:
 
     def test_first_bracket_exempt(self):
         rec = FlightRecorder("cold-start")
-        rec.on_call_begin(1, 2, cycles=0)
-        rec.on_hypercall(0x10, "vm1", "allow")   # cold-start arming
+        _feed(rec, "core", "call_begin", caller_wid=1, callee_wid=2, cycles=0)
+        # cold-start arming
+        _feed(rec, "hv", "hypercall", frm="vm1", to="host", decision="allow",
+              detail="number 0x10")
         _clean_ops(rec, 0)
-        rec.on_call_end(1, 2, cycles=500, outcome="ok")
+        _feed(rec, "core", "call_end", caller_wid=1, callee_wid=2, cycles=500,
+              detail="ok")
         _clean_ops(rec, 3)
         assert run_detectors(rec.to_log(),
                              names=["crossing_drift"]) == []
@@ -150,13 +167,16 @@ class TestCrossingDriftDetector:
         not be flagged — detectors grade from datapath records alone."""
         rec = FlightRecorder("honesty")
         _clean_ops(rec, 2)
-        rec.on_call_begin(1, 2, cycles=5000)
-        rec.on_fault_injected("hw.wt_cache_incoherence")
-        rec.on_world_call_hw(1, 2, frm="K(vm1)", to="K(vm2)", mode="G",
-                             ring=0, cycles=5100)
-        rec.on_authorization(1, 2, "allow")
-        rec.on_world_call_hw(2, 1, frm="K(vm2)", to="K(vm1)", mode="G",
-                             ring=0, cycles=5700)
-        rec.on_call_end(1, 2, cycles=5800, outcome="ok")
+        _feed(rec, "core", "call_begin", caller_wid=1, callee_wid=2,
+              cycles=5000)
+        _feed(rec, "fault", "fault_injected", site="hw.wt_cache_incoherence")
+        _feed(rec, "hw", "world_call", frm="K(vm1)", to="K(vm2)", caller_wid=1,
+              callee_wid=2, mode="G", ring=0, cycles=5100)
+        _feed(rec, "core", "authorization", caller_wid=1, callee_wid=2,
+              decision="allow")
+        _feed(rec, "hw", "world_call", frm="K(vm2)", to="K(vm1)", caller_wid=2,
+              callee_wid=1, mode="G", ring=0, cycles=5700)
+        _feed(rec, "core", "call_end", caller_wid=1, callee_wid=2, cycles=5800,
+              detail="ok")
         assert run_detectors(rec.to_log(),
                              names=["crossing_drift"]) == []

@@ -10,6 +10,7 @@ from repro.core.call import CallRequest, WorldCallRuntime
 from repro.core.world import WorldRegistry
 from repro.hw.costs import FEATURES_CROSSOVER
 from repro.testbed import build_two_vm_machine, enter_vm_kernel
+from tests.audit import _feed
 
 
 def _world_call_harness():
@@ -41,7 +42,6 @@ def _world_call_harness():
 
 class TestInstallDiscipline:
     def test_disabled_by_default(self):
-        assert audit._recorder is None
         assert not audit.enabled()
         assert audit.current() is None
 
@@ -51,7 +51,7 @@ class TestInstallDiscipline:
             assert active is rec
             assert audit.enabled()
             assert audit.current() is rec
-        assert audit._recorder is None
+        assert audit.current() is None
 
     def test_install_latest_wins(self):
         first = audit.install(FlightRecorder("one"))
@@ -61,7 +61,7 @@ class TestInstallDiscipline:
             assert audit.current() is not first
         finally:
             audit.uninstall()
-        assert audit._recorder is None
+        assert audit.current() is None
 
     def test_bad_algorithm_rejected(self):
         with pytest.raises(ValueError):
@@ -71,28 +71,30 @@ class TestInstallDiscipline:
 class TestRecordShape:
     def test_every_record_has_all_fields_in_order(self):
         rec = FlightRecorder("shape")
-        rec.on_world_call_hw(1, 2, frm="K(vm1)", to="K(vm2)", mode="G",
-                             ring=0, cycles=10)
-        rec.on_authorization(1, 2, "allow")
-        rec.on_hypercall(0x10, "vm1", "deny")
-        rec.on_fault_injected("hw.entry_revoked")
+        _feed(rec, "hw", "world_call", frm="K(vm1)", to="K(vm2)", caller_wid=1,
+              callee_wid=2, mode="G", ring=0, cycles=10)
+        _feed(rec, "core", "authorization", caller_wid=1, callee_wid=2,
+              decision="allow")
+        _feed(rec, "hv", "hypercall", frm="vm1", to="host", decision="deny",
+              detail="number 0x10")
+        _feed(rec, "fault", "fault_injected", site="hw.entry_revoked")
         for record in rec.records:
             assert tuple(record.keys()) == RECORD_FIELDS
 
     def test_seq_contiguous_from_zero(self):
         rec = FlightRecorder("seq")
         for _ in range(5):
-            rec.on_recovery("revalidate")
+            _feed(rec, "core", "recovery", detail="revalidate")
         assert [r["seq"] for r in rec.records] == [0, 1, 2, 3, 4]
 
     def test_epoch_is_relative_to_installation(self):
         from repro.hw import mem
         mem.bump_mapping_epoch()      # earlier process activity
         rec = FlightRecorder("epoch")
-        rec.on_recovery("revalidate")
+        _feed(rec, "core", "recovery", detail="revalidate")
         assert rec.records[0]["epoch"] == 0
         mem.bump_mapping_epoch()
-        rec.on_recovery("revalidate")
+        _feed(rec, "core", "recovery", detail="revalidate")
         assert rec.records[1]["epoch"] == 1
 
 
@@ -100,7 +102,7 @@ class TestRingBounding:
     def test_capacity_drops_oldest(self):
         rec = FlightRecorder("ring", AuditConfig(capacity=3))
         for _ in range(10):
-            rec.on_recovery("wtc_refill")
+            _feed(rec, "core", "recovery", detail="wtc_refill")
         assert len(rec) == 3
         log = rec.to_log()
         assert log["dropped"] == 7

@@ -8,6 +8,7 @@ import pytest
 from repro import observatory, telemetry
 from repro.hw.costs import Cost
 from repro.hw.perf import PerfCounters
+from repro.observe import Event
 
 
 class TestClockAndWindows:
@@ -195,8 +196,8 @@ class TestEventTaps:
         from repro.audit.recorder import FlightRecorder
         with observatory.scoped() as obs:
             with audit.scoped(FlightRecorder("t")) as recorder:
-                recorder._emit("core", "authorization", decision="deny",
-                               detail="wid 9")
+                recorder.on_event(Event("core", "authorization",
+                                        decision="deny", detail="wid 9"))
                 assert recorder.stats()["denials"] == 1
         events = obs.store.to_events()
         assert any(e["kind"] == "audit.anomaly" for e in events)

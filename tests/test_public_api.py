@@ -204,7 +204,7 @@ class TestAuditSurface:
 
     def test_disabled_by_default_on_clean_import(self):
         from repro import audit
-        assert audit._recorder is None
+        assert audit.current() is None
         assert not audit.enabled()
 
     def test_audit_package_is_a_leaf(self):
@@ -321,7 +321,6 @@ class TestObservatorySurface:
 
     def test_disabled_by_default_on_clean_import(self):
         from repro import observatory
-        assert observatory._session is None
         assert not observatory.enabled()
         assert observatory.current() is None
 

@@ -31,6 +31,7 @@ from typing import Any, Dict, List, Optional
 from repro.audit import chain as _chain
 from repro.audit import graph as _graph
 from repro.audit import workload as _workload
+from repro.campaign import write_artifact
 
 
 def _csv(value: str) -> List[str]:
@@ -128,7 +129,7 @@ def _cmd_record(args) -> int:
     for error in schema_errors:
         print(f"crossover-audit: schema violation: {error}",
               file=sys.stderr)
-    _workload.write_artifact(artifact, args.out)
+    write_artifact(artifact, args.out)
     summary = artifact["summary"]
     if not args.quiet:
         print(f"wrote {args.out}: {summary['cells']} cells, "

@@ -22,7 +22,6 @@ byte-identical at any worker count.
 
 from __future__ import annotations
 
-import json
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro import audit
@@ -234,10 +233,3 @@ def verify_artifact(artifact: Dict[str, Any]) -> List[Dict[str, Any]]:
                            f"artifact recorded "
                            f"{len(cell.get('anomalies') or [])}"})
     return violations
-
-
-def write_artifact(artifact: Dict[str, Any], path: str) -> None:
-    """Serialize deterministically (sorted keys, trailing newline)."""
-    with open(path, "w", encoding="utf-8") as stream:
-        json.dump(artifact, stream, indent=2, sort_keys=True)
-        stream.write("\n")

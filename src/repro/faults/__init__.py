@@ -11,7 +11,8 @@ The subsystem has four pieces:
 * :mod:`repro.faults.campaign` — the campaign runner that replays case
   study operations under each plan and classifies the outcomes
   (``denied-cleanly`` / ``recovered`` / ``degraded-to-legacy`` /
-  ``invariant-violation``); ``crossover-faults`` is its CLI.
+  ``invariant-violation``); ``crossover faults`` runs it
+  (:mod:`repro.campaign`).
 
 Injection changes behaviour, so unlike the observers on
 :mod:`repro.observe` it keeps its own module-global switch, *zero cost

@@ -30,16 +30,17 @@ Cells are independent simulations, so the campaign parallelizes over
 :func:`repro.analysis.parallel.run_cells`; the artifact is assembled
 from cell values and merged telemetry counters only, so the same seed
 and plan produce a byte-identical artifact at any worker count.
+``crossover faults`` runs it (:mod:`repro.campaign`).
 """
 
 from __future__ import annotations
 
-import json
+import argparse
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro import audit, faults, telemetry
-from repro.analysis import parallel
+from repro import audit, faults
 from repro.analysis.experiments import CELL_RUNNERS
+from repro.campaign import Campaign, sweep
 from repro.errors import AuthorizationDenied, CallTimeout
 from repro.faults.plan import seeded_plan
 from repro.faults.sites import SITES, SITE_NAMES, FaultSite
@@ -413,6 +414,8 @@ def run_campaign(systems: Optional[Sequence[str]] = None,
     systems = tuple(systems) if systems else CAMPAIGN_SYSTEMS
     sites = tuple(sites) if sites else SITE_NAMES
     disabled = tuple(sorted(set(disabled)))
+    if ops < 1:
+        raise ValueError("ops must be >= 1")
     for system in systems:
         if system not in _SYSTEM_SYSCALLS:
             raise ValueError(f"unknown campaign system {system!r}; "
@@ -428,12 +431,7 @@ def run_campaign(systems: Optional[Sequence[str]] = None,
 
     specs = [("faultcell", (system, site, ops, seed, disabled))
              for site in sites for system in systems]
-    with telemetry.scoped("faults-campaign") as session:
-        results = parallel.run_cells(specs, workers=workers)
-        counters = {
-            key: value
-            for key, value in session.metrics.snapshot()["counters"].items()
-            if key.startswith("faults.")}
+    results, counters = sweep(specs, "faults-campaign", "faults.", workers)
     cells = [result.value for result in results]
 
     matrix: Dict[str, Dict[str, Any]] = {}
@@ -555,8 +553,45 @@ def render_matrix(artifact: Dict[str, Any]) -> str:
     return "\n".join(lines)
 
 
-def write_artifact(artifact: Dict[str, Any], path: str) -> None:
-    """Serialize deterministically (sorted keys, trailing newline)."""
-    with open(path, "w", encoding="utf-8") as stream:
-        json.dump(artifact, stream, indent=2, sort_keys=True)
-        stream.write("\n")
+def _csv(value: str) -> List[str]:
+    return [item for item in (part.strip() for part in value.split(","))
+            if item]
+
+
+def _add_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--systems", type=_csv, default=None,
+                        metavar="A,B",
+                        help="case-study systems to replay (default: "
+                             + ",".join(CAMPAIGN_SYSTEMS) + ")")
+    parser.add_argument("--sites", type=_csv, default=None, metavar="S,S",
+                        help="fault sites to exercise (default: all "
+                             f"{len(SITE_NAMES)})")
+    parser.add_argument("--ops", type=int, default=DEFAULT_OPS,
+                        help="operations per (system, site) cell "
+                             "(default: %(default)s)")
+    parser.add_argument("--disable-recovery", type=_csv, default=[],
+                        metavar="P,P",
+                        help="recovery policies to disable (ablation): "
+                             + ",".join(RECOVERY_POLICIES))
+
+
+def _failures(artifact: Dict[str, Any]) -> List[str]:
+    errors = []
+    violations = artifact["summary"]["invariant_violations"]
+    if violations:
+        errors.append(f"{violations} invariant-violation(s)")
+    if not artifact["crosscheck"]["ok"]:
+        errors.append("telemetry crosscheck FAILED")
+    return errors
+
+
+CAMPAIGN = Campaign(
+    name="faults", section="faults",
+    help="Deterministic fault-injection campaign over the world-call "
+         "datapath.",
+    add_arguments=_add_arguments,
+    run=lambda args: run_campaign(
+        systems=args.systems, sites=args.sites, ops=args.ops,
+        seed=args.seed, workers=args.workers,
+        disabled=args.disable_recovery),
+    render=render_matrix, failures=_failures)

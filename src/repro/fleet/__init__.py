@@ -16,8 +16,8 @@ and replays millions of synthetic user requests against them:
 * :mod:`repro.fleet.traffic` — seeded open-loop arrivals (Poisson and
   bursty ON/OFF per tenant) against partitioned-OpenSSH and HyperShell
   tenant profiles;
-* :mod:`repro.fleet.campaign` / :mod:`repro.fleet.cli` — the
-  ``crossover-fleet`` campaign sweeping tenant count x mechanism into
+* :mod:`repro.fleet.campaign` — the ``crossover fleet`` campaign
+  (run by :mod:`repro.campaign`) sweeping tenant count x mechanism into
   a schema-validated ``crossover-fleet/v1`` artifact with throughput
   and p50/p99/p999 latency curves.
 

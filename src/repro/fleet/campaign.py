@@ -1,4 +1,4 @@
-"""Seeded fleet campaign behind ``crossover-fleet``.
+"""Seeded fleet campaign behind ``crossover fleet``.
 
 Sweeps tenant count x mechanism over the sharded fleet, every cell a
 self-contained :data:`~repro.analysis.experiments.CELL_RUNNERS` entry
@@ -22,6 +22,11 @@ The artifact (``crossover-fleet/v1``) carries:
   regardless of batch width);
 * **summary** — machine-checked claims the CLI gates on.
 
+The tenant-count x mechanism sweep plus a lane-width sweep
+(:func:`run_sweep`), the fleet-shape flags and their validation, and
+the top-count SLO evaluation are shared with the x-ray campaign, which
+runs the same sweep with trace sampling on.
+
 The throughput claims compare at the *top* tenant count; with small
 sweeps that never reach baseline saturation, raise ``rate_scale``
 (heavier tenants) so the contrast still materializes — the CI smoke
@@ -30,12 +35,14 @@ job runs 100 tenants at 8x rate for exactly this reason.
 
 from __future__ import annotations
 
+import argparse
 import json
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+import math
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import telemetry
-from repro.analysis import parallel
 from repro.analysis.experiments import CELL_RUNNERS
+from repro.campaign import Campaign, claim_failures, sweep
 from repro.fleet.scheduler import DEFAULT_CORES, MECHANISMS
 
 SCHEMA = "crossover-fleet/v1"
@@ -139,9 +146,11 @@ def _curve_point(value: Dict[str, Any]) -> Dict[str, Any]:
     }
 
 
-def _sweep_fields(value: Dict[str, Any]) -> Dict[str, Any]:
-    """The cycle-identity surface compared across interleave widths."""
-    return {
+def _lane_surface(value: Dict[str, Any]) -> Dict[str, Any]:
+    """The identity surface compared across scheduler lane widths: the
+    cycle surface, plus the whole xray payload (segment vectors,
+    exemplars, noisy-neighbor blame) when the cell was traced."""
+    surface = {
         "requests": value["requests"],
         "completed": value["completed"],
         "throughput_rps": value["throughput_rps"],
@@ -150,6 +159,56 @@ def _sweep_fields(value: Dict[str, Any]) -> Dict[str, Any]:
         "p99": value["latency"]["p99"],
         "p999": value["latency"]["p999"],
     }
+    if "xray" in value:
+        surface["xray"] = value["xray"]
+    return surface
+
+
+def run_sweep(seed: int, tenant_counts: Sequence[int], horizon_ms: float,
+              workers: Optional[int], churn_every: int, cores: int,
+              rate_scale: float, lane_mechanism: str = "world_call",
+              sampling: Tuple[int, ...] = ()
+              ) -> Tuple[Tuple[int, ...], Dict[str, Dict[str, Any]],
+                         Dict[str, Dict[str, Any]], Dict[str, int]]:
+    """Validate the fleet shape, then run every (tenant count x
+    mechanism) cell plus ``lane_mechanism`` at the smallest count on
+    each :data:`INTERLEAVE_SWEEP` lane width.  ``sampling`` is the
+    cells' trailing ``(xray_sample, xray_keep)``, empty for untraced
+    cells.  Returns ``(counts, cells, lanes, counters)``: the sorted
+    counts, cells keyed ``mechanism@count``, the lane surfaces keyed by
+    width, and the merged ``fleet.*`` telemetry counters."""
+    counts = tuple(sorted(set(int(n) for n in tenant_counts)))
+    if not counts or counts[0] < 1:
+        raise ValueError("tenant counts must be positive")
+    if not (math.isfinite(horizon_ms) and horizon_ms > 0):
+        raise ValueError("horizon_ms must be positive and finite")
+    if not (math.isfinite(rate_scale) and rate_scale > 0):
+        raise ValueError("rate_scale must be positive and finite")
+    if churn_every < 0 or cores < 1:
+        raise ValueError("churn_every must be >= 0 and cores >= 1")
+
+    def spec(count: int, mechanism: str, width: int) -> Tuple[str, tuple]:
+        return ("fleetcell", (count, mechanism, seed, horizon_ms, width,
+                              churn_every, cores, rate_scale) + sampling)
+
+    specs = [spec(count, mechanism, 1)
+             for count in counts for mechanism in MECHANISMS]
+    # The 1-lane cell is the main sweep's own.
+    specs += [spec(counts[0], lane_mechanism, width)
+              for width in INTERLEAVE_SWEEP if width != 1]
+    results, counters = sweep(specs, "fleet-campaign", "fleet.", workers)
+
+    cells: Dict[str, Dict[str, Any]] = {}
+    lanes: Dict[str, Dict[str, Any]] = {}
+    for result in results:
+        count, mechanism, width = result.args[0], result.args[1], \
+            result.args[4]
+        if width == 1:
+            cells[f"{mechanism}@{count}"] = result.value
+        else:
+            lanes[str(width)] = _lane_surface(result.value)
+    lanes["1"] = _lane_surface(cells[f"{lane_mechanism}@{counts[0]}"])
+    return counts, cells, lanes, counters
 
 
 def run_campaign(seed: int = 0,
@@ -161,56 +220,19 @@ def run_campaign(seed: int = 0,
                  rate_scale: float = 1.0) -> Dict[str, Any]:
     """Run the full sweep and return the ``crossover-fleet/v1``
     artifact (plain data, ``json.dump``-ready, pool-worker
-    independent)."""
-    counts = tuple(sorted(set(int(n) for n in tenant_counts)))
-    if not counts or counts[0] < 1:
-        raise ValueError("tenant counts must be positive")
-    specs: List[Tuple[str, tuple]] = []
-    for count in counts:
-        for mechanism in MECHANISMS:
-            specs.append(("fleetcell", (count, mechanism, seed, horizon_ms,
-                                        1, churn_every, cores, rate_scale)))
-    for width in INTERLEAVE_SWEEP:
-        if width != 1:   # the 1-lane cell is the main sweep's smallest
-            specs.append(("fleetcell", (counts[0], "world_call", seed,
-                                        horizon_ms, width, churn_every,
-                                        cores, rate_scale)))
+    independent).  Raises ``ValueError`` on a bad fleet shape."""
+    counts, cells, sweep_cells, counters = run_sweep(
+        seed, tenant_counts, horizon_ms, workers, churn_every, cores,
+        rate_scale)
+    curves = {mechanism: [_curve_point(cells[f"{mechanism}@{count}"])
+                          for count in counts]
+              for mechanism in MECHANISMS}
+    costs = {mechanism: cells[f"{mechanism}@{counts[-1]}"]["costs"]
+             for mechanism in MECHANISMS}
 
-    with telemetry.scoped("fleet-campaign") as session:
-        results = parallel.run_cells(specs, workers=workers)
-        counters = {
-            key: value
-            for key, value in session.metrics.snapshot()["counters"].items()
-            if key.startswith("fleet.")}
-
-    curves: Dict[str, List[Dict[str, Any]]] = {m: [] for m in MECHANISMS}
-    cells: Dict[str, Dict[str, Any]] = {}
-    sweep: Dict[str, Dict[str, Any]] = {}
-    costs: Dict[str, Dict[str, Any]] = {}
-    for result in results:
-        count, mechanism = result.args[0], result.args[1]
-        width = result.args[4]
-        value = result.value
-        if width != 1:
-            sweep[str(width)] = _sweep_fields(value)
-            continue
-        if count == counts[0] and mechanism == "world_call":
-            sweep.setdefault("1", _sweep_fields(value))
-        curves[mechanism].append(_curve_point(value))
-        cells[f"{mechanism}@{count}"] = value
-        costs[mechanism] = value["costs"]
-    for points in curves.values():
-        points.sort(key=lambda point: point["tenants"])
-
-    top = counts[-1]
-
-    def at_top(mechanism: str) -> Dict[str, Any]:
-        return next(point for point in curves[mechanism]
-                    if point["tenants"] == top)
-
-    base, world, sless = (at_top(m) for m in MECHANISMS)
+    base, world, sless = (curves[m][-1] for m in MECHANISMS)   # top count
     sweep_identity = {json.dumps(fields, sort_keys=True)
-                      for fields in sweep.values()}
+                      for fields in sweep_cells.values()}
     summary = {
         "world_call_beats_baseline_at_top":
             world["throughput_rps"] > base["throughput_rps"],
@@ -244,7 +266,7 @@ def run_campaign(seed: int = 0,
         "curves": curves,
         "cells": cells,
         "interleave_sweep": {
-            "cells": sweep,
+            "cells": sweep_cells,
             "cycle_identical": len(sweep_identity) == 1,
         },
         "summary": summary,
@@ -291,8 +313,80 @@ def render_summary(artifact: Dict[str, Any]) -> str:
     return "\n".join(lines)
 
 
-def write_artifact(artifact: Dict[str, Any], path: str) -> None:
-    """Serialize deterministically (sorted keys, trailing newline)."""
-    with open(path, "w", encoding="utf-8") as stream:
-        json.dump(artifact, stream, indent=2, sort_keys=True)
-        stream.write("\n")
+def _tenant_counts(text: str) -> List[int]:
+    try:
+        return [int(part) for part in text.split(",") if part.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
+
+
+def add_fleet_arguments(parser: argparse.ArgumentParser) -> None:
+    """The fleet-shape and SLO flags shared by ``fleet`` and ``xray``
+    (values are validated by :func:`run_sweep`)."""
+    parser.add_argument("--tenants", type=_tenant_counts,
+                        default=list(TENANT_SWEEP), metavar="N,N,...",
+                        help="comma-separated tenant counts to sweep "
+                             "(default: 10,100,1000)")
+    parser.add_argument("--horizon-ms", type=float,
+                        default=DEFAULT_HORIZON_MS, metavar="MS",
+                        help="modeled replay horizon per cell in modeled "
+                             "milliseconds (default: %(default)s)")
+    parser.add_argument("--churn-every", type=int,
+                        default=DEFAULT_CHURN_EVERY, metavar="N",
+                        help="revoke + recreate one callee world every N "
+                             "completed requests (0 disables; "
+                             "default: %(default)s)")
+    parser.add_argument("--cores", type=int, default=DEFAULT_CORES,
+                        help="modeled core-pool width "
+                             "(default: %(default)s)")
+    parser.add_argument("--rate-scale", type=float, default=1.0,
+                        help="multiply every tenant's request rate "
+                             "(default: %(default)s)")
+    parser.add_argument("--slo", action="append", default=[],
+                        metavar="EXPR",
+                        help="SLO objective ('<series>.<stat> <op> <value>') "
+                             "evaluated over each top-count cell's windows "
+                             "(traced cells add exemplar top_cause "
+                             "attribution); repeatable")
+    parser.add_argument("--strict", action="store_true",
+                        help="exit nonzero when any --slo objective is "
+                             "violated")
+
+
+def run_with_slos(args: argparse.Namespace,
+                  run: Callable[..., Dict[str, Any]],
+                  **extra: Any) -> Dict[str, Any]:
+    """Parse ``--slo`` (a bad objective is a ``ValueError`` before any
+    cell runs), call ``run`` with the shared flags' values plus
+    ``extra``, and attach the per-mechanism SLO report of the top
+    tenant count as ``slo``."""
+    from repro.observatory.slo import SloObjective, evaluate_slos
+
+    objectives = [SloObjective.parse(text) for text in args.slo]
+    artifact = run(seed=args.seed, tenant_counts=args.tenants,
+                   horizon_ms=args.horizon_ms, workers=args.workers,
+                   churn_every=args.churn_every, cores=args.cores,
+                   rate_scale=args.rate_scale, **extra)
+    if objectives:
+        top = artifact["tenant_counts"][-1]
+        report = {}
+        for mechanism in artifact["mechanisms"]:
+            cell = artifact["cells"][f"{mechanism}@{top}"]
+            causes = {int(index): cause["segment"]
+                      for index, cause in cell.get("xray", {}).get(
+                          "window_causes", {}).items()}
+            report[f"{mechanism}@{top}"] = evaluate_slos(
+                objectives, cell["windows"], causes=causes)
+        artifact["slo"] = report
+    return artifact
+
+
+CAMPAIGN = Campaign(
+    name="fleet", section="fleet",
+    help="Sharded fleet campaign: tenant-count x mechanism sweep with "
+         "throughput and latency curves.",
+    add_arguments=add_fleet_arguments,
+    run=lambda args: run_with_slos(args, run_campaign),
+    render=render_summary,
+    failures=claim_failures)

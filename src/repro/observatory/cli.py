@@ -25,6 +25,7 @@ from typing import Any, Dict, List, Optional
 
 from repro import observatory as _observatory
 from repro import telemetry
+from repro.campaign import write_artifact
 from repro.observatory import slo as _slo
 from repro.observatory import exporters
 
@@ -108,12 +109,6 @@ def build_artifact(obs: "_observatory.Observatory",
         },
     }
     return artifact
-
-
-def write_artifact(artifact: Dict[str, Any], path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(artifact, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def build_parser() -> argparse.ArgumentParser:

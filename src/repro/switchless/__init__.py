@@ -11,8 +11,8 @@ The subsystem has four pieces:
   (site, caller, callee) tuples between ``world_call`` and
   ``switchless`` from per-window call rate and ring occupancy.
 * :mod:`repro.switchless.campaign` — the seeded three-way evaluation
-  campaign (baseline / world_call / switchless) behind the
-  ``crossover-switchless`` CLI.
+  campaign (baseline / world_call / switchless) behind
+  ``crossover switchless`` (:mod:`repro.campaign`).
 * the **dispatch seam** in ``core/call.py`` / ``core/crossvm.py`` —
   every call site accepts ``mechanism="baseline" | "world_call" |
   "switchless"``, and with no explicit choice the installed engine's

@@ -1,4 +1,4 @@
-"""Seeded switchless evaluation campaign behind ``crossover-switchless``.
+"""Seeded switchless evaluation campaign behind ``crossover switchless``.
 
 Three sections, each assembled from independent cells so the campaign
 parallelizes over :func:`repro.analysis.parallel.run_cells` and the
@@ -25,13 +25,12 @@ Modeled cycles only — no wall-clock enters any number.
 
 from __future__ import annotations
 
-import json
+import argparse
 import random
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro import telemetry
-from repro.analysis import parallel
 from repro.analysis.experiments import CELL_RUNNERS, TABLE4_OPS
+from repro.campaign import Campaign, claim_failures, sweep
 
 SCHEMA = "crossover-switchless/v1"
 
@@ -183,6 +182,8 @@ def run_campaign(seed: int = 0, iterations: int = 5,
     """Run the full campaign and return the ``crossover-switchless/v1``
     artifact (plain data, ``json.dump``-ready, pool-worker independent).
     """
+    if iterations < 1:
+        raise ValueError("iterations must be >= 1")
     specs: List[Tuple[str, tuple]] = []
     for transport in ("baseline", "world_call", "switchless"):
         specs.append(("mechanism", ("table4", transport, iterations, 1)))
@@ -194,16 +195,12 @@ def run_campaign(seed: int = 0, iterations: int = 5,
             specs.append(("switchlesscell", ("bursty", "switchless", seed,
                                              count)))
 
-    with telemetry.scoped("switchless-campaign") as session:
-        results = parallel.run_cells(specs, workers=workers)
-        counters = {
-            key: value
-            for key, value in session.metrics.snapshot()["counters"].items()
-            if key.startswith("switchless.")}
+    results, counters = sweep(specs, "switchless-campaign", "switchless.",
+                              workers)
 
     three_way: Dict[str, Dict[str, float]] = {op: {} for op in TABLE4_OPS}
     adaptive: Dict[str, Dict[str, Any]] = {}
-    sweep: Dict[str, Dict[str, Any]] = {}
+    sweep_cells: Dict[str, Dict[str, Any]] = {}
     for result in results:
         value = result.value
         if result.runner == "mechanism":
@@ -213,7 +210,7 @@ def run_campaign(seed: int = 0, iterations: int = 5,
             continue
         workload, mechanism, _seed, count = result.args
         if count != 1:
-            sweep[str(count)] = {
+            sweep_cells[str(count)] = {
                 "cycles_calls": value["cycles_calls"],
                 "mean_call_cycles": value["mean_call_cycles"],
                 "stats": value["switchless"]["stats"],
@@ -227,7 +224,7 @@ def run_campaign(seed: int = 0, iterations: int = 5,
             cell.update(value["switchless"])
         entry["mechanisms"][mechanism] = cell
         if mechanism == "switchless" and count == 1:
-            sweep.setdefault("1", {
+            sweep_cells.setdefault("1", {
                 "cycles_calls": value["cycles_calls"],
                 "mean_call_cycles": value["mean_call_cycles"],
                 "stats": value["switchless"]["stats"],
@@ -243,7 +240,7 @@ def run_campaign(seed: int = 0, iterations: int = 5,
         entry["adaptive_vs_best_static_percent"] = round(
             100.0 * (by["adaptive"]["cycles_calls"] / best_static - 1.0), 2)
 
-    sweep_cycles = {entry["cycles_calls"] for entry in sweep.values()}
+    sweep_cycles = {entry["cycles_calls"] for entry in sweep_cells.values()}
     tuning = adaptive["bursty"]["mechanisms"]["adaptive"]["tuning"]
 
     return {
@@ -253,7 +250,7 @@ def run_campaign(seed: int = 0, iterations: int = 5,
         "three_way": three_way,
         "adaptive": adaptive,
         "worker_sweep": {
-            "cells": sweep,
+            "cells": sweep_cells,
             "cycles_identical": len(sweep_cycles) == 1,
         },
         "tuning": tuning,
@@ -309,8 +306,17 @@ def render_summary(artifact: Dict[str, Any]) -> str:
     return "\n".join(lines)
 
 
-def write_artifact(artifact: Dict[str, Any], path: str) -> None:
-    """Serialize deterministically (sorted keys, trailing newline)."""
-    with open(path, "w", encoding="utf-8") as stream:
-        json.dump(artifact, stream, indent=2, sort_keys=True)
-        stream.write("\n")
+def _add_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--iterations", type=int, default=5,
+                        help="lmbench iterations per three-way cell "
+                             "(default: %(default)s)")
+
+
+CAMPAIGN = Campaign(
+    name="switchless", section="switchless",
+    help="Deterministic switchless-call evaluation campaign (three-way "
+         "comparison + adaptive-policy proof).",
+    add_arguments=_add_arguments,
+    run=lambda args: run_campaign(seed=args.seed, iterations=args.iterations,
+                                  workers=args.workers),
+    render=render_summary, failures=claim_failures)

@@ -349,7 +349,7 @@ class TelemetrySession:
     def absorb_stats(self, family: str, stats: Dict[str, int]) -> None:
         """Absorb an engine's totals at a quiescent point as
         ``<family>.<name>`` counters — the sweep runner passes each
-        cell's switchless counters, the ``crossover-fleet`` campaign
+        cell's switchless counters, the ``crossover fleet`` campaign
         cell its scheduler totals after the event loop drains."""
         for name, value in stats.items():
             if value:

@@ -15,7 +15,8 @@ Two entry points:
 
 * the **fleet path** — :class:`~repro.xray.trace.XrayRecorder` passed
   into :class:`~repro.fleet.scheduler.FleetScheduler`; the
-  ``crossover-xray`` CLI (:mod:`repro.xray.cli`) sweeps it into a
+  ``crossover xray`` campaign (:mod:`repro.xray.campaign`, run by
+  :mod:`repro.campaign`) sweeps it into a
   schema-validated ``crossover-xray/v1`` artifact;
 * the **single-machine path** — the process-global
   :class:`XraySession` below, one subscriber on the observer bus

@@ -1,7 +1,7 @@
-"""Seeded x-ray campaign behind ``crossover-xray``.
+"""Seeded x-ray campaign behind ``crossover xray``.
 
-Reuses the fleet campaign's cell runner (``fleetcell``) with trace
-sampling switched on: every cell is a self-contained
+Runs the fleet campaign's sweep (:func:`repro.fleet.campaign.run_sweep`)
+with trace sampling switched on: every cell is a self-contained
 :data:`~repro.analysis.experiments.CELL_RUNNERS` entry, so the sweep
 parallelizes over :func:`repro.analysis.parallel.run_cells` and the
 same seed produces a **byte-identical artifact at any pool worker
@@ -29,42 +29,28 @@ The artifact (``crossover-xray/v1``) carries:
 * **conservation** — the per-cell re-verification rollup (every kept
   trace's segments must sum to its latency);
 * **summary** — machine-checked claims the CLI gates on.
+
+``crossover xray --check FILE`` re-verifies an artifact from disk
+alone: schema, the per-cell segment-conservation crosscheck (every
+kept trace's segments must sum to its end-to-end latency) and the
+claims.  Tamper with a single segment and it exits nonzero.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
-from repro import telemetry
-from repro.analysis import parallel
+from repro.campaign import Campaign, claim_failures, write_artifact
 from repro.fleet.campaign import (DEFAULT_CHURN_EVERY, DEFAULT_HORIZON_MS,
-                                  TENANT_SWEEP)
+                                  TENANT_SWEEP, add_fleet_arguments,
+                                  run_sweep, run_with_slos)
 from repro.fleet.scheduler import DEFAULT_CORES, MECHANISMS
 from repro.xray.trace import (DEFAULT_KEEP, DEFAULT_SAMPLE_EVERY,
                               check_traces, is_sampled)
 
 SCHEMA = "crossover-xray/v1"
-
-#: Scheduler-lane widths swept for the trace-identity claim.
-LANE_SWEEP: Tuple[int, ...] = (1, 2, 4)
-
-
-def _lane_surface(value: Dict[str, Any]) -> Dict[str, Any]:
-    """The identity surface compared across lane widths: the fleet
-    cycle surface *plus* the whole xray payload (segment vectors,
-    exemplars, noisy-neighbor blame must all commit in the same
-    order regardless of batch width)."""
-    return {
-        "requests": value["requests"],
-        "completed": value["completed"],
-        "throughput_rps": value["throughput_rps"],
-        "sched_events": value["sched_events"],
-        "last_completion_cycles": value["last_completion_cycles"],
-        "p99": value["latency"]["p99"],
-        "p999": value["latency"]["p999"],
-        "xray": value["xray"],
-    }
 
 
 def _tail_row(mechanism: str, tenants: int,
@@ -100,46 +86,15 @@ def run_campaign(seed: int = 0,
     """Run the traced sweep and return the ``crossover-xray/v1``
     artifact (plain data, ``json.dump``-ready, pool-worker and
     lane-width independent)."""
-    counts = tuple(sorted(set(int(n) for n in tenant_counts)))
-    if not counts or counts[0] < 1:
-        raise ValueError("tenant counts must be positive")
     if sample_every < 1 or keep < 1:
         raise ValueError("sample_every and keep must be >= 1")
-    specs: List[Tuple[str, tuple]] = []
-    for count in counts:
-        for mechanism in MECHANISMS:
-            specs.append(("fleetcell", (count, mechanism, seed, horizon_ms,
-                                        1, churn_every, cores, rate_scale,
-                                        sample_every, keep)))
     # The lane sweep runs the *baseline* (the mechanism with hv
     # contention and blame bookkeeping — the hardest surface to keep
     # batch-width independent) at the smallest count.
-    for width in LANE_SWEEP:
-        if width != 1:
-            specs.append(("fleetcell", (counts[0], "baseline", seed,
-                                        horizon_ms, width, churn_every,
-                                        cores, rate_scale,
-                                        sample_every, keep)))
-
-    with telemetry.scoped("xray-campaign") as session:
-        results = parallel.run_cells(specs, workers=workers)
-        counters = {
-            key: value
-            for key, value in session.metrics.snapshot()["counters"].items()
-            if key.startswith("fleet.")}
-
-    cells: Dict[str, Dict[str, Any]] = {}
-    lanes: Dict[str, Dict[str, Any]] = {}
-    for result in results:
-        count, mechanism = result.args[0], result.args[1]
-        width = result.args[4]
-        value = result.value
-        if width != 1:
-            lanes[str(width)] = _lane_surface(value)
-            continue
-        if count == counts[0] and mechanism == "baseline":
-            lanes.setdefault("1", _lane_surface(value))
-        cells[f"{mechanism}@{count}"] = value
+    counts, cells, lanes, counters = run_sweep(
+        seed, tenant_counts, horizon_ms, workers, churn_every, cores,
+        rate_scale, lane_mechanism="baseline",
+        sampling=(sample_every, keep))
     lane_identity = {json.dumps(surface, sort_keys=True)
                      for surface in lanes.values()}
 
@@ -215,8 +170,56 @@ def run_campaign(seed: int = 0,
     }
 
 
-def write_artifact(artifact: Dict[str, Any], path: str) -> None:
-    """Serialize deterministically (sorted keys, trailing newline)."""
-    with open(path, "w", encoding="utf-8") as stream:
-        json.dump(artifact, stream, indent=2, sort_keys=True)
-        stream.write("\n")
+def _add_arguments(parser: argparse.ArgumentParser) -> None:
+    add_fleet_arguments(parser)
+    parser.add_argument("--sample-every", type=int,
+                        default=DEFAULT_SAMPLE_EVERY, metavar="N",
+                        help="keep full segment vectors for 1-in-N trace ids "
+                             "(seeded hash; default: %(default)s)")
+    parser.add_argument("--keep", type=int, default=DEFAULT_KEEP,
+                        metavar="N",
+                        help="top-latency sampled traces kept per cell "
+                             "(exemplar-referenced traces pinned on top; "
+                             "default: %(default)s)")
+    parser.add_argument("--trace-out", default=None, metavar="FILE",
+                        help="write a Perfetto/Chrome trace of the sampled "
+                             "requests (modeled-cycle axis) here")
+
+
+def _run(args: argparse.Namespace) -> Dict[str, Any]:
+    artifact = run_with_slos(args, run_campaign,
+                             sample_every=args.sample_every, keep=args.keep)
+    if args.trace_out:
+        from repro.xray.export import chrome_trace_from_artifact
+        write_artifact(chrome_trace_from_artifact(artifact), args.trace_out)
+        if not args.quiet:
+            print(f"wrote {args.trace_out}")
+    return artifact
+
+
+def _failures(artifact: Dict[str, Any]) -> List[str]:
+    """Re-run the conservation crosscheck on every cell, then the
+    rollup and the claims."""
+    errors = []
+    for key in sorted(artifact["cells"]):
+        verdict = check_traces(artifact["cells"][key]["xray"])
+        if not verdict["ok"]:
+            errors.append(
+                f"conservation violated in cell {key}: "
+                f"segments != latency for {verdict['mismatches']}")
+    if not errors and not artifact["conservation"]["ok"]:
+        errors.append("conservation rollup not ok")
+    return errors + claim_failures(artifact)
+
+
+def _render(artifact: Dict[str, Any]) -> str:
+    from repro.xray.explain import render_report
+    return render_report(artifact)
+
+
+CAMPAIGN = Campaign(
+    name="xray", section="xray",
+    help="Fleet-scale request tracing: per-request segment vectors, "
+         "critical-path tail attribution, histogram exemplars.",
+    add_arguments=_add_arguments, run=_run, render=_render,
+    failures=_failures)

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from repro.audit import graph, workload
+from repro.campaign import write_artifact
 from repro.telemetry.schema import load_schema, validate
 
 
@@ -99,12 +100,12 @@ class TestWorkerDeterminism:
     def test_byte_identical_across_worker_counts(self, tmp_path,
                                                  artifact):
         serial = tmp_path / "w1.json"
-        workload.write_artifact(artifact, str(serial))
+        write_artifact(artifact, str(serial))
         for workers in (2, 4):
             again = workload.record_workload(
                 systems=("Proxos", "HyperShell"), calls=3,
                 workers=workers)
             path = tmp_path / f"w{workers}.json"
-            workload.write_artifact(again, str(path))
+            write_artifact(again, str(path))
             assert path.read_bytes() == serial.read_bytes(), \
                 f"workers={workers} artifact diverged"

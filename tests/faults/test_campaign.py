@@ -6,7 +6,8 @@ import json
 
 import pytest
 
-from repro.faults import campaign, cli
+from repro.campaign import main, write_artifact
+from repro.faults import campaign
 from repro.faults.sites import SITE_NAMES
 from repro.telemetry.schema import load_schema, validate
 
@@ -90,8 +91,8 @@ class TestAblation:
 class TestCLI:
     def test_clean_campaign_exits_zero(self, tmp_path, capsys):
         out = tmp_path / "faults.json"
-        code = cli.main(["--ops", "3", "--seed", "5", "--workers", "1",
-                        "--out", str(out)])
+        code = main(["faults", "--ops", "3", "--seed", "5", "--workers", "1",
+                     "--out", str(out)])
         captured = capsys.readouterr()
         assert code == 0
         assert "fault matrix" in captured.out
@@ -100,18 +101,18 @@ class TestCLI:
         assert validate(artifact, load_schema("faults")) == []
 
     def test_broken_recovery_exits_nonzero(self, capsys):
-        code = cli.main(["--systems", "ShadowContext",
-                        "--sites", "hw.entry_corrupt",
-                        "--ops", "4", "--seed", "11", "--workers", "1",
-                        "--quiet", "--disable-recovery",
-                        "legacy_fallback"])
+        code = main(["faults", "--systems", "ShadowContext",
+                     "--sites", "hw.entry_corrupt",
+                     "--ops", "4", "--seed", "11", "--workers", "1",
+                     "--quiet", "--disable-recovery", "legacy_fallback"])
         captured = capsys.readouterr()
         assert code == 1
         assert "invariant-violation" in captured.err
 
     def test_usage_errors_exit_two(self, capsys):
-        assert cli.main(["--sites", "no.such.site", "--workers", "1"]) == 2
-        assert cli.main(["--ops", "0"]) == 2
+        assert main(["faults", "--sites", "no.such.site",
+                     "--workers", "1"]) == 2
+        assert main(["faults", "--ops", "0"]) == 2
         capsys.readouterr()
 
 
@@ -128,7 +129,7 @@ class TestTrajectoryRecording:
     def test_record_into_trajectory_ledger(self, full_artifact, tmp_path):
         from repro.analysis import trajectory
         artifact_path = tmp_path / "FAULTS.json"
-        campaign.write_artifact(full_artifact, str(artifact_path))
+        write_artifact(full_artifact, str(artifact_path))
         ledger_path = tmp_path / "TRAJECTORY.json"
         code = trajectory.main(["--trajectory", str(ledger_path),
                                 "--record", str(artifact_path),

@@ -5,7 +5,8 @@ import json
 
 import pytest
 
-from repro.fleet import campaign, cli
+from repro.campaign import main
+from repro.fleet import campaign
 
 # Small but *saturating* sweep: 12 tenants at 80x rate offer ~1M
 # world-call transitions per modeled second, ~2x the serialized
@@ -87,6 +88,14 @@ class TestCampaign:
         item_schema = load_schema("observatory")["properties"]["cells"]["items"]
         assert validate(payload, item_schema) == []
 
+    def test_bad_fleet_shape_raises_before_any_cell(self):
+        for bad in ({"tenant_counts": ()}, {"horizon_ms": 0},
+                    {"horizon_ms": float("nan")}, {"horizon_ms": float("inf")},
+                    {"rate_scale": float("nan")}, {"rate_scale": float("inf")},
+                    {"rate_scale": -1.0}, {"churn_every": -1}, {"cores": 0}):
+            with pytest.raises(ValueError):
+                campaign.run_campaign(**bad)
+
     def test_render_summary_mentions_every_count(self, artifact):
         text = campaign.render_summary(artifact)
         for count in COUNTS:
@@ -96,18 +105,21 @@ class TestCampaign:
 
 class TestCli:
     def test_usage_errors_exit_2(self, capsys):
-        assert cli.main(["--tenants", "abc"]) == 2
-        assert cli.main(["--tenants", "0,5"]) == 2
-        assert cli.main(["--horizon-ms", "0"]) == 2
-        assert cli.main(["--rate-scale", "-1"]) == 2
-        assert cli.main(["--slo", "not an objective"]) == 2
+        assert main(["fleet", "--tenants", "abc"]) == 2
+        assert main(["fleet", "--tenants", "0,5"]) == 2
+        assert main(["fleet", "--horizon-ms", "0"]) == 2
+        assert main(["fleet", "--rate-scale", "-1"]) == 2
+        assert main(["fleet", "--slo", "not an objective"]) == 2
+        for flag in ("--horizon-ms", "--rate-scale"):
+            for value in ("nan", "inf", "-inf"):
+                assert main(["fleet", flag, value]) == 2, (flag, value)
         capsys.readouterr()
 
     def test_full_run_writes_valid_artifact(self, tmp_path, capsys):
         out = tmp_path / "FLEET.json"
-        code = cli.main(["--tenants", "4,12", "--horizon-ms", "2",
-                         "--rate-scale", "80", "--churn-every", "50",
-                         "--workers", "1", "--out", str(out),
+        code = main(["fleet", "--tenants", "4,12", "--horizon-ms", "2",
+                     "--rate-scale", "80", "--churn-every", "50",
+                     "--workers", "1", "--out", str(out),
                          # violated objective, but lenient without
                          # --strict: the run still exits 0
                          "--slo", "fleet.latency.cycles.p99 < 1"])
@@ -124,10 +136,10 @@ class TestCli:
     def test_strict_slo_trip_exits_1(self, capsys):
         # 12 tenants at 80x keeps every summary claim green, so the
         # nonzero exit below is attributable to the SLO alone.
-        code = cli.main(["--tenants", "12", "--horizon-ms", "2",
-                         "--rate-scale", "80", "--churn-every", "0",
-                         "--workers", "1", "--quiet", "--strict",
-                         "--slo", "fleet.latency.cycles.p99 < 1"])
+        code = main(["fleet", "--tenants", "12", "--horizon-ms", "2",
+                     "--rate-scale", "80", "--churn-every", "0",
+                     "--workers", "1", "--quiet", "--strict",
+                     "--slo", "fleet.latency.cycles.p99 < 1"])
         captured = capsys.readouterr()
         assert code == 1
         assert "SLO violated" in captured.err

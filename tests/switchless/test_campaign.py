@@ -6,7 +6,8 @@ import json
 
 import pytest
 
-from repro.switchless import campaign, cli
+from repro.campaign import main
+from repro.switchless import campaign
 from repro.telemetry.schema import load_schema, validate
 
 
@@ -80,15 +81,15 @@ class TestDeterminism:
 class TestCli:
     def test_exit_zero_and_artifact(self, tmp_path, capsys):
         out = tmp_path / "SWITCHLESS.json"
-        code = cli.main(["--iterations", "1", "--workers", "1",
-                        "--out", str(out), "--quiet"])
+        code = main(["switchless", "--iterations", "1", "--workers", "1",
+                     "--out", str(out), "--quiet"])
         assert code == 0
         written = json.loads(out.read_text())
         assert written["schema"] == campaign.SCHEMA
         assert validate(written, load_schema("switchless")) == []
 
     def test_usage_error(self, capsys):
-        assert cli.main(["--iterations", "0"]) == 2
+        assert main(["switchless", "--iterations", "0"]) == 2
 
 
 class TestBenchIntegration:

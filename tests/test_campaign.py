@@ -1,0 +1,80 @@
+"""The campaign harness: one ``crossover <campaign>`` CLI whose verify
+path (schema, then the campaign's failures) and exit-code policy are
+shared by faults, switchless, fleet and xray."""
+
+import json
+
+import pytest
+
+from repro.campaign import CAMPAIGNS, build_parser, main
+
+#: Small runs whose claims all hold, and one boolean claim to flip.
+SMOKE = {
+    "faults": (["--systems", "ShadowContext", "--sites", "hw.entry_revoked",
+                "--ops", "2"], ("crosscheck", "ok")),
+    "switchless": (["--iterations", "1"],
+                   ("summary", "worker_sweep_deterministic")),
+    "fleet": (["--tenants", "4,12", "--horizon-ms", "2", "--rate-scale",
+               "80", "--churn-every", "50"],
+              ("summary", "interleave_identical")),
+    "xray": (["--tenants", "10,50", "--horizon-ms", "5", "--rate-scale",
+              "8", "--churn-every", "100"], ("summary", "lane_identical")),
+}
+
+
+def test_one_subcommand_per_campaign():
+    assert set(SMOKE) == set(CAMPAIGNS)
+    assert main(["--help"]) == 0
+    assert main([]) == 2
+    assert main(["nope"]) == 2
+
+
+@pytest.mark.parametrize("name", sorted(CAMPAIGNS))
+def test_workers_below_one_is_usage_error(name, capsys):
+    for workers in ("0", "-2"):
+        assert main([name, "--workers", workers, "--quiet"]) == 2
+        assert "--workers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", sorted(CAMPAIGNS))
+def test_check_roundtrip_and_flipped_claim(name, tmp_path, capsys):
+    argv, (section, claim) = SMOKE[name]
+    path = tmp_path / f"{name}.json"
+    assert main([name, *argv, "--workers", "1", "--quiet",
+                 "--out", str(path)]) == 0
+    assert main([name, "--check", str(path)]) == 0
+    assert f"{path}: ok" in capsys.readouterr().out
+
+    artifact = json.loads(path.read_text())
+    assert artifact[section][claim] is True
+    artifact[section][claim] = False
+    path.write_text(json.dumps(artifact))
+    assert main([name, "--check", str(path), "--quiet"]) == 1
+    flagged = claim if section == "summary" else section
+    assert flagged in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", sorted(CAMPAIGNS))
+def test_check_rejects_missing_and_malformed_files(name, tmp_path):
+    assert main([name, "--check", str(tmp_path / "missing.json")]) == 2
+    garbage = tmp_path / "garbage.json"
+    garbage.write_text("{not json")
+    assert main([name, "--check", str(garbage)]) == 2
+    wrong_shape = tmp_path / "list.json"
+    wrong_shape.write_text("[]")
+    assert main([name, "--check", str(wrong_shape), "--quiet"]) == 1
+
+
+def test_flag_names_are_the_campaigns_former_flags():
+    former = {
+        "--seed", "--workers", "--out", "--quiet", "--check",
+        "--systems", "--sites", "--ops", "--disable-recovery",
+        "--iterations", "--tenants", "--horizon-ms", "--churn-every",
+        "--cores", "--rate-scale", "--slo", "--strict", "--sample-every",
+        "--keep", "--trace-out"}
+    subparsers = next(action for action in build_parser()._actions
+                      if action.dest == "campaign").choices
+    flags = {option for sub in subparsers.values()
+             for action in sub._actions for option in action.option_strings
+             if option.startswith("--") and option != "--help"}
+    assert flags == former

@@ -394,6 +394,10 @@ class TestFleetSurface:
         assert results[0].value["tenants"] == 2
 
     def test_cli_entry_points_exposed(self):
-        from repro.fleet.cli import build_parser, main
+        from repro.campaign import build_parser, main
         assert callable(main)
-        assert build_parser().prog == "crossover-fleet"
+        parser = build_parser()
+        assert parser.prog == "crossover"
+        subcommands = next(action for action in parser._actions
+                           if action.dest == "campaign").choices
+        assert set(subcommands) == {"faults", "switchless", "fleet", "xray"}

@@ -5,9 +5,9 @@ import json
 
 import pytest
 
+from repro.campaign import main, write_artifact
 from repro.telemetry.schema import load_schema, validate
 from repro.xray import campaign
-from repro.xray.cli import main as cli_main
 from repro.xray.explain import render_report
 from repro.xray.export import chrome_trace_from_artifact
 
@@ -89,19 +89,19 @@ class TestTrajectoryIngestion:
 class TestCli:
     def test_out_check_roundtrip_and_tamper(self, artifact, tmp_path):
         path = tmp_path / "xray.json"
-        campaign.write_artifact(artifact, str(path))
-        assert cli_main(["--check", str(path), "--quiet"]) == 0
+        write_artifact(artifact, str(path))
+        assert main(["xray", "--check", str(path), "--quiet"]) == 0
         tampered = json.loads(path.read_text())
         key = sorted(tampered["cells"])[0]
         tampered["cells"][key]["xray"]["traces"][0]["segments"][
             "handler"] += 1
         bad = tmp_path / "tampered.json"
         bad.write_text(json.dumps(tampered))
-        assert cli_main(["--check", str(bad), "--quiet"]) == 1
+        assert main(["xray", "--check", str(bad), "--quiet"]) == 1
 
     def test_check_unreadable_is_usage_error(self, tmp_path):
-        assert cli_main(["--check", str(tmp_path / "missing.json"),
-                         "--quiet"]) == 2
+        assert main(["xray", "--check", str(tmp_path / "missing.json"),
+                     "--quiet"]) == 2
 
     @pytest.mark.parametrize("argv", [
         ["--tenants", "0"],
@@ -110,6 +110,10 @@ class TestCli:
         ["--sample-every", "0"],
         ["--keep", "0"],
         ["--slo", "not an objective"],
+        ["--horizon-ms", "nan"],
+        ["--horizon-ms", "inf"],
+        ["--rate-scale", "nan"],
+        ["--rate-scale", "inf"],
     ])
     def test_bad_usage_exits_2(self, argv):
-        assert cli_main(argv + ["--quiet"]) == 2
+        assert main(["xray"] + argv + ["--quiet"]) == 2

@@ -21,6 +21,7 @@ from repro.analysis import experiments
 from repro.analysis.hops import compute_table3
 from repro.analysis.ringmap import count_direct, crossing_matrix
 from repro.analysis.tables import format_table, improvement, reduction
+from repro.campaign import worker_count
 from repro.systems.pathmodels import TABLE1_SYSTEMS
 
 #: Worker count when the sweep sections run parallel.
@@ -244,15 +245,10 @@ def main(argv=None) -> int:
                         help="run only the named section(s)")
     parser.add_argument("--parallel", action="store_true",
                         help="fan table sweeps over worker processes")
-    parser.add_argument("--workers", type=int, default=None, metavar="N",
+    parser.add_argument("--workers", type=worker_count, default=None,
+                        metavar="N",
                         help="worker count for --parallel "
                         "(default: one per CPU)")
-    parser.add_argument("--bench", metavar="PATH", default=None,
-                        help="run the before/after sweep benchmark and "
-                        "write the BENCH JSON artifact to PATH")
-    parser.add_argument("--bench-seed-src", metavar="DIR", default=None,
-                        help="also time the sweep against another source "
-                        "tree (e.g. a seed checkout's src/)")
     parser.add_argument("--telemetry", metavar="DIR", default=None,
                         help="collect telemetry while the report runs and "
                         "write trace/metrics/matrix/profile artifacts "
@@ -298,26 +294,6 @@ def main_traced(args) -> int:
 
 def _dispatch(args) -> int:
     """Execute the parsed ``crossover-report`` request."""
-    if args.bench:
-        from repro.analysis.bench import run_bench
-
-        artifact = run_bench(workers=args.workers,
-                             seed_src=args.bench_seed_src,
-                             output=args.bench)
-        runs = artifact["runs"]
-        print(f"before: {runs['before']['wall_seconds']}s  "
-              f"after(serial): {runs['after_serial']['wall_seconds']}s  "
-              f"after(parallel): {runs['after_parallel']['wall_seconds']}s")
-        if "seed" in runs:
-            print(f"seed baseline: {runs['seed']['wall_seconds']}s  "
-                  f"speedup vs seed: {artifact['speedup_vs_seed']}x")
-        elif args.bench_seed_src:
-            print(f"warning: seed baseline failed (is "
-                  f"{args.bench_seed_src!r} an importable source tree?); "
-                  "omitted from the artifact", file=sys.stderr)
-        print(f"equivalent: {artifact['equivalent']}  "
-              f"speedup: {artifact['speedup_best']}x  -> {args.bench}")
-        return 0 if artifact["equivalent"] else 1
     if args.parallel:
         global _PARALLEL_WORKERS
         _PARALLEL_WORKERS = args.workers or 0

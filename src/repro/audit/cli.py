@@ -31,7 +31,7 @@ from typing import Any, Dict, List, Optional
 from repro.audit import chain as _chain
 from repro.audit import graph as _graph
 from repro.audit import workload as _workload
-from repro.campaign import write_artifact
+from repro.campaign import worker_count, write_artifact
 
 
 def _csv(value: str) -> List[str]:
@@ -56,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
     record.add_argument("--calls", type=int,
                         default=_workload.DEFAULT_CALLS,
                         help="calls per cell (default: %(default)s)")
-    record.add_argument("--workers", type=int, default=None,
+    record.add_argument("--workers", type=worker_count, default=None,
                         help="parallel workers (default: one per CPU)")
     record.add_argument("--algo", default="sha256",
                         choices=_chain.ALGORITHMS,

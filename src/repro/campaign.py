@@ -109,7 +109,8 @@ def verify(campaign: Campaign, artifact: Artifact) -> List[str]:
     return errors or campaign.failures(artifact)
 
 
-def _workers(text: str) -> int:
+def worker_count(text: str) -> int:
+    """``--workers`` argument type: a positive int, else a usage error."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError("must be >= 1")
@@ -129,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
                                     description=campaign.help)
         sub.add_argument("--seed", type=int, default=0,
                          help="campaign seed (default: %(default)s)")
-        sub.add_argument("--workers", type=_workers, default=None,
+        sub.add_argument("--workers", type=worker_count, default=None,
                          help="parallel pool workers (default: one per "
                               "CPU; the artifact is identical at any count)")
         sub.add_argument("--out", default=None, metavar="FILE",

@@ -10,10 +10,10 @@ worker count** (nothing host-side is recorded: no wall-clock, no PIDs,
 no worker count).
 
 Exit codes: ``0`` ok, ``1`` an SLO alert fired under ``--strict``
-(report-only is the default, mirroring ``crossover-bench``), ``2``
-usage error, ``3`` the conservation crosscheck failed (a window delta
-stream that does not sum back to the flat end-of-run counters is a
-recorder bug, never acceptable data).
+(report-only is the default), ``2`` usage error, ``3`` the
+conservation crosscheck failed (a window delta stream that does not
+sum back to the flat end-of-run counters is a recorder bug, never
+acceptable data).
 """
 
 from __future__ import annotations
@@ -58,8 +58,8 @@ def record(label: str = "observatory",
     from repro.switchless import campaign  # noqa: F401 (registers
     #                                        the switchlesscell runner)
 
-    # Same determinism discipline as crossover-bench: warm the calling
-    # convention cache from a known-empty state, fast path on.
+    # Warm the calling convention cache from a known-empty state, fast
+    # path on, so every recording starts from the same state.
     convention.clear_caches()
     session = telemetry.TelemetrySession.lightweight(label)
     config = _observatory.ObservatoryConfig(window_cycles=window_cycles)

@@ -32,7 +32,7 @@ on the rising edge** of ``short >= fast_burn and long >= slow_burn``.
 Everything is modeled data, so alerts are deterministic and
 
 ``evaluate_slos`` is report-only; the CLI's ``--strict`` turns fired
-alerts into a nonzero exit, mirroring ``crossover-bench``.
+alerts into a nonzero exit.
 """
 
 from __future__ import annotations

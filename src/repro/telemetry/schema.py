@@ -11,8 +11,6 @@ Usage::
 
     python -m repro.telemetry.schema metrics out/metrics.json
     python -m repro.telemetry.schema chrome_trace out/trace.json
-    python -m repro.telemetry.schema bench BENCH_PR3.json
-    python -m repro.telemetry.schema trajectory TRAJECTORY.json
     python -m repro.telemetry.schema faults FAULTS_PR4.json
     python -m repro.telemetry.schema audit AUDIT.json
     python -m repro.telemetry.schema switchless SWITCHLESS.json
@@ -109,7 +107,7 @@ def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
     if len(args) != 2:
         print("usage: python -m repro.telemetry.schema "
-              "<metrics|chrome_trace|summary|bench|trajectory|faults"
+              "<metrics|chrome_trace|summary|faults"
               "|audit|switchless|observatory|fleet|xray> <file.json>",
               file=sys.stderr)
         return 2

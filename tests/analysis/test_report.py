@@ -56,6 +56,16 @@ class TestCLI:
         with pytest.raises(SystemExit):
             report.main(["--section", "table99"])
 
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_workers_below_one_is_usage_error(self, workers, capsys):
+        with pytest.raises(SystemExit) as stop:
+            report.main(["--parallel", "--workers", workers,
+                         "--section", "table1"])
+        assert stop.value.code == 2
+        captured = capsys.readouterr()
+        assert "--workers" in captured.err
+        assert "Table 1" not in captured.out
+
     def test_build_report_defaults_to_all_names(self):
         assert set(report.SECTIONS) >= set(report.QUICK_SECTIONS)
 

@@ -27,6 +27,17 @@ class TestRecord:
                          "--systems", "NotASystem", "--quiet"])
         assert code == 2
 
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_workers_below_one_is_usage_error(self, workers, tmp_path,
+                                              capsys):
+        out = tmp_path / "x.json"
+        with pytest.raises(SystemExit) as stop:
+            cli.main(["record", "--calls", "1", "--workers", workers,
+                      "--out", str(out), "--quiet"])
+        assert stop.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestVerify:
     def test_clean_artifact_exits_zero(self, artifact_path, capsys):

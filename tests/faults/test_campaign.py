@@ -1,12 +1,11 @@
 """Campaign-level tests: full resilience sweep, determinism across
-worker counts, schema validity, crosschecks, CLI exit codes, and the
-trajectory recording of campaign summaries."""
+worker counts, schema validity, crosschecks and CLI exit codes."""
 
 import json
 
 import pytest
 
-from repro.campaign import main, write_artifact
+from repro.campaign import main
 from repro.faults import campaign
 from repro.faults.sites import SITE_NAMES
 from repro.telemetry.schema import load_schema, validate
@@ -116,32 +115,6 @@ class TestCLI:
         capsys.readouterr()
 
 
-class TestTrajectoryRecording:
-    def test_extract_series_from_faults_artifact(self, full_artifact):
-        from repro.analysis.trajectory import extract_series
-        series = extract_series(full_artifact)
-        assert series["faults.sites_exercised"]["value"] == len(SITE_NAMES)
-        assert series["faults.sites_exercised"]["direction"] == "higher"
-        assert series["faults.recovered_percent"]["value"] == 100.0
-        assert series["faults.invariant_violations"]["value"] == 0
-        assert series["faults.invariant_violations"]["direction"] == "lower"
-
-    def test_record_into_trajectory_ledger(self, full_artifact, tmp_path):
-        from repro.analysis import trajectory
-        artifact_path = tmp_path / "FAULTS.json"
-        write_artifact(full_artifact, str(artifact_path))
-        ledger_path = tmp_path / "TRAJECTORY.json"
-        code = trajectory.main(["--trajectory", str(ledger_path),
-                                "--record", str(artifact_path),
-                                "--label", "test-faults"])
-        assert code == 0
-        ledger = json.loads(ledger_path.read_text())
-        assert validate(ledger, load_schema("trajectory")) == []
-        entry = ledger["entries"][-1]
-        assert entry["label"] == "test-faults"
-        assert "faults.recovered_percent" in entry["series"]
-
-
 class TestDetectionCoverage:
     """PR-5 loop closure: every injection site must be caught blind by
     at least one audit anomaly detector (no fam-"fault" peeking)."""
@@ -173,13 +146,6 @@ class TestDetectionCoverage:
             "detectors"]
         assert "crossing_drift" in detection[
             "hw.translation_epoch_stale"]["detectors"]
-
-    def test_detection_recorded_in_trajectory_series(self,
-                                                     full_artifact):
-        from repro.analysis.trajectory import extract_series
-        series = extract_series(full_artifact)
-        assert series["faults.sites_detected"]["value"] == len(SITE_NAMES)
-        assert series["faults.sites_detected"]["direction"] == "higher"
 
     def test_matrix_render_includes_detection(self, full_artifact):
         rendered = campaign.render_matrix(full_artifact)

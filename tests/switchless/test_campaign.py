@@ -1,6 +1,6 @@
 """Campaign and artifact tests: the three-way comparison, the adaptive
 proof, pool-worker byte-identity, schema validity, CLI exit codes, and
-the bench/trajectory integration."""
+the mechanisms sweep through the parallel runner."""
 
 import json
 
@@ -92,29 +92,15 @@ class TestCli:
         assert main(["switchless", "--iterations", "0"]) == 2
 
 
-class TestBenchIntegration:
-    def test_switchless_bench_artifact(self, tmp_path):
-        from repro.analysis import bench
-        from repro.analysis.trajectory import extract_series
-
-        out = tmp_path / "BENCH_PR7.json"
-        artifact = bench.run_switchless_bench(
-            seed=0, iterations=1, workers=1, repeats=1, output=str(out))
-        assert artifact["equivalent"]
-        assert artifact["switchless_adaptive_speedup"] > 1.0
-        assert validate(artifact, load_schema("bench")) == []
-        series = extract_series(artifact)
-        assert "switchless_adaptive_speedup" in series
-        assert series["switchless.bursty.adaptive_cycles"][
-            "direction"] == "lower"
-        assert out.exists()
-
-    def test_mechanisms_table_through_run_sweep(self):
+class TestMechanismsSweep:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_mechanisms_table_through_run_sweep(self, workers):
+        """The pooled mechanisms sweep equals the serial one."""
         from repro.analysis import parallel
         from repro.analysis.experiments import run_mechanisms
         from repro.analysis.tables import format_mechanisms
 
-        sweep = parallel.run_sweep(("mechanisms",), workers=1)
+        sweep = parallel.run_sweep(("mechanisms",), workers=workers)
         merged = sweep["results"]["mechanisms"]
         assert merged == run_mechanisms()
         text = format_mechanisms(merged)

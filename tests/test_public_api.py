@@ -394,6 +394,9 @@ class TestFleetSurface:
         assert results[0].value["tenants"] == 2
 
     def test_cli_entry_points_exposed(self):
+        import importlib
+        from pathlib import Path
+
         from repro.campaign import build_parser, main
         assert callable(main)
         parser = build_parser()
@@ -401,3 +404,15 @@ class TestFleetSurface:
         subcommands = next(action for action in parser._actions
                            if action.dest == "campaign").choices
         assert set(subcommands) == {"faults", "switchless", "fleet", "xray"}
+
+        # The console scripts are exactly these five, so a deleted
+        # harness cannot come back as a script.
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+        assert set(scripts) == {"crossover", "crossover-report",
+                                "crossover-trace", "crossover-audit",
+                                "crossover-top"}
+        for target in scripts.values():
+            module, _, attr = target.partition(":")
+            assert callable(getattr(importlib.import_module(module), attr))

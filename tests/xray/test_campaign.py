@@ -1,5 +1,5 @@
-"""The crossover-xray campaign, CLI, schema, exporters and trajectory
-ingestion, on a small saturating sweep."""
+"""The crossover-xray campaign, CLI, schema and exporters, on a small
+saturating sweep."""
 
 import json
 
@@ -41,6 +41,13 @@ class TestCampaign:
         for mechanism in ("world_call", "switchless"):
             assert rows[mechanism]["per_stage"]["hv_wait"] == 0
 
+    def test_conservation_and_baseline_contention_share(self, artifact):
+        assert artifact["conservation"]["ok"]
+        exemplar = next(row["p99_exemplar"] for row in artifact["tail"]
+                        if row["mechanism"] == "baseline")
+        share = exemplar["contention_cycles"] / exemplar["latency"]
+        assert 0 < share <= 1
+
     def test_lane_sweep_covers_all_widths(self, artifact):
         assert sorted(artifact["lane_sweep"]["cells"]) == ["1", "2", "4"]
         assert artifact["lane_sweep"]["trace_identical"]
@@ -73,17 +80,6 @@ class TestCampaign:
             campaign.run_campaign(tenant_counts=())
         with pytest.raises(ValueError):
             campaign.run_campaign(tenant_counts=(10,), sample_every=0)
-
-
-class TestTrajectoryIngestion:
-    def test_series_extracted(self, artifact):
-        from repro.analysis.trajectory import extract_series
-        series = extract_series(artifact)
-        assert series["xray.traces_sampled"]["value"] > 0
-        assert series["xray.conservation_ok"]["value"] == 1
-        share = series["xray.p99_contention_share"]
-        assert 0 < share["value"] <= 1
-        assert share["direction"] == "lower"
 
 
 class TestCli:

@@ -14,9 +14,9 @@ The subsystem has five pieces:
 * :mod:`repro.audit.detectors` — pluggable anomaly detectors
   (:data:`DETECTORS`): forged WID, denial bursts, injection storms,
   crossing-pattern drift, chain breaks.
-* :mod:`repro.audit.workload` / :mod:`repro.audit.cli` — the
-  ``crossover-audit`` CLI (``record`` / ``verify`` / ``query`` /
-  ``graph``) and the deterministic ``crossover-audit/v1`` artifact.
+* :mod:`repro.audit.workload` — the ``crossover audit`` campaign
+  (record, then ``--check`` offline) and the deterministic
+  ``crossover-audit/v1`` artifact.
 
 The recorder is one subscriber on the observer bus
 (:mod:`repro.observe`), *zero cost when disabled*: every datapath seam

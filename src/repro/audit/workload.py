@@ -1,4 +1,5 @@
-"""Recorded audit workloads: the ``crossover-audit/v1`` artifact.
+"""Recorded audit workloads behind ``crossover audit``: the
+``crossover-audit/v1`` artifact.
 
 One *cell* records a flight-recorder log for one (system, variant)
 pair: a fresh two-VM machine runs the lmbench NULL syscall through the
@@ -18,6 +19,10 @@ return; both relations are checked.  Cells are independent
 simulations, so recording parallelizes over
 :func:`repro.analysis.parallel.run_cells` and the artifact is
 byte-identical at any worker count.
+
+``crossover audit --check AUDIT.json`` replays the whole chain offline
+(:func:`verify_artifact`) and also rejects an artifact whose own
+``checks`` or ``summary.crosscheck_ok`` claims are false.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from repro import audit
 from repro.audit import chain as _chain
 from repro.audit import detectors as _detectors
 from repro.audit import graph as _graph
+from repro.campaign import Campaign
 
 SCHEMA = "crossover-audit/v1"
 
@@ -131,7 +137,7 @@ def run_audit_cell(system: str, optimized: bool, calls: int,
 
 def _register() -> None:
     # Imported lazily so ``import repro.audit`` never drags the machine
-    # stack in; the CLI and campaign call this before running cells.
+    # stack in; recording calls this before running cells.
     from repro.analysis.experiments import CELL_RUNNERS
     CELL_RUNNERS["auditcell"] = run_audit_cell
 
@@ -152,6 +158,8 @@ def record_workload(systems: Optional[Sequence[str]] = None,
     from repro.analysis import parallel
 
     _register()
+    if calls < 1:
+        raise ValueError("calls must be >= 1")
     systems = tuple(systems) if systems else WORKLOAD_SYSTEMS
     for system in systems:
         if system not in WORKLOAD_SYSTEMS:
@@ -233,3 +241,43 @@ def verify_artifact(artifact: Dict[str, Any]) -> List[Dict[str, Any]]:
                            f"artifact recorded "
                            f"{len(cell.get('anomalies') or [])}"})
     return violations
+
+
+def _failures(artifact: Dict[str, Any]) -> List[str]:
+    """The offline verification's violations, then every false claim
+    the artifact makes about itself."""
+    errors = []
+    for violation in verify_artifact(artifact):
+        seq = violation["seq"]
+        at = f" (seq {seq})" if seq is not None else ""
+        errors.append(f"{violation['cell']}{at}: [{violation['check']}] "
+                      f"{violation['message']}")
+    for cell in artifact["cells"]:
+        errors += [f"{cell['system']}/{cell['variant']}: check failed: "
+                   f"{name}" for name, ok in cell["checks"].items() if not ok]
+    if not artifact["summary"]["crosscheck_ok"]:
+        errors.append("claim failed: crosscheck_ok")
+    return errors
+
+
+def render_summary(artifact: Dict[str, Any]) -> str:
+    """One line per cell plus the totals."""
+    lines = [f"{cell['system']}/{cell['variant']}: "
+             f"{len(cell['log']['records'])} records, crossings per call "
+             f"{cell['crossings']['trace']}, "
+             f"{len(cell['anomalies'])} anomalies"
+             for cell in artifact["cells"]]
+    summary = artifact["summary"]
+    lines.append(f"{summary['cells']} cells, {summary['records']} records, "
+                 f"{summary['anomalies']} anomalies, crosscheck "
+                 + ("ok" if summary["crosscheck_ok"] else "FAILED"))
+    return "\n".join(lines)
+
+
+CAMPAIGN = Campaign(
+    name="audit", section="audit",
+    help="Hash-chained flight recorder: every case-study system and "
+         "variant, chain and crossings verified offline.",
+    add_arguments=lambda parser: None,
+    run=lambda args: record_workload(workers=args.workers),
+    render=render_summary, failures=_failures, seeded=False)

@@ -1,10 +1,10 @@
-"""``crossover <campaign>`` — one harness for the seeded campaigns.
+"""``crossover <campaign>`` — one harness for the recorded campaigns.
 
-The four campaigns (``faults``, ``switchless``, ``fleet``, ``xray``)
-each keep their cell runner and artifact assembly in
-``repro.<name>.campaign`` and declare one :class:`Campaign` record
-there.  Everything they used to copy lives here once: the
-telemetry-scoped cell :func:`sweep`, the deterministic
+The six campaigns (``faults``, ``switchless``, ``fleet``, ``xray``,
+``audit``, ``observatory``) each keep their cell runner and artifact
+assembly in their own package and declare one :class:`Campaign` record
+there (see :data:`CAMPAIGNS`).  Everything they used to copy lives
+here once: the telemetry-scoped cell :func:`sweep`, the deterministic
 :func:`write_artifact`, the verify path (schema, then the campaign's
 own :attr:`Campaign.failures`), the SLO gate and the exit-code policy::
 
@@ -14,13 +14,17 @@ own :attr:`Campaign.failures`), the SLO gate and the exit-code policy::
     crossover fleet --strict --slo 'fleet.latency.cycles.p99 < 2000000'
     crossover xray --out XRAY.json --trace-out xray.trace.json
     crossover xray --check XRAY.json     # re-verify an artifact from disk
+    crossover audit --out AUDIT.json
+    crossover observatory --slo 'world_call.cycles.p99 < 100000' \
+        --html dashboard.html
 
 ``--check FILE`` loads an artifact instead of running the sweep and
 sends it down the same verify path a live run takes, so it works for
 every campaign.
 
 Exit status: ``0`` the artifact passes its schema and every claim,
-crosscheck and conservation check, and no ``--strict`` SLO burned;
+crosscheck and conservation check, and no ``--strict`` SLO objective
+is violated;
 ``1`` one of those failed; ``2`` usage error (bad flag, bad value, or
 an unreadable ``--check`` file).
 """
@@ -43,6 +47,8 @@ CAMPAIGNS: Dict[str, str] = {
     "switchless": "repro.switchless.campaign",
     "fleet": "repro.fleet.campaign",
     "xray": "repro.xray.campaign",
+    "audit": "repro.audit.workload",
+    "observatory": "repro.observatory.campaign",
 }
 
 
@@ -63,6 +69,8 @@ class Campaign:
     #: Claim, crosscheck and conservation failures of a schema-valid
     #: artifact (empty when clean).
     failures: Callable[[Artifact], List[str]]
+    #: Whether the sweep reads ``--seed`` (only seeded campaigns get it).
+    seeded: bool = True
 
 
 def sweep(specs: Sequence[Tuple[str, tuple]], label: str, prefix: str,
@@ -120,7 +128,7 @@ def worker_count(text: str) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="crossover",
-        description="Run, verify and write one of the seeded campaigns.")
+        description="Run, verify and write one of the recorded campaigns.")
     subparsers = parser.add_subparsers(dest="campaign", required=True,
                                        metavar="{" + ",".join(CAMPAIGNS)
                                        + "}")
@@ -128,8 +136,9 @@ def build_parser() -> argparse.ArgumentParser:
         campaign = load(name)
         sub = subparsers.add_parser(name, help=campaign.help,
                                     description=campaign.help)
-        sub.add_argument("--seed", type=int, default=0,
-                         help="campaign seed (default: %(default)s)")
+        if campaign.seeded:
+            sub.add_argument("--seed", type=int, default=0,
+                             help="campaign seed (default: %(default)s)")
         sub.add_argument("--workers", type=worker_count, default=None,
                          help="parallel pool workers (default: one per "
                               "CPU; the artifact is identical at any count)")
@@ -179,8 +188,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.check is not None and not args.quiet:
         print(f"{args.check}: {'FAIL' if errors else 'ok'}")
 
-    burned = isinstance(artifact, dict) and any(
-        report["violated"] for report in artifact.get("slo", {}).values())
+    # ``slo`` is one report (observatory) or one per cell (fleet, xray).
+    slo = {} if errors else artifact.get("slo", {})
+    burned = any(report["violated"] for report in
+                 ([slo] if "violated" in slo else slo.values()))
     if burned:
         print(f"{prog}: SLO violated", file=sys.stderr)
     strict = getattr(args, "strict", False)

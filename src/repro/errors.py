@@ -54,9 +54,9 @@ WorldQuotaExceeded      per-VM world-creation quota     (quota check at
 AuditViolation          hash-chained flight-recorder    (offline: chain break
                         records make truncation and     or crosscheck mismatch
                         tampering detectable offline;   found by
-                        chaining is worthwhile because  ``crossover-audit
-                        the recorded WIDs are the       verify``, not injected)
-                        hardware-authenticated ones
+                        chaining is worthwhile because  ``crossover audit
+                        the recorded WIDs are the       --check``, not
+                        hardware-authenticated ones     injected)
                         of Section 3.4
 ======================  ==============================  ==========================
 """

@@ -26,14 +26,14 @@ absorbs the payloads in spec order (see :mod:`repro.analysis.parallel`).
 Conservation invariant: the final partial window is flushed at
 uninstall, so for every counter ``baseline + sum(window deltas) ==
 end-of-run flat value`` — :func:`repro.observatory.store.crosscheck`
-verifies it and ``crossover-top`` exits nonzero on a mismatch.
+verifies it and ``crossover observatory`` exits nonzero on a mismatch.
 
 Install the observatory *inside* the telemetry session it should
 observe (sources are expected to be freshly zeroed or already-sampled
 when adopted; the cell runner guarantees this ordering).  On top of
 the store sit the SLO engine (:mod:`repro.observatory.slo`), the
 exporters (:mod:`repro.observatory.exporters`) and the
-``crossover-top`` CLI (:mod:`repro.observatory.cli`).
+``crossover observatory`` campaign (:mod:`repro.observatory.campaign`).
 
 This package is a leaf: it must not import the machine stack — or any
 subsystem that imports *it* (hw.perf, switchless, faults, audit)
@@ -415,8 +415,8 @@ class Observatory:
         (count/sum/mean + percentiles), sums the window counters into
         flat ``totals`` (so the conservation crosscheck holds by
         construction), and appends a payload indistinguishable from a
-        pooled cell's — the ``crossover-top`` dashboard scans and the
-        SLO evaluator consume fleet series unchanged.
+        pooled cell's — the ``crossover observatory`` dashboard scans
+        and the SLO evaluator consume fleet series unchanged.
         """
         windows: List[Dict[str, Any]] = []
         events: List[Dict[str, Any]] = []

@@ -1,13 +1,13 @@
-"""Observatory consumers: ``crossover-top`` text view and the static
-HTML dashboard.
+"""Observatory consumers: the ``crossover observatory`` text view and
+the static HTML dashboard.
 
 Both render one ``crossover-observatory/v1`` payload (the plain-data
-dict built by :mod:`repro.observatory.cli`).  The text view is what
-``crossover-top`` prints — per-cell sparklines of the busiest counters,
-the event timeline, and the SLO scoreboard.  The HTML dashboard is a
-single self-contained file (inline CSS + JSON + a few lines of
-canvas-free SVG generation done here, server-side) so it can be
-attached to CI artifacts and opened anywhere.
+dict built by :mod:`repro.observatory.campaign`).  The text view is
+what ``crossover observatory`` prints — per-cell sparklines of the
+busiest counters, the event timeline, and the SLO scoreboard.  The
+HTML dashboard is a single self-contained file (inline CSS + JSON + a
+few lines of canvas-free SVG generation done here, server-side) so it
+can be attached to CI artifacts and opened anywhere.
 
 OpenMetrics export is deliberately *not* here: it lives in
 :func:`repro.telemetry.export.render_openmetrics`, standalone, so a
@@ -102,11 +102,12 @@ def _cell_windows(payload: Mapping[str, Any]) -> List[Dict[str, Any]]:
 
 
 def render_top(payload: Mapping[str, Any], width: int = 32) -> str:
-    """The ``crossover-top`` text view of one payload."""
+    """The ``crossover observatory`` text view of one payload."""
     lines: List[str] = []
     window_cycles = payload.get("window_cycles") or \
         payload.get("config", {}).get("window_cycles", 0)
-    lines.append(f"crossover-top · {payload.get('label', 'observatory')}"
+    lines.append(f"crossover observatory · "
+                 f"{payload.get('label', 'observatory')}"
                  f" · window={window_cycles:,} cycles")
     for cell in _cell_windows(payload):
         windows = cell.get("windows", [])

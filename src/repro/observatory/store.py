@@ -18,7 +18,7 @@ Window semantics:
 * the final partial window is flushed at uninstall so the per-window
   deltas of every counter sum *exactly* to the end-of-run flat
   counters — :func:`crosscheck` verifies that invariant and the
-  ``crossover-top`` CLI exits nonzero when it fails.
+  ``crossover observatory`` campaign exits nonzero when it fails.
 
 This module is a leaf: stdlib imports only (the percentile math is
 borrowed lazily from :mod:`repro.telemetry.registry` at export time).
@@ -201,7 +201,7 @@ def crosscheck(payload: Mapping[str, Any]) -> Dict[str, Any]:
     For every registry counter, ``baseline + sum(per-window deltas)``
     must equal the end-of-run flat value in ``totals`` — sampling must
     neither drop nor invent a single count.  Returns ``{"ok", "checked",
-    "mismatches"}``; the CLI turns ``ok: false`` into a nonzero exit.
+    "mismatches"}``; the campaign turns ``ok: false`` into a nonzero exit.
     """
     baseline = payload.get("baseline", {})
     totals = payload.get("totals", {})

@@ -1,13 +1,14 @@
 """Recorded workload cells: crosschecks against the span tracer and
 the paper's Figure-2 counts, worker-count determinism, offline
-verification, schema validity."""
+verification (directly and through ``crossover audit --check``),
+schema validity."""
 
 import json
 
 import pytest
 
 from repro.audit import graph, workload
-from repro.campaign import write_artifact
+from repro.campaign import main, write_artifact
 from repro.telemetry.schema import load_schema, validate
 
 
@@ -94,6 +95,57 @@ class TestOfflineVerification:
     def test_unknown_algo_rejected(self):
         with pytest.raises(ValueError):
             workload.record_workload(systems=("Proxos",), algo="md5")
+
+    @pytest.mark.parametrize("calls", [0, -1])
+    def test_nonpositive_calls_rejected(self, calls):
+        with pytest.raises(ValueError, match="calls must be >= 1"):
+            workload.record_workload(systems=("Proxos",), calls=calls)
+
+
+def _evil_detail(artifact):
+    artifact["cells"][0]["log"]["records"][3]["detail"] = "evil"
+
+
+def _truncated(artifact):
+    del artifact["cells"][0]["log"]["records"][-2:]
+
+
+def _reordered(artifact):
+    records = artifact["cells"][0]["log"]["records"]
+    records[1], records[2] = records[2], records[1]
+
+
+def _false_cell_check(artifact):
+    artifact["cells"][1]["checks"]["chain_ok"] = False
+
+
+def _wrong_schema(artifact):
+    artifact["schema"] = "something-else"
+
+
+class TestCheck:
+    """``crossover audit --check`` must reject every tampered or
+    self-contradicting artifact, naming what broke."""
+
+    @pytest.mark.parametrize("tamper, named", [
+        (_evil_detail, "seq 3"),
+        (_truncated, "chain."),
+        (_reordered, "chain."),
+        (_false_cell_check, "check failed: chain_ok"),
+        (_wrong_schema, "schema violation"),
+    ], ids=["evil-detail", "truncated", "reordered", "false-check",
+            "wrong-schema"])
+    def test_tampered_artifact_exits_one(self, artifact, tmp_path, capsys,
+                                         tamper, named):
+        clean = tmp_path / "clean.json"
+        write_artifact(artifact, str(clean))
+        assert main(["audit", "--check", str(clean), "--quiet"]) == 0
+        copy = json.loads(clean.read_text())
+        tamper(copy)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(copy))
+        assert main(["audit", "--check", str(bad), "--quiet"]) == 1
+        assert named in capsys.readouterr().err
 
 
 class TestWorkerDeterminism:

@@ -1,6 +1,6 @@
 """The campaign harness: one ``crossover <campaign>`` CLI whose verify
 path (schema, then the campaign's failures) and exit-code policy are
-shared by faults, switchless, fleet and xray."""
+shared by faults, switchless, fleet, xray, audit and observatory."""
 
 import json
 
@@ -19,6 +19,8 @@ SMOKE = {
               ("summary", "interleave_identical")),
     "xray": (["--tenants", "10,50", "--horizon-ms", "5", "--rate-scale",
               "8", "--churn-every", "100"], ("summary", "lane_identical")),
+    "audit": ([], ("summary", "crosscheck_ok")),
+    "observatory": ([], ("summary", "crosscheck_ok")),
 }
 
 
@@ -71,10 +73,20 @@ def test_flag_names_are_the_campaigns_former_flags():
         "--systems", "--sites", "--ops", "--disable-recovery",
         "--iterations", "--tenants", "--horizon-ms", "--churn-every",
         "--cores", "--rate-scale", "--slo", "--strict", "--sample-every",
-        "--keep", "--trace-out"}
+        "--keep", "--trace-out", "--html", "--openmetrics"}
     subparsers = next(action for action in build_parser()._actions
                       if action.dest == "campaign").choices
     flags = {option for sub in subparsers.values()
              for action in sub._actions for option in action.option_strings
              if option.startswith("--") and option != "--help"}
     assert flags == former
+
+
+def test_only_seeded_campaigns_take_a_seed():
+    subparsers = next(action for action in build_parser()._actions
+                      if action.dest == "campaign").choices
+    seeded = {name for name, sub in subparsers.items()
+              if any("--seed" in action.option_strings
+                     for action in sub._actions)}
+    assert seeded == {"faults", "switchless", "fleet", "xray"}
+    assert main(["audit", "--seed", "1"]) == 2

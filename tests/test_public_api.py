@@ -403,16 +403,16 @@ class TestFleetSurface:
         assert parser.prog == "crossover"
         subcommands = next(action for action in parser._actions
                            if action.dest == "campaign").choices
-        assert set(subcommands) == {"faults", "switchless", "fleet", "xray"}
+        assert set(subcommands) == {"faults", "switchless", "fleet", "xray",
+                                    "audit", "observatory"}
 
-        # The console scripts are exactly these five, so a deleted
+        # The console scripts are exactly these three, so a deleted
         # harness cannot come back as a script.
         tomllib = pytest.importorskip("tomllib")
         pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
         scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
         assert set(scripts) == {"crossover", "crossover-report",
-                                "crossover-trace", "crossover-audit",
-                                "crossover-top"}
+                                "crossover-trace"}
         for target in scripts.values():
             module, _, attr = target.partition(":")
             assert callable(getattr(importlib.import_module(module), attr))

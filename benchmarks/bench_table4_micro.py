@@ -17,7 +17,7 @@ def table4():
 
 def test_table4_microbenchmarks(run_once, table4):
     emit("Table 4 — microbenchmark latencies",
-         run_once(section_table4))
+         run_once(section_table4, 1))
 
 
 @pytest.mark.parametrize("op", list(TABLE4_US))

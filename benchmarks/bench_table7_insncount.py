@@ -15,7 +15,7 @@ def table7():
 
 
 def test_table7_instruction_counts(run_once, table7):
-    emit("Table 7 — instruction counts", run_once(section_table7))
+    emit("Table 7 — instruction counts", run_once(section_table7, 1))
 
 
 @pytest.mark.parametrize("op", list(TABLE7_INSNS))

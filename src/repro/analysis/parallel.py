@@ -9,8 +9,7 @@ the same cell functions in the same per-cell order.
 
 On multi-core hosts the sweep distributes over a ``multiprocessing``
 pool; on single-CPU hosts (or when ``workers=1``, or when no pool can
-be created) it falls back to in-process serial execution.  Either way
-each cell's host wall-clock is recorded for the BENCH artifacts.
+be created) it falls back to in-process serial execution.
 """
 
 from __future__ import annotations
@@ -271,35 +270,10 @@ def run_sweep(tables: Tuple[str, ...] = ("table4", "table5", "table6",
         own = [(c.args, c.value)
                for c, owner in zip(cells, owners) if owner == table]
         results[table] = merge(own)
-    sweep: Dict[str, Any] = {
+    return {
         "results": results,
         "cells": [{"runner": c.runner, "args": list(c.args),
                    "wall_seconds": round(c.wall_seconds, 4),
                    "worker_pid": c.worker_pid} for c in cells],
         "wall_seconds": total,
     }
-    if _switchless.enabled():
-        installed_sl = _switchless.current()
-        assert installed_sl is not None
-        merged_sl = _switchless.SwitchlessStats()
-        per_cell_sl = []
-        for c in cells:
-            stats = c.switchless or \
-                {name: 0 for name in _switchless.STAT_FIELDS}
-            merged_sl.merge(stats)
-            per_cell_sl.append({"runner": c.runner, "args": list(c.args),
-                                "stats": stats})
-        sweep["switchless"] = {"totals": merged_sl.to_dict(),
-                               "tuning": installed_sl.tuning(),
-                               "cells": per_cell_sl}
-    if _observatory.enabled():
-        parent = _observatory.current()
-        assert parent is not None
-        sweep["observatory"] = {
-            "window_cycles": parent.config.window_cycles,
-            "cells": [{"runner": cell["runner"], "args": cell["args"],
-                       "windows": len(cell.get("windows", [])),
-                       "events": len(cell.get("events", []))}
-                      for cell in parent.cells],
-        }
-    return sweep

@@ -4,7 +4,12 @@ Usage::
 
     crossover-report                 # all tables, plain text
     crossover-report --quick        # skip the slow Table 5/6 runs
+    crossover-report --workers 1    # sweep cells in-process
     python -m repro.analysis.report
+
+The Table 4-7 sweeps fan their cells over
+:mod:`repro.analysis.parallel` (``--workers N``, default one per CPU);
+the printed numbers are the same at any worker count.
 
 Each section prints measured values side-by-side with the paper's
 published numbers (absolute fidelity is not the goal — see DESIGN.md —
@@ -17,29 +22,15 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.analysis import experiments
+from repro.analysis import experiments, parallel
 from repro.analysis.hops import compute_table3
 from repro.analysis.ringmap import count_direct, crossing_matrix
 from repro.analysis.tables import format_table, improvement, reduction
 from repro.campaign import worker_count
 from repro.systems.pathmodels import TABLE1_SYSTEMS
 
-#: Worker count when the sweep sections run parallel.
-#: ``None`` = serial; ``0`` = parallel with one worker per CPU.
-_PARALLEL_WORKERS: Optional[int] = None
 
-
-def _run_table(name: str, **kwargs):
-    """Dispatch a table sweep to the serial or parallel runner."""
-    if _PARALLEL_WORKERS is not None:
-        from repro.analysis import parallel
-
-        return getattr(parallel, f"run_{name}")(
-            workers=_PARALLEL_WORKERS or None, **kwargs)
-    return getattr(experiments, f"run_{name}")(**kwargs)
-
-
-def section_table1() -> str:
+def section_table1(workers: Optional[int] = None) -> str:
     """Table 1: the cross-world call survey (+ measured path cost)."""
     from repro.machine import Machine
     from repro.systems.pathexec import measure_system
@@ -59,7 +50,7 @@ def section_table1() -> str:
         rows, "Table 1 — systems relying on cross-world calls")
 
 
-def section_figure1() -> str:
+def section_figure1(workers: Optional[int] = None) -> str:
     """Figure 1: direct vs indirect ring crossings."""
     direct, indirect = count_direct("sw")
     lines = [f"Figure 1 — ring crossings: {direct} direct, "
@@ -70,7 +61,7 @@ def section_figure1() -> str:
     return "\n".join(lines)
 
 
-def section_table3() -> str:
+def section_table3(workers: Optional[int] = None) -> str:
     """Table 3: hop counts per world-call type."""
     rows = []
     for row in compute_table3():
@@ -94,7 +85,7 @@ def _paper_hops(ref: dict) -> str:
     return "/".join("-" if c is None else str(c) for c in cells)
 
 
-def section_figure2() -> str:
+def section_figure2(workers: Optional[int] = None) -> str:
     """Figure 2: measured baseline call paths."""
     data = experiments.run_figure2()
     lines = ["Figure 2 — measured baseline redirection paths "
@@ -107,9 +98,9 @@ def section_figure2() -> str:
     return "\n".join(lines)
 
 
-def section_table4() -> str:
+def section_table4(workers: Optional[int] = None) -> str:
     """Table 4: microbenchmark latencies."""
-    data = _run_table("table4")
+    data = parallel.run_table4(workers=workers)
     rows = []
     for op, d in data.items():
         paper_native, paper_systems = d["paper"]
@@ -129,9 +120,9 @@ def section_table4() -> str:
                         "Table 4 — microbenchmarks (measured/paper)")
 
 
-def section_table5() -> str:
+def section_table5(workers: Optional[int] = None) -> str:
     """Table 5: utility tools."""
-    data = _run_table("table5")
+    data = parallel.run_table5(workers=workers)
     rows = []
     for tool, d in data.items():
         pn, po, pc = d["paper"]
@@ -148,9 +139,9 @@ def section_table5() -> str:
         rows, "Table 5 — utility tools inspecting another VM")
 
 
-def section_table6() -> str:
+def section_table6(workers: Optional[int] = None) -> str:
     """Table 6: OpenSSH throughput."""
-    data = _run_table("table6")
+    data = parallel.run_table6(workers=workers)
     rows = []
     for size, d in data.items():
         pn, pc, pb = d["paper"]
@@ -165,9 +156,9 @@ def section_table6() -> str:
         rows, "Table 6 — partitioned OpenSSH scp throughput")
 
 
-def section_table7() -> str:
+def section_table7(workers: Optional[int] = None) -> str:
     """Table 7: instruction counts."""
-    data = _run_table("table7")
+    data = parallel.run_table7(workers=workers)
     rows = []
     for op, d in data.items():
         pn, pc, pb = d["paper"]
@@ -182,21 +173,21 @@ def section_table7() -> str:
         rows, "Table 7 — instruction counts per redirected call")
 
 
-def _section_figure3() -> str:
+def _section_figure3(workers: Optional[int] = None) -> str:
     """Figure 3: the multi-CPU world-call scenario."""
     from repro.analysis.figure3 import section_figure3
 
     return section_figure3()
 
 
-def _section_figure5() -> str:
+def _section_figure5(workers: Optional[int] = None) -> str:
     """Figure 5: the extended-VMFUNC datapath state."""
     from repro.analysis.figure5 import section_figure5
 
     return section_figure5()
 
 
-def section_figure4() -> str:
+def section_figure4(workers: Optional[int] = None) -> str:
     """Figure 4: the cross-VM syscall step trace."""
     d = experiments.run_figure4()
     lines = [f"Figure 4 — cross-VM syscall over VMFUNC "
@@ -224,13 +215,12 @@ QUICK_SECTIONS = ("table1", "figure1", "table3", "figure2", "figure3",
                   "figure5", "table7", "figure4")
 
 
-def build_report(sections=None) -> str:
-    """Assemble the chosen report sections (default: all)."""
+def build_report(sections=None, workers: Optional[int] = None) -> str:
+    """Assemble the chosen report sections (default: all).  Every
+    section takes the pool's worker count; only the Table 4-7 sweeps
+    use it."""
     names = sections if sections else list(SECTIONS)
-    parts = []
-    for name in names:
-        parts.append(SECTIONS[name]())
-    return "\n\n".join(parts)
+    return "\n\n".join(SECTIONS[name](workers) for name in names)
 
 
 def main(argv=None) -> int:
@@ -243,12 +233,11 @@ def main(argv=None) -> int:
                         help="emit the EXPERIMENTS-style markdown report")
     parser.add_argument("--section", action="append", choices=SECTIONS,
                         help="run only the named section(s)")
-    parser.add_argument("--parallel", action="store_true",
-                        help="fan table sweeps over worker processes")
     parser.add_argument("--workers", type=worker_count, default=None,
                         metavar="N",
-                        help="worker count for --parallel "
-                        "(default: one per CPU)")
+                        help="parallel pool workers for the table sweeps "
+                        "(default: one per CPU; the output is identical "
+                        "at any count)")
     parser.add_argument("--telemetry", metavar="DIR", default=None,
                         help="collect telemetry while the report runs and "
                         "write trace/metrics/matrix/profile artifacts "
@@ -294,13 +283,10 @@ def main_traced(args) -> int:
 
 def _dispatch(args) -> int:
     """Execute the parsed ``crossover-report`` request."""
-    if args.parallel:
-        global _PARALLEL_WORKERS
-        _PARALLEL_WORKERS = args.workers or 0
     if args.markdown:
         from repro.analysis.markdown import build_markdown
 
-        print(build_markdown(quick=args.quick))
+        print(build_markdown(quick=args.quick, workers=args.workers))
         return 0
     if args.section:
         names = args.section
@@ -308,7 +294,7 @@ def _dispatch(args) -> int:
         names = list(QUICK_SECTIONS)
     else:
         names = list(SECTIONS)
-    print(build_report(names))
+    print(build_report(names, args.workers))
     return 0
 
 

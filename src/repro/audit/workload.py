@@ -15,13 +15,18 @@ independent views of the same activity per call:
 The audit brackets cover the redirect itself (the span tracer's
 ``system``-category spans cover exactly the same window), while the
 whole-call path additionally crosses the local syscall trap and
-return; both relations are checked.  Cells are independent
+return; both relations are checked, as are a constant per-call count,
+the paper's Figure-2 lower bound and the cost-attribution profile
+against the session's flat counters.  Cells are independent
 simulations, so recording parallelizes over
 :func:`repro.analysis.parallel.run_cells` and the artifact is
-byte-identical at any worker count.
+byte-identical at any worker count.  ``crossover audit --trace-out
+DIR`` also writes each cell's telemetry exporter files (Chrome trace,
+metrics, crossing matrix, collapsed stacks, speedscope) into ``DIR``.
 
-``crossover audit --check AUDIT.json`` replays the whole chain offline
-(:func:`verify_artifact`) and also rejects an artifact whose own
+``crossover audit --check AUDIT.json`` replays the whole chain and
+every crossing check the recorded lists decide offline
+(:func:`verify_artifact`), and also rejects an artifact whose own
 ``checks`` or ``summary.crosscheck_ok`` claims are false.
 """
 
@@ -49,25 +54,29 @@ DEFAULT_CALLS = 5
 # ---------------------------------------------------------------------------
 
 
-def run_audit_cell(system: str, optimized: bool, calls: int,
-                   algo: str = "sha256") -> Dict[str, Any]:
-    """One recorded cell: ``calls`` redirected NULL syscalls for one
-    system variant under a fresh recorder + telemetry session.
+def record_cell(system: str, optimized: bool, calls: int,
+                algo: str = "sha256"
+                ) -> Tuple[Any, Dict[str, Any], Dict[str, List[int]]]:
+    """Run one cell's workload: ``calls`` redirected NULL syscalls for
+    one system variant under a fresh recorder + telemetry session.
     Self-contained (builds its own machine), so it runs identically
-    in-process or inside a fork worker."""
+    in-process or inside a fork worker.
+
+    Returns ``(session, log, crossings)``: the closed telemetry session,
+    the audit log, and the per-call crossings seen by the transition
+    trace, the ``null_syscall`` call spans and their ``system``-category
+    redirect spans.
+    """
     from repro import telemetry
     from repro.analysis import experiments
-    from repro.analysis.calibration import FIGURE2_CROSSINGS
     from repro.core import convention
     from repro.telemetry import export
     from repro.workloads.lmbench import LmbenchSuite
 
-    variant = "optimized" if optimized else "original"
-    label = f"{system.lower()}-{variant}"
+    label = f"{system.lower()}-{_variant(optimized)}"
     convention.clear_caches()
-    trace_crossings: List[int] = []
-    call_span_crossings: List[int] = []
-    redirect_span_crossings: List[int] = []
+    crossings: Dict[str, List[int]] = {
+        "trace": [], "call_spans": [], "redirect_spans": []}
     try:
         with telemetry.scoped(label) as session:
             tracer = session.tracer
@@ -87,52 +96,86 @@ def run_audit_cell(system: str, optimized: bool, calls: int,
                                      cpu=machine.cpu,
                                      index=index) as call_span:
                         suite.null_syscall()
-                    trace_crossings.append(len(trace.path(mark)) - 1)
+                    crossings["trace"].append(len(trace.path(mark)) - 1)
                     if call_span is not None:
-                        call_span_crossings.append(
+                        crossings["call_spans"].append(
                             export.crossings_of_span(call_span))
-                        redirect_span_crossings.extend(
+                        crossings["redirect_spans"].extend(
                             export.crossings_of_span(child)
                             for child in call_span.iter_spans()
                             if child.category == "system")
     finally:
         convention.clear_caches()
+    return session, recorder.to_log(), crossings
 
-    log = recorder.to_log()
-    audit_brackets = _graph.bracket_crossings(log)
-    audit_crossings = [b["crossings"] for b in audit_brackets]
-    anomalies = _detectors.run_detectors(log)
-    paper = FIGURE2_CROSSINGS.get(system) if not optimized else None
 
+#: The recorded crossing lists each of :func:`_crossing_checks` reads.
+_CHECK_LISTS: Dict[str, Tuple[str, ...]] = {
+    "trace_matches_call_spans": ("trace", "call_spans"),
+    "audit_matches_redirect_spans": ("audit", "redirect_spans"),
+    "trap_overhead_constant": ("trace", "audit"),
+    "crossings_constant": ("trace",),
+    "paper_bound_ok": ("trace",),
+}
+
+
+def _crossing_checks(crossings: Dict[str, List[int]],
+                     paper: Optional[int]) -> Dict[str, bool]:
+    """The checks the recorded per-call crossing lists alone decide, so
+    :func:`verify_artifact` re-derives them offline.  A missing list
+    reads as empty."""
+    trace, brackets = crossings.get("trace", []), crossings.get("audit", [])
     # The whole-call path crosses the local trap + return on top of the
     # redirect bracket; that overhead must at least be constant.
-    trap_deltas = {t - a for t, a in zip(trace_crossings, audit_crossings)}
-    checks = {
-        "chain_ok": not _chain.verify_chain(log),
-        "trace_matches_call_spans":
-            trace_crossings == call_span_crossings,
+    trap_deltas = {t - a for t, a in zip(trace, brackets)}
+    return {
+        "trace_matches_call_spans": trace == crossings.get("call_spans", []),
         "audit_matches_redirect_spans":
-            audit_crossings == redirect_span_crossings,
+            brackets == crossings.get("redirect_spans", []),
         "trap_overhead_constant": len(trap_deltas) <= 1,
-        "paper_bound_ok": (paper is None or not trace_crossings
-                           or trace_crossings[-1] >= paper),
-        "no_anomalies": not anomalies,
+        "crossings_constant": len(set(trace)) <= 1,
+        "paper_bound_ok": paper is None or not trace or trace[-1] >= paper,
     }
+
+
+def run_audit_cell(system: str, optimized: bool, calls: int,
+                   algo: str = "sha256",
+                   trace_out: Optional[str] = None) -> Dict[str, Any]:
+    """One recorded cell (:func:`record_cell`) and its checks.  With
+    ``trace_out``, the session's exporter files (trace, metrics,
+    matrix, stacks, speedscope) are written there too; they carry host
+    wall-clock, so they stay out of the returned cell."""
+    from repro.analysis.calibration import FIGURE2_CROSSINGS
+    from repro.telemetry import export, profiler
+
+    variant = _variant(optimized)
+    session, log, crossings = record_cell(system, optimized, calls, algo)
+    if trace_out is not None:
+        export.write_artifacts(session, trace_out,
+                               prefix=f"{system.lower()}_{variant}.")
+    crossings["audit"] = [b["crossings"]
+                          for b in _graph.bracket_crossings(log)]
+    anomalies = _detectors.run_detectors(log)
+    paper = FIGURE2_CROSSINGS.get(system) if not optimized else None
+    checks = _crossing_checks(crossings, paper)
+    checks.update(
+        chain_ok=not _chain.verify_chain(log),
+        no_anomalies=not anomalies,
+        profile_matches_counters=not profiler.crosscheck(session))
     return {
         "system": system,
         "variant": variant,
         "calls": calls,
         "paper_crossings": paper,
-        "crossings": {
-            "trace": trace_crossings,
-            "call_spans": call_span_crossings,
-            "audit": audit_crossings,
-            "redirect_spans": redirect_span_crossings,
-        },
+        "crossings": crossings,
         "checks": checks,
         "anomalies": anomalies,
         "log": log,
     }
+
+
+def _variant(optimized: bool) -> str:
+    return "optimized" if optimized else "original"
 
 
 def _register() -> None:
@@ -151,10 +194,13 @@ def record_workload(systems: Optional[Sequence[str]] = None,
                     variants: Sequence[bool] = (False, True),
                     calls: int = DEFAULT_CALLS,
                     workers: Optional[int] = None,
-                    algo: str = "sha256") -> Dict[str, Any]:
+                    algo: str = "sha256",
+                    trace_out: Optional[str] = None) -> Dict[str, Any]:
     """Record every (system, variant) cell and assemble the
     ``crossover-audit/v1`` artifact (plain data, ``json.dump``-ready,
-    worker-count independent)."""
+    worker-count independent).  ``trace_out`` is a directory each cell
+    writes its exporter files to (:func:`run_audit_cell`); the artifact
+    is the same with or without it."""
     from repro.analysis import parallel
 
     _register()
@@ -168,7 +214,7 @@ def record_workload(systems: Optional[Sequence[str]] = None,
     if algo not in _chain.ALGORITHMS:
         raise ValueError(f"unknown chain algorithm {algo!r}; "
                          f"choose from {_chain.ALGORITHMS}")
-    specs = [("auditcell", (system, optimized, calls, algo))
+    specs = [("auditcell", (system, optimized, calls, algo, trace_out))
              for system in systems for optimized in variants]
     results = parallel.run_cells(specs, workers=workers)
     cells = [result.value for result in results]
@@ -218,20 +264,17 @@ def verify_artifact(artifact: Dict[str, Any]) -> List[Dict[str, Any]]:
                 "cell": where, "seq": None, "check": "crossings",
                 "message": f"causal-graph crossings {derived} != "
                            f"recorded {claimed}"})
-        spans = cell.get("crossings", {}).get("redirect_spans")
-        if derived != spans:
-            violations.append({
-                "cell": where, "seq": None, "check": "span-crosscheck",
-                "message": f"causal-graph crossings {derived} != span "
-                           f"tracer {spans}"})
+        recorded = cell.get("crossings", {})
         paper = cell.get("paper_crossings")
-        trace_crossings = cell.get("crossings", {}).get("trace", [])
-        if paper is not None and trace_crossings \
-                and trace_crossings[-1] < paper:
-            violations.append({
-                "cell": where, "seq": None, "check": "figure2",
-                "message": f"recorded {trace_crossings[-1]} crossings "
-                           f"per call, paper's Figure 2 counts {paper}"})
+        for name, ok in _crossing_checks(recorded, paper).items():
+            if not ok:
+                read = ", ".join(f"{key} {recorded.get(key, [])}"
+                                 for key in _CHECK_LISTS[name])
+                if name == "paper_bound_ok":
+                    read += f", paper {paper}"
+                violations.append({
+                    "cell": where, "seq": None, "check": name,
+                    "message": f"recorded {read} fail {name}"})
         derived_anomalies = _detectors.run_detectors(log)
         if derived_anomalies != cell.get("anomalies"):
             violations.append({
@@ -274,10 +317,20 @@ def render_summary(artifact: Dict[str, Any]) -> str:
     return "\n".join(lines)
 
 
+def _add_arguments(parser) -> None:
+    parser.add_argument("--trace-out", default=None, metavar="DIR",
+                        help="also write each cell's Chrome trace, "
+                             "metrics, crossing matrix, collapsed stacks "
+                             "and speedscope profile to DIR (they carry "
+                             "host wall-clock, so the artifact leaves "
+                             "them out)")
+
+
 CAMPAIGN = Campaign(
     name="audit", section="audit",
     help="Hash-chained flight recorder: every case-study system and "
          "variant, chain and crossings verified offline.",
-    add_arguments=lambda parser: None,
-    run=lambda args: record_workload(workers=args.workers),
+    add_arguments=_add_arguments,
+    run=lambda args: record_workload(workers=args.workers,
+                                     trace_out=args.trace_out),
     render=render_summary, failures=_failures, seeded=False)

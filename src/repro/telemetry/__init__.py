@@ -31,8 +31,9 @@ Sessions come in two shapes, selected by :class:`TelemetryConfig`:
 
 Exporters (Chrome trace-event JSON, the world-switch crossing matrix,
 the metrics snapshot) live in :mod:`repro.telemetry.export`; the
-cost-attribution profiler in :mod:`repro.telemetry.profiler`; the
-``crossover-trace`` CLI in :mod:`repro.telemetry.cli`.
+cost-attribution profiler in :mod:`repro.telemetry.profiler`.
+``crossover audit --trace-out DIR`` and ``crossover-report --telemetry
+DIR`` write their files.
 """
 
 from __future__ import annotations

@@ -11,10 +11,11 @@ TelemetrySession`:
 * :func:`crossing_matrix` / :func:`crossing_matrix_text` — the
   world-switch matrix: event counts per ``(frm, to, kind)``, derived
   from the session's ``trace.matrix`` counter family;
-* :func:`metrics_snapshot` — the deterministic metrics JSON the bench
-  harness embeds in ``BENCH_*.json`` artifacts.
+* :func:`metrics_snapshot` — the deterministic metrics JSON.
 
-:func:`write_artifacts` writes all three to a directory.
+:func:`write_artifacts` writes all three to a directory, plus the
+cost-attribution profile (``crossover audit --trace-out DIR`` and
+``crossover-report --telemetry DIR`` call it).
 """
 
 from __future__ import annotations
@@ -264,14 +265,6 @@ def render_openmetrics(snapshot: Dict[str, Any]) -> str:
             lines.append(f"{metric}_count{rendered} {data['count']}")
     lines.append("# EOF")
     return "\n".join(lines) + "\n"
-
-
-def metrics_digest(session: TelemetrySession, top: int = 12
-                   ) -> Dict[str, Any]:
-    """The *bounded* metrics artifact BENCH_*.json embeds: per-family
-    counter totals, the ``top`` largest series and bucket-free
-    histogram summaries (instead of the full snapshot)."""
-    return dict(session.metrics.digest(top), label=session.label)
 
 
 def write_artifacts(session: TelemetrySession, outdir: str,

@@ -302,34 +302,6 @@ class MetricsRegistry:
                     out["histograms"][rendered] = data
         return out
 
-    def digest(self, top: int = 12) -> Dict[str, Any]:
-        """A bounded, deterministic summary for embedding in BENCH
-        artifacts: per-family counter totals, the ``top`` largest
-        counter series, and bucket-free histogram summaries — instead
-        of the full (unbounded) snapshot.
-        """
-        snap = self.snapshot()
-        counters = snap["counters"]
-        families: Dict[str, int] = {}
-        for rendered, value in counters.items():
-            family = rendered.split("{", 1)[0]
-            families[family] = families.get(family, 0) + value
-        ranked = sorted(counters.items(), key=lambda kv: (-kv[1], kv[0]))
-        histograms = {
-            rendered: {field: data[field]
-                       for field in ("count", "total", "sum", "min",
-                                     "max", "mean", "p50", "p90", "p99",
-                                     "p999")}
-            for rendered, data in snap["histograms"].items()}
-        return {
-            "counter_series": len(counters),
-            "counter_total": sum(counters.values()),
-            "counter_families": {k: families[k] for k in sorted(families)},
-            "top_counters": [[k, v] for k, v in ranked[:top]],
-            "gauges": dict(snap["gauges"]),
-            "histograms": histograms,
-        }
-
     def merge_snapshot(self, snap: Mapping[str, Mapping[str, Any]]) -> None:
         """Fold another registry's snapshot into this one.
 

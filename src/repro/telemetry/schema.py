@@ -1,16 +1,19 @@
 """A dependency-free validator for the telemetry artifact schemas.
 
-CI validates the JSON that ``crossover-trace`` emits against the
-checked-in schema (``telemetry.schema.json`` next to this module)
-without installing ``jsonschema``: this implements the small JSON
-Schema subset those schemas use — ``type`` (single or list),
-``required``, ``properties``, ``additionalProperties`` (bool or
-schema), ``items``, ``enum`` and ``minimum``.
+CI validates the campaign artifacts, and the exporter files that
+``crossover audit --trace-out DIR`` writes, against the checked-in
+schema (``telemetry.schema.json`` next to this module) without
+installing ``jsonschema``: this implements the small JSON Schema subset
+those schemas use — ``type`` (single or list), ``required``,
+``properties``, ``additionalProperties`` (bool or schema), ``items``,
+``enum``, ``minimum`` and internal ``{"$ref": "#/$defs/<name>"}``
+references to the bundle's shared ``$defs`` (a shape stated once and
+used by several sections, such as the fleet cell).
 
 Usage::
 
-    python -m repro.telemetry.schema metrics out/metrics.json
-    python -m repro.telemetry.schema chrome_trace out/trace.json
+    python -m repro.telemetry.schema metrics DIR/proxos_original.metrics.json
+    python -m repro.telemetry.schema chrome_trace DIR/proxos_original.trace.json
     python -m repro.telemetry.schema faults FAULTS_PR4.json
     python -m repro.telemetry.schema audit AUDIT.json
     python -m repro.telemetry.schema switchless SWITCHLESS.json
@@ -24,7 +27,7 @@ from __future__ import annotations
 import json
 import os
 import sys
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Optional
 
 #: The checked-in schema bundle: one named schema per artifact shape.
 SCHEMA_PATH = os.path.join(os.path.dirname(__file__),
@@ -42,11 +45,21 @@ _TYPE_CHECKS = {
 }
 
 
-def validate(value: Any, schema: Dict[str, Any],
-             path: str = "$") -> List[str]:
+def validate(value: Any, schema: Dict[str, Any], path: str = "$",
+             root: Optional[Dict[str, Any]] = None) -> List[str]:
     """Validate ``value`` against ``schema``; returns error strings
-    (empty when valid)."""
+    (empty when valid).  A ``$ref`` resolves against ``root`` (default:
+    ``schema`` itself) and applies alongside its sibling keywords; one
+    that does not resolve is an error."""
+    root = schema if root is None else root
     errors: List[str] = []
+
+    if "$ref" in schema:
+        target = _resolve(schema["$ref"], root)
+        if target is None:
+            errors.append(f"{path}: unresolvable $ref {schema['$ref']!r}")
+        else:
+            errors.extend(validate(value, target, path, root))
 
     expected = schema.get("type")
     if expected is not None:
@@ -72,27 +85,39 @@ def validate(value: Any, schema: Dict[str, Any],
         for key, item in value.items():
             if key in properties:
                 errors.extend(validate(item, properties[key],
-                                       f"{path}.{key}"))
+                                       f"{path}.{key}", root))
             elif isinstance(additional, dict):
-                errors.extend(validate(item, additional, f"{path}.{key}"))
+                errors.extend(validate(item, additional, f"{path}.{key}",
+                                       root))
             elif additional is False:
                 errors.append(f"{path}: unexpected key {key!r}")
 
     if isinstance(value, list) and "items" in schema:
         for i, item in enumerate(value):
-            errors.extend(validate(item, schema["items"], f"{path}[{i}]"))
+            errors.extend(validate(item, schema["items"], f"{path}[{i}]",
+                                   root))
 
     return errors
 
 
+def _resolve(ref: Any, root: Dict[str, Any]) -> Optional[Dict[str, Any]]:
+    """The ``$defs`` entry ``ref`` names, or ``None``."""
+    prefix = "#/$defs/"
+    if not isinstance(ref, str) or not ref.startswith(prefix):
+        return None
+    return root.get("$defs", {}).get(ref[len(prefix):])
+
+
 def load_schema(name: str) -> Dict[str, Any]:
-    """Load one named schema from the checked-in bundle."""
+    """Load one named schema from the checked-in bundle, carrying the
+    bundle's ``$defs`` so its references resolve."""
     with open(SCHEMA_PATH) as fh:
         bundle = json.load(fh)
+    defs = bundle.pop("$defs", {})
     if name not in bundle:
         raise KeyError(f"no schema named {name!r}; "
                        f"have {sorted(bundle)}")
-    return bundle[name]
+    return {**bundle[name], "$defs": defs}
 
 
 def validate_file(schema_name: str, json_path: str) -> List[str]:
@@ -107,7 +132,7 @@ def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
     if len(args) != 2:
         print("usage: python -m repro.telemetry.schema "
-              "<metrics|chrome_trace|summary|faults"
+              "<metrics|chrome_trace|faults"
               "|audit|switchless|observatory|fleet|xray> <file.json>",
               file=sys.stderr)
         return 2

@@ -59,12 +59,41 @@ class TestCLI:
     @pytest.mark.parametrize("workers", ["0", "-2"])
     def test_workers_below_one_is_usage_error(self, workers, capsys):
         with pytest.raises(SystemExit) as stop:
-            report.main(["--parallel", "--workers", workers,
-                         "--section", "table1"])
+            report.main(["--workers", workers, "--section", "table1"])
         assert stop.value.code == 2
         captured = capsys.readouterr()
         assert "--workers" in captured.err
         assert "Table 1" not in captured.out
+
+    def test_output_identical_at_any_worker_count(self, capsys):
+        outputs = []
+        for workers in ("1", "2"):
+            assert report.main(["--section", "table7",
+                                "--workers", workers]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert "Table 7" in outputs[0]
+
+    def test_parallel_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as stop:
+            report.main(["--parallel", "--section", "table1"])
+        assert stop.value.code == 2
+
+    def test_markdown_sweeps_through_the_worker_pool(self, monkeypatch,
+                                                     capsys):
+        from repro.analysis import parallel
+
+        seen = []
+        real = parallel.run_table7
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs.get("workers"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(parallel, "run_table7", spy)
+        assert report.main(["--markdown", "--quick", "--workers", "1"]) == 0
+        assert seen == [1]
+        assert "## Table 7" in capsys.readouterr().out
 
     def test_build_report_defaults_to_all_names(self):
         assert set(report.SECTIONS) >= set(report.QUICK_SECTIONS)

@@ -81,6 +81,18 @@ class TestOfflineVerification:
         checks = {v["check"] for v in workload.verify_artifact(copy)}
         assert "crossings" in checks
 
+    def test_missing_crossing_list_is_a_violation(self, artifact):
+        """A cell without one of its recorded lists is reported, not a
+        crash, and each message names only the lists its check read."""
+        copy = json.loads(json.dumps(artifact))
+        del copy["cells"][0]["crossings"]["call_spans"]
+        violations = workload.verify_artifact(copy)
+        assert [v["check"] for v in violations] \
+            == ["trace_matches_call_spans"]
+        message = violations[0]["message"]
+        assert "trace [" in message and "call_spans []" in message
+        assert "redirect_spans" not in message
+
     def test_suppressed_anomalies_caught(self, artifact):
         copy = json.loads(json.dumps(artifact))
         copy["cells"][0]["log"]["records"].append(

@@ -6,7 +6,7 @@ import pytest
 
 from repro import telemetry
 from repro.analysis import experiments, parallel
-from repro.telemetry import cli, profiler
+from repro.telemetry import profiler
 from repro.telemetry.spans import SpanRing
 
 
@@ -54,9 +54,9 @@ class TestDeterminism:
 
 
 class TestAttribution:
-    @pytest.fixture(scope="class")
-    def proxos_profile(self):
-        session, _ = cli.trace_system("Proxos", optimized=False, calls=3)
+    @pytest.fixture
+    def proxos_profile(self, traced_session):
+        session = traced_session("Proxos", calls=3)
         return session, profiler.profile_session(session)
 
     def test_stack_steps_labels_applied(self, proxos_profile):
@@ -106,11 +106,9 @@ class TestAttribution:
 
 
 class TestExports:
-    @pytest.fixture(scope="class")
-    def profile(self):
-        session, _ = cli.trace_system("HyperShell", optimized=False,
-                                      calls=2)
-        return profiler.profile_session(session)
+    @pytest.fixture
+    def profile(self, traced_session):
+        return profiler.profile_session(traced_session("HyperShell"))
 
     def test_collapsed_format(self, profile):
         text = profile.collapsed_stacks()

@@ -74,9 +74,6 @@ class TestHistogram:
         assert snap["sum"] == 105
         assert snap["sum"] == snap["total"]
         assert snap["p999"] == hist.percentile(99.9)
-        digest = reg.digest()["histograms"]["lat"]
-        assert digest["sum"] == 105
-        assert "p999" in digest
 
     def test_overflow_bucket_reports_observed_max(self):
         reg = MetricsRegistry()

@@ -406,13 +406,12 @@ class TestFleetSurface:
         assert set(subcommands) == {"faults", "switchless", "fleet", "xray",
                                     "audit", "observatory"}
 
-        # The console scripts are exactly these three, so a deleted
+        # The console scripts are exactly these two, so a deleted
         # harness cannot come back as a script.
         tomllib = pytest.importorskip("tomllib")
         pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
         scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
-        assert set(scripts) == {"crossover", "crossover-report",
-                                "crossover-trace"}
+        assert set(scripts) == {"crossover", "crossover-report"}
         for target in scripts.values():
             module, _, attr = target.partition(":")
             assert callable(getattr(importlib.import_module(module), attr))

@@ -95,6 +95,23 @@ class TestCli:
         bad.write_text(json.dumps(tampered))
         assert main(["xray", "--check", str(bad), "--quiet"]) == 1
 
+    def test_checked_in_cell_missing_a_fleet_field_fails_schema(
+            self, tmp_path, capsys):
+        """An xray cell is checked against the whole fleet-cell shape."""
+        from pathlib import Path
+
+        checked_in = Path(__file__).resolve().parents[2] / "XRAY_PR10.json"
+        artifact = json.loads(checked_in.read_text())
+        key = sorted(artifact["cells"])[0]
+        del artifact["cells"][key]["throughput_rps"]
+        errors = validate(artifact, load_schema("xray"))
+        assert errors == [f"$.cells.{key}: missing required key "
+                          f"'throughput_rps'"]
+        bad = tmp_path / "no-throughput.json"
+        bad.write_text(json.dumps(artifact))
+        assert main(["xray", "--check", str(bad), "--quiet"]) == 1
+        assert "schema violation" in capsys.readouterr().err
+
     def test_check_unreadable_is_usage_error(self, tmp_path):
         assert main(["xray", "--check", str(tmp_path / "missing.json"),
                      "--quiet"]) == 2

@@ -14,6 +14,7 @@ be created) it falls back to in-process serial execution.
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
 import os
 import time
@@ -62,9 +63,10 @@ def _execute_cell(spec: CellSpec) -> CellResult:
     """Run one cell (in whatever process this lands in).
 
     If a telemetry session is installed (inherited across ``fork`` in
-    pool workers), the cell runs under its *own* scoped session wrapped
-    in one ``cell:`` span, and ships that session back serialized — the
-    in-process and pooled paths produce the same merged telemetry.
+    pool workers), the cell runs under its *own* scoped session of the
+    same shape — a span session wraps the cell in one ``cell:`` span —
+    and ships that session back serialized, so the in-process and
+    pooled paths produce the same merged telemetry.
     """
     runner, args = spec
     cell_telemetry: Optional[Dict[str, Any]] = None
@@ -106,14 +108,16 @@ def _execute_cell(spec: CellSpec) -> CellResult:
         sl_ctx = None
     sl_engine = sl_ctx.__enter__() if sl_ctx is not None else None
     try:
-        if telemetry.enabled():
-            with telemetry.scoped(f"cell:{runner}") as session:
-                with session.tracer.span(f"cell:{runner}", category="cell",
-                                         runner=runner, args=repr(args)):
+        parent = telemetry.current()
+        if parent is None:
+            value = _invoke()
+        else:
+            with telemetry.scoped(f"cell:{runner}", parent.spans) as session:
+                with (session.tracer.span(f"cell:{runner}", category="cell",
+                                          runner=runner, args=repr(args))
+                      if session.spans else contextlib.nullcontext()):
                     value = _invoke()
             cell_telemetry = session.to_dict()
-        else:
-            value = _invoke()
     finally:
         if sl_ctx is not None:
             cell_switchless = sl_engine.stats.to_dict()

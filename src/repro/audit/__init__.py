@@ -31,10 +31,9 @@ from repro import observe
 
 from .chain import require_chain, verify_chain
 from .detectors import DETECTORS, run_detectors
-from .recorder import AuditConfig, FlightRecorder, RECORD_FIELDS
+from .recorder import FlightRecorder, RECORD_FIELDS
 
 __all__ = [
-    "AuditConfig",
     "DETECTORS",
     "FlightRecorder",
     "RECORD_FIELDS",

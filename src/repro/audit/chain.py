@@ -13,16 +13,14 @@ a recorded log *tamper evident* offline:
   legitimately drops its oldest records — the drop count is declared,
   and the retained window still verifies link by link).
 
-Two link algorithms are supported: ``sha256`` (default; collision
-resistance) and ``crc32`` (cheap corruption detection when the threat
-model is bit rot rather than an adversary).
+Links are SHA-256; a log declaring any other ``algo`` fails
+verification.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import zlib
 from typing import Any, Dict, List, Optional
 
 from repro.errors import AuditViolation
@@ -30,22 +28,11 @@ from repro.errors import AuditViolation
 #: Seed material for the chain's genesis hash (also the artifact tag).
 GENESIS_SEED = b"crossover-audit/v1"
 
-#: Supported link algorithms.
-ALGORITHMS = ("sha256", "crc32")
+#: The link algorithm every log declares.
+ALGORITHM = "sha256"
 
-
-def genesis(algo: str = "sha256") -> str:
-    """The chain's anchor: the hash every log starts linking from."""
-    return _digest(GENESIS_SEED, algo)
-
-
-def _digest(data: bytes, algo: str) -> str:
-    if algo == "sha256":
-        return hashlib.sha256(data).hexdigest()
-    if algo == "crc32":
-        return f"{zlib.crc32(data) & 0xFFFFFFFF:08x}"
-    raise ValueError(f"unknown chain algorithm {algo!r}; "
-                     f"choose from {ALGORITHMS}")
+#: The chain's anchor: the hash every log starts linking from.
+GENESIS = hashlib.sha256(GENESIS_SEED).hexdigest()
 
 
 def canonical(record: Dict[str, Any]) -> bytes:
@@ -56,10 +43,10 @@ def canonical(record: Dict[str, Any]) -> bytes:
                       separators=(",", ":")).encode("utf-8")
 
 
-def link(prev_hash: str, record: Dict[str, Any],
-         algo: str = "sha256") -> str:
+def link(prev_hash: str, record: Dict[str, Any]) -> str:
     """``H(prev_hash ‖ record)`` — the hash record must carry."""
-    return _digest(prev_hash.encode("ascii") + canonical(record), algo)
+    return hashlib.sha256(prev_hash.encode("ascii")
+                          + canonical(record)).hexdigest()
 
 
 def verify_chain(log: Dict[str, Any]) -> List[Dict[str, Any]]:
@@ -77,19 +64,18 @@ def verify_chain(log: Dict[str, Any]) -> List[Dict[str, Any]]:
     def flag(seq: Optional[int], check: str, message: str) -> None:
         violations.append({"seq": seq, "check": check, "message": message})
 
-    algo = log.get("algo", "sha256")
-    if algo not in ALGORITHMS:
+    algo = log.get("algo", ALGORITHM)
+    if algo != ALGORITHM:
         flag(None, "algo", f"unknown chain algorithm {algo!r}")
         return violations
     records = log.get("records", [])
     first_seq = log.get("first_seq", 0)
-    anchor = genesis(algo)
-    if log.get("genesis") != anchor:
+    if log.get("genesis") != GENESIS:
         flag(None, "genesis",
              f"genesis mismatch: log says {log.get('genesis')!r}, "
-             f"algorithm {algo} derives {anchor!r}")
+             f"algorithm {algo} derives {GENESIS!r}")
 
-    prev_hash: Optional[str] = anchor if first_seq == 0 else None
+    prev_hash: Optional[str] = GENESIS if first_seq == 0 else None
     expected_seq = first_seq
     for record in records:
         seq = record.get("seq")
@@ -106,7 +92,7 @@ def verify_chain(log: Dict[str, Any]) -> List[Dict[str, Any]]:
             # verification starts from its stored hash.
             prev_hash = record.get("hash")
         else:
-            expected = link(prev_hash, record, algo)
+            expected = link(prev_hash, record)
             if record.get("hash") != expected:
                 flag(seq, "link",
                      f"chain break at seq {seq}: stored hash "
@@ -117,7 +103,7 @@ def verify_chain(log: Dict[str, Any]) -> List[Dict[str, Any]]:
 
     final = log.get("final_hash")
     tail = records[-1]["hash"] if records else (
-        anchor if first_seq == 0 else None)
+        GENESIS if first_seq == 0 else None)
     if final != tail:
         flag(records[-1]["seq"] if records else first_seq, "final",
              f"final hash mismatch: log says {final!r}, records end at "

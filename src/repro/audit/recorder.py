@@ -35,10 +35,10 @@ field set (the bus record's fields plus ``seq``, ``epoch`` and
 
 Determinism: records contain only modeled state (no wall-clock, no
 RNG, no PIDs), so the same workload produces a byte-identical log at
-any worker count.  Boundedness: past ``AuditConfig.capacity`` the
-oldest records are dropped ring-style; the drop count and the first
-retained ``seq`` are declared in the exported log, and the retained
-window remains verifiable link by link.
+any worker count.  Boundedness: past ``capacity`` records the oldest
+are dropped ring-style; the drop count and the first retained ``seq``
+are declared in the exported log, and the retained window remains
+verifiable link by link.
 
 Zero cost when disabled: nothing here runs unless a recorder is
 installed; seams guard with the bus's one attribute read + None test.
@@ -47,7 +47,6 @@ installed; seams guard with the bus's one attribute read + None test.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Any, Deque, Dict, List, Optional
 
 from repro import observe
@@ -60,41 +59,20 @@ RECORD_FIELDS = (
     "hash")
 
 
-@dataclass
-class AuditConfig:
-    """Recorder knobs.
-
-    ``capacity``     ring bound on retained records (oldest dropped).
-    ``algo``         chain link algorithm: ``sha256`` or ``crc32``.
-    ``transitions``  record transition-trace events (``fam: trace``);
-                     switching this off keeps only the semantic
-                     records, which is what the fault campaign uses
-                     (its cells run with tracing disabled anyway).
-    """
-
-    capacity: int = 65536
-    algo: str = "sha256"
-    transitions: bool = True
-
-
 class FlightRecorder:
-    """Append-only (ring-bounded) hash-chained audit log."""
+    """Append-only hash-chained audit log retaining the newest
+    ``capacity`` records."""
 
-    def __init__(self, label: str = "audit",
-                 config: Optional[AuditConfig] = None) -> None:
+    def __init__(self, label: str = "audit", capacity: int = 65536) -> None:
         self.label = label
-        self.config = config if config is not None else AuditConfig()
-        if self.config.algo not in _chain.ALGORITHMS:
-            raise ValueError(f"unknown chain algorithm "
-                             f"{self.config.algo!r}")
+        self.capacity = capacity
         self._records: Deque[Dict[str, Any]] = deque()
         self._seq = 0
         self._dropped = 0
         #: Records whose decision was ``"deny"`` — the online anomaly
         #: signal the observatory samples (full detectors stay offline).
         self.denials = 0
-        self._genesis = _chain.genesis(self.config.algo)
-        self._prev_hash = self._genesis
+        self._prev_hash = _chain.GENESIS
         # Imported here, not at module top: repro.audit must stay a
         # leaf package so hot datapath modules (hw.cpu, hw.trace,
         # core.call) can import it without cycles.
@@ -114,8 +92,7 @@ class FlightRecorder:
 
     def _transition(self, event) -> None:
         """One transition-trace event, logged under its crossing kind."""
-        if self.config.transitions:
-            self._append(event, event.ref.kind)
+        self._append(event, event.ref.kind)
 
     def _append(self, event, kind: Optional[str] = None) -> None:
         record: Dict[str, Any] = {
@@ -134,12 +111,11 @@ class FlightRecorder:
             "detail": event.detail,
             "cycles": event.cycles,
         }
-        record["hash"] = _chain.link(self._prev_hash, record,
-                                     self.config.algo)
+        record["hash"] = _chain.link(self._prev_hash, record)
         self._prev_hash = record["hash"]
         self._seq += 1
         self._records.append(record)
-        if len(self._records) > self.config.capacity:
+        if len(self._records) > self.capacity:
             self._records.popleft()
             self._dropped += 1
         if event.decision == "deny":
@@ -188,8 +164,8 @@ class FlightRecorder:
         """The exportable, verifiable log (plain data, json-ready)."""
         return {
             "label": self.label,
-            "algo": self.config.algo,
-            "genesis": self._genesis,
+            "algo": _chain.ALGORITHM,
+            "genesis": _chain.GENESIS,
             "first_seq": self._records[0]["seq"] if self._records else 0,
             "dropped": self._dropped,
             "final_hash": self._prev_hash,

@@ -54,8 +54,7 @@ DEFAULT_CALLS = 5
 # ---------------------------------------------------------------------------
 
 
-def record_cell(system: str, optimized: bool, calls: int,
-                algo: str = "sha256"
+def record_cell(system: str, optimized: bool, calls: int
                 ) -> Tuple[Any, Dict[str, Any], Dict[str, List[int]]]:
     """Run one cell's workload: ``calls`` redirected NULL syscalls for
     one system variant under a fresh recorder + telemetry session.
@@ -87,8 +86,7 @@ def record_cell(system: str, optimized: bool, calls: int,
             suite.setup()
             suite.null_syscall()             # warm the redirect path
             trace = machine.cpu.trace
-            recorder = audit.FlightRecorder(
-                label, audit.AuditConfig(algo=algo))
+            recorder = audit.FlightRecorder(label)
             with audit.scoped(recorder):
                 for index in range(calls):
                     mark = trace.mark
@@ -139,7 +137,6 @@ def _crossing_checks(crossings: Dict[str, List[int]],
 
 
 def run_audit_cell(system: str, optimized: bool, calls: int,
-                   algo: str = "sha256",
                    trace_out: Optional[str] = None) -> Dict[str, Any]:
     """One recorded cell (:func:`record_cell`) and its checks.  With
     ``trace_out``, the session's exporter files (trace, metrics,
@@ -149,7 +146,7 @@ def run_audit_cell(system: str, optimized: bool, calls: int,
     from repro.telemetry import export, profiler
 
     variant = _variant(optimized)
-    session, log, crossings = record_cell(system, optimized, calls, algo)
+    session, log, crossings = record_cell(system, optimized, calls)
     if trace_out is not None:
         export.write_artifacts(session, trace_out,
                                prefix=f"{system.lower()}_{variant}.")
@@ -194,7 +191,6 @@ def record_workload(systems: Optional[Sequence[str]] = None,
                     variants: Sequence[bool] = (False, True),
                     calls: int = DEFAULT_CALLS,
                     workers: Optional[int] = None,
-                    algo: str = "sha256",
                     trace_out: Optional[str] = None) -> Dict[str, Any]:
     """Record every (system, variant) cell and assemble the
     ``crossover-audit/v1`` artifact (plain data, ``json.dump``-ready,
@@ -211,10 +207,7 @@ def record_workload(systems: Optional[Sequence[str]] = None,
         if system not in WORKLOAD_SYSTEMS:
             raise ValueError(f"unknown workload system {system!r}; "
                              f"choose from {sorted(WORKLOAD_SYSTEMS)}")
-    if algo not in _chain.ALGORITHMS:
-        raise ValueError(f"unknown chain algorithm {algo!r}; "
-                         f"choose from {_chain.ALGORITHMS}")
-    specs = [("auditcell", (system, optimized, calls, algo, trace_out))
+    specs = [("auditcell", (system, optimized, calls, trace_out))
              for system in systems for optimized in variants]
     results = parallel.run_cells(specs, workers=workers)
     cells = [result.value for result in results]
@@ -224,7 +217,7 @@ def record_workload(systems: Optional[Sequence[str]] = None,
     checks_ok = all(all(cell["checks"].values()) for cell in cells)
     return {
         "schema": SCHEMA,
-        "algo": algo,
+        "algo": _chain.ALGORITHM,
         "calls_per_cell": calls,
         "systems": list(systems),
         "cells": cells,

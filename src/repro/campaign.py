@@ -75,13 +75,13 @@ class Campaign:
 
 def sweep(specs: Sequence[Tuple[str, tuple]], label: str, prefix: str,
           workers: Optional[int]) -> Tuple[list, Dict[str, int]]:
-    """Run cells under one telemetry session; return the cell results
-    (spec order) and the merged counters whose names start with
-    ``prefix``."""
+    """Run cells under one counters-only telemetry session; return the
+    cell results (spec order) and the merged counters whose names start
+    with ``prefix``."""
     from repro import telemetry
     from repro.analysis import parallel
 
-    with telemetry.scoped(label) as session:
+    with telemetry.scoped(label, spans=False) as session:
         results = parallel.run_cells(list(specs), workers=workers)
         counters = {
             key: value

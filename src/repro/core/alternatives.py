@@ -22,9 +22,8 @@ Both are compared against the paper's choice, the in-place synchronous
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
-from repro.errors import SimulationError
 from repro.hw.costs import Cost
 from repro.hw.cpu import CPU, Mode
 
@@ -113,51 +112,3 @@ class IPIBoundCall:
         self.calls += 1
         return AltCallResult(value, cpu.perf.cycles - before)
 
-
-class SwitchlessCall:
-    """The PR-7 third mechanism, in the same harness as the two
-    rejected alternatives: a worker context in the callee world spins
-    on a shared-memory request ring, so the hot call needs no switch at
-    all.
-
-    ``hot`` models the steady state (the worker is mid-spin when the
-    request lands); ``hot=False`` models a parked worker that must be
-    futex-woken — the cold path the adaptive policy flips away from.
-    This standalone model mirrors the charge sequence of
-    :meth:`repro.switchless.engine.SwitchlessEngine._submit` /
-    ``_complete`` for a register-sized payload, without needing a live
-    engine or rings.
-    """
-
-    def __init__(self, machine, handler: Callable[[Any], Any], *,
-                 hot: bool = True) -> None:
-        self.machine = machine
-        self.handler = handler
-        self.hot = hot
-        self.calls = 0
-
-    def call(self, cpu: CPU, payload: Any) -> Any:
-        before = cpu.perf.cycles
-        cm = self.machine.cost_model
-        # Request: caller enqueues, the line crosses cores, the worker
-        # observes it (one successful poll when hot, a wakeup when not)
-        # and dequeues.
-        cpu.perf.charge("ring_enqueue", cm.ring_enqueue)
-        cpu.perf.charge("copy", cm.copy(64))
-        cpu.perf.charge("cache_line_transfer", cm.cache_line_transfer)
-        if self.hot:
-            cpu.perf.charge("worker_poll", cm.worker_poll)
-        else:
-            cpu.perf.charge("worker_wakeup", cm.worker_wakeup)
-        cpu.perf.charge("ring_dequeue", cm.ring_dequeue)
-        cpu.perf.charge("copy", cm.copy(64))
-        value = self.handler(payload)
-        # Reply: the mirror image, ending in the caller's own poll.
-        cpu.perf.charge("ring_enqueue", cm.ring_enqueue)
-        cpu.perf.charge("copy", cm.copy(64))
-        cpu.perf.charge("cache_line_transfer", cm.cache_line_transfer)
-        cpu.perf.charge("worker_poll", cm.worker_poll)
-        cpu.perf.charge("ring_dequeue", cm.ring_dequeue)
-        cpu.perf.charge("copy", cm.copy(64))
-        self.calls += 1
-        return AltCallResult(value, cpu.perf.cycles - before)

@@ -407,83 +407,6 @@ class Observatory:
         """Adopt one cell's shipped-back payload (spec order)."""
         self.cells.append(dict(payload, runner=runner, args=list(args)))
 
-    def absorb_fleet(self, result: Dict[str, Any]) -> None:
-        """Adopt one fleet-scheduler run's windowed series as a cell.
-
-        The fleet event loop emits observatory-shaped windows with
-        raw-bucket histograms; this derives the export histogram shape
-        (count/sum/mean + percentiles), sums the window counters into
-        flat ``totals`` (so the conservation crosscheck holds by
-        construction), and appends a payload indistinguishable from a
-        pooled cell's — the ``crossover observatory`` dashboard scans
-        and the SLO evaluator consume fleet series unchanged.
-        """
-        windows: List[Dict[str, Any]] = []
-        events: List[Dict[str, Any]] = []
-        totals: Dict[str, int] = {}
-        ladders: Dict[str, List[Any]] = {}
-        clock = 0
-        for window in result.get("windows", []):
-            hists: Dict[str, Any] = {}
-            for key, hist in window.get("histograms", {}).items():
-                bounds = hist.get("bounds")
-                if bounds is not None:
-                    seen = ladders.setdefault(key, list(bounds))
-                    if seen != list(bounds):
-                        # Same guard as WindowStore.record: percentile
-                        # series are meaningless across a ladder change.
-                        raise ValueError(
-                            f"histogram {key!r} changed bucket ladder "
-                            f"across fleet windows")
-                count = hist.get("count", 0)
-                total = hist.get("sum", 0)
-                hists[key] = {
-                    "count": count,
-                    "sum": total,
-                    "mean": round(total / count, 2) if count else None,
-                    "p50": hist.get("p50"), "p90": hist.get("p90"),
-                    "p99": hist.get("p99"), "p999": hist.get("p999"),
-                }
-                exemplars = hist.get("exemplars")
-                if exemplars:
-                    # Pin the window's tail exemplar (highest populated
-                    # bucket) to the timeline: the p99 spike in this
-                    # window links to a concrete replayable trace id.
-                    top = max(exemplars, key=int)
-                    exm = exemplars[top]
-                    events.append({
-                        "kind": "xray.exemplar",
-                        "label": exm["trace_id"],
-                        "detail": f"{key} bucket {top} "
-                                  f"value {exm['value']}",
-                        "cycles": window["start_cycles"],
-                        "window": window["index"],
-                    })
-            for key, delta in window.get("counters", {}).items():
-                totals[key] = totals.get(key, 0) + delta
-            windows.append({
-                "index": window["index"],
-                "start_cycles": window["start_cycles"],
-                "cycles": window["cycles"],
-                "counters": dict(window.get("counters", {})),
-                "gauges": dict(window.get("gauges", {})),
-                "histograms": hists,
-                "subsystems": dict(window.get("subsystems", {})),
-            })
-            clock = max(clock, window["start_cycles"] + window["cycles"])
-        payload: Dict[str, Any] = {
-            "clock": clock,
-            "clipped": 0,
-            "windows": windows,
-            "events": events,
-            "baseline": {},
-            "totals": totals,
-        }
-        payload["crosscheck"] = crosscheck(payload)
-        self.absorb_cell(payload, "fleetcell",
-                         (result.get("tenants"), result.get("mechanism"),
-                          result.get("seed"), result.get("interleave")))
-
     # -- export --------------------------------------------------------
 
     def to_dict(self) -> Dict[str, Any]:

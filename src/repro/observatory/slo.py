@@ -37,6 +37,7 @@ alerts into a nonzero exit.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from repro.observatory.store import _percentile
@@ -119,6 +120,9 @@ class SloObjective:
         except ValueError:
             raise ValueError(
                 f"malformed SLO threshold {threshold_text!r}") from None
+        if not math.isfinite(threshold):
+            raise ValueError(
+                f"SLO threshold must be finite, not {threshold_text!r}")
         return cls(series, stat, op, threshold, raw=text)
 
     # -- per-window resolution -----------------------------------------

@@ -1,9 +1,8 @@
 """``repro.observe``: the one observer bus.
 
-Four observers watch the datapath without changing it: telemetry
-(metrics and spans), audit (the hash-chained flight recorder), the
-observatory (windowed series on the modeled clock) and xray (per-call
-trace ids).  They share one subscriber tuple, :data:`observers`
+Three observers watch the datapath without changing it: telemetry
+(metrics and spans), audit (the hash-chained flight recorder) and the
+observatory (windowed series on the modeled clock).  They share one subscriber tuple, :data:`observers`
 (``None`` while nothing is installed), and one record, :class:`Event`.
 Every observation seam in ``hw``, ``hypervisor``, ``core``,
 ``systems``, ``faults`` and ``switchless`` has the same shape::
@@ -60,10 +59,8 @@ class Event:
     ref: Any = None
 
 
-#: Dispatch order.  xray comes before telemetry so a call's exemplar
-#: trace id reaches telemetry ahead of the ``call_end`` record that
-#: observes the ``world_call.cycles`` histogram.
-ORDER = ("xray", "telemetry", "audit", "observatory")
+#: Dispatch order.
+ORDER = ("telemetry", "audit", "observatory")
 
 #: The installed observers' ``on_event`` methods in :data:`ORDER`, or
 #: ``None`` when nothing is installed.

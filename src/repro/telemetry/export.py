@@ -175,54 +175,28 @@ def _openmetrics_value(value: Any) -> str:
     return repr(value)
 
 
-def _openmetrics_labels(labels, extra: Optional[Tuple[str, str]] = None
-                        ) -> str:
-    """``{k="v",...}`` with keys in deterministic sorted order (the
-    label key is already canonically sorted; an ``extra`` pair such as
-    ``le`` is appended last, Prometheus-style)."""
-    items = [(k, v) for k, v in labels]
-    if extra is not None:
-        items.append(extra)
-    if not items:
+def _openmetrics_labels(labels) -> str:
+    """``{k="v",...}`` in the label key's canonical sorted order."""
+    if not labels:
         return ""
     inner = ",".join(
         f'{_openmetrics_name(k)}="{_openmetrics_escape(str(v))}"'
-        for k, v in items)
+        for k, v in labels)
     return "{" + inner + "}"
 
 
 def render_openmetrics(snapshot: Dict[str, Any]) -> str:
-    """Render a metrics snapshot as OpenMetrics/Prometheus text.
+    """Render a snapshot's counters and gauges as OpenMetrics/Prometheus
+    text.
 
-    ``snapshot`` is any mapping with ``counters`` / ``gauges`` /
-    ``histograms`` keys in the registry's snapshot shape (both
-    :meth:`~repro.telemetry.registry.MetricsRegistry.snapshot` and
-    :func:`metrics_snapshot` qualify) — this function is standalone on
-    purpose so scrape endpoints and the observatory exporter can share
-    it without a live session.  Families are emitted in sorted order
-    with one ``# TYPE`` line each; counters get the conventional
-    ``_total`` suffix; histograms expose cumulative ``_bucket{le=...}``
-    series plus ``_sum`` / ``_count``; the text ends with ``# EOF``.
-
-    Histogram snapshots carrying an ``exemplars`` map (bucket index ->
-    trace id + value, the registry's hash-max pick) get the OpenMetrics
-    exemplar suffix on the matching ``_bucket`` line::
-
-        name_bucket{le="500"} 4 # {trace_id="t7#42"} 312 0
-
-    The timestamp is always ``0``: every quantity here lives on the
-    modeled clock, and a wall timestamp would break byte-identical
-    artifacts.  The overflow bucket's exemplar rides the ``+Inf`` line.
+    ``snapshot`` is any mapping with ``counters`` / ``gauges`` keys in
+    the registry's snapshot shape (``crossover observatory
+    --openmetrics`` passes
+    :func:`repro.observatory.exporters.totals_snapshot`).  Families are
+    emitted in sorted order with one ``# TYPE`` line each; counters get
+    the conventional ``_total`` suffix; the text ends with ``# EOF``.
     """
     lines: List[str] = []
-
-    def exemplar_suffix(data, index: int) -> str:
-        exm = data.get("exemplars", {}).get(str(index))
-        if exm is None:
-            return ""
-        trace = _openmetrics_escape(str(exm["trace_id"]))
-        return (f' # {{trace_id="{trace}"}} '
-                f'{_openmetrics_value(exm["value"])} 0')
 
     def group(entries):
         families: Dict[str, List[Tuple[Any, Any]]] = {}
@@ -244,25 +218,6 @@ def render_openmetrics(snapshot: Dict[str, Any]) -> str:
         for labels, value in series:
             lines.append(f"{metric}{_openmetrics_labels(labels)} "
                          f"{_openmetrics_value(value)}")
-    for name, series in group(snapshot.get("histograms", {})):
-        metric = _openmetrics_name(name)
-        lines.append(f"# TYPE {metric} histogram")
-        for labels, data in series:
-            cumulative = 0
-            for index, (bound, count) in enumerate(data["buckets"]):
-                cumulative += count
-                le = _openmetrics_labels(
-                    labels, ("le", _openmetrics_value(float(bound))))
-                lines.append(f"{metric}_bucket{le} {cumulative}"
-                             f"{exemplar_suffix(data, index)}")
-            inf = _openmetrics_labels(labels, ("le", "+Inf"))
-            lines.append(f"{metric}_bucket{inf} {data['count']}"
-                         f"{exemplar_suffix(data, len(data['buckets']))}")
-            rendered = _openmetrics_labels(labels)
-            total = data.get("sum", data.get("total", 0))
-            lines.append(f"{metric}_sum{rendered} "
-                         f"{_openmetrics_value(total)}")
-            lines.append(f"{metric}_count{rendered} {data['count']}")
     lines.append("# EOF")
     return "\n".join(lines) + "\n"
 

@@ -13,8 +13,8 @@ the system and operation; any other span contributes its name) and the
 transition instants attached to them (the path step, labeled through
 each case study's ``STACK_STEPS`` table, falling back to the raw event
 kind).  Cycles not consumed by a span's children or instants stay on
-the span's own stack as self time.  Ring-mode sessions contribute their
-sampled redirect records the same way.
+the span's own stack as self time.  A counters-only session has no
+spans, so its profile is empty.
 
 Everything here is driven by **modeled** clocks and deterministic span
 names, never host wall-clock, so the same workload produces
@@ -121,15 +121,6 @@ class StackProfile:
         if span.instructions is not None:
             entry.instructions += max(
                 0, span.instructions - consumed_instructions)
-
-    def add_ring_record(self, record: tuple) -> None:
-        """Attribute one sampled redirect from a ring-mode session."""
-        system, op, variant, cycles, instructions = record[:5]
-        stack = (_system_frame(system, variant), str(op))
-        entry = self._entry(stack)
-        entry.cycles += cycles
-        entry.instructions += instructions
-        entry.calls += 1
 
     # -- queries --------------------------------------------------------
 
@@ -273,14 +264,10 @@ def _frames_for(span: Span) -> Tuple[str, ...]:
 
 def profile_session(session: TelemetrySession,
                     label: Optional[str] = None) -> StackProfile:
-    """Build the :class:`StackProfile` of everything a session saw:
-    the whole span forest plus any sampled ring records."""
+    """Build the :class:`StackProfile` of a session's span forest."""
     profile = StackProfile(label if label is not None else session.label)
     for root in session.tracer.roots:
         profile.add_span(root)
-    if session.span_ring is not None:
-        for record in session.span_ring:
-            profile.add_ring_record(record)
     return profile
 
 
@@ -290,9 +277,8 @@ def crosscheck(session: TelemetrySession,
 
     Every boundary crossing the profile attributes was forwarded to the
     metrics registry too, so per kind the profile total can never
-    exceed the ``trace.events`` counter; when the tracer dropped
-    nothing (and spans were not ring-sampled), the two views must match
-    exactly.  Returns human-readable mismatch strings (empty = clean).
+    exceed the ``trace.events`` counter; when a span session's tracer
+    dropped nothing, the two views must match exactly.  Returns human-readable mismatch strings (empty = clean).
     """
     if profile is None:
         profile = profile_session(session)
@@ -301,7 +287,7 @@ def crosscheck(session: TelemetrySession,
     for key, counter in session.metrics.family("trace.events").items():
         counted[dict(key).get("kind", "?")] = counter.value
     attributed = profile.crossings_by_kind()
-    exact = session.tracer.dropped == 0 and session.span_ring is None
+    exact = session.spans and session.tracer.dropped == 0
     for kind in sorted(set(counted) | set(attributed)):
         have = attributed.get(kind, 0)
         want = counted.get(kind, 0)

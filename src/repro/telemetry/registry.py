@@ -43,13 +43,14 @@ def series_name(name: str, labels: LabelKey) -> str:
 
 
 def exemplar_rank(trace_id: str) -> int:
-    """Deterministic selection rank for a histogram exemplar.
+    """Deterministic selection rank for a histogram exemplar (the fleet
+    scheduler's latency windows keep one per bucket).
 
     Per bucket the kept exemplar is the trace id with the *maximal*
     rank — a pure function of the id, so the choice is a max() over a
-    set and therefore commutative/associative: registries merged in
-    any order (or a single registry that saw every observation) keep
-    the same exemplar.  A uniform reservoir would not survive merging;
+    set and therefore commutative/associative: stores merged in any
+    order (or a single store that saw every observation) keep the same
+    exemplar.  A uniform reservoir would not survive merging;
     a hash-max "reservoir" does, and is still an unbiased draw over
     the ids landing in the bucket.
     """
@@ -163,7 +164,7 @@ class Histogram:
     """
 
     __slots__ = ("name", "labels", "buckets", "bucket_counts", "count",
-                 "total", "min", "max", "exemplars")
+                 "total", "min", "max")
 
     def __init__(self, name: str, labels: LabelKey,
                  buckets: Tuple[float, ...] = DEFAULT_BUCKETS) -> None:
@@ -177,25 +178,16 @@ class Histogram:
         self.total: float = 0
         self.min: Optional[float] = None
         self.max: Optional[float] = None
-        #: bucket index -> (rank, trace id, value); None until the
-        #: first exemplar arrives so plain histograms pay nothing.
-        self.exemplars: Optional[Dict[int, Tuple[int, str, float]]] = None
 
-    def observe(self, value: float,
-                exemplar: Optional[str] = None) -> None:
-        """Record one observation; ``exemplar`` optionally attaches a
-        trace id to the bucket the value lands in (hash-max kept)."""
-        index = bisect_left(self.buckets, value)
-        self.bucket_counts[index] += 1
+    def observe(self, value: float) -> None:
+        """Record one observation."""
+        self.bucket_counts[bisect_left(self.buckets, value)] += 1
         self.count += 1
         self.total += value
         if self.min is None or value < self.min:
             self.min = value
         if self.max is None or value > self.max:
             self.max = value
-        if exemplar is not None:
-            self.exemplars = merge_exemplar(
-                self.exemplars, index, exemplar, value)
 
     def percentile(self, p: float) -> Optional[float]:
         """The linearly interpolated ``p``-th percentile
@@ -280,7 +272,7 @@ class MetricsRegistry:
                 elif kind == "gauge":
                     out["gauges"][rendered] = series.value
                 else:
-                    data = {
+                    out["histograms"][rendered] = {
                         "count": series.count,
                         "total": series.total,
                         "sum": series.total,
@@ -296,10 +288,6 @@ class MetricsRegistry:
                                         series.bucket_counts)],
                         "overflow": series.bucket_counts[-1],
                     }
-                    if series.exemplars:
-                        data["exemplars"] = exemplars_dict(
-                            series.exemplars)
-                    out["histograms"][rendered] = data
         return out
 
     def merge_snapshot(self, snap: Mapping[str, Mapping[str, Any]]) -> None:
@@ -341,10 +329,6 @@ class MetricsRegistry:
                     current = getattr(hist, attr)
                     setattr(hist, attr, incoming if current is None
                             else pick(current, incoming))
-            for index, exm in data.get("exemplars", {}).items():
-                hist.exemplars = merge_exemplar(
-                    hist.exemplars, int(index),
-                    exm["trace_id"], exm["value"])
 
 
 def _parse_series(rendered: str) -> Tuple[str, LabelKey]:

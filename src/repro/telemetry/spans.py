@@ -152,81 +152,20 @@ class Span:
         return span
 
 
-class SpanRing:
-    """A preallocated bounded ring of closed-span records.
-
-    The always-on (lightweight) telemetry mode samples redirected calls
-    into this ring instead of growing a span tree: each record is a
-    plain tuple ``(system, op, variant, cycles, instructions, wall_ns)``
-    so pushing is one list-slot store with no allocation beyond the
-    tuple itself.  When full, the oldest record is overwritten (counted
-    in :attr:`overwritten`).
-    """
-
-    __slots__ = ("capacity", "_slots", "_next", "pushed", "overwritten")
-
-    def __init__(self, capacity: int = 4096) -> None:
-        if capacity < 1:
-            raise ValueError("ring capacity must be >= 1")
-        self.capacity = capacity
-        self._slots: List[Any] = [None] * capacity
-        self._next = 0
-        self.pushed = 0
-        self.overwritten = 0
-
-    def push(self, record: tuple) -> None:
-        """Store one record, overwriting the oldest when full."""
-        i = self._next
-        if self._slots[i] is not None:
-            self.overwritten += 1
-        self._slots[i] = record
-        self._next = (i + 1) % self.capacity
-        self.pushed += 1
-
-    def __len__(self) -> int:
-        return min(self.pushed, self.capacity)
-
-    def __iter__(self) -> Iterator[tuple]:
-        """Records oldest-first."""
-        n = len(self)
-        start = (self._next - n) % self.capacity
-        for k in range(n):
-            record = self._slots[(start + k) % self.capacity]
-            if record is not None:
-                yield record
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"capacity": self.capacity,
-                "records": [list(r) for r in self],
-                "pushed": self.pushed,
-                "overwritten": self.overwritten}
-
-    def absorb(self, data: Dict[str, Any]) -> None:
-        """Merge another ring's :meth:`to_dict` payload."""
-        for record in data.get("records", []):
-            self.push(tuple(record))
-        # Overwrites that happened remotely are still lost samples.
-        self.overwritten += data.get("overwritten", 0)
-
-
 class Tracer:
     """Builds the span forest for one telemetry session.
 
     ``limit`` bounds the total span + instant count so a runaway traced
     sweep degrades (drops, counted in :attr:`dropped`) instead of
-    exhausting memory.  ``capture_wall=False`` skips the two
-    ``perf_counter_ns`` reads per span (and one per instant) for
-    hot-path sessions that only need modeled clocks.
+    exhausting memory.
     """
 
-    def __init__(self, limit: int = 1_000_000,
-                 capture_wall: bool = True) -> None:
+    def __init__(self, limit: int = 1_000_000) -> None:
         self.roots: List[Span] = []
         self._stack: List[Span] = []
         self._limit = limit
         self._recorded = 0
         self.dropped = 0
-        self.capture_wall = capture_wall
 
     @property
     def current(self) -> Optional[Span]:
@@ -248,8 +187,7 @@ class Tracer:
             return
         self._recorded += 1
         span = Span(name, category, args)
-        span.start_wall_ns = (time.perf_counter_ns()
-                              if self.capture_wall else 0)
+        span.start_wall_ns = time.perf_counter_ns()
         if cpu is not None:
             span.start_cycles = cpu.perf.cycles
             span.start_instructions = cpu.perf.instructions
@@ -267,8 +205,7 @@ class Tracer:
                 span.end_cycles = cpu.perf.cycles
                 span.end_instructions = cpu.perf.instructions
                 span.end_seq = cpu.trace.mark
-            span.end_wall_ns = (time.perf_counter_ns()
-                                if self.capture_wall else span.start_wall_ns)
+            span.end_wall_ns = time.perf_counter_ns()
             self._stack.pop()
 
     def instant(self, name: str, seq: Optional[int] = None,
@@ -284,9 +221,7 @@ class Tracer:
             self.dropped += 1
             return None
         self._recorded += 1
-        event = SpanEvent(name,
-                          time.perf_counter_ns() if self.capture_wall else 0,
-                          seq, args)
+        event = SpanEvent(name, time.perf_counter_ns(), seq, args)
         parent.events.append(event)
         return event
 

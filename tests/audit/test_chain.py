@@ -2,14 +2,14 @@
 
 import pytest
 
-from repro.audit import AuditConfig, FlightRecorder, verify_chain
-from repro.audit.chain import ALGORITHMS, genesis, link, require_chain
+from repro.audit import FlightRecorder, verify_chain
+from repro.audit.chain import ALGORITHM, GENESIS, link, require_chain
 from repro.errors import AuditViolation, CrossOverError
 from tests.audit import _feed
 
 
-def _recorded_log(n=6, algo="sha256", capacity=65536):
-    rec = FlightRecorder("t", AuditConfig(algo=algo, capacity=capacity))
+def _recorded_log(n=6, capacity=65536):
+    rec = FlightRecorder("t", capacity)
     for i in range(n):
         _feed(rec, "core", "call_begin", caller_wid=1, callee_wid=2,
               cycles=100 * i)
@@ -19,22 +19,21 @@ def _recorded_log(n=6, algo="sha256", capacity=65536):
 
 
 class TestChainPrimitives:
-    def test_genesis_differs_per_algorithm(self):
-        assert genesis("sha256") != genesis("crc32")
-
     def test_link_is_deterministic(self):
         record = {"seq": 0, "kind": "x", "hash": "ignored"}
-        assert (link(genesis("sha256"), record)
-                == link(genesis("sha256"), dict(record, hash="other")))
+        assert (link(GENESIS, record)
+                == link(GENESIS, dict(record, hash="other")))
 
     def test_link_depends_on_prev(self):
         record = {"seq": 0, "kind": "x"}
-        assert (link(genesis("sha256"), record)
+        assert (link(GENESIS, record)
                 != link("00" * 32, record))
 
-    @pytest.mark.parametrize("algo", ALGORITHMS)
+    @pytest.mark.parametrize("algo", [ALGORITHM])
     def test_clean_log_verifies(self, algo):
-        assert verify_chain(_recorded_log(algo=algo)) == []
+        log = _recorded_log()
+        assert log["algo"] == algo
+        assert verify_chain(log) == []
 
     def test_empty_log_verifies(self):
         rec = FlightRecorder("empty")
@@ -72,7 +71,7 @@ class TestTamperEvidence:
 
     def test_forged_genesis_detected(self):
         log = _recorded_log()
-        log["genesis"] = genesis("crc32")
+        log["genesis"] = "00" * 32
         checks = {v["check"] for v in verify_chain(log)}
         assert "genesis" in checks
 

@@ -1,10 +1,8 @@
 """Recorder semantics: install/scoped discipline, record shape,
 zero-perturbation of modeled costs, ring bounding."""
 
-import pytest
-
 from repro import audit
-from repro.audit import AuditConfig, FlightRecorder, RECORD_FIELDS
+from repro.audit import FlightRecorder, RECORD_FIELDS, verify_chain
 from repro.core.authorization import AllowListPolicy
 from repro.core.call import CallRequest, WorldCallRuntime
 from repro.core.world import WorldRegistry
@@ -64,8 +62,10 @@ class TestInstallDiscipline:
         assert audit.current() is None
 
     def test_bad_algorithm_rejected(self):
-        with pytest.raises(ValueError):
-            FlightRecorder("bad", AuditConfig(algo="md5"))
+        log = FlightRecorder("bad").to_log()
+        assert log["algo"] == "sha256"
+        log["algo"] = "crc32"
+        assert [v["check"] for v in verify_chain(log)] == ["algo"]
 
 
 class TestRecordShape:
@@ -100,7 +100,7 @@ class TestRecordShape:
 
 class TestRingBounding:
     def test_capacity_drops_oldest(self):
-        rec = FlightRecorder("ring", AuditConfig(capacity=3))
+        rec = FlightRecorder("ring", capacity=3)
         for _ in range(10):
             _feed(rec, "core", "recovery", detail="wtc_refill")
         assert len(rec) == 3

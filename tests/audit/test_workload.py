@@ -104,9 +104,11 @@ class TestOfflineVerification:
         with pytest.raises(ValueError):
             workload.record_workload(systems=("NotASystem",))
 
-    def test_unknown_algo_rejected(self):
-        with pytest.raises(ValueError):
-            workload.record_workload(systems=("Proxos",), algo="md5")
+    def test_unknown_algo_rejected(self, artifact):
+        copy = json.loads(json.dumps(artifact))
+        copy["cells"][0]["log"]["algo"] = "crc32"
+        checks = {v["check"] for v in workload.verify_artifact(copy)}
+        assert checks == {"chain.algo"}
 
     @pytest.mark.parametrize("calls", [0, -1])
     def test_nonpositive_calls_rejected(self, calls):

@@ -66,21 +66,6 @@ class TestCampaign:
                            for p in points)
         assert artifact["telemetry"]["fleet.sched_events"] > curve_events
 
-    def test_observatory_absorbs_fleet_cell(self, artifact):
-        from repro.observatory import Observatory
-        from repro.observatory.store import crosscheck
-        from repro.telemetry.schema import load_schema, validate
-
-        obs = Observatory(label="fleet-test")
-        cell = artifact["cells"][f"world_call@{COUNTS[-1]}"]
-        obs.absorb_fleet(cell)
-        payload = obs.cells[-1]
-        assert payload["runner"] == "fleetcell"
-        assert payload["crosscheck"]["ok"]
-        assert crosscheck(payload)["ok"]
-        item_schema = load_schema("observatory")["properties"]["cells"]["items"]
-        assert validate(payload, item_schema) == []
-
     def test_bad_fleet_shape_raises_before_any_cell(self):
         for bad in ({"tenant_counts": ()}, {"horizon_ms": 0},
                     {"horizon_ms": float("nan")}, {"horizon_ms": float("inf")},

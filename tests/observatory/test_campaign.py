@@ -85,6 +85,19 @@ class TestSloGate:
     def test_bad_objective_is_usage_error(self):
         assert main(["observatory", "--quiet", "--slo", "nonsense"]) == 2
 
+    @pytest.mark.parametrize("objective", [
+        "world_call.cycles.p99 < nan", "world_call.cycles.p99 >= nan",
+        "world_call.cycles.p99 < inf", "world_call.cycles.p99 > -inf"])
+    def test_non_finite_threshold_is_usage_error(self, objective,
+                                                 monkeypatch, capsys):
+        def record(*args, **kwargs):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(campaign, "record", record)
+        assert main(["observatory", "--quiet", "--strict",
+                     "--slo", objective]) == 2
+        assert "finite" in capsys.readouterr().err
+
 
 class TestCheck:
     def test_checked_in_artifact_verifies(self, capsys):

@@ -55,6 +55,11 @@ class TestParse:
         with pytest.raises(ValueError):
             SloObjective.parse(text)
 
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_threshold_raises(self, threshold):
+        with pytest.raises(ValueError, match=f"finite.*{threshold}"):
+            SloObjective.parse(f"lat.p99 < {threshold}")
+
     def test_window_policy_validation(self):
         with pytest.raises(ValueError):
             SloObjective("s", "p99", "<", 1.0, short=0)

@@ -43,6 +43,27 @@ def test_counters_identical_with_telemetry(system_name, optimized, fast):
     assert traced == plain
 
 
+@pytest.mark.parametrize("fast", [False, True], ids=["slowpath", "fastpath"])
+@pytest.mark.parametrize("system_name,optimized", COLUMNS,
+                         ids=[f"{n or 'native'}-{'opt' if o else 'orig'}"
+                              for n, o in COLUMNS])
+def test_counters_identical_with_counters_only_session(system_name,
+                                                       optimized, fast):
+    """The same invariant under :meth:`TelemetrySession.lightweight`,
+    on the stepwise tier and on the fused tier."""
+    convention.clear_caches()
+    with fastpath.scoped(fast):
+        plain = _column_deltas(system_name, optimized)
+        session = telemetry.install(
+            telemetry.TelemetrySession.lightweight("equivalence"))
+        try:
+            observed = _column_deltas(system_name, optimized)
+        finally:
+            telemetry.uninstall()
+    assert observed == plain
+    assert session.tracer.roots == []
+
+
 def test_fastpath_equivalence_holds_under_telemetry():
     """The PR-1 golden invariant (fast path == slow path) still holds
     while a telemetry session is collecting."""

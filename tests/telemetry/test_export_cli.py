@@ -1,15 +1,10 @@
-"""Exporters, the schema validator and its CLI, and the exporter files
-``crossover audit --trace-out`` writes."""
+"""Exporters, the schema validator and its CLI."""
 
 import json
 
 import pytest
 
-from repro import telemetry
-from repro.analysis import experiments
-from repro.audit import workload
-from repro.campaign import main
-from repro.telemetry import export, profiler, schema
+from repro.telemetry import export, schema
 
 
 @pytest.fixture
@@ -86,101 +81,3 @@ class TestSchemaValidator:
         s = {"$defs": {"cell": {"type": "object"}}, "$ref": ref}
         errors = schema.validate({}, s)
         assert errors and "unresolvable $ref" in errors[0]
-
-
-@pytest.fixture(scope="module")
-def recording(tmp_path_factory):
-    """One ``crossover audit`` artifact and one ``--trace-out``
-    directory, recorded at different worker counts."""
-    root = tmp_path_factory.mktemp("audit")
-    plain, traced = root / "plain.json", root / "traced.json"
-    trace_dir = root / "trace"
-    assert main(["audit", "--workers", "1", "--quiet",
-                 "--out", str(plain)]) == 0
-    assert main(["audit", "--workers", "2", "--quiet",
-                 "--trace-out", str(trace_dir), "--out", str(traced)]) == 0
-    return plain, traced, trace_dir
-
-
-def _cells(path):
-    return json.loads(path.read_text())["cells"]
-
-
-class TestCli:
-    def test_quick_mode_validates_itself(self, recording, capsys):
-        """A full audit recording is small enough to stand in for a
-        quick mode: with ``--trace-out`` it writes every cell's exporter
-        files, each validating against its schema, and the artifact is
-        byte-identical to one recorded without the flag."""
-        plain, traced, trace_dir = recording
-        assert traced.read_bytes() == plain.read_bytes()
-        for cell in _cells(plain):
-            # exactly one system redirect span per NULL call
-            assert len(cell["crossings"]["redirect_spans"]) \
-                == len(cell["crossings"]["call_spans"]) == cell["calls"]
-        assert main(["audit", "--check", str(traced)]) == 0
-        assert f"{traced}: ok" in capsys.readouterr().out
-        names = {path.name for path in trace_dir.iterdir()}
-        prefixes = {f"{system.lower()}_{variant}."
-                    for system in workload.WORKLOAD_SYSTEMS
-                    for variant in ("original", "optimized")}
-        assert names == {prefix + suffix for prefix in prefixes
-                         for suffix in ("trace.json", "metrics.json",
-                                        "matrix.txt", "stacks.collapsed",
-                                        "speedscope.json")}
-        for prefix in prefixes:
-            assert schema.validate_file(
-                "chrome_trace", str(trace_dir / f"{prefix}trace.json")) == []
-            assert schema.validate_file(
-                "metrics", str(trace_dir / f"{prefix}metrics.json")) == []
-
-    def test_crossings_match_figure2(self, recording):
-        """The recorded crossings per call equal the Figure-2
-        measurement, the span and trace counts agree, and the cell
-        carries the paper's count."""
-        figure2 = experiments.run_figure2()
-        originals = {cell["system"]: cell for cell in _cells(recording[0])
-                     if cell["variant"] == "original"}
-        assert set(originals) == set(workload.WORKLOAD_SYSTEMS)
-        for name, cell in originals.items():
-            assert cell["crossings"]["trace"][-1] \
-                == figure2[name]["crossings"]
-            assert cell["checks"]["trace_matches_call_spans"] is True
-            assert cell["checks"]["crossings_constant"] is True
-            assert cell["paper_crossings"] \
-                == figure2[name]["paper_crossings"]
-
-    def test_quick_mode_fails_on_crosscheck_mismatch(self, monkeypatch,
-                                                     capsys):
-        """Any span-vs-trace-vs-paper disagreement makes ``crossover
-        audit`` exit nonzero.  Forcing the paper's Figure-2 count above
-        what the simulator can ever record trips the paper-bound check."""
-        from repro.analysis import calibration
-
-        monkeypatch.setitem(calibration.FIGURE2_CROSSINGS, "Proxos", 999)
-        assert main(["audit", "--workers", "1", "--quiet"]) == 1
-        assert "Proxos/original: check failed: paper_bound_ok" \
-            in capsys.readouterr().err
-
-    def test_profile_flag_prints_hotspots(self, recording, traced_session):
-        """The profile files ``--trace-out`` writes are the cell's
-        cost-attribution profile, whose hotspot table stays printable."""
-        trace_dir = recording[2]
-        profile = profiler.profile_session(
-            traced_session("Proxos", calls=workload.DEFAULT_CALLS))
-        assert (trace_dir / "proxos_original.stacks.collapsed").read_text() \
-            == profile.collapsed_stacks()
-        assert (trace_dir / "proxos_original.speedscope.json").exists()
-        assert profile.hotspot_table(3).startswith(
-            "Top 3 stacks by modeled cycles")
-
-    def test_optimized_variant_crosses_less(self, recording):
-        per_call = {(cell["system"], cell["variant"]):
-                    cell["crossings"]["trace"][-1]
-                    for cell in _cells(recording[0])}
-        for system in workload.WORKLOAD_SYSTEMS:
-            assert per_call[(system, "optimized")] \
-                < per_call[(system, "original")]
-
-    def test_no_session_leaks(self, recording):
-        assert not telemetry.enabled()

@@ -26,19 +26,6 @@ class TestRenderOpenmetrics:
         assert "# TYPE switchless_workers gauge" in lines
         assert "switchless_workers 3" in lines
 
-    def test_histogram_buckets_are_cumulative_with_inf(self):
-        reg = MetricsRegistry()
-        hist = reg.histogram("lat", buckets=(10, 100))
-        for v in (5, 50, 50, 500):
-            hist.observe(v)
-        text = render_openmetrics(reg.snapshot())
-        lines = _lines(text)
-        assert 'lat_bucket{le="10"} 1' in lines
-        assert 'lat_bucket{le="100"} 3' in lines      # cumulative
-        assert 'lat_bucket{le="+Inf"} 4' in lines     # == count
-        assert "lat_sum 605" in lines
-        assert "lat_count 4" in lines
-
     def test_label_values_are_escaped(self):
         snapshot = {
             "counters": {'odd{k=a"b\\c}': 1},
@@ -79,49 +66,3 @@ class TestRenderOpenmetrics:
         text = render_openmetrics(
             {"counters": {}, "gauges": {}, "histograms": {}})
         assert text == "# EOF\n"
-
-    def test_histogram_sum_falls_back_to_total(self):
-        # Pre-PR8 snapshots carry "total" but no "sum".
-        snapshot = {"counters": {}, "gauges": {}, "histograms": {
-            "lat": {"count": 1, "total": 42, "overflow": 0,
-                    "buckets": [[10, 0], [100, 1]]}}}
-        lines = _lines(render_openmetrics(snapshot))
-        assert "lat_sum 42" in lines
-
-
-class TestExemplarSuffixes:
-    def test_bucket_lines_carry_exemplar_with_zero_timestamp(self):
-        reg = MetricsRegistry()
-        hist = reg.histogram("lat", buckets=(10, 100))
-        hist.observe(5, exemplar="t3#7")
-        hist.observe(50)
-        lines = _lines(render_openmetrics(reg.snapshot()))
-        assert 'lat_bucket{le="10"} 1 # {trace_id="t3#7"} 5 0' in lines
-        # the un-exemplared bucket renders without a suffix
-        assert 'lat_bucket{le="100"} 2' in lines
-
-    def test_overflow_exemplar_rides_the_inf_line(self):
-        reg = MetricsRegistry()
-        hist = reg.histogram("lat", buckets=(10,))
-        hist.observe(500, exemplar="big#1")
-        lines = _lines(render_openmetrics(reg.snapshot()))
-        assert ('lat_bucket{le="+Inf"} 1 '
-                '# {trace_id="big#1"} 500 0') in lines
-
-    def test_trace_ids_are_escaped(self):
-        reg = MetricsRegistry()
-        hist = reg.histogram("lat", buckets=(10,))
-        hist.observe(5, exemplar='odd"id\\x')
-        text = render_openmetrics(reg.snapshot())
-        assert '# {trace_id="odd\\"id\\\\x"} 5 0' in text
-
-    def test_suffix_order_value_then_timestamp(self):
-        reg = MetricsRegistry()
-        hist = reg.histogram("lat", buckets=(10,))
-        hist.observe(7, exemplar="t")
-        line = [ln for ln in
-                _lines(render_openmetrics(reg.snapshot()))
-                if ln.startswith('lat_bucket{le="10"}')][0]
-        count, rest = line.split(" # ", 1)
-        assert count.endswith(" 1")
-        assert rest == '{trace_id="t"} 7 0'

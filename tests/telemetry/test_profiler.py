@@ -1,4 +1,5 @@
-"""Cost-attribution profiler: determinism, attribution, ring mode."""
+"""Cost-attribution profiler: determinism, attribution, and the
+counters-only session."""
 
 import json
 
@@ -7,7 +8,6 @@ import pytest
 from repro import telemetry
 from repro.analysis import experiments, parallel
 from repro.telemetry import profiler
-from repro.telemetry.spans import SpanRing
 
 
 def _sweep_profile(workers):
@@ -145,49 +145,37 @@ class TestExports:
 
 
 class TestRingMode:
-    def test_ring_is_bounded_and_counts_overwrites(self):
-        ring = SpanRing(4)
-        for i in range(10):
-            ring.push(("s", "op", "original", i, i, 0))
-        assert len(ring) == 4
-        assert ring.pushed == 10
-        assert ring.overwritten == 6
-        assert [r[3] for r in ring] == [6, 7, 8, 9]  # oldest first
+    """The counters-only session (:meth:`TelemetrySession.lightweight`),
+    which replaced the sampled span ring."""
 
     def test_sampling_keeps_counters_complete(self):
-        config = telemetry.TelemetryConfig(spans="ring", ring_capacity=64,
-                                           capture_wall=False,
-                                           sample_every=4)
-        with telemetry.scoped("ring", config) as session:
+        with telemetry.scoped("light", spans=False) as session:
             experiments.table4_cell("Proxos", False, 8)
         redirects = sum(
             c.value for c in
             session.metrics.family("system.redirects").values())
-        # every redirect counted, only every 4th recorded as a span
-        assert redirects >= 8
-        assert session.span_ring is not None
-        assert 0 < session.span_ring.pushed <= redirects // 4 + 1
-        assert session.tracer.roots == []   # no span tree in ring mode
+        assert redirects >= 8               # every redirect counted
+        assert session.tracer.roots == []   # none of them spanned
 
-    def test_ring_records_feed_profile_and_crosscheck(self):
-        config = telemetry.TelemetryConfig(spans="ring", ring_capacity=64,
-                                           capture_wall=False,
-                                           sample_every=1)
-        with telemetry.scoped("ring", config) as session:
-            experiments.table4_cell("ShadowContext", False, 4)
-        profile = profiler.profile_session(session)
-        stacks = {"/".join(s) for s in profile.stacks()}
-        assert any(s.startswith("shadowcontext/") for s in stacks)
-        assert sum(e.calls for e in profile._entries.values()) \
-            == len(session.span_ring)
-        assert profiler.crosscheck(session, profile) == []
+    def test_counters_only_session_builds_no_span(self):
+        session = telemetry.install(
+            telemetry.TelemetrySession.lightweight("light"))
+        try:
+            experiments.table4_cell("ShadowContext", True, 4)
+        finally:
+            telemetry.uninstall()
+        assert session.tracer.roots == []
+        assert session.tracer.dropped == 0
+        assert session.metrics.family("system.redirects")
+        assert session.metrics.family("core.crossvm_roundtrips")
+        assert profiler.profile_session(session).stacks() == []
+        assert profiler.crosscheck(session) == []
 
     def test_lightweight_session_shape(self):
         session = telemetry.TelemetrySession.lightweight("lw")
-        assert session.span_ring is not None
-        assert session.config.capture_wall is False
-        assert session.config.sample_every == 64
-        assert session.tracer.capture_wall is False
+        assert session.label == "lw"
+        assert session.spans is False
+        assert telemetry.TelemetrySession("full").spans is True
 
     def test_no_session_leaks(self):
         assert not telemetry.enabled()

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from repro import audit, observatory, observe, telemetry, xray
+from repro import audit, observatory, observe, telemetry
 from repro.analysis import experiments
 from repro.audit.recorder import FlightRecorder
 from repro.core import convention, fastpath
@@ -15,7 +15,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
 #: Each observer package's former module global.
 PRIVATE_GLOBALS = {"telemetry": "_session", "audit": "_recorder",
-                   "observatory": "_session", "xray": "_session"}
+                   "observatory": "_session"}
 
 
 def _observer_aliases(tree):
@@ -80,7 +80,7 @@ def test_guard_sees_a_planted_read(tmp_path):
 
 
 @pytest.mark.parametrize("cls", [telemetry.TelemetrySession, FlightRecorder,
-                                 observatory.Observatory, xray.XraySession])
+                                 observatory.Observatory])
 def test_each_observer_has_one_seam_handler(cls):
     handlers = {name for name in vars(cls) if name.startswith("on_")}
     # ``Observatory.on_boundary`` is the window sentinel's callback from
@@ -121,13 +121,14 @@ def _column_deltas(system_name, optimized, iterations=2):
                               for n, o in COLUMNS])
 def test_counters_identical_under_all_four_observers(system_name, optimized,
                                                      fast):
+    """Every bus observer stacked (telemetry, audit, observatory; the
+    name still counts xray, which has left the bus) moves no counter."""
     convention.clear_caches()
     with fastpath.scoped(fast):
         plain = _column_deltas(system_name, optimized)
         with telemetry.scoped("stacked") as session, \
                 audit.scoped(FlightRecorder("stacked")) as recorder, \
-                observatory.scoped() as obs, \
-                xray.scoped(sample_every=1):
+                observatory.scoped() as obs:
             observed = _column_deltas(system_name, optimized)
     assert observed == plain
     # The observers really watched: counters, a conserved window series

@@ -192,7 +192,6 @@ class TestAuditSurface:
 
     def test_core_names_importable(self):
         from repro.audit import (       # noqa: F401
-            AuditConfig,
             DETECTORS,
             FlightRecorder,
             RECORD_FIELDS,

@@ -474,12 +474,17 @@ def run_table7(iterations: int = 5) -> Dict[str, Dict[str, Any]]:
 MECHANISMS = ("baseline", "world_call", "switchless")
 
 
-def _mechanism_engine(mechanism: str, workers: int):
-    """The switchless-engine state one comparison cell runs under:
-    a force-mode engine for ``"switchless"``, *no* engine for the
-    control columns (so an outer adaptive engine cannot divert them).
-    Returns ``(engine_or_None, previous_global)``; the caller restores
-    ``repro.switchless._engine`` to the previous value afterwards."""
+def mechanism_cell(mechanism: str, iterations: int) -> Dict[str, Any]:
+    """One Table-4 transport cell, on a fresh machine: the five lmbench
+    ops through a redirected-syscall surface (rows in microseconds).
+
+    ``mechanism`` routes the redirected calls: ``"baseline"`` is the
+    trap-based world-switch path, ``"world_call"`` the paper's VMFUNC
+    transport, ``"switchless"`` a force-mode worker-context engine.
+    The control columns run with *no* engine installed, so an outer
+    adaptive engine cannot divert them.  Module-level and picklable,
+    so the parallel runner can ship it to a worker process.
+    """
     from repro import switchless as _sl
 
     if mechanism not in MECHANISMS:
@@ -487,124 +492,20 @@ def _mechanism_engine(mechanism: str, workers: int):
             f"unknown mechanism {mechanism!r}; expected one of "
             f"{MECHANISMS}")
     previous = _sl._engine
-    engine = None
+    _sl._engine = None
     if mechanism == "switchless":
         from repro.switchless import SwitchlessConfig, SwitchlessEngine
 
-        engine = SwitchlessEngine(SwitchlessConfig(mode="force",
-                                                   workers=workers))
-    _sl._engine = engine
-    return engine, previous
-
-
-def mechanism_cell(table: str, mechanism: str, arg: Any,
-                   workers: int = 1) -> Dict[str, Any]:
-    """One three-way comparison cell, on a fresh machine.
-
-    ``table`` picks the workload family, ``arg`` its parameter:
-
-    * ``"table4"`` — the five lmbench ops through a redirected-syscall
-      surface (``arg`` = iterations; rows in microseconds);
-    * ``"table5"`` — one inspection utility through ShadowContext
-      (``arg`` = tool name; milliseconds + normalized output);
-    * ``"table6"`` — one scp transfer size through the partitioned
-      OpenSSH split (``arg`` = size in MB; MB/s).
-
-    ``mechanism`` routes the redirected calls: ``"baseline"`` is the
-    trap-based world-switch path, ``"world_call"`` the paper's VMFUNC
-    transport, ``"switchless"`` a force-mode worker-context engine
-    with ``workers`` worker contexts.  Module-level and picklable, so
-    the parallel runner can ship it to a worker process.
-    """
-    from repro import switchless as _sl
-
-    engine, previous = _mechanism_engine(mechanism, workers)
+        _sl._engine = SwitchlessEngine(SwitchlessConfig(mode="force"))
     try:
-        cell: Dict[str, Any] = {"table": table, "mechanism": mechanism}
-        if table == "table4":
-            surface = (_baseline_redirect_surface()
-                       if mechanism == "baseline"
-                       else _crossover_surface())
-            cell["rows"] = {
-                op: _measure_op(surface, method, divisor, arg).microseconds
-                for op, (method, divisor) in TABLE4_OPS.items()}
-        elif table == "table5":
-            ms, output = _table5_redirected(
-                arg, optimized=(mechanism != "baseline"))
-            cell["ms"] = ms
-            cell["output"] = normalized_output(arg, output)
-        elif table == "table6":
-            machine, vm1, k1, vm2, k2 = build_two_vm_machine(
-                names=("private", "public"))
-            _tune(machine)
-            mode = "baseline" if mechanism == "baseline" else "crossover"
-            transfer = OpenSSHTransfer(machine, k1, k2, mode=mode)
-            transfer.setup(arg)
-            cell["mb_s"] = transfer.run().throughput_mb_s
-        else:
-            raise ConfigurationError(
-                f"unknown mechanism table {table!r}")
-        if engine is not None:
-            cell["switchless"] = {"stats": engine.stats.to_dict(),
-                                  "tuning": engine.tuning()}
-        return cell
+        surface = (_baseline_redirect_surface() if mechanism == "baseline"
+                   else _crossover_surface())
+        return {"mechanism": mechanism, "rows": {
+            op: _measure_op(surface, method, divisor,
+                            iterations).microseconds
+            for op, (method, divisor) in TABLE4_OPS.items()}}
     finally:
         _sl._engine = previous
-
-
-def mechanism_specs(iterations: int = 5,
-                    tools: Tuple[str, ...] = ("uptime",),
-                    sizes_mb: Tuple[int, ...] = (256,),
-                    workers: int = 1) -> List[Tuple[str, tuple]]:
-    """The cell work-list of :func:`run_mechanisms`."""
-    specs: List[Tuple[str, tuple]] = []
-    for mechanism in MECHANISMS:
-        specs.append(("mechanism",
-                      ("table4", mechanism, iterations, workers)))
-        for tool in tools:
-            specs.append(("mechanism",
-                          ("table5", mechanism, tool, workers)))
-        for size in sizes_mb:
-            specs.append(("mechanism",
-                          ("table6", mechanism, size, workers)))
-    return specs
-
-
-def merge_mechanisms(cells: List[Tuple[tuple, Dict[str, Any]]]
-                     ) -> Dict[str, Any]:
-    """Assemble three-way cells into per-table comparison layouts."""
-    results: Dict[str, Any] = {"table4": {}, "table5": {}, "table6": {},
-                               "switchless": []}
-    outputs: Dict[str, Dict[str, str]] = {}
-    for (table, mechanism, arg, _workers), value in cells:
-        if table == "table4":
-            for op, usec in value["rows"].items():
-                results["table4"].setdefault(op, {})[mechanism] = usec
-        elif table == "table5":
-            results["table5"].setdefault(arg, {})[mechanism] = value["ms"]
-            outputs.setdefault(arg, {})[mechanism] = value["output"]
-        elif table == "table6":
-            results["table6"].setdefault(arg, {})[mechanism] = \
-                value["mb_s"]
-        if "switchless" in value:
-            results["switchless"].append(
-                {"table": table, "arg": arg, **value["switchless"]})
-    for tool, by_mechanism in outputs.items():
-        results["table5"][tool]["outputs_consistent"] = (
-            len(set(by_mechanism.values())) == 1)
-    return results
-
-
-def run_mechanisms(iterations: int = 5,
-                   tools: Tuple[str, ...] = ("uptime",),
-                   sizes_mb: Tuple[int, ...] = (256,),
-                   workers: int = 1) -> Dict[str, Any]:
-    """Measure every three-way cell serially (same functions as the
-    parallel runner)."""
-    return merge_mechanisms(
-        [(args, CELL_RUNNERS[name](*args))
-         for name, args in mechanism_specs(iterations, tools, sizes_mb,
-                                           workers)])
 
 
 # ---------------------------------------------------------------------------
@@ -689,5 +590,4 @@ TABLE_PLANS = {
     "table5": (table5_specs, merge_table5),
     "table6": (table6_specs, merge_table6),
     "table7": (table7_specs, merge_table7),
-    "mechanisms": (mechanism_specs, merge_mechanisms),
 }

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro import observatory as _observatory
-from repro import switchless as _switchless
 from repro import telemetry
 from repro.analysis import experiments
 
@@ -46,7 +45,6 @@ class CellResult:
     wall_seconds: float
     worker_pid: int
     telemetry: Optional[Dict[str, Any]] = field(default=None, repr=False)
-    switchless: Optional[Dict[str, int]] = field(default=None, repr=False)
     observatory: Optional[Dict[str, Any]] = field(default=None, repr=False)
 
 
@@ -70,7 +68,6 @@ def _execute_cell(spec: CellSpec) -> CellResult:
     """
     runner, args = spec
     cell_telemetry: Optional[Dict[str, Any]] = None
-    cell_switchless: Optional[Dict[str, int]] = None
     cell_observatory: Optional[Dict[str, Any]] = None
 
     # With an observatory installed, the cell records into its own
@@ -96,36 +93,19 @@ def _execute_cell(spec: CellSpec) -> CellResult:
         return value
 
     t0 = time.perf_counter()
-    # With a switchless engine installed, every cell gets a clone (same
-    # config, fresh counters/policy/rings) that sees only the cell's own
-    # call stream, so flips and tuner moves — and the spec-order merge
-    # of the counters — are identical at any worker count.
-    if _switchless.enabled():
-        installed_sl = _switchless.current()
-        assert installed_sl is not None
-        sl_ctx = _switchless.scoped(installed_sl.clone())
+    parent = telemetry.current()
+    if parent is None:
+        value = _invoke()
     else:
-        sl_ctx = None
-    sl_engine = sl_ctx.__enter__() if sl_ctx is not None else None
-    try:
-        parent = telemetry.current()
-        if parent is None:
-            value = _invoke()
-        else:
-            with telemetry.scoped(f"cell:{runner}", parent.spans) as session:
-                with (session.tracer.span(f"cell:{runner}", category="cell",
-                                          runner=runner, args=repr(args))
-                      if session.spans else contextlib.nullcontext()):
-                    value = _invoke()
-            cell_telemetry = session.to_dict()
-    finally:
-        if sl_ctx is not None:
-            cell_switchless = sl_engine.stats.to_dict()
-            sl_ctx.__exit__(None, None, None)
+        with telemetry.scoped(f"cell:{runner}", parent.spans) as session:
+            with (session.tracer.span(f"cell:{runner}", category="cell",
+                                      runner=runner, args=repr(args))
+                  if session.spans else contextlib.nullcontext()):
+                value = _invoke()
+        cell_telemetry = session.to_dict()
     return CellResult(runner=runner, args=args, value=value,
                       wall_seconds=time.perf_counter() - t0,
                       worker_pid=os.getpid(), telemetry=cell_telemetry,
-                      switchless=cell_switchless,
                       observatory=cell_observatory)
 
 
@@ -142,25 +122,6 @@ def _merge_cell_telemetry(cells: List[CellResult]) -> None:
         session.absorb(cell.telemetry,
                        pid=cell.worker_pid if cell.worker_pid != own_pid
                        else None)
-
-
-def _merge_cell_switchless(cells: List[CellResult]) -> None:
-    """Fold each cell's switchless counters into the parent engine.
-
-    Cells are visited in spec order and addition is the only combine
-    step, so the merged totals are byte-identical at any worker count.
-    A parent telemetry session absorbs the same harvest as
-    ``switchless.*`` counters.
-    """
-    engine = _switchless.current()
-    if engine is None:
-        return
-    session = telemetry.current()
-    for cell in cells:
-        if cell.switchless is not None:
-            engine.stats.merge(cell.switchless)
-            if session is not None:
-                session.absorb_stats("switchless", cell.switchless)
 
 
 def _merge_cell_observatory(cells: List[CellResult]) -> None:
@@ -187,7 +148,6 @@ def run_cells(specs: List[CellSpec], workers: Optional[int] = None
     """
     cells = _run_cells_raw(specs, workers)
     _merge_cell_telemetry(cells)
-    _merge_cell_switchless(cells)
     _merge_cell_observatory(cells)
     return cells
 
@@ -210,74 +170,32 @@ def _run_cells_raw(specs: List[CellSpec], workers: Optional[int]
 
 
 def _run_table(table: str, specs: List[CellSpec],
-               workers: Optional[int]) -> Tuple[Any, List[CellResult]]:
+               workers: Optional[int]) -> Any:
     _, merge = experiments.TABLE_PLANS[table]
-    cells = run_cells(specs, workers)
-    merged = merge([(c.args, c.value) for c in cells])
-    return merged, cells
+    return merge([(c.args, c.value) for c in run_cells(specs, workers)])
 
 
 def run_table4(iterations: int = 5, workers: Optional[int] = None
                ) -> Dict[str, Dict[str, Any]]:
     """Parallel :func:`~repro.analysis.experiments.run_table4`."""
-    merged, _ = _run_table("table4",
-                           experiments.table4_specs(iterations), workers)
-    return merged
+    return _run_table("table4", experiments.table4_specs(iterations),
+                      workers)
 
 
 def run_table5(workers: Optional[int] = None) -> Dict[str, Dict[str, Any]]:
     """Parallel :func:`~repro.analysis.experiments.run_table5`."""
-    merged, _ = _run_table("table5", experiments.table5_specs(), workers)
-    return merged
+    return _run_table("table5", experiments.table5_specs(), workers)
 
 
 def run_table6(sizes_mb: Tuple[int, ...] = (128, 256, 512, 1024),
                workers: Optional[int] = None) -> Dict[int, Dict[str, Any]]:
     """Parallel :func:`~repro.analysis.experiments.run_table6`."""
-    merged, _ = _run_table("table6",
-                           experiments.table6_specs(sizes_mb), workers)
-    return merged
+    return _run_table("table6", experiments.table6_specs(sizes_mb),
+                      workers)
 
 
 def run_table7(iterations: int = 5, workers: Optional[int] = None
                ) -> Dict[str, Dict[str, Any]]:
     """Parallel :func:`~repro.analysis.experiments.run_table7`."""
-    merged, _ = _run_table("table7",
-                           experiments.table7_specs(iterations), workers)
-    return merged
-
-
-def run_sweep(tables: Tuple[str, ...] = ("table4", "table5", "table6",
-                                         "table7"),
-              workers: Optional[int] = None) -> Dict[str, Any]:
-    """Run several tables as one flat cell pool (best load balance).
-
-    Returns ``{"results": {table: merged}, "cells": [...timings...],
-    "wall_seconds": total}``.
-    """
-    flat: List[CellSpec] = []
-    owners: List[str] = []
-    for table in tables:
-        make_specs, _ = experiments.TABLE_PLANS[table]
-        specs = make_specs()
-        flat.extend(specs)
-        # Remember which plan contributed each cell: plan names and
-        # cell-runner names can differ (the "mechanisms" plan fans out
-        # "mechanism" cells).
-        owners.extend([table] * len(specs))
-    t0 = time.perf_counter()
-    cells = run_cells(flat, workers)
-    total = time.perf_counter() - t0
-    results: Dict[str, Any] = {}
-    for table in tables:
-        _, merge = experiments.TABLE_PLANS[table]
-        own = [(c.args, c.value)
-               for c, owner in zip(cells, owners) if owner == table]
-        results[table] = merge(own)
-    return {
-        "results": results,
-        "cells": [{"runner": c.runner, "args": list(c.args),
-                   "wall_seconds": round(c.wall_seconds, 4),
-                   "worker_pid": c.worker_pid} for c in cells],
-        "wall_seconds": total,
-    }
+    return _run_table("table7", experiments.table7_specs(iterations),
+                      workers)

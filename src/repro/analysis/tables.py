@@ -35,40 +35,6 @@ def _fmt(value: object) -> str:
     return str(value)
 
 
-def format_mechanisms(results: dict) -> str:
-    """Render the three-way mechanism comparison (baseline / world_call
-    / switchless) produced by
-    :func:`repro.analysis.experiments.run_mechanisms`."""
-    sections: List[str] = []
-    order = ("baseline", "world_call", "switchless")
-    if results.get("table4"):
-        rows = [[op] + [by.get(m) for m in order]
-                + [reduction(by["world_call"], by["switchless"])
-                   if by.get("world_call") and by.get("switchless")
-                   else None]
-                for op, by in results["table4"].items()]
-        sections.append(format_table(
-            ["operation"] + list(order) + ["sl vs wc %"], rows,
-            title="Mechanisms — lmbench latency (us)"))
-    if results.get("table5"):
-        rows = [[tool] + [by.get(m) for m in order]
-                + ["yes" if by.get("outputs_consistent") else "NO"]
-                for tool, by in results["table5"].items()]
-        sections.append(format_table(
-            ["tool"] + list(order) + ["consistent"], rows,
-            title="Mechanisms — utilities (ms)"))
-    if results.get("table6"):
-        rows = [[f"{size} MB"] + [by.get(m) for m in order]
-                + [improvement(by["switchless"], by["world_call"])
-                   if by.get("world_call") and by.get("switchless")
-                   else None]
-                for size, by in results["table6"].items()]
-        sections.append(format_table(
-            ["transfer"] + list(order) + ["sl vs wc %"], rows,
-            title="Mechanisms — scp throughput (MB/s)"))
-    return "\n\n".join(sections)
-
-
 def reduction(original: float, optimized: float) -> float:
     """Latency reduction percentage (Table 4/5 style)."""
     if original <= 0:

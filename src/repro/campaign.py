@@ -1,7 +1,7 @@
 """``crossover <campaign>`` — one harness for the recorded campaigns.
 
-The six campaigns (``faults``, ``switchless``, ``fleet``, ``xray``,
-``audit``, ``observatory``) each keep their cell runner and artifact
+The five campaigns (``faults``, ``switchless``, ``fleet``, ``audit``,
+``observatory``) each keep their cell runner and artifact
 assembly in their own package and declare one :class:`Campaign` record
 there (see :data:`CAMPAIGNS`).  Everything they used to copy lives
 here once: the telemetry-scoped cell :func:`sweep`, the deterministic
@@ -12,8 +12,8 @@ own :attr:`Campaign.failures`), the SLO gate and the exit-code policy::
     crossover switchless --iterations 2 --workers 4 --quiet
     crossover fleet --tenants 10,50,100 --rate-scale 8 --horizon-ms 5
     crossover fleet --strict --slo 'fleet.latency.cycles.p99 < 2000000'
-    crossover xray --out XRAY.json --trace-out xray.trace.json
-    crossover xray --check XRAY.json     # re-verify an artifact from disk
+    crossover fleet --out FLEET.json --trace-out fleet.trace.json
+    crossover fleet --check FLEET.json   # re-verify an artifact from disk
     crossover audit --out AUDIT.json
     crossover observatory --slo 'world_call.cycles.p99 < 100000' \
         --html dashboard.html
@@ -46,7 +46,6 @@ CAMPAIGNS: Dict[str, str] = {
     "faults": "repro.faults.campaign",
     "switchless": "repro.switchless.campaign",
     "fleet": "repro.fleet.campaign",
-    "xray": "repro.xray.campaign",
     "audit": "repro.audit.workload",
     "observatory": "repro.observatory.campaign",
 }
@@ -188,7 +187,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.check is not None and not args.quiet:
         print(f"{args.check}: {'FAIL' if errors else 'ok'}")
 
-    # ``slo`` is one report (observatory) or one per cell (fleet, xray).
+    # ``slo`` is one report (observatory) or one per cell (fleet).
     slo = {} if errors else artifact.get("slo", {})
     burned = any(report["violated"] for report in
                  ([slo] if "violated" in slo else slo.values()))

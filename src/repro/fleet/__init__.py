@@ -17,9 +17,11 @@ and replays millions of synthetic user requests against them:
   bursty ON/OFF per tenant) against partitioned-OpenSSH and HyperShell
   tenant profiles;
 * :mod:`repro.fleet.campaign` — the ``crossover fleet`` campaign
-  (run by :mod:`repro.campaign`) sweeping tenant count x mechanism into
-  a schema-validated ``crossover-fleet/v1`` artifact with throughput
-  and p50/p99/p999 latency curves.
+  (run by :mod:`repro.campaign`) sweeping tenant count x mechanism,
+  every cell traced by :mod:`repro.xray`, into a schema-validated
+  ``crossover-fleet/v2`` artifact: per-cell throughput and latency,
+  the p99 tail explained per mechanism, and a lane-width identity
+  sweep.
 
 Unlike telemetry/faults/switchless this is **not** a module-global
 subsystem: it is a runner-layer engine like

@@ -1,31 +1,44 @@
 """Seeded fleet campaign behind ``crossover fleet``.
 
-Sweeps tenant count x mechanism over the sharded fleet, every cell a
-self-contained :data:`~repro.analysis.experiments.CELL_RUNNERS` entry
-(fresh calibration machine + fresh fleet per cell), so the campaign
+Sweeps tenant count x mechanism over the sharded fleet with x-ray
+trace sampling on (1 in :data:`~repro.xray.trace.DEFAULT_SAMPLE_EVERY`
+trace ids, :data:`~repro.xray.trace.DEFAULT_KEEP` traces kept per
+cell).  Every cell is a self-contained
+:data:`~repro.analysis.experiments.CELL_RUNNERS` entry (fresh
+calibration machine + fresh fleet per cell), so the campaign
 parallelizes over :func:`repro.analysis.parallel.run_cells` and the
 same seed produces a **byte-identical artifact at any pool worker
-count** — the determinism the CI smoke job ``cmp``'s.
+count and any scheduler lane width** — sampling is a seeded hash of
+the trace id, never ``random`` or wall-clock.
 
-The artifact (``crossover-fleet/v1``) carries:
+The artifact (``crossover-fleet/v2``) states each fact once:
 
-* **curves** — per mechanism, throughput and p50/p99/p999 latency as a
-  function of tenant count.  At fleet scale the baseline's serialized
-  trap transitions saturate the hypervisor: throughput flatlines and
-  the tail explodes, while ``world_call`` and switchless keep scaling
-  — the paper's core claim, replayed at thousand-tenant scale;
-* **cells** — each cell's full result including its observatory-shaped
-  windows (counters / gauges / raw-bucket histograms), so the PR8 SLO
-  burn-rate gate evaluates fleet runs unchanged;
-* **interleave_sweep** — the same cell at 1/2/4 scheduler lanes with a
-  ``cycle_identical`` claim (events commit in ``(cycle, seq)`` order
+* **cells** — each cell's full fleet result: throughput, latency,
+  observatory-shaped windows (so the SLO burn-rate gate evaluates
+  fleet runs unchanged) and its ``xray`` payload (per-stage critical
+  path, kept traces, exemplars, p99 exemplar, noisy neighbors,
+  conservation verdict);
+* **tail** — the tail explainer's per-mechanism rows at the top
+  tenant count: the p99 exemplar trace, its dominant segment and the
+  aggregate contention share.  At fleet scale the baseline tail is
+  hypervisor-serialization wait; the fast paths have no such segment;
+* **noisy_neighbors** — the baseline top-count cell's per-tenant
+  contention attribution (cycles inflicted on others vs suffered);
+* **lane_sweep** — the baseline and ``world_call`` cells at the
+  smallest count at 1/2/4 scheduler lanes, keyed mechanism then
+  width; the ``lane_identical`` claim covers the cycle surface and the
+  whole xray payload (events commit in ``(cycle, seq)`` order
   regardless of batch width);
+* **conservation** — the per-cell re-verification rollup (every kept
+  trace's segments must sum to its latency);
 * **summary** — machine-checked claims the CLI gates on.
 
-The tenant-count x mechanism sweep plus a lane-width sweep
-(:func:`run_sweep`), the fleet-shape flags and their validation, and
-the top-count SLO evaluation are shared with the x-ray campaign, which
-runs the same sweep with trace sampling on.
+The throughput/latency curves are not stored: :func:`render_summary`
+reads them off ``cells``.  ``crossover fleet --check FILE`` re-derives
+``tail``, ``noisy_neighbors``, ``conservation`` and every ``summary``
+claim from ``cells`` and ``lane_sweep`` and fails on any
+disagreement, so a tampered segment, lane cell or cell number exits
+nonzero.
 
 The throughput claims compare at the *top* tenant count; with small
 sweeps that never reach baseline saturation, raise ``rate_scale``
@@ -38,20 +51,26 @@ from __future__ import annotations
 import argparse
 import json
 import math
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro import telemetry
 from repro.analysis.experiments import CELL_RUNNERS
-from repro.campaign import Campaign, claim_failures, sweep
+from repro.campaign import Campaign, claim_failures, sweep, write_artifact
 from repro.fleet.scheduler import DEFAULT_CORES, MECHANISMS
+from repro.xray.trace import DEFAULT_SAMPLE_EVERY, check_traces, is_sampled
 
-SCHEMA = "crossover-fleet/v1"
+SCHEMA = "crossover-fleet/v2"
 
 #: Default tenant-count sweep (10 -> 1000).
 TENANT_SWEEP: Tuple[int, ...] = (10, 100, 1000)
 
 #: Scheduler-lane widths swept for the determinism claim.
 INTERLEAVE_SWEEP: Tuple[int, ...] = (1, 2, 4)
+
+#: Mechanisms re-run at every lane width: the baseline (hypervisor
+#: contention and blame bookkeeping, the hardest surface to keep
+#: batch-width independent) and the paper's world call.
+LANE_MECHANISMS: Tuple[str, ...] = ("baseline", "world_call")
 
 #: Default modeled horizon per cell, in modeled milliseconds.
 DEFAULT_HORIZON_MS = 10.0
@@ -64,19 +83,12 @@ def run_fleet_cell(tenants: int, mechanism: str, seed: int,
                    horizon_ms: float, interleave: int = 1,
                    churn_every: int = DEFAULT_CHURN_EVERY,
                    cores: int = DEFAULT_CORES,
-                   rate_scale: float = 1.0,
-                   xray_sample: int = 0,
-                   xray_keep: int = 24) -> Dict[str, Any]:
+                   rate_scale: float = 1.0) -> Dict[str, Any]:
     """One campaign cell: calibrate the mechanism on a fresh two-VM
-    machine, stand up the sharded fleet, replay the seeded arrivals.
+    machine, stand up the sharded fleet, replay the seeded arrivals
+    with an :class:`~repro.xray.trace.XrayRecorder` riding along.
     Self-contained, so it runs identically in-process or in a fork
-    worker.
-
-    ``xray_sample`` > 0 rides an :class:`~repro.xray.trace.
-    XrayRecorder` along (1-in-N seeded-hash trace sampling, ``xray_keep``
-    top traces kept): the result gains an ``xray`` payload and
-    histogram exemplars, with every timing number unchanged.
-    """
+    worker."""
     from repro.fleet import traffic
     from repro.fleet.scheduler import (FleetScheduler, build_fleet,
                                        calibrate_costs)
@@ -90,9 +102,7 @@ def run_fleet_cell(tenants: int, mechanism: str, seed: int,
     costs = calibrate_costs(mechanism)
     fleet = build_fleet(specs)
     horizon = int(horizon_ms * 1000 * CYCLES_PER_US)
-    recorder = (XrayRecorder(seed=seed, sample_every=xray_sample,
-                             keep=xray_keep)
-                if xray_sample > 0 else None)
+    recorder = XrayRecorder(seed=seed)
     scheduler = FleetScheduler(
         specs, costs, seed=seed, horizon_cycles=horizon,
         cores=cores, interleave=interleave, churn_every=churn_every,
@@ -102,7 +112,7 @@ def run_fleet_cell(tenants: int, mechanism: str, seed: int,
     result["misses_serviced"] = fleet.service.misses_serviced
     session = telemetry.current()
     if session is not None:
-        stats = {
+        session.absorb_stats("fleet", {
             "requests": result["requests"],
             "completed": result["completed"],
             "sched_events": result["sched_events"],
@@ -110,10 +120,8 @@ def run_fleet_cell(tenants: int, mechanism: str, seed: int,
             "calls_hot": result["calls"]["hot"],
             "calls_cold": result["calls"]["cold"],
             "misses_serviced": result["misses_serviced"],
-        }
-        if recorder is not None:
-            stats["xray_traces_sampled"] = recorder.traces_sampled
-        session.absorb_stats("fleet", stats)
+            "xray_traces_sampled": recorder.traces_sampled,
+        })
     return result
 
 
@@ -125,32 +133,11 @@ CELL_RUNNERS["fleetcell"] = run_fleet_cell
 # ---------------------------------------------------------------------------
 
 
-def _curve_point(value: Dict[str, Any]) -> Dict[str, Any]:
-    latency = value["latency"]
-    return {
-        "tenants": value["tenants"],
-        "offered_rps": value["offered_rps"],
-        "throughput_rps": value["throughput_rps"],
-        "p50": latency["p50"], "p90": latency["p90"],
-        "p99": latency["p99"], "p999": latency["p999"],
-        "mean": latency["mean"], "max": latency["max"],
-        "requests": value["requests"],
-        "completed": value["completed"],
-        "completed_by_horizon": value["completed_by_horizon"],
-        "sched_events": value["sched_events"],
-        "hv_busy_cycles": value["hv"]["busy_cycles"],
-        "hv_wait_cycles": value["hv"]["wait_cycles"],
-        "calls_hot": value["calls"]["hot"],
-        "calls_cold": value["calls"]["cold"],
-        "revocations": value.get("revocations", 0),
-    }
-
-
 def _lane_surface(value: Dict[str, Any]) -> Dict[str, Any]:
     """The identity surface compared across scheduler lane widths: the
-    cycle surface, plus the whole xray payload (segment vectors,
-    exemplars, noisy-neighbor blame) when the cell was traced."""
-    surface = {
+    cycle surface plus the whole xray payload (segment vectors,
+    exemplars, noisy-neighbor blame)."""
+    return {
         "requests": value["requests"],
         "completed": value["completed"],
         "throughput_rps": value["throughput_rps"],
@@ -158,25 +145,119 @@ def _lane_surface(value: Dict[str, Any]) -> Dict[str, Any]:
         "last_completion_cycles": value["last_completion_cycles"],
         "p99": value["latency"]["p99"],
         "p999": value["latency"]["p999"],
+        "xray": value["xray"],
     }
-    if "xray" in value:
-        surface["xray"] = value["xray"]
-    return surface
 
 
-def run_sweep(seed: int, tenant_counts: Sequence[int], horizon_ms: float,
-              workers: Optional[int], churn_every: int, cores: int,
-              rate_scale: float, lane_mechanism: str = "world_call",
-              sampling: Tuple[int, ...] = ()
-              ) -> Tuple[Tuple[int, ...], Dict[str, Dict[str, Any]],
-                         Dict[str, Dict[str, Any]], Dict[str, int]]:
-    """Validate the fleet shape, then run every (tenant count x
-    mechanism) cell plus ``lane_mechanism`` at the smallest count on
-    each :data:`INTERLEAVE_SWEEP` lane width.  ``sampling`` is the
-    cells' trailing ``(xray_sample, xray_keep)``, empty for untraced
-    cells.  Returns ``(counts, cells, lanes, counters)``: the sorted
-    counts, cells keyed ``mechanism@count``, the lane surfaces keyed by
-    width, and the merged ``fleet.*`` telemetry counters."""
+def _tail_row(mechanism: str, tenants: int,
+              value: Dict[str, Any]) -> Dict[str, Any]:
+    """One explainer row: the mechanism's p99 exemplar dissected."""
+    xray = value["xray"]
+    latency_sum = xray["latency_cycles"]
+    exemplar = xray["p99_exemplar"]
+    return {
+        "mechanism": mechanism,
+        "tenants": tenants,
+        "p99": value["latency"]["p99"],
+        "requests": xray["requests"],
+        "contention_share": round(
+            xray["contention_cycles"] / latency_sum, 6)
+        if latency_sum else 0.0,
+        "per_stage": dict(xray["per_stage"]),
+        "p99_exemplar": exemplar,
+        "dominant_segment": (exemplar["dominant_segment"]
+                             if exemplar else None),
+    }
+
+
+def _derive(artifact: Dict[str, Any]) -> Dict[str, Any]:
+    """Everything the artifact states about its ``cells`` and
+    ``lane_sweep``: ``tail``, ``noisy_neighbors``, ``conservation`` and
+    ``summary``.  The run records these; ``--check`` recomputes them."""
+    cells = artifact["cells"]
+    top = artifact["tenant_counts"][-1]
+    tail = [_tail_row(mechanism, top, cells[f"{mechanism}@{top}"])
+            for mechanism in MECHANISMS]
+
+    conservation_cells = {key: check_traces(value["xray"])
+                          for key, value in sorted(cells.items())}
+    conservation = {
+        "cells": conservation_cells,
+        "checked": sum(v["checked"] for v in conservation_cells.values()),
+        "ok": all(v["ok"] for v in conservation_cells.values()),
+    }
+
+    base, world, sless = (cells[f"{mechanism}@{top}"]
+                          for mechanism in MECHANISMS)
+    base_p99 = base["latency"]["p99"]
+    churn_every = artifact["churn_every"]
+    base_row, *fast_rows = tail
+    summary = {
+        "world_call_beats_baseline_at_top":
+            world["throughput_rps"] > base["throughput_rps"],
+        "switchless_beats_baseline_at_top":
+            sless["throughput_rps"] > base["throughput_rps"],
+        "baseline_saturates_at_top":
+            base["throughput_rps"] < 0.95 * base["offered_rps"],
+        "baseline_worst_p99_at_top":
+            base_p99 is not None
+            and all(cell["latency"]["p99"] is not None
+                    and base_p99 >= cell["latency"]["p99"]
+                    for cell in (world, sless)),
+        # Churn only fires once completions reach the period; small
+        # smokes legitimately finish under it.
+        "churn_exercised":
+            churn_every == 0
+            or base.get("revocations", 0) > 0
+            or base["completed"] < churn_every,
+        "lane_identical": all(
+            len({json.dumps(surface, sort_keys=True)
+                 for surface in widths.values()}) == 1
+            for widths in artifact["lane_sweep"].values()),
+        "conservation_ok": conservation["ok"],
+        # Every kept trace id must re-pass the seeded-hash sampling
+        # decision: the sampled set is a pure function of (seed, id),
+        # not of execution order.
+        "sampling_deterministic": all(
+            is_sampled(artifact["seed"], trace["id"], DEFAULT_SAMPLE_EVERY)
+            for value in cells.values()
+            for trace in value["xray"]["traces"]),
+        # Every exemplar must resolve to a kept trace in its own cell.
+        "exemplars_resolve": all(
+            exm["trace_id"] in {t["id"] for t in value["xray"]["traces"]}
+            for value in cells.values()
+            for exm in value["xray"]["exemplars"].values()),
+        "tail_exemplars_present":
+            all(row["p99_exemplar"] is not None for row in tail),
+        # The fleet story from trace data alone: the baseline p99
+        # exemplar's dominant segment is the hypervisor-serialization
+        # wait, while the fast paths carry no such segment at all.
+        "baseline_tail_is_hv_serialization":
+            base_row["dominant_segment"] == "hv_wait",
+        "fast_paths_free_of_hv_wait":
+            all(row["per_stage"]["hv_wait"] == 0 for row in fast_rows),
+    }
+    return {
+        "tail": tail,
+        "noisy_neighbors": base["xray"]["noisy_neighbors"],
+        "conservation": conservation,
+        "summary": summary,
+    }
+
+
+def run_campaign(seed: int = 0,
+                 tenant_counts: Sequence[int] = TENANT_SWEEP,
+                 horizon_ms: float = DEFAULT_HORIZON_MS,
+                 workers: Optional[int] = None,
+                 churn_every: int = DEFAULT_CHURN_EVERY,
+                 cores: int = DEFAULT_CORES,
+                 rate_scale: float = 1.0) -> Dict[str, Any]:
+    """Validate the fleet shape, run every (tenant count x mechanism)
+    cell plus the :data:`LANE_MECHANISMS` at the smallest count on each
+    :data:`INTERLEAVE_SWEEP` width, and return the
+    ``crossover-fleet/v2`` artifact (plain data, ``json.dump``-ready,
+    pool-worker and lane-width independent).  Raises ``ValueError`` on
+    a bad fleet shape."""
     counts = tuple(sorted(set(int(n) for n in tenant_counts)))
     if not counts or counts[0] < 1:
         raise ValueError("tenant counts must be positive")
@@ -189,71 +270,30 @@ def run_sweep(seed: int, tenant_counts: Sequence[int], horizon_ms: float,
 
     def spec(count: int, mechanism: str, width: int) -> Tuple[str, tuple]:
         return ("fleetcell", (count, mechanism, seed, horizon_ms, width,
-                              churn_every, cores, rate_scale) + sampling)
+                              churn_every, cores, rate_scale))
 
     specs = [spec(count, mechanism, 1)
              for count in counts for mechanism in MECHANISMS]
-    # The 1-lane cell is the main sweep's own.
-    specs += [spec(counts[0], lane_mechanism, width)
+    # The 1-lane cells are the main sweep's own.
+    specs += [spec(counts[0], mechanism, width)
+              for mechanism in LANE_MECHANISMS
               for width in INTERLEAVE_SWEEP if width != 1]
     results, counters = sweep(specs, "fleet-campaign", "fleet.", workers)
 
     cells: Dict[str, Dict[str, Any]] = {}
-    lanes: Dict[str, Dict[str, Any]] = {}
+    lanes: Dict[str, Dict[str, Any]] = {m: {} for m in LANE_MECHANISMS}
     for result in results:
         count, mechanism, width = result.args[0], result.args[1], \
             result.args[4]
         if width == 1:
             cells[f"{mechanism}@{count}"] = result.value
         else:
-            lanes[str(width)] = _lane_surface(result.value)
-    lanes["1"] = _lane_surface(cells[f"{lane_mechanism}@{counts[0]}"])
-    return counts, cells, lanes, counters
+            lanes[mechanism][str(width)] = _lane_surface(result.value)
+    for mechanism in LANE_MECHANISMS:
+        lanes[mechanism]["1"] = _lane_surface(
+            cells[f"{mechanism}@{counts[0]}"])
 
-
-def run_campaign(seed: int = 0,
-                 tenant_counts: Sequence[int] = TENANT_SWEEP,
-                 horizon_ms: float = DEFAULT_HORIZON_MS,
-                 workers: Optional[int] = None,
-                 churn_every: int = DEFAULT_CHURN_EVERY,
-                 cores: int = DEFAULT_CORES,
-                 rate_scale: float = 1.0) -> Dict[str, Any]:
-    """Run the full sweep and return the ``crossover-fleet/v1``
-    artifact (plain data, ``json.dump``-ready, pool-worker
-    independent).  Raises ``ValueError`` on a bad fleet shape."""
-    counts, cells, sweep_cells, counters = run_sweep(
-        seed, tenant_counts, horizon_ms, workers, churn_every, cores,
-        rate_scale)
-    curves = {mechanism: [_curve_point(cells[f"{mechanism}@{count}"])
-                          for count in counts]
-              for mechanism in MECHANISMS}
-    costs = {mechanism: cells[f"{mechanism}@{counts[-1]}"]["costs"]
-             for mechanism in MECHANISMS}
-
-    base, world, sless = (curves[m][-1] for m in MECHANISMS)   # top count
-    sweep_identity = {json.dumps(fields, sort_keys=True)
-                      for fields in sweep_cells.values()}
-    summary = {
-        "world_call_beats_baseline_at_top":
-            world["throughput_rps"] > base["throughput_rps"],
-        "switchless_beats_baseline_at_top":
-            sless["throughput_rps"] > base["throughput_rps"],
-        "baseline_saturates_at_top":
-            base["throughput_rps"] < 0.95 * base["offered_rps"],
-        "baseline_worst_p99_at_top":
-            base["p99"] is not None
-            and base["p99"] >= world["p99"]
-            and base["p99"] >= sless["p99"],
-        "interleave_identical": len(sweep_identity) == 1,
-        # Churn only fires once completions reach the period; small
-        # smokes legitimately finish under it.
-        "churn_exercised":
-            churn_every == 0
-            or base["revocations"] > 0
-            or base["completed"] < churn_every,
-    }
-
-    return {
+    artifact = {
         "schema": SCHEMA,
         "seed": seed,
         "horizon_ms": horizon_ms,
@@ -262,55 +302,85 @@ def run_campaign(seed: int = 0,
         "rate_scale": rate_scale,
         "tenant_counts": list(counts),
         "mechanisms": list(MECHANISMS),
-        "costs": costs,
-        "curves": curves,
         "cells": cells,
-        "interleave_sweep": {
-            "cells": sweep_cells,
-            "cycle_identical": len(sweep_identity) == 1,
-        },
-        "summary": summary,
+        "lane_sweep": lanes,
         "telemetry": counters,
     }
+    artifact.update(_derive(artifact))
+    return artifact
 
 
 def render_summary(artifact: Dict[str, Any]) -> str:
-    """The campaign's headline curves as fixed-width text."""
+    """The campaign's throughput/p99 curves, read off the cells, as
+    fixed-width text."""
     from repro.analysis.tables import format_table
     from repro.hw.costs import us
 
-    def p99us(point: Dict[str, Any]) -> Optional[float]:
-        return None if point["p99"] is None else round(us(point["p99"]), 2)
+    def p99us(cell: Dict[str, Any]) -> Optional[float]:
+        p99 = cell["latency"]["p99"]
+        return None if p99 is None else round(us(p99), 2)
 
     rows = []
-    by_count: Dict[int, Dict[str, Dict[str, Any]]] = {}
-    for mechanism, points in artifact["curves"].items():
-        for point in points:
-            by_count.setdefault(point["tenants"], {})[mechanism] = point
-    for count in sorted(by_count):
-        group = by_count[count]
-        base = group["baseline"]
+    for count in artifact["tenant_counts"]:
+        base, world, sless = (artifact["cells"][f"{mechanism}@{count}"]
+                              for mechanism in MECHANISMS)
         rows.append([
             count, base["offered_rps"],
-            base["throughput_rps"], group["world_call"]["throughput_rps"],
-            group["switchless"]["throughput_rps"],
-            p99us(base), p99us(group["world_call"]),
-            p99us(group["switchless"]),
+            base["throughput_rps"], world["throughput_rps"],
+            sless["throughput_rps"],
+            p99us(base), p99us(world), p99us(sless),
         ])
-    lines = [format_table(
-        ["tenants", "offered rps", "base rps", "wcall rps", "sless rps",
-         "base p99us", "wcall p99us", "sless p99us"], rows,
-        title="Fleet throughput / p99 vs tenant count")]
     summary = artifact["summary"]
-    lines.append("")
-    lines.append(
+    return "\n".join([
+        format_table(
+            ["tenants", "offered rps", "base rps", "wcall rps", "sless rps",
+             "base p99us", "wcall p99us", "sless p99us"], rows,
+            title="Fleet throughput / p99 vs tenant count"),
+        "",
         f"world_call beats baseline at top: "
         f"{summary['world_call_beats_baseline_at_top']}  "
         f"switchless beats baseline at top: "
         f"{summary['switchless_beats_baseline_at_top']}  "
-        f"baseline saturates: {summary['baseline_saturates_at_top']}  "
-        f"1/2/4-lane cycle-identical: {summary['interleave_identical']}")
-    return "\n".join(lines)
+        f"baseline saturates: {summary['baseline_saturates_at_top']}"])
+
+
+def _render(artifact: Dict[str, Any]) -> str:
+    from repro.xray.explain import render_report
+    return render_summary(artifact) + "\n\n" + render_report(artifact)
+
+
+def _failures(artifact: Dict[str, Any]) -> List[str]:
+    """Re-run the conservation crosscheck on every cell, re-derive the
+    sections and claims that summarize ``cells`` and ``lane_sweep``,
+    then gate on the recorded claims."""
+    counts = artifact["tenant_counts"]
+    expected = {f"{mechanism}@{count}"
+                for mechanism in MECHANISMS for count in counts}
+    widths = {str(width) for width in INTERLEAVE_SWEEP}
+    if (not counts or artifact["mechanisms"] != list(MECHANISMS)
+            or set(artifact["cells"]) != expected
+            or set(artifact["lane_sweep"]) != set(LANE_MECHANISMS)
+            or any(set(lanes) != widths
+                   for lanes in artifact["lane_sweep"].values())):
+        return ["cells or lane_sweep do not cover the declared sweep"]
+
+    errors = []
+    for key in sorted(artifact["cells"]):
+        verdict = check_traces(artifact["cells"][key]["xray"])
+        if not verdict["ok"]:
+            errors.append(
+                f"conservation violated in cell {key}: "
+                f"segments != latency for {verdict['mismatches']}")
+    derived = _derive(artifact)
+    for section in ("tail", "noisy_neighbors", "conservation"):
+        if artifact[section] != derived[section]:
+            errors.append(f"{section} disagrees with the recorded cells")
+    recorded = artifact["summary"]
+    for name, value in derived["summary"].items():
+        if recorded.get(name) != value:
+            errors.append(f"claim {name} recorded as "
+                          f"{recorded.get(name)}, but the cells say {value}")
+    return errors + claim_failures(artifact)
 
 
 def _tenant_counts(text: str) -> List[int]:
@@ -321,9 +391,9 @@ def _tenant_counts(text: str) -> List[int]:
             f"expected comma-separated integers, got {text!r}") from None
 
 
-def add_fleet_arguments(parser: argparse.ArgumentParser) -> None:
-    """The fleet-shape and SLO flags shared by ``fleet`` and ``xray``
-    (values are validated by :func:`run_sweep`)."""
+def _add_arguments(parser: argparse.ArgumentParser) -> None:
+    """The fleet-shape, SLO and trace-export flags (fleet-shape values
+    are validated by :func:`run_campaign`)."""
     parser.add_argument("--tenants", type=_tenant_counts,
                         default=list(TENANT_SWEEP), metavar="N,N,...",
                         help="comma-separated tenant counts to sweep "
@@ -346,47 +416,51 @@ def add_fleet_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--slo", action="append", default=[],
                         metavar="EXPR",
                         help="SLO objective ('<series>.<stat> <op> <value>') "
-                             "evaluated over each top-count cell's windows "
-                             "(traced cells add exemplar top_cause "
-                             "attribution); repeatable")
+                             "evaluated over each top-count cell's windows, "
+                             "with exemplar top_cause attribution; "
+                             "repeatable")
     parser.add_argument("--strict", action="store_true",
                         help="exit nonzero when any --slo objective is "
                              "violated")
+    parser.add_argument("--trace-out", default=None, metavar="FILE",
+                        help="write a Perfetto/Chrome trace of the sampled "
+                             "requests (modeled-cycle axis) here")
 
 
-def run_with_slos(args: argparse.Namespace,
-                  run: Callable[..., Dict[str, Any]],
-                  **extra: Any) -> Dict[str, Any]:
+def _run(args: argparse.Namespace) -> Dict[str, Any]:
     """Parse ``--slo`` (a bad objective is a ``ValueError`` before any
-    cell runs), call ``run`` with the shared flags' values plus
-    ``extra``, and attach the per-mechanism SLO report of the top
-    tenant count as ``slo``."""
+    cell runs), run the campaign, attach the per-mechanism SLO report
+    of the top tenant count as ``slo`` and write ``--trace-out``."""
     from repro.observatory.slo import SloObjective, evaluate_slos
 
     objectives = [SloObjective.parse(text) for text in args.slo]
-    artifact = run(seed=args.seed, tenant_counts=args.tenants,
-                   horizon_ms=args.horizon_ms, workers=args.workers,
-                   churn_every=args.churn_every, cores=args.cores,
-                   rate_scale=args.rate_scale, **extra)
+    artifact = run_campaign(seed=args.seed, tenant_counts=args.tenants,
+                            horizon_ms=args.horizon_ms, workers=args.workers,
+                            churn_every=args.churn_every, cores=args.cores,
+                            rate_scale=args.rate_scale)
     if objectives:
         top = artifact["tenant_counts"][-1]
         report = {}
-        for mechanism in artifact["mechanisms"]:
+        for mechanism in MECHANISMS:
             cell = artifact["cells"][f"{mechanism}@{top}"]
             causes = {int(index): cause["segment"]
-                      for index, cause in cell.get("xray", {}).get(
-                          "window_causes", {}).items()}
+                      for index, cause in
+                      cell["xray"]["window_causes"].items()}
             report[f"{mechanism}@{top}"] = evaluate_slos(
                 objectives, cell["windows"], causes=causes)
         artifact["slo"] = report
+    if args.trace_out:
+        from repro.xray.export import chrome_trace_from_artifact
+        write_artifact(chrome_trace_from_artifact(artifact), args.trace_out)
+        if not args.quiet:
+            print(f"wrote {args.trace_out}")
     return artifact
 
 
 CAMPAIGN = Campaign(
     name="fleet", section="fleet",
     help="Sharded fleet campaign: tenant-count x mechanism sweep with "
-         "throughput and latency curves.",
-    add_arguments=add_fleet_arguments,
-    run=lambda args: run_with_slos(args, run_campaign),
-    render=render_summary,
-    failures=claim_failures)
+         "throughput and latency curves, per-request x-ray traces and "
+         "critical-path tail attribution.",
+    add_arguments=_add_arguments, run=_run, render=_render,
+    failures=_failures)

@@ -186,7 +186,7 @@ def run_campaign(seed: int = 0, iterations: int = 5,
         raise ValueError("iterations must be >= 1")
     specs: List[Tuple[str, tuple]] = []
     for transport in ("baseline", "world_call", "switchless"):
-        specs.append(("mechanism", ("table4", transport, iterations, 1)))
+        specs.append(("mechanism", (transport, iterations)))
     for workload in sorted(WORKLOADS):
         for mechanism in MECHANISMS:
             specs.append(("switchlesscell", (workload, mechanism, seed, 1)))
@@ -204,7 +204,7 @@ def run_campaign(seed: int = 0, iterations: int = 5,
     for result in results:
         value = result.value
         if result.runner == "mechanism":
-            transport = result.args[1]
+            transport = result.args[0]
             for op, usec in value["rows"].items():
                 three_way[op][transport] = usec
             continue

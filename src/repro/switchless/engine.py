@@ -49,7 +49,7 @@ from repro.errors import (
 from repro.observe import Event
 from repro.switchless.policy import AdaptivePolicy
 
-#: Additive counters, in merge order.
+#: Additive counters, in ``to_dict`` order.
 STAT_FIELDS = (
     "calls",
     "hot_calls",
@@ -73,7 +73,7 @@ MODES = ("adaptive", "observe", "force")
 
 @dataclass
 class SwitchlessStats:
-    """Additive engine counters (merged across parallel cells)."""
+    """Additive engine counters."""
 
     calls: int = 0
     hot_calls: int = 0
@@ -92,10 +92,6 @@ class SwitchlessStats:
 
     def to_dict(self) -> Dict[str, int]:
         return {name: getattr(self, name) for name in STAT_FIELDS}
-
-    def merge(self, other: Dict[str, int]) -> None:
-        for name in STAT_FIELDS:
-            setattr(self, name, getattr(self, name) + other.get(name, 0))
 
 
 @dataclass(frozen=True)
@@ -168,10 +164,6 @@ class SwitchlessEngine:
         self._win_wakeups = 0
         self._win_reassigns = 0
         self._win_waste = 0
-
-    def clone(self) -> "SwitchlessEngine":
-        """A fresh engine with the same config (per-cell isolation)."""
-        return SwitchlessEngine(self.config)
 
     @property
     def worker_count(self) -> int:

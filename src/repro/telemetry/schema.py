@@ -19,7 +19,6 @@ Usage::
     python -m repro.telemetry.schema switchless SWITCHLESS.json
     python -m repro.telemetry.schema observatory OBSERVATORY.json
     python -m repro.telemetry.schema fleet FLEET.json
-    python -m repro.telemetry.schema xray XRAY.json
 """
 
 from __future__ import annotations
@@ -133,7 +132,7 @@ def main(argv=None) -> int:
     if len(args) != 2:
         print("usage: python -m repro.telemetry.schema "
               "<metrics|chrome_trace|faults"
-              "|audit|switchless|observatory|fleet|xray> <file.json>",
+              "|audit|switchless|observatory|fleet> <file.json>",
               file=sys.stderr)
         return 2
     errors = validate_file(args[0], args[1])

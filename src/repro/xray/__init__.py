@@ -15,10 +15,11 @@ X-ray runs on the fleet path only: an
 :class:`~repro.xray.trace.XrayRecorder` passed into
 :class:`~repro.fleet.scheduler.FleetScheduler` annotates each request,
 :func:`~repro.xray.trace.check_traces` verifies the conservation law,
-and the ``crossover xray`` campaign (:mod:`repro.xray.campaign`, run by
-:mod:`repro.campaign`) sweeps it into a schema-validated
-``crossover-xray/v1`` artifact that :mod:`repro.xray.explain` renders.
-It is not an observer-bus subscriber.
+:mod:`repro.xray.explain` renders the tail tables and
+:mod:`repro.xray.export` the Perfetto trace.  Every ``crossover fleet``
+cell (:mod:`repro.fleet.campaign`) carries a recorder, so the
+``crossover-fleet/v2`` artifact holds the traces and their
+explanation.  It is not an observer-bus subscriber.
 
 Sampling is a seeded hash of the trace id (never ``random`` or
 wall-clock), so artifacts are byte-identical at 1/2/4 pool workers and

@@ -1,8 +1,8 @@
 """Tail-latency explainer: fixed-width reports over a
-``crossover-xray/v1`` artifact.
+``crossover-fleet/v2`` artifact.
 
-Three renderers, composed by :func:`render_report` (what the CLI
-prints):
+Three renderers, composed by :func:`render_report` (what
+``crossover fleet`` prints after its throughput curves):
 
 * :func:`render_tail` — the "why is p99 what it is" table.  One row
   per mechanism at the top tenant count: the p99 exemplar trace id,

@@ -1,7 +1,7 @@
 """Perfetto / Chrome trace export for sampled x-ray traces.
 
 :func:`chrome_trace_from_artifact` renders the kept traces of a
-``crossover-xray/v1`` artifact as Chrome trace-event JSON (load it in
+``crossover-fleet/v2`` artifact as Chrome trace-event JSON (load it in
 ``chrome://tracing`` or https://ui.perfetto.dev).  Unlike the
 telemetry exporter's span forest — which sits on the **host
 wall-clock** — these events live on the **modeled-cycle** axis: a

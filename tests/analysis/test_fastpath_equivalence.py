@@ -79,9 +79,3 @@ class TestParallelRunner:
         cells = parallel.run_cells(specs, workers=2)
         assert [(c.runner, c.args) for c in cells] == specs
         assert all(c.wall_seconds >= 0 for c in cells)
-
-    def test_sweep_shape(self):
-        sweep = parallel.run_sweep(tables=("table4",), workers=1)
-        assert set(sweep["results"]["table4"]) == set(experiments.TABLE4_OPS)
-        assert sweep["wall_seconds"] > 0
-        assert len(sweep["cells"]) == len(experiments.table4_specs())

@@ -90,20 +90,3 @@ class TestCli:
 
     def test_usage_error(self, capsys):
         assert main(["switchless", "--iterations", "0"]) == 2
-
-
-class TestMechanismsSweep:
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_mechanisms_table_through_run_sweep(self, workers):
-        """The pooled mechanisms sweep equals the serial one."""
-        from repro.analysis import parallel
-        from repro.analysis.experiments import run_mechanisms
-        from repro.analysis.tables import format_mechanisms
-
-        sweep = parallel.run_sweep(("mechanisms",), workers=workers)
-        merged = sweep["results"]["mechanisms"]
-        assert merged == run_mechanisms()
-        text = format_mechanisms(merged)
-        assert "sl vs wc" in text
-        for table in ("table4", "table5", "table6"):
-            assert merged[table]

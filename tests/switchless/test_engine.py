@@ -140,17 +140,11 @@ class TestAdaptiveRouting:
 class TestStatsAndConfig:
     def test_stat_fields_round_trip(self):
         stats = SwitchlessStats()
-        stats.merge({name: 2 for name in STAT_FIELDS})
-        stats.merge({name: 3 for name in STAT_FIELDS})
-        assert stats.to_dict() == {name: 5 for name in STAT_FIELDS}
-
-    def test_clone_is_fresh(self):
-        engine = SwitchlessEngine(SwitchlessConfig(mode="force"))
-        engine.stats.calls = 7
-        clone = engine.clone()
-        assert clone.config is engine.config
-        assert clone.stats.calls == 0
-        assert clone.policy is not engine.policy
+        assert stats.to_dict() == {name: 0 for name in STAT_FIELDS}
+        for value, name in enumerate(STAT_FIELDS):
+            setattr(stats, name, value)
+        assert list(stats.to_dict().items()) == [
+            (name, value) for value, name in enumerate(STAT_FIELDS)]
 
     def test_bad_mode_rejected(self):
         with pytest.raises(ConfigurationError):

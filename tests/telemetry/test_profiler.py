@@ -13,9 +13,9 @@ from repro.telemetry import profiler
 def _sweep_profile(workers):
     """Collapsed stacks of one table4 sweep at a given worker count."""
     with telemetry.scoped(f"sweep-{workers}") as session:
-        sweep = parallel.run_sweep(("table4",), workers=workers)
+        results = parallel.run_table4(workers=workers)
     profile = profiler.profile_session(session, label="sweep")
-    return sweep["results"], profile
+    return results, profile
 
 
 class TestDeterminism:

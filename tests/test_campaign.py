@@ -1,6 +1,6 @@
 """The campaign harness: one ``crossover <campaign>`` CLI whose verify
 path (schema, then the campaign's failures) and exit-code policy are
-shared by faults, switchless, fleet, xray, audit and observatory."""
+shared by faults, switchless, fleet, audit and observatory."""
 
 import json
 
@@ -8,40 +8,46 @@ import pytest
 
 from repro.campaign import CAMPAIGNS, build_parser, main
 
-#: Small runs whose claims all hold, and one boolean claim to flip.
+#: Small runs whose claims all hold, and one boolean claim to flip, by
+#: case: each campaign at its own smoke shape, plus the fleet campaign at
+#: the x-ray smoke shape, where a trace-derived claim is flipped.
 SMOKE = {
-    "faults": (["--systems", "ShadowContext", "--sites", "hw.entry_revoked",
-                "--ops", "2"], ("crosscheck", "ok")),
-    "switchless": (["--iterations", "1"],
+    "faults": ("faults", ["--systems", "ShadowContext", "--sites",
+                          "hw.entry_revoked", "--ops", "2"],
+               ("crosscheck", "ok")),
+    "switchless": ("switchless", ["--iterations", "1"],
                    ("summary", "worker_sweep_deterministic")),
-    "fleet": (["--tenants", "4,12", "--horizon-ms", "2", "--rate-scale",
-               "80", "--churn-every", "50"],
-              ("summary", "interleave_identical")),
-    "xray": (["--tenants", "10,50", "--horizon-ms", "5", "--rate-scale",
-              "8", "--churn-every", "100"], ("summary", "lane_identical")),
-    "audit": ([], ("summary", "crosscheck_ok")),
-    "observatory": ([], ("summary", "crosscheck_ok")),
+    "fleet": ("fleet", ["--tenants", "4,12", "--horizon-ms", "2",
+                        "--rate-scale", "80", "--churn-every", "50"],
+              ("summary", "lane_identical")),
+    "xray": ("fleet", ["--tenants", "10,50", "--horizon-ms", "5",
+                       "--rate-scale", "16", "--churn-every", "100"],
+             ("summary", "baseline_tail_is_hv_serialization")),
+    "audit": ("audit", [], ("summary", "crosscheck_ok")),
+    "observatory": ("observatory", [], ("summary", "crosscheck_ok")),
 }
 
 
 def test_one_subcommand_per_campaign():
-    assert set(SMOKE) == set(CAMPAIGNS)
+    assert {campaign for campaign, _, _ in SMOKE.values()} \
+        == set(CAMPAIGNS)
     assert main(["--help"]) == 0
     assert main([]) == 2
     assert main(["nope"]) == 2
 
 
-@pytest.mark.parametrize("name", sorted(CAMPAIGNS))
-def test_workers_below_one_is_usage_error(name, capsys):
+@pytest.mark.parametrize("case", sorted(SMOKE))
+def test_workers_below_one_is_usage_error(case, capsys):
+    name = SMOKE[case][0]
     for workers in ("0", "-2"):
         assert main([name, "--workers", workers, "--quiet"]) == 2
         assert "--workers" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("name", sorted(CAMPAIGNS))
-def test_check_roundtrip_and_flipped_claim(name, tmp_path, capsys):
-    argv, (section, claim) = SMOKE[name]
-    path = tmp_path / f"{name}.json"
+@pytest.mark.parametrize("case", sorted(SMOKE))
+def test_check_roundtrip_and_flipped_claim(case, tmp_path, capsys):
+    name, argv, (section, claim) = SMOKE[case]
+    path = tmp_path / f"{case}.json"
     assert main([name, *argv, "--workers", "1", "--quiet",
                  "--out", str(path)]) == 0
     assert main([name, "--check", str(path)]) == 0
@@ -56,8 +62,9 @@ def test_check_roundtrip_and_flipped_claim(name, tmp_path, capsys):
     assert flagged in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("name", sorted(CAMPAIGNS))
-def test_check_rejects_missing_and_malformed_files(name, tmp_path):
+@pytest.mark.parametrize("case", sorted(SMOKE))
+def test_check_rejects_missing_and_malformed_files(case, tmp_path):
+    name = SMOKE[case][0]
     assert main([name, "--check", str(tmp_path / "missing.json")]) == 2
     garbage = tmp_path / "garbage.json"
     garbage.write_text("{not json")
@@ -72,8 +79,8 @@ def test_flag_names_are_the_campaigns_former_flags():
         "--seed", "--workers", "--out", "--quiet", "--check",
         "--systems", "--sites", "--ops", "--disable-recovery",
         "--iterations", "--tenants", "--horizon-ms", "--churn-every",
-        "--cores", "--rate-scale", "--slo", "--strict", "--sample-every",
-        "--keep", "--trace-out", "--html", "--openmetrics"}
+        "--cores", "--rate-scale", "--slo", "--strict", "--trace-out",
+        "--html", "--openmetrics"}
     subparsers = next(action for action in build_parser()._actions
                       if action.dest == "campaign").choices
     flags = {option for sub in subparsers.values()
@@ -88,5 +95,5 @@ def test_only_seeded_campaigns_take_a_seed():
     seeded = {name for name, sub in subparsers.items()
               if any("--seed" in action.option_strings
                      for action in sub._actions)}
-    assert seeded == {"faults", "switchless", "fleet", "xray"}
+    assert seeded == {"faults", "switchless", "fleet"}
     assert main(["audit", "--seed", "1"]) == 2

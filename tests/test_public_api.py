@@ -402,7 +402,7 @@ class TestFleetSurface:
         assert parser.prog == "crossover"
         subcommands = next(action for action in parser._actions
                            if action.dest == "campaign").choices
-        assert set(subcommands) == {"faults", "switchless", "fleet", "xray",
+        assert set(subcommands) == {"faults", "switchless", "fleet",
                                     "audit", "observatory"}
 
         # The console scripts are exactly these two, so a deleted

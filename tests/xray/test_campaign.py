@@ -1,23 +1,29 @@
-"""The crossover-xray campaign, CLI, schema and exporters, on a small
-saturating sweep."""
+"""The x-ray side of the ``crossover fleet`` campaign: tail explainer,
+noisy neighbours, conservation, lane sweep, Perfetto export and the
+verify path, on a small saturating sweep."""
 
+import copy
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.campaign import main, write_artifact
+from repro.fleet import campaign
 from repro.telemetry.schema import load_schema, validate
-from repro.xray import campaign
 from repro.xray.explain import render_report
 from repro.xray.export import chrome_trace_from_artifact
+
+CHECKED_IN = Path(__file__).resolve().parents[2] / "XRAY_PR10.json"
 
 
 @pytest.fixture(scope="module")
 def artifact():
-    # Small but saturating: 8x rates push the serialized baseline past
-    # its hypervisor ceiling even at 50 tenants (the CI smoke shape).
+    # Small but saturating: 16x rates push the serialized baseline past
+    # its hypervisor ceiling at 50 tenants, so every claim of the fleet
+    # campaign, baseline saturation included, holds.
     return campaign.run_campaign(tenant_counts=(10, 50), horizon_ms=5,
-                                 rate_scale=8.0, churn_every=100,
+                                 rate_scale=16.0, churn_every=100,
                                  workers=1)
 
 
@@ -26,11 +32,11 @@ class TestCampaign:
         assert all(artifact["summary"].values()), artifact["summary"]
 
     def test_schema_valid(self, artifact):
-        assert validate(artifact, load_schema("xray")) == []
+        assert validate(artifact, load_schema("fleet")) == []
 
     def test_worker_count_invariance(self, artifact):
         again = campaign.run_campaign(tenant_counts=(10, 50),
-                                      horizon_ms=5, rate_scale=8.0,
+                                      horizon_ms=5, rate_scale=16.0,
                                       churn_every=100, workers=2)
         assert json.dumps(again, sort_keys=True) \
             == json.dumps(artifact, sort_keys=True)
@@ -49,8 +55,13 @@ class TestCampaign:
         assert 0 < share <= 1
 
     def test_lane_sweep_covers_all_widths(self, artifact):
-        assert sorted(artifact["lane_sweep"]["cells"]) == ["1", "2", "4"]
-        assert artifact["lane_sweep"]["trace_identical"]
+        lanes = artifact["lane_sweep"]
+        assert sorted(lanes) == ["baseline", "world_call"]
+        for mechanism, widths in lanes.items():
+            assert sorted(widths) == ["1", "2", "4"]
+            assert widths["1"]["xray"] \
+                == artifact["cells"][f"{mechanism}@10"]["xray"]
+        assert artifact["summary"]["lane_identical"]
 
     def test_telemetry_counts_sampled_traces(self, artifact):
         assert artifact["telemetry"]["fleet.xray_traces_sampled"] > 0
@@ -79,47 +90,52 @@ class TestCampaign:
         with pytest.raises(ValueError):
             campaign.run_campaign(tenant_counts=())
         with pytest.raises(ValueError):
+            campaign.run_campaign(tenant_counts=(0, 10))
+        # Sampling is fixed at DEFAULT_SAMPLE_EVERY: no knob to set.
+        with pytest.raises(TypeError):
             campaign.run_campaign(tenant_counts=(10,), sample_every=0)
 
 
 class TestCli:
     def test_out_check_roundtrip_and_tamper(self, artifact, tmp_path):
-        path = tmp_path / "xray.json"
+        path = tmp_path / "fleet.json"
         write_artifact(artifact, str(path))
-        assert main(["xray", "--check", str(path), "--quiet"]) == 0
+        assert main(["fleet", "--check", str(path), "--quiet"]) == 0
         tampered = json.loads(path.read_text())
         key = sorted(tampered["cells"])[0]
         tampered["cells"][key]["xray"]["traces"][0]["segments"][
             "handler"] += 1
         bad = tmp_path / "tampered.json"
         bad.write_text(json.dumps(tampered))
-        assert main(["xray", "--check", str(bad), "--quiet"]) == 1
+        assert main(["fleet", "--check", str(bad), "--quiet"]) == 1
 
     def test_checked_in_cell_missing_a_fleet_field_fails_schema(
-            self, tmp_path, capsys):
-        """An xray cell is checked against the whole fleet-cell shape."""
-        from pathlib import Path
-
-        checked_in = Path(__file__).resolve().parents[2] / "XRAY_PR10.json"
-        artifact = json.loads(checked_in.read_text())
-        key = sorted(artifact["cells"])[0]
-        del artifact["cells"][key]["throughput_rps"]
-        errors = validate(artifact, load_schema("xray"))
+            self, artifact, tmp_path, capsys):
+        """A checked-in x-ray cell is checked against the whole
+        fleet-cell shape."""
+        key = "baseline@10"
+        cell = json.loads(CHECKED_IN.read_text())["cells"][key]
+        broken = copy.deepcopy(artifact)
+        broken["cells"][key] = cell
+        assert validate(broken, load_schema("fleet")) == []
+        del cell["throughput_rps"]
+        errors = validate(broken, load_schema("fleet"))
         assert errors == [f"$.cells.{key}: missing required key "
                           f"'throughput_rps'"]
         bad = tmp_path / "no-throughput.json"
-        bad.write_text(json.dumps(artifact))
-        assert main(["xray", "--check", str(bad), "--quiet"]) == 1
+        bad.write_text(json.dumps(broken))
+        assert main(["fleet", "--check", str(bad), "--quiet"]) == 1
         assert "schema violation" in capsys.readouterr().err
 
     def test_check_unreadable_is_usage_error(self, tmp_path):
-        assert main(["xray", "--check", str(tmp_path / "missing.json"),
+        assert main(["fleet", "--check", str(tmp_path / "missing.json"),
                      "--quiet"]) == 2
 
     @pytest.mark.parametrize("argv", [
         ["--tenants", "0"],
         ["--tenants", "nope"],
         ["--horizon-ms", "0"],
+        # The sampling knobs are gone: unknown flags are usage errors.
         ["--sample-every", "0"],
         ["--keep", "0"],
         ["--slo", "not an objective"],
@@ -129,4 +145,4 @@ class TestCli:
         ["--rate-scale", "inf"],
     ])
     def test_bad_usage_exits_2(self, argv):
-        assert main(["xray"] + argv + ["--quiet"]) == 2
+        assert main(["fleet"] + argv + ["--quiet"]) == 2

@@ -2,13 +2,14 @@
 stack, and how each mechanism level shrinks the indirect set."""
 
 from benchmarks.conftest import emit
-from repro.analysis.report import section_figure1
+from repro.analysis.report import figure1_rows, section_figure1
 from repro.analysis.ringmap import count_direct, crossing_matrix
 
 
 def test_figure1_ring_crossings(run_once):
     direct, indirect = run_once(count_direct, "sw")
-    emit("Figure 1 — ring-crossing reachability", section_figure1())
+    emit("Figure 1 — ring-crossing reachability",
+         section_figure1(figure1_rows()))
     assert direct == 16
     assert indirect == 26
 

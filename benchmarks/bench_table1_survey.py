@@ -6,13 +6,14 @@ published-design path model and checks each against the paper's
 """
 
 from benchmarks.conftest import emit
-from repro.analysis.report import section_table1
+from repro.analysis.report import section_table1, table1_rows
 from repro.systems.pathmodels import TABLE1_SYSTEMS, verify_against_paper
 
 
 def test_table1_survey(run_once):
     rows = run_once(verify_against_paper)
-    emit("Table 1 — survey of cross-world call systems", section_table1())
+    emit("Table 1 — survey of cross-world call systems",
+         section_table1(table1_rows()))
     for name, computed, paper in rows:
         assert computed == paper, f"{name}: {computed} != paper {paper}"
 

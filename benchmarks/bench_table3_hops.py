@@ -9,7 +9,7 @@ from repro.analysis.report import section_table3
 
 def test_table3_hop_counts(run_once):
     rows = run_once(compute_table3)
-    emit("Table 3 — world-call hop classification", section_table3())
+    emit("Table 3 — world-call hop classification", section_table3(rows))
     assert len(rows) == 10
     for row in rows:
         ref = row["paper"]

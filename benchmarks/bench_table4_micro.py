@@ -4,7 +4,7 @@ original vs VMFUNC-optimized, against guest-native Linux."""
 import pytest
 
 from benchmarks.conftest import emit
-from repro.analysis import experiments
+from repro.analysis import experiments, parallel
 from repro.analysis.calibration import TABLE4_US
 from repro.analysis.report import section_table4
 from repro.analysis.tables import reduction
@@ -17,7 +17,7 @@ def table4():
 
 def test_table4_microbenchmarks(run_once, table4):
     emit("Table 4 — microbenchmark latencies",
-         run_once(section_table4, 1))
+         section_table4(run_once(parallel.run_table4, workers=1)))
 
 
 @pytest.mark.parametrize("op", list(TABLE4_US))

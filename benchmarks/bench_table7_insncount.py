@@ -4,7 +4,7 @@ full-system-emulation experiment of Section 7.2)."""
 import pytest
 
 from benchmarks.conftest import emit
-from repro.analysis import experiments
+from repro.analysis import experiments, parallel
 from repro.analysis.calibration import CROSSOVER_EXTRA_INSNS, TABLE7_INSNS
 from repro.analysis.report import section_table7
 
@@ -15,7 +15,8 @@ def table7():
 
 
 def test_table7_instruction_counts(run_once, table7):
-    emit("Table 7 — instruction counts", run_once(section_table7, 1))
+    emit("Table 7 — instruction counts",
+         section_table7(run_once(parallel.run_table7, workers=1)))
 
 
 @pytest.mark.parametrize("op", list(TABLE7_INSNS))

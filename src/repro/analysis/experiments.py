@@ -1,7 +1,7 @@
 """Experiment runners: one function per paper table/figure.
 
 These are the single source of truth used by both the pytest benchmark
-suite (``benchmarks/``) and the ``crossover-report`` CLI.  Every runner
+suite (``benchmarks/``) and the ``crossover paper`` campaign.  Every runner
 returns plain data structures (dicts/lists) carrying measured values
 next to the paper's reference numbers.
 """

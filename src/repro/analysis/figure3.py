@@ -11,11 +11,9 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.core.authorization import AllowAllPolicy
 from repro.guestos import boot_kernel
 from repro.guestos.kernel import KERNEL_TEXT_GVA
 from repro.hw.costs import FEATURES_CROSSOVER
-from repro.hw.paging import PageTable
 from repro.machine import Machine
 
 
@@ -71,17 +69,3 @@ def run_figure3() -> Dict[str, object]:
         "caller_wid": caller.wid,
         "callee_wid": callee.wid,
     }
-
-
-def section_figure3() -> str:
-    """Render the Figure-3 scenario for the report."""
-    data = run_figure3()
-    lines = ["Figure 3 — world-call process on a 4-CPU machine "
-             f"(CPU-{data['calling_cpu'] + 1} calls WID "
-             f"{data['callee_wid']}):"]
-    header = "         " + "".join(f"CPU-{i+1:<9}" for i in range(4))
-    lines.append(header)
-    for phase in ("before", "during", "after"):
-        states = data[phase]
-        lines.append(f"{phase:>8} " + "".join(f"{s:<13}" for s in states))
-    return "\n".join(lines)

@@ -3,16 +3,16 @@
 The figure shows the CrossOver additions to a VT-x core: the
 world-table MSR, the in-memory world table with its entry format
 ``{P, WID, H/G, Ring, EPTP, PTP, PC}``, and the per-core WT/IWT caches.
-This section builds a machine, registers a few worlds, drives calls
-through the datapath, and dumps the structures the figure draws —
-including live cache hit/miss statistics.
+This module builds a machine, registers a few worlds, drives calls
+through the datapath, and returns the structures the figure draws —
+including live cache hit/miss statistics — for the ``crossover paper``
+section to render.
 """
 
 from __future__ import annotations
 
 from typing import Dict
 
-from repro.analysis.tables import format_table
 from repro.guestos.kernel import KERNEL_TEXT_GVA
 from repro.hw.costs import FEATURES_CROSSOVER
 from repro.hw.paging import PageTable
@@ -20,7 +20,8 @@ from repro.machine import Machine
 
 
 def run_figure5(worlds: int = 3, rounds: int = 4) -> Dict[str, object]:
-    """Populate the datapath and return its visible state."""
+    """Populate the datapath and return its visible state (the
+    world-table entries as plain dicts)."""
     machine = Machine(features=FEATURES_CROSSOVER)
     entries = []
     for i in range(worlds):
@@ -41,29 +42,12 @@ def run_figure5(worlds: int = 3, rounds: int = 4) -> Dict[str, object]:
     caches = machine.cpu.wt_caches
     assert caches is not None
     return {
-        "entries": entries,
+        "entries": [{"present": e.present, "wid": e.wid,
+                     "host_mode": e.host_mode, "ring": e.ring,
+                     "eptp": e.eptp, "ptp": e.ptp, "pc": e.pc,
+                     "world": e.vm_name} for e in entries],
         "wt_hits": caches.wt.hits, "wt_misses": caches.wt.misses,
         "iwt_hits": caches.iwt.hits, "iwt_misses": caches.iwt.misses,
         "misses_serviced": svc.misses_serviced,
         "cache_capacity": machine.features.wt_cache_entries,
     }
-
-
-def section_figure5() -> str:
-    """Render the datapath dump for the report."""
-    data = run_figure5()
-    rows = []
-    for e in data["entries"]:
-        rows.append(["1" if e.present else "0", e.wid,
-                     "H" if e.host_mode else "G", e.ring,
-                     f"{e.eptp:#x}", f"{e.ptp:#x}", f"{e.pc:#x}",
-                     e.vm_name])
-    table = format_table(
-        ["P", "WID", "H/G", "Ring", "EPTP", "PTP", "PC", "world"],
-        rows, "Figure 5 — world-table entries (the figure's format)")
-    stats = (f"\nper-core caches ({data['cache_capacity']} entries): "
-             f"WT {data['wt_hits']} hits / {data['wt_misses']} misses; "
-             f"IWT {data['iwt_hits']} hits / {data['iwt_misses']} misses; "
-             f"{data['misses_serviced']} misses serviced by the "
-             "hypervisor (manage_wtc refills)")
-    return table + stats

@@ -1,121 +1,32 @@
-"""Markdown emission for the evaluation (``crossover-report
+"""Markdown formatters for the evaluation (``crossover paper
 --markdown``).
 
-Produces a self-contained markdown document with every measured table
-next to the paper's numbers — the same content EXPERIMENTS.md records,
-regenerated from a live run.
+The paper sections of :mod:`repro.analysis.report` build their headers
+and rows once; these turn them into GitHub-flavoured markdown instead
+of aligned plain text.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, Sequence
 
-from repro.analysis import parallel
-from repro.analysis.calibration import TABLE5_MS, TABLE6_MBS, TABLE7_INSNS
-from repro.analysis.tables import improvement, reduction
-from repro.systems.pathmodels import TABLE1_SYSTEMS
+from repro.analysis.tables import format_cell
 
 
-def md_table(headers: Sequence[str], rows: Iterable[Sequence[object]]
-             ) -> str:
-    """Render a GitHub-flavoured markdown table."""
-    lines = ["| " + " | ".join(headers) + " |",
-             "|" + "|".join("---" for _ in headers) + "|"]
+def md_table(headers: Sequence[str], rows: Iterable[Sequence[object]],
+             title: str = "") -> str:
+    """Render a GitHub-flavoured markdown table (under a ``##`` heading
+    when titled), set off by blank lines so it never runs into the
+    prose around it."""
+    lines = [f"## {title}", ""] if title else [""]
+    lines += ["| " + " | ".join(headers) + " |",
+              "|" + "|".join("---" for _ in headers) + "|"]
     for row in rows:
-        lines.append("| " + " | ".join(_fmt(c) for c in row) + " |")
-    return "\n".join(lines)
+        lines.append("| " + " | ".join(format_cell(c) for c in row) + " |")
+    return "\n".join(lines) + "\n"
 
 
-def _fmt(value: object) -> str:
-    if isinstance(value, float):
-        return f"{value:.2f}" if value < 100 else f"{value:.1f}"
-    return str(value)
-
-
-def table1_md() -> str:
-    rows = [(s.name, s.minimal_crossings, s.actual_crossings,
-             s.times_label, s.paper_times) for s in TABLE1_SYSTEMS]
-    return ("## Table 1 — survey\n\n"
-            + md_table(["System", "Minimal", "Actual", "Times (measured)",
-                        "Times (paper)"], rows))
-
-
-def table4_md(workers: Optional[int] = None) -> str:
-    data = parallel.run_table4(workers=workers)
-    rows = []
-    for op, d in data.items():
-        paper_native, paper_systems = d["paper"]
-        row = [op, f"{d['native']:.2f}/{paper_native:g}"]
-        for system in ("Proxos", "HyperShell", "Tahoma", "ShadowContext"):
-            orig, opt = d["systems"][system]
-            p_orig, p_opt = paper_systems[system]
-            row.append(f"{orig:.2f}/{p_orig:g}")
-            row.append(f"{opt:.2f}/{p_opt:g}")
-        rows.append(row)
-    headers = ["Benchmark", "Native (meas/paper)"]
-    for system in ("Proxos", "HyperShell", "Tahoma", "ShadowCtx"):
-        headers += [f"{system} orig", f"{system} opt"]
-    return "## Table 4 — microbenchmarks (µs)\n\n" + md_table(headers, rows)
-
-
-def table5_md(workers: Optional[int] = None) -> str:
-    data = parallel.run_table5(workers=workers)
-    rows = []
-    for tool, d in data.items():
-        pn, po, pc = d["paper"]
-        rows.append([tool, f"{d['native']:.2f}/{pn:g}",
-                     f"{d['original']:.2f}/{po:g}",
-                     f"{d['crossover']:.2f}/{pc:g}",
-                     f"{reduction(d['original'], d['crossover']):.1f}%"
-                     f"/{reduction(po, pc):.1f}%"])
-    return ("## Table 5 — utilities (ms, measured/paper)\n\n"
-            + md_table(["Utility", "Native", "w/o CrossOver",
-                        "w/ CrossOver", "Reduction"], rows))
-
-
-def table6_md(workers: Optional[int] = None) -> str:
-    data = parallel.run_table6(workers=workers)
-    rows = []
-    for size, d in data.items():
-        pn, pc, pb = d["paper"]
-        rows.append([f"{size} MB", f"{d['native']:.1f}/{pn:g}",
-                     f"{d['crossover']:.1f}/{pc:g}",
-                     f"{d['baseline']:.1f}/{pb:g}",
-                     f"{improvement(d['crossover'], d['baseline']):.0f}%"
-                     f"/{improvement(pc, pb):.0f}%"])
-    return ("## Table 6 — OpenSSH throughput (MB/s, measured/paper)\n\n"
-            + md_table(["Size", "Native", "w/ CrossOver", "w/o CrossOver",
-                        "Improvement"], rows))
-
-
-def table7_md(workers: Optional[int] = None) -> str:
-    data = parallel.run_table7(workers=workers)
-    rows = []
-    for op, d in data.items():
-        pn, pc, pb = d["paper"]
-        rows.append([op, f"{int(d['native'])}/{pn}",
-                     f"{int(d['crossover'])}/{pc}",
-                     f"{int(d['baseline'])}/{pb}",
-                     f"+{int(d['crossover'] - d['native'])}"])
-    return ("## Table 7 — instruction counts (measured/paper)\n\n"
-            + md_table(["Benchmark", "Native", "w/ CrossOver",
-                        "w/o CrossOver", "CrossOver delta"], rows))
-
-
-def build_markdown(quick: bool = False,
-                   workers: Optional[int] = None) -> str:
-    """The full markdown report (``quick`` skips Tables 4-6); the table
-    sweeps run over ``workers`` pool workers, as in the text report."""
-    parts: List[str] = [
-        "# CrossOver reproduction — measured vs paper",
-        "",
-        "Generated by `crossover-report --markdown`. Values are "
-        "measured/paper pairs; see EXPERIMENTS.md for analysis.",
-        "",
-        table1_md(),
-    ]
-    if not quick:
-        parts += ["", table4_md(workers), "", table5_md(workers), "",
-                  table6_md(workers)]
-    parts += ["", table7_md(workers), ""]
-    return "\n".join(parts)
+def md_block(text: str) -> str:
+    """Preformatted text (a sequence diagram, a CPU grid) as a fenced
+    code block."""
+    return f"```text\n{text}\n```"

@@ -14,7 +14,6 @@ be created) it falls back to in-process serial execution.
 
 from __future__ import annotations
 
-import contextlib
 import multiprocessing
 import os
 import time
@@ -34,16 +33,15 @@ class CellResult:
     """One executed cell: its spec, value, and host-side timing.
 
     When the sweep runs under a telemetry session, ``telemetry`` carries
-    the cell's own session (spans + metrics) in plain-dict form — the
+    the cell's own counters-only session as a metrics snapshot — the
     same shape whether the cell ran in-process or in a worker — so the
-    parent can merge every cell's observability into one trace.
+    parent can merge every cell's counters into its registry.
     """
 
     runner: str
     args: tuple
     value: Any
     wall_seconds: float
-    worker_pid: int
     telemetry: Optional[Dict[str, Any]] = field(default=None, repr=False)
     observatory: Optional[Dict[str, Any]] = field(default=None, repr=False)
 
@@ -61,10 +59,9 @@ def _execute_cell(spec: CellSpec) -> CellResult:
     """Run one cell (in whatever process this lands in).
 
     If a telemetry session is installed (inherited across ``fork`` in
-    pool workers), the cell runs under its *own* scoped session of the
-    same shape — a span session wraps the cell in one ``cell:`` span —
-    and ships that session back serialized, so the in-process and
-    pooled paths produce the same merged telemetry.
+    pool workers), the cell runs under its *own* scoped counters-only
+    session and ships that session's metrics snapshot back, so the
+    in-process and pooled paths produce the same merged counters.
     """
     runner, args = spec
     cell_telemetry: Optional[Dict[str, Any]] = None
@@ -74,9 +71,9 @@ def _execute_cell(spec: CellSpec) -> CellResult:
     # spawned (same-config, zero-clock) observatory — scoped INSIDE the
     # cell's telemetry session so the window baseline is the fresh
     # session's zeros and the cell's windows depend only on its own
-    # modeled activity.  The payload ships back like the telemetry dict
-    # and the parent absorbs them in spec order: byte-identical at any
-    # worker count.
+    # modeled activity.  The payload ships back like the metrics
+    # snapshot and the parent absorbs them in spec order: byte-identical
+    # at any worker count.
     def _invoke() -> Any:
         nonlocal cell_observatory
         if runner not in experiments.CELL_RUNNERS and \
@@ -93,35 +90,25 @@ def _execute_cell(spec: CellSpec) -> CellResult:
         return value
 
     t0 = time.perf_counter()
-    parent = telemetry.current()
-    if parent is None:
+    if telemetry.current() is None:
         value = _invoke()
     else:
-        with telemetry.scoped(f"cell:{runner}", parent.spans) as session:
-            with (session.tracer.span(f"cell:{runner}", category="cell",
-                                      runner=runner, args=repr(args))
-                  if session.spans else contextlib.nullcontext()):
-                value = _invoke()
-        cell_telemetry = session.to_dict()
+        with telemetry.scoped(f"cell:{runner}", spans=False) as session:
+            value = _invoke()
+        cell_telemetry = session.metrics.snapshot()
     return CellResult(runner=runner, args=args, value=value,
                       wall_seconds=time.perf_counter() - t0,
-                      worker_pid=os.getpid(), telemetry=cell_telemetry,
-                      observatory=cell_observatory)
+                      telemetry=cell_telemetry, observatory=cell_observatory)
 
 
 def _merge_cell_telemetry(cells: List[CellResult]) -> None:
-    """Absorb each cell's shipped-back session into the parent session
-    (per-worker span trees keep their worker pid in the Chrome export)."""
+    """Add each cell's shipped-back counters into the parent session."""
     session = telemetry.current()
     if session is None:
         return
-    own_pid = os.getpid()
     for cell in cells:
-        if cell.telemetry is None:
-            continue
-        session.absorb(cell.telemetry,
-                       pid=cell.worker_pid if cell.worker_pid != own_pid
-                       else None)
+        if cell.telemetry is not None:
+            session.metrics.merge_snapshot(cell.telemetry)
 
 
 def _merge_cell_observatory(cells: List[CellResult]) -> None:

@@ -8,7 +8,7 @@ from typing import List, Optional, Sequence
 def format_table(headers: Sequence[str], rows: Sequence[Sequence[object]],
                  title: str = "") -> str:
     """Render an aligned plain-text table."""
-    cells = [[_fmt(c) for c in row] for row in rows]
+    cells = [[format_cell(c) for c in row] for row in rows]
     widths = [len(h) for h in headers]
     for row in cells:
         for i, cell in enumerate(row):
@@ -25,7 +25,8 @@ def format_table(headers: Sequence[str], rows: Sequence[Sequence[object]],
     return "\n".join(lines)
 
 
-def _fmt(value: object) -> str:
+def format_cell(value: object) -> str:
+    """One table cell as text (``None`` is ``-``, floats 2 or 1 decimals)."""
     if value is None:
         return "-"
     if isinstance(value, float):

@@ -1,7 +1,7 @@
 """``crossover <campaign>`` — one harness for the recorded campaigns.
 
-The five campaigns (``faults``, ``switchless``, ``fleet``, ``audit``,
-``observatory``) each keep their cell runner and artifact
+The six campaigns (``faults``, ``switchless``, ``fleet``, ``audit``,
+``observatory``, ``paper``) each keep their cell runner and artifact
 assembly in their own package and declare one :class:`Campaign` record
 there (see :data:`CAMPAIGNS`).  Everything they used to copy lives
 here once: the telemetry-scoped cell :func:`sweep`, the deterministic
@@ -17,6 +17,7 @@ own :attr:`Campaign.failures`), the SLO gate and the exit-code policy::
     crossover audit --out AUDIT.json
     crossover observatory --slo 'world_call.cycles.p99 < 100000' \
         --html dashboard.html
+    crossover paper --markdown paper.md --out PAPER.json
 
 ``--check FILE`` loads an artifact instead of running the sweep and
 sends it down the same verify path a live run takes, so it works for
@@ -48,6 +49,7 @@ CAMPAIGNS: Dict[str, str] = {
     "fleet": "repro.fleet.campaign",
     "audit": "repro.audit.workload",
     "observatory": "repro.observatory.campaign",
+    "paper": "repro.analysis.report",
 }
 
 

@@ -25,17 +25,16 @@ Sessions come in two shapes:
 * the **span session** (``TelemetrySession(label)``) — every counter
   plus the full span forest with transition instants and wall-clock;
   feeds the Chrome trace exporter and the cost-attribution profiler
-  (``crossover audit`` cells and ``crossover-report --telemetry``);
+  (the ``crossover audit`` cells);
 * the **counters-only session** (:meth:`TelemetrySession.lightweight`)
   — every counter and the ``world_call.cycles`` histogram, but no
   span, no instant and no wall-clock read (the campaign sweeps, the
-  observatory recording).
+  observatory recording, every pool cell).
 
 Exporters (Chrome trace-event JSON, the world-switch crossing matrix,
 the metrics snapshot) live in :mod:`repro.telemetry.export`; the
 cost-attribution profiler in :mod:`repro.telemetry.profiler`.
-``crossover audit --trace-out DIR`` and ``crossover-report --telemetry
-DIR`` write their files.
+``crossover audit --trace-out DIR`` writes their files.
 """
 
 from __future__ import annotations
@@ -276,34 +275,6 @@ class TelemetrySession:
         return self.tracer.span(f"{name}.redirect", category="system",
                                 cpu=system.machine.cpu, op=op,
                                 variant=variant)
-
-    # ------------------------------------------------------------------
-    # worker merge (parallel sweeps)
-    # ------------------------------------------------------------------
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Plain-data form of the whole session (picklable/JSON-able)."""
-        return {
-            "label": self.label,
-            "metrics": self.metrics.snapshot(),
-            "spans": [s.to_dict() for s in self.tracer.roots],
-            "dropped": self.tracer.dropped,
-        }
-
-    def absorb(self, data: Dict[str, Any],
-               pid: Optional[int] = None) -> None:
-        """Merge a worker session's :meth:`to_dict` payload: counters
-        and histograms add into the registry, span trees are adopted
-        (tagged with the worker ``pid`` for the Chrome export)."""
-        self.metrics.merge_snapshot(data.get("metrics", {}))
-        for span_data in data.get("spans", []):
-            span = Span.from_dict(span_data)
-            if pid is not None:
-                for sub in span.iter_spans():
-                    if sub.pid is None:
-                        sub.pid = pid
-            self.tracer.adopt(span)
-        self.tracer.dropped += data.get("dropped", 0)
 
 
 # ---------------------------------------------------------------------------

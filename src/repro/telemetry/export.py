@@ -14,8 +14,8 @@ TelemetrySession`:
 * :func:`metrics_snapshot` — the deterministic metrics JSON.
 
 :func:`write_artifacts` writes all three to a directory, plus the
-cost-attribution profile (``crossover audit --trace-out DIR`` and
-``crossover-report --telemetry DIR`` call it).
+cost-attribution profile (``crossover audit --trace-out DIR`` calls
+it).
 """
 
 from __future__ import annotations
@@ -27,10 +27,6 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.telemetry import TelemetrySession
 from repro.telemetry.registry import _parse_series
 from repro.telemetry.spans import Span
-
-#: ``pid`` used for spans recorded in the session's own process.
-LOCAL_PID = 0
-
 
 def _trace_epoch(session: TelemetrySession) -> int:
     """Earliest wall timestamp in the span forest (trace time zero)."""
@@ -44,11 +40,8 @@ def chrome_trace(session: TelemetrySession,
     object (timestamps in microseconds relative to the first span)."""
     epoch = _trace_epoch(session)
     events: List[Dict[str, Any]] = []
-    pids = set()
 
     def emit(span: Span) -> None:
-        pid = span.pid if span.pid is not None else LOCAL_PID
-        pids.add(pid)
         args: Dict[str, Any] = dict(span.args)
         if span.cycles is not None:
             args["modeled_cycles"] = span.cycles
@@ -65,7 +58,7 @@ def chrome_trace(session: TelemetrySession,
             "ph": "X",
             "ts": (span.start_wall_ns - epoch) / 1000.0,
             "dur": (end - span.start_wall_ns) / 1000.0,
-            "pid": pid,
+            "pid": 0,
             "tid": span.tid,
             "args": args,
         })
@@ -76,7 +69,7 @@ def chrome_trace(session: TelemetrySession,
                 "ph": "i",
                 "s": "t",
                 "ts": (event.wall_ns - epoch) / 1000.0,
-                "pid": pid,
+                "pid": 0,
                 "tid": span.tid,
                 "args": dict(event.args, seq=event.seq),
             })
@@ -85,13 +78,8 @@ def chrome_trace(session: TelemetrySession,
 
     for root in session.tracer.roots:
         emit(root)
-    for pid in sorted(pids):
-        name = (session.label if pid == LOCAL_PID
-                else f"{session.label} worker {pid}")
-        events.append({
-            "name": "process_name", "ph": "M", "pid": pid, "tid": 0,
-            "args": {"name": name},
-        })
+    events.append({"name": "process_name", "ph": "M", "pid": 0, "tid": 0,
+                   "args": {"name": session.label}})
     return {
         "traceEvents": events,
         "displayTimeUnit": "ms",

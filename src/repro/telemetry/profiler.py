@@ -18,12 +18,12 @@ spans, so its profile is empty.
 
 Everything here is driven by **modeled** clocks and deterministic span
 names, never host wall-clock, so the same workload produces
-byte-identical output across runs and worker counts.
+byte-identical output across runs.
 
 Exports: collapsed-stack text (``flamegraph.pl`` input), speedscope
-JSON (https://speedscope.app), a top-N hotspot table, and a
-cross-check of the profile's per-kind crossing totals against the
-session's ``trace.events`` counters.
+JSON (https://speedscope.app), and a cross-check of the profile's
+per-kind crossing totals against the session's ``trace.events``
+counters.
 """
 
 from __future__ import annotations
@@ -200,46 +200,6 @@ class StackProfile:
                 "weights": weights,
             }],
         }
-
-    def hotspots(self, n: int = 10,
-                 weight: str = "cycles") -> List[Dict[str, Any]]:
-        """The ``n`` heaviest stacks by ``weight`` (ties broken by
-        stack, so the ranking is deterministic)."""
-        if weight not in WEIGHTS:
-            raise ValueError(f"weight must be one of {WEIGHTS}")
-        ranked = sorted(
-            self._entries.items(),
-            key=lambda item: (-getattr(item[1], weight), item[0]))
-        out = []
-        for stack, entry in ranked[:n]:
-            if not getattr(entry, weight):
-                break
-            out.append({
-                "stack": "/".join(stack),
-                "cycles": entry.cycles,
-                "instructions": entry.instructions,
-                "calls": entry.calls,
-                "crossings": sum(entry.crossings.values()),
-            })
-        return out
-
-    def hotspot_table(self, n: int = 10, weight: str = "cycles") -> str:
-        """The top-N hotspots as an aligned plain-text table."""
-        rows = self.hotspots(n, weight)
-        if not rows:
-            return "(no attributable cost — was anything profiled?)"
-        headers = ("Stack", "Cycles", "Instructions", "Calls", "Crossings")
-        table = [headers] + [
-            (r["stack"], str(r["cycles"]), str(r["instructions"]),
-             str(r["calls"]), str(r["crossings"])) for r in rows]
-        widths = [max(len(row[i]) for row in table) for i in range(5)]
-        lines = [f"Top {len(rows)} stacks by modeled {weight}:"]
-        for i, row in enumerate(table):
-            lines.append("  ".join(cell.ljust(widths[j])
-                                   for j, cell in enumerate(row)).rstrip())
-            if i == 0:
-                lines.append("  ".join("-" * widths[j] for j in range(5)))
-        return "\n".join(lines)
 
 
 def _system_frame(system: str, variant: str) -> str:

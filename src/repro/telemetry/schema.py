@@ -19,6 +19,10 @@ Usage::
     python -m repro.telemetry.schema switchless SWITCHLESS.json
     python -m repro.telemetry.schema observatory OBSERVATORY.json
     python -m repro.telemetry.schema fleet FLEET.json
+    python -m repro.telemetry.schema paper PAPER.json
+
+Exit status: ``0`` valid, ``1`` schema violations, ``2`` usage error
+(an unknown schema name or an unreadable file included).
 """
 
 from __future__ import annotations
@@ -127,15 +131,26 @@ def validate_file(schema_name: str, json_path: str) -> List[str]:
 
 
 def main(argv=None) -> int:
-    """CLI: ``python -m repro.telemetry.schema <schema> <file.json>``."""
+    """CLI: ``python -m repro.telemetry.schema <schema> <file.json>``.
+
+    Exit status: ``0`` valid, ``1`` schema violations, ``2`` usage error
+    (wrong arguments, an unknown schema name, or an unreadable file)."""
     args = sys.argv[1:] if argv is None else argv
+    with open(SCHEMA_PATH) as fh:
+        names = [name for name in json.load(fh) if name != "$defs"]
     if len(args) != 2:
         print("usage: python -m repro.telemetry.schema "
-              "<metrics|chrome_trace|faults"
-              "|audit|switchless|observatory|fleet> <file.json>",
-              file=sys.stderr)
+              f"<{'|'.join(names)}> <file.json>", file=sys.stderr)
         return 2
-    errors = validate_file(args[0], args[1])
+    if args[0] not in names:
+        print(f"schema: no schema named {args[0]!r}; have "
+              f"{', '.join(names)}", file=sys.stderr)
+        return 2
+    try:
+        errors = validate_file(args[0], args[1])
+    except (OSError, ValueError) as error:
+        print(f"schema: cannot read {args[1]}: {error}", file=sys.stderr)
+        return 2
     for error in errors:
         print(f"schema violation: {error}", file=sys.stderr)
     if not errors:

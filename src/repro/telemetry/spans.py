@@ -1,8 +1,8 @@
 """Span-based tracing layered over the transition trace.
 
 A :class:`Span` brackets one logical operation — a world call, a
-Figure-4 cross-VM round trip, a whole benchmark cell — and carries two
-clock domains at once:
+Figure-4 cross-VM round trip, a redirected system call — and carries
+two clock domains at once:
 
 * **modeled time**: the simulated CPU's instruction/cycle counters and
   transition-trace sequence numbers at open and close (captured when
@@ -12,8 +12,9 @@ clock domains at once:
 Boundary crossings recorded by the CPU while a span is open attach to
 the innermost span as :class:`SpanEvent` instants, so span nesting
 reproduces the exact :class:`~repro.hw.trace.TransitionTrace` event
-order.  Spans serialize to plain dicts (picklable) so worker processes
-can ship their trees back to the parent sweep for merging.
+order.  Spans live only in the process that recorded them: a pool
+worker's cell runs under a counters-only session and ships back its
+metrics, never a span tree.
 """
 
 from __future__ import annotations
@@ -35,20 +36,11 @@ class SpanEvent:
         self.seq = seq
         self.args = args or {}
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {"name": self.name, "wall_ns": self.wall_ns,
-                "seq": self.seq, "args": dict(self.args)}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "SpanEvent":
-        return cls(data["name"], data["wall_ns"], data.get("seq"),
-                   dict(data.get("args", {})))
-
 
 class Span:
     """One timed, nestable operation."""
 
-    __slots__ = ("name", "category", "args", "pid", "tid",
+    __slots__ = ("name", "category", "args", "tid",
                  "start_wall_ns", "end_wall_ns",
                  "start_cycles", "end_cycles",
                  "start_instructions", "end_instructions",
@@ -59,7 +51,6 @@ class Span:
         self.name = name
         self.category = category
         self.args = args or {}
-        self.pid: Optional[int] = None
         self.tid: int = 0
         self.start_wall_ns = 0
         self.end_wall_ns: Optional[int] = None
@@ -114,42 +105,6 @@ class Span:
         yield self
         for child in self.children:
             yield from child.iter_spans()
-
-    # -- (de)serialization ---------------------------------------------
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "name": self.name, "category": self.category,
-            "args": dict(self.args), "pid": self.pid, "tid": self.tid,
-            "start_wall_ns": self.start_wall_ns,
-            "end_wall_ns": self.end_wall_ns,
-            "start_cycles": self.start_cycles,
-            "end_cycles": self.end_cycles,
-            "start_instructions": self.start_instructions,
-            "end_instructions": self.end_instructions,
-            "start_seq": self.start_seq, "end_seq": self.end_seq,
-            "children": [c.to_dict() for c in self.children],
-            "events": [e.to_dict() for e in self.events],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "Span":
-        span = cls(data["name"], data.get("category", ""),
-                   dict(data.get("args", {})))
-        span.pid = data.get("pid")
-        span.tid = data.get("tid", 0)
-        span.start_wall_ns = data["start_wall_ns"]
-        span.end_wall_ns = data.get("end_wall_ns")
-        span.start_cycles = data.get("start_cycles")
-        span.end_cycles = data.get("end_cycles")
-        span.start_instructions = data.get("start_instructions")
-        span.end_instructions = data.get("end_instructions")
-        span.start_seq = data.get("start_seq")
-        span.end_seq = data.get("end_seq")
-        span.children = [cls.from_dict(c) for c in data.get("children", [])]
-        span.events = [SpanEvent.from_dict(e)
-                       for e in data.get("events", [])]
-        return span
 
 
 class Tracer:
@@ -224,15 +179,6 @@ class Tracer:
         event = SpanEvent(name, time.perf_counter_ns(), seq, args)
         parent.events.append(event)
         return event
-
-    def adopt(self, span: Span) -> None:
-        """Graft an externally built span tree (e.g. shipped back from a
-        worker process) under the current position."""
-        parent = self._stack[-1] if self._stack else None
-        if parent is not None:
-            parent.children.append(span)
-        else:
-            self.roots.append(span)
 
     def iter_spans(self) -> Iterator[Span]:
         """Every span in the forest, depth-first."""

@@ -127,7 +127,7 @@ class TestTraceOut:
 
     def test_written_stacks_are_the_cell_profile(self, recording):
         """The profile files ``--trace-out`` writes are the cell's
-        cost-attribution profile, whose hotspot table stays printable."""
+        cost-attribution profile."""
         trace_dir = recording[2]
         session = workload.record_cell("Proxos", False,
                                        workload.DEFAULT_CALLS)[0]
@@ -135,8 +135,6 @@ class TestTraceOut:
         assert (trace_dir / "proxos_original.stacks.collapsed").read_text() \
             == profile.collapsed_stacks()
         assert (trace_dir / "proxos_original.speedscope.json").exists()
-        assert profile.hotspot_table(3).startswith(
-            "Top 3 stacks by modeled cycles")
 
 
 class TestVerify:

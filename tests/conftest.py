@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.guestos import boot_kernel
@@ -62,3 +66,24 @@ def running_process(single_vm):
     enter_vm_kernel(machine, vm)
     kernel.enter_user(proc)
     return machine, kernel, proc
+
+
+@pytest.fixture(scope="session")
+def paper_recording(tmp_path_factory):
+    """``crossover paper`` recorded once per session, at ``--workers 1``
+    and ``--workers 2``, each in a fresh process (Figure 5's world-table
+    addresses come from process-wide allocators).  Returns the
+    ``--workers 1`` run's stdout and both artifact paths."""
+    import repro
+
+    base = tmp_path_factory.mktemp("paper")
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    runs = [(base / f"paper-w{workers}.json", subprocess.Popen(
+        [sys.executable, "-m", "repro.campaign", "paper", "--workers",
+         workers, "--out", str(base / f"paper-w{workers}.json")],
+        stdout=subprocess.PIPE, env=env, text=True))
+        for workers in ("1", "2")]
+    outputs = [proc.communicate()[0] for _, proc in runs]
+    assert [proc.returncode for _, proc in runs] == [0, 0]
+    return outputs[0], runs[0][0], runs[1][0]

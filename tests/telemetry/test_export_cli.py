@@ -65,6 +65,28 @@ class TestSchemaValidator:
         path.write_text(json.dumps({"label": "x"}))
         assert schema.main(["metrics", str(path)]) == 1
 
+    @pytest.mark.parametrize("case", ["unknown_schema", "missing_file",
+                                      "malformed_json"])
+    def test_schema_cli_usage_errors_exit_2(self, case, tmp_path, capsys):
+        """Bad input is a one-line usage error (2), never a traceback or
+        the invalid-artifact code (1)."""
+        bad = tmp_path / "bad.json"
+        bad.write_text("{not json")
+        argv = {"unknown_schema": ["nope", str(bad)],
+                "missing_file": ["fleet", str(tmp_path / "missing.json")],
+                "malformed_json": ["fleet", str(bad)]}[case]
+        assert schema.main(argv) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_schema_cli_usage_lists_every_section(self, capsys):
+        assert schema.main([]) == 2
+        usage = capsys.readouterr().err
+        with open(schema.SCHEMA_PATH) as fh:
+            sections = [name for name in json.load(fh) if name != "$defs"]
+        assert "paper" in sections
+        assert f"<{'|'.join(sections)}>" in usage
+
     def test_ref_applies_alongside_siblings(self):
         s = {"$defs": {"cell": {"type": "object", "required": ["a"]}},
              "type": "object",

@@ -143,8 +143,6 @@ class TestWorkerMerge:
         with telemetry.scoped("sweep") as session:
             cells = parallel.run_cells(specs, workers=2)
         assert all(c.telemetry is not None for c in cells)
-        names = [s.name for s in session.tracer.roots]
-        assert names.count("cell:table4") == 2
         # Worker-side counters merged into the parent registry (the
         # Proxos cell redirects; trace-off cells still count redirects).
         assert session.metrics.counter("system.redirects", system="Proxos",
@@ -160,14 +158,6 @@ class TestWorkerMerge:
         p = export.metrics_snapshot(pool)
         assert s["counters"] == p["counters"]
         assert s["histograms"] == p["histograms"]
-
-    def test_absorb_tags_worker_pids(self):
-        with telemetry.scoped("child") as child:
-            with child.tracer.span("work"):
-                pass
-        parent = telemetry.TelemetrySession("parent")
-        parent.absorb(child.to_dict(), pid=4242)
-        assert parent.tracer.roots[0].pid == 4242
 
     def test_results_unchanged_under_telemetry(self):
         plain = experiments.table4_cell("Proxos", False, 1)

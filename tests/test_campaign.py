@@ -1,6 +1,6 @@
 """The campaign harness: one ``crossover <campaign>`` CLI whose verify
 path (schema, then the campaign's failures) and exit-code policy are
-shared by faults, switchless, fleet, audit and observatory."""
+shared by faults, switchless, fleet, audit, observatory and paper."""
 
 import json
 
@@ -25,6 +25,7 @@ SMOKE = {
              ("summary", "baseline_tail_is_hv_serialization")),
     "audit": ("audit", [], ("summary", "crosscheck_ok")),
     "observatory": ("observatory", [], ("summary", "crosscheck_ok")),
+    "paper": ("paper", [], ("summary", "table7_register_ops_exact")),
 }
 
 
@@ -74,13 +75,23 @@ def test_check_rejects_missing_and_malformed_files(case, tmp_path):
     assert main([name, "--check", str(wrong_shape), "--quiet"]) == 1
 
 
+def test_tampered_paper_row_fails_check(paper_recording, tmp_path, capsys):
+    """A recorded row that contradicts its claim fails ``--check``."""
+    artifact = json.loads(paper_recording[1].read_text())
+    artifact["rows"]["table7"]["getppid"]["crossover"] += 1
+    path = tmp_path / "paper-tampered.json"
+    path.write_text(json.dumps(artifact))
+    assert main(["paper", "--check", str(path), "--quiet"]) == 1
+    assert "table7_register_ops_exact" in capsys.readouterr().err
+
+
 def test_flag_names_are_the_campaigns_former_flags():
     former = {
         "--seed", "--workers", "--out", "--quiet", "--check",
         "--systems", "--sites", "--ops", "--disable-recovery",
         "--iterations", "--tenants", "--horizon-ms", "--churn-every",
         "--cores", "--rate-scale", "--slo", "--strict", "--trace-out",
-        "--html", "--openmetrics"}
+        "--html", "--openmetrics", "--markdown"}
     subparsers = next(action for action in build_parser()._actions
                       if action.dest == "campaign").choices
     flags = {option for sub in subparsers.values()

@@ -403,14 +403,14 @@ class TestFleetSurface:
         subcommands = next(action for action in parser._actions
                            if action.dest == "campaign").choices
         assert set(subcommands) == {"faults", "switchless", "fleet",
-                                    "audit", "observatory"}
+                                    "audit", "observatory", "paper"}
 
-        # The console scripts are exactly these two, so a deleted
-        # harness cannot come back as a script.
+        # The one console script is the harness, so a deleted CLI
+        # cannot come back as a script.
         tomllib = pytest.importorskip("tomllib")
         pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
         scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
-        assert set(scripts) == {"crossover", "crossover-report"}
+        assert set(scripts) == {"crossover"}
         for target in scripts.values():
             module, _, attr = target.partition(":")
             assert callable(getattr(importlib.import_module(module), attr))

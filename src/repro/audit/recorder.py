@@ -33,6 +33,13 @@ field set (the bus record's fields plus ``seq``, ``epoch`` and
                 records, per-event charge for trace records)
 ``hash``        chain link — see :mod:`repro.audit.chain`
 
+Cost: the append path hashes straight from the event's fields through
+the chain's one canonical encoder (:func:`repro.audit.chain.encode`)
+and retains each record as a tuple in :data:`RECORD_FIELDS` order.
+Dicts are built only on export: :attr:`FlightRecorder.records` and
+:meth:`FlightRecorder.to_log` return fresh ones on every call, so
+tampering with an exported log never touches the recorder's own.
+
 Determinism: records contain only modeled state (no wall-clock, no
 RNG, no PIDs), so the same workload produces a byte-identical log at
 any worker count.  Boundedness: past ``capacity`` records the oldest
@@ -47,16 +54,13 @@ installed; seams guard with the bus's one attribute read + None test.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Dict, List, Optional
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro import observe
 from repro.audit import chain as _chain
 
 #: Fixed record field order (documentation + schema + tests).
-RECORD_FIELDS = (
-    "seq", "fam", "kind", "frm", "to", "caller_wid", "callee_wid",
-    "mode", "ring", "epoch", "decision", "site", "detail", "cycles",
-    "hash")
+RECORD_FIELDS = _chain.RECORD_FIELDS
 
 
 class FlightRecorder:
@@ -66,9 +70,10 @@ class FlightRecorder:
     def __init__(self, label: str = "audit", capacity: int = 65536) -> None:
         self.label = label
         self.capacity = capacity
-        self._records: Deque[Dict[str, Any]] = deque()
+        #: Retained records as tuples in :data:`RECORD_FIELDS` order;
+        #: the deque drops the oldest past ``capacity``.
+        self._records: Deque[Tuple[Any, ...]] = deque(maxlen=capacity)
         self._seq = 0
-        self._dropped = 0
         #: Records whose decision was ``"deny"`` — the online anomaly
         #: signal the observatory samples (full detectors stay offline).
         self.denials = 0
@@ -95,35 +100,19 @@ class FlightRecorder:
         self._append(event, event.ref.kind)
 
     def _append(self, event, kind: Optional[str] = None) -> None:
-        record: Dict[str, Any] = {
-            "seq": self._seq,
-            "fam": event.fam,
-            "kind": kind or event.kind,
-            "frm": event.frm,
-            "to": event.to,
-            "caller_wid": event.caller_wid,
-            "callee_wid": event.callee_wid,
-            "mode": event.mode,
-            "ring": event.ring,
-            "epoch": self._mem.mapping_epoch() - self._epoch_base,
-            "decision": event.decision,
-            "site": event.site,
-            "detail": event.detail,
-            "cycles": event.cycles,
-        }
-        record["hash"] = _chain.link(self._prev_hash, record)
-        self._prev_hash = record["hash"]
+        body = (self._seq, event.fam, kind or event.kind, event.frm,
+                event.to, event.caller_wid, event.callee_wid, event.mode,
+                event.ring, self._mem.mapping_epoch() - self._epoch_base,
+                event.decision, event.site, event.detail, event.cycles)
+        self._prev_hash = _chain.link_body(self._prev_hash, body)
         self._seq += 1
-        self._records.append(record)
-        if len(self._records) > self.capacity:
-            self._records.popleft()
-            self._dropped += 1
+        self._records.append(body + (self._prev_hash,))
         if event.decision == "deny":
             self.denials += 1
             # The online anomaly signal: the observatory pins it to the
             # window it happened in.
             observe.emit("audit", "anomaly",
-                         site=f"{record['fam']}.{record['kind']}",
+                         site=f"{event.fam}.{body[2]}",
                          detail=event.detail or event.frm)
 
     #: Every kind the log records.  ``fault_injected`` is a marker for
@@ -145,8 +134,11 @@ class FlightRecorder:
 
     def stats(self) -> Dict[str, int]:
         """Monotonic counters for the observatory's windowed sampling."""
-        return {"records": self._seq, "dropped": self._dropped,
+        return {"records": self._seq, "dropped": self._dropped(),
                 "denials": self.denials}
+
+    def _dropped(self) -> int:
+        return self._seq - len(self._records)
 
     # ------------------------------------------------------------------
     # export
@@ -157,17 +149,19 @@ class FlightRecorder:
 
     @property
     def records(self) -> List[Dict[str, Any]]:
-        """The retained records, oldest first (copies not made)."""
-        return list(self._records)
+        """The retained records, oldest first, as fresh dicts: mutating
+        them leaves the recorder's log intact."""
+        return [dict(zip(RECORD_FIELDS, record)) for record in self._records]
 
     def to_log(self) -> Dict[str, Any]:
-        """The exportable, verifiable log (plain data, json-ready)."""
+        """The exportable, verifiable log (plain data, json-ready; the
+        records are fresh dicts, as :attr:`records` returns)."""
         return {
             "label": self.label,
             "algo": _chain.ALGORITHM,
             "genesis": _chain.GENESIS,
-            "first_seq": self._records[0]["seq"] if self._records else 0,
-            "dropped": self._dropped,
+            "first_seq": self._records[0][0] if self._records else 0,
+            "dropped": self._dropped(),
             "final_hash": self._prev_hash,
-            "records": list(self._records),
+            "records": self.records,
         }

@@ -110,6 +110,20 @@ class TestRingBounding:
         assert [r["seq"] for r in log["records"]] == [7, 8, 9]
 
 
+class TestExportIsolation:
+    def test_tampering_an_export_leaves_the_recorder_intact(self):
+        rec = FlightRecorder("alias")
+        for i in range(4):
+            _feed(rec, "core", "call_begin", caller_wid=1, callee_wid=2,
+                  cycles=i)
+        exported = rec.to_log()
+        exported["records"][1]["detail"] = "tampered"
+        rec.records[2]["cycles"] += 1
+        assert verify_chain(exported)
+        assert verify_chain(rec.to_log()) == []
+        assert rec.to_log()["records"][1]["detail"] == ""
+
+
 class TestZeroPerturbation:
     def test_modeled_cycles_identical_with_recorder(self):
         machine_a, runtime_a, caller_a, callee_a = _world_call_harness()

@@ -20,7 +20,7 @@ from repro.analysis.calibration import (
 from repro.analysis.measure import (Measurement, measure_callable,
                                     measured_region)
 from repro.core import fastpath
-from repro.core.call import CallRequest, WorldCallRuntime
+from repro.core.call import MECHANISMS, CallRequest, WorldCallRuntime
 from repro.core.world import WorldRegistry
 from repro.errors import ConfigurationError, GuestOSError
 from repro.guestos.kernel import Kernel, SyscallRedirector
@@ -470,10 +470,6 @@ def run_table7(iterations: int = 5) -> Dict[str, Dict[str, Any]]:
 # Three-way mechanism comparison — baseline / world_call / switchless
 # ---------------------------------------------------------------------------
 
-#: The three transports every redirected call can ride.
-MECHANISMS = ("baseline", "world_call", "switchless")
-
-
 def mechanism_cell(mechanism: str, iterations: int) -> Dict[str, Any]:
     """One Table-4 transport cell, on a fresh machine: the five lmbench
     ops through a redirected-syscall surface (rows in microseconds).
@@ -486,26 +482,21 @@ def mechanism_cell(mechanism: str, iterations: int) -> Dict[str, Any]:
     so the parallel runner can ship it to a worker process.
     """
     from repro import switchless as _sl
+    from repro.switchless import SwitchlessEngine
 
     if mechanism not in MECHANISMS:
         raise ConfigurationError(
             f"unknown mechanism {mechanism!r}; expected one of "
             f"{MECHANISMS}")
-    previous = _sl._engine
-    _sl._engine = None
-    if mechanism == "switchless":
-        from repro.switchless import SwitchlessConfig, SwitchlessEngine
-
-        _sl._engine = SwitchlessEngine(SwitchlessConfig(mode="force"))
-    try:
+    engine = (SwitchlessEngine(force=True) if mechanism == "switchless"
+              else None)
+    with _sl.scoped(engine):
         surface = (_baseline_redirect_surface() if mechanism == "baseline"
                    else _crossover_surface())
         return {"mechanism": mechanism, "rows": {
             op: _measure_op(surface, method, divisor,
                             iterations).microseconds
             for op, (method, divisor) in TABLE4_OPS.items()}}
-    finally:
-        _sl._engine = previous
 
 
 # ---------------------------------------------------------------------------

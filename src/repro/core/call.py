@@ -63,6 +63,11 @@ class CallRequest:
     service: Optional[str] = None
 
 
+#: The three call mechanisms the dispatch seam routes: the legacy
+#: trap redirection, the paper's VMFUNC ``world_call``, and a
+#: :mod:`repro.switchless` worker context.
+MECHANISMS = ("baseline", "world_call", "switchless")
+
 #: Section 5.3 scheduler-awareness: cost of reloading the service
 #: process state when a world call lands in a kernel world.
 _SCHED_RELOAD = Cost(15, 50)
@@ -240,7 +245,7 @@ class WorldCallRuntime:
             if engine is None:
                 raise ConfigurationError(
                     "mechanism='switchless' needs an installed engine; "
-                    "call repro.switchless.install() first")
+                    "run under repro.switchless.scoped(SwitchlessEngine())")
             return engine.world_call(self, caller, callee_wid, payload,
                                      authorize=authorize)
         if mechanism == "baseline":
@@ -251,8 +256,8 @@ class WorldCallRuntime:
             return self._legacy_call(caller, callee_wid, payload,
                                      authorize=authorize)
         raise ConfigurationError(
-            f"unknown call mechanism {mechanism!r}; expected 'baseline', "
-            "'world_call' or 'switchless'")
+            f"unknown call mechanism {mechanism!r}; expected one of "
+            f"{MECHANISMS}")
 
     def _call_guarded(self, caller: World, callee_wid: int, payload: Any, *,
                       authorize: bool) -> Any:

@@ -40,6 +40,7 @@ from repro import faults as _faults
 from repro import observe
 from repro import switchless as _switchless
 from repro.core import convention, fastpath
+from repro.core.call import MECHANISMS
 from repro.errors import (ConfigurationError, GuestOSError, SimulationError,
                           VMFuncFault)
 from repro.hw import fused
@@ -258,15 +259,15 @@ class CrossVMSyscallMechanism:
             if sl_engine is None:
                 raise ConfigurationError(
                     "mechanism='switchless' needs an installed engine; "
-                    "call repro.switchless.install() first")
+                    "run under repro.switchless.scoped(SwitchlessEngine())")
             return sl_engine.crossvm_call(self, from_vm, to_vm,
                                           request_obj, server)
         if mechanism == "baseline":
             return self._baseline_roundtrip(from_vm, to_vm, request_obj,
                                             server)
         raise ConfigurationError(
-            f"unknown call mechanism {mechanism!r}; expected 'baseline', "
-            "'vmfunc'/'world_call' or 'switchless'")
+            f"unknown call mechanism {mechanism!r}; expected one of "
+            f"{MECHANISMS} ('vmfunc' is an alias of 'world_call')")
 
     def _roundtrip(self, from_vm: VirtualMachine, to_vm: VirtualMachine,
                    request_obj: Any, server: Callable[[Any], Any]) -> Any:

@@ -272,8 +272,6 @@ def run_fault_cell(system: str, site_name: str, ops: int, seed: int,
 
     site = SITES[site_name]
     convention.clear_caches()
-    was_fast = fastpath.enabled()
-    fastpath.enable()
     plan = seeded_plan(site_name, seed, key=f"{system}:{site_name}",
                        ops=ops, fires=max(1, ops // 2))
     outcomes = {label: 0 for label in OUTCOMES}
@@ -284,44 +282,43 @@ def run_fault_cell(system: str, site_name: str, ops: int, seed: int,
     # semantic records only.
     recorder = audit.FlightRecorder(f"{system}:{site_name}")
     try:
-        cell = _CELL_KINDS[site.op](system, disabled)
-        with audit.scoped(recorder), \
-                faults.scoped(faults.FaultEngine([plan])) as engine:
-            expected = repr(cell.operate(site))  # clean warm-up op
-            cell.operate(site)  # steady-state op: the drift baseline
-            for index in range(ops):
-                engine.begin_operation(index)
-                legacy_before = cell.legacy_count()
-                cycles_before = cell.cpu.perf.cycles
-                err: Optional[BaseException] = None
-                result_repr: Optional[str] = None
-                try:
-                    result_repr = repr(cell.operate(site))
-                except Exception as exc:  # classified below
-                    err = exc
-                cycles = cell.cpu.perf.cycles - cycles_before
-                fired = site_name in engine.fired_this_op
-                engine.end_operation()
-                outcome = _classify(
-                    site, fired, err, result_repr, expected,
-                    cell.legacy_count() - legacy_before, cell.state_ok())
-                outcomes[outcome] += 1
-                if fired:
-                    ops_faulted += 1
-                    cycles_faulted += cycles
-                else:
-                    ops_clean += 1
-                    cycles_clean += cycles
-                if err is not None:
-                    label = type(err).__name__
-                    if label not in errors:
-                        errors.append(label)
-            injected = engine.fired.get(site_name, 0)
-            recoveries = cell.recoveries()
-            legacy = cell.legacy_count()
+        with fastpath.scoped(True):
+            cell = _CELL_KINDS[site.op](system, disabled)
+            with audit.scoped(recorder), \
+                    faults.scoped(faults.FaultEngine([plan])) as engine:
+                expected = repr(cell.operate(site))  # clean warm-up op
+                cell.operate(site)  # steady-state op: the drift baseline
+                for index in range(ops):
+                    engine.begin_operation(index)
+                    legacy_before = cell.legacy_count()
+                    cycles_before = cell.cpu.perf.cycles
+                    err: Optional[BaseException] = None
+                    result_repr: Optional[str] = None
+                    try:
+                        result_repr = repr(cell.operate(site))
+                    except Exception as exc:  # classified below
+                        err = exc
+                    cycles = cell.cpu.perf.cycles - cycles_before
+                    fired = site_name in engine.fired_this_op
+                    engine.end_operation()
+                    outcome = _classify(
+                        site, fired, err, result_repr, expected,
+                        cell.legacy_count() - legacy_before, cell.state_ok())
+                    outcomes[outcome] += 1
+                    if fired:
+                        ops_faulted += 1
+                        cycles_faulted += cycles
+                    else:
+                        ops_clean += 1
+                        cycles_clean += cycles
+                    if err is not None:
+                        label = type(err).__name__
+                        if label not in errors:
+                            errors.append(label)
+                injected = engine.fired.get(site_name, 0)
+                recoveries = cell.recoveries()
+                legacy = cell.legacy_count()
     finally:
-        if not was_fast:
-            fastpath.disable()
         convention.clear_caches()
     # Blind detection pass: bracket 0 (cold warm-up) is exempt, the
     # steady-state warm-up op is the explicit drift baseline, and the

@@ -48,6 +48,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional
 
+from repro.core.call import MECHANISMS
 from repro.errors import SimulationError
 from repro.fleet import traffic
 from repro.fleet.shards import (
@@ -62,8 +63,6 @@ from repro.telemetry.registry import (bucket_percentile, exemplars_dict,
 from repro.xray.trace import (HANDLER, HV, MARSHAL, REFILL, RETURN,
                               TRANSITION, WAKEUP)
 
-#: The three transports the fleet sweeps.
-MECHANISMS = ("baseline", "world_call", "switchless")
 
 #: Geometric latency ladder: 2k cycles (~0.6us) .. 131M (~38ms).
 LATENCY_BOUNDS = tuple(2_000 * (2 ** i) for i in range(17))
@@ -188,60 +187,53 @@ def calibrate_costs(mechanism: str) -> MechanismCosts:
     """Measure one mechanism's stage costs on a fresh machine."""
     from repro import switchless as _sl
     from repro.core import convention, fastpath
-    from repro.switchless import SwitchlessConfig, SwitchlessEngine
+    from repro.switchless import SwitchlessEngine
 
     if mechanism not in MECHANISMS:
         raise SimulationError(f"unknown mechanism {mechanism!r}; "
                               f"choose from {MECHANISMS}")
     convention.clear_caches()
-    was_fast = fastpath.enabled()
-    fastpath.enable()
-    engine = None
-    if mechanism == "switchless":
-        engine = SwitchlessEngine(SwitchlessConfig(mode="force", workers=1))
-    previous = _sl._engine
-    _sl._engine = engine
+    engine = (SwitchlessEngine(force=True) if mechanism == "switchless"
+              else None)
     mech_arg = "baseline" if mechanism == "baseline" else None
     try:
-        harness = _CalibrationHarness()
-        harness.call(mech_arg)           # cold caches / ring setup
-        harness.call(mech_arg)
-        total = min(harness.call(mech_arg) for _ in range(8))
-        service = harness.service_only()
-        harness.call(mech_arg)           # back to steady state
-        if harness.cpu.wt_caches is not None:
-            harness.cpu.wt_caches.flush()
-        miss_penalty = max(0, harness.call(mech_arg) - total)
-        cold_extra = 0
-        if mechanism == "switchless":
-            harness.idle(50_000_000)     # park the worker context
-            cold_extra = max(0, harness.call(mech_arg) - total)
-        transport = max(2, total - service)
-        issue = (transport + 1) // 2
-        # The marshal/encode share of the issue half, priced from the
-        # same cost model the measured call charged (save-state +
-        # param-setup); clamped so the transition core keeps at least
-        # one cycle.  Attribution only — issue timing is unchanged.
-        cm = harness.machine.cost_model
-        marshal = min(max(0, issue - 1),
-                      cm.world_save_state.cycles
-                      + cm.world_param_setup.cycles)
-        return MechanismCosts(
-            mechanism=mechanism,
-            total_cycles=total,
-            service_cycles=min(service, total - 2),
-            issue_cycles=issue,
-            return_cycles=transport // 2,
-            cold_extra_cycles=cold_extra,
-            miss_penalty_cycles=miss_penalty,
-            serialized=(mechanism == "baseline"),
-            marshal_cycles=marshal,
-        )
+        with fastpath.scoped(True), _sl.scoped(engine):
+            harness = _CalibrationHarness()
+            harness.call(mech_arg)           # cold caches / ring setup
+            harness.call(mech_arg)
+            total = min(harness.call(mech_arg) for _ in range(8))
+            service = harness.service_only()
+            harness.call(mech_arg)           # back to steady state
+            if harness.cpu.wt_caches is not None:
+                harness.cpu.wt_caches.flush()
+            miss_penalty = max(0, harness.call(mech_arg) - total)
+            cold_extra = 0
+            if mechanism == "switchless":
+                harness.idle(50_000_000)     # park the worker context
+                cold_extra = max(0, harness.call(mech_arg) - total)
     finally:
-        _sl._engine = previous
-        if not was_fast:
-            fastpath.disable()
         convention.clear_caches()
+    transport = max(2, total - service)
+    issue = (transport + 1) // 2
+    # The marshal/encode share of the issue half, priced from the
+    # same cost model the measured call charged (save-state +
+    # param-setup); clamped so the transition core keeps at least
+    # one cycle.  Attribution only — issue timing is unchanged.
+    cm = harness.machine.cost_model
+    marshal = min(max(0, issue - 1),
+                  cm.world_save_state.cycles
+                  + cm.world_param_setup.cycles)
+    return MechanismCosts(
+        mechanism=mechanism,
+        total_cycles=total,
+        service_cycles=min(service, total - 2),
+        issue_cycles=issue,
+        return_cycles=transport // 2,
+        cold_extra_cycles=cold_extra,
+        miss_penalty_cycles=miss_penalty,
+        serialized=(mechanism == "baseline"),
+        marshal_cycles=marshal,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -49,9 +49,9 @@ from repro import observe
 from repro.observatory.store import CLIP_COUNTER, WindowStore, crosscheck
 
 __all__ = [
-    "Observatory", "ObservatoryConfig", "WindowStore", "crosscheck",
+    "Observatory", "WindowStore", "crosscheck",
     "current", "enabled", "install", "uninstall", "scoped",
-    "DEFAULT_WINDOW_CYCLES",
+    "DEFAULT_WINDOW_CYCLES", "MAX_WINDOWS",
 ]
 
 #: Default window width on the modeled-cycle clock (~29 us at the
@@ -59,49 +59,21 @@ __all__ = [
 #: (120k-240k cycles) separate phases into distinct windows.
 DEFAULT_WINDOW_CYCLES = 100_000
 
+#: Ring bound on retained windows (later samples fold into the newest
+#: retained window, counted as ``clipped``).
+MAX_WINDOWS = 4096
+
 #: ``PerfCounters._obs_next`` sentinel: no observatory is watching this
 #: counter, so the per-charge compare can never fire.
 _OBS_DISABLED = 1 << 62
 
 
-class ObservatoryConfig:
-    """Sampling knobs.
-
-    ``window_cycles`` — window width on the modeled-cycle clock.
-    ``max_windows``   — ring bound on retained windows (later samples
-                        fold into the newest retained window, counted
-                        as ``clipped``).
-    """
-
-    __slots__ = ("window_cycles", "max_windows")
-
-    def __init__(self, window_cycles: int = DEFAULT_WINDOW_CYCLES,
-                 max_windows: int = 4096) -> None:
-        if window_cycles <= 0:
-            raise ValueError("window_cycles must be positive")
-        if max_windows <= 0:
-            raise ValueError("max_windows must be positive")
-        self.window_cycles = window_cycles
-        self.max_windows = max_windows
-
-    def to_dict(self) -> Dict[str, int]:
-        return {"window_cycles": self.window_cycles,
-                "max_windows": self.max_windows}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, int]) -> "ObservatoryConfig":
-        return cls(**data)
-
-
 class Observatory:
     """One recording: clock, window store, event taps, cell payloads."""
 
-    def __init__(self, label: str = "observatory",
-                 config: Optional[ObservatoryConfig] = None) -> None:
+    def __init__(self, label: str = "observatory") -> None:
         self.label = label
-        self.config = config if config is not None else ObservatoryConfig()
-        self.store = WindowStore(self.config.window_cycles,
-                                 self.config.max_windows)
+        self.store = WindowStore(DEFAULT_WINDOW_CYCLES, MAX_WINDOWS)
         #: Cumulative modeled cycles observed (advances at boundaries).
         self.clock = 0
         #: Per-cell payloads absorbed in spec order (parent role).
@@ -139,7 +111,7 @@ class Observatory:
         perf._obs = self
         perf._obs_anchor = cycles
         perf._obs_base = self.clock - cycles
-        perf._obs_next = cycles + self.config.window_cycles
+        perf._obs_next = cycles + DEFAULT_WINDOW_CYCLES
         self._perf = perf
 
     def on_boundary(self, perf) -> None:
@@ -150,11 +122,11 @@ class Observatory:
             perf._obs_next = _OBS_DISABLED
             return
         delta = perf.cycles - perf._obs_anchor
-        index = self.clock // self.config.window_cycles
+        index = self.clock // DEFAULT_WINDOW_CYCLES
         self.clock += delta
         perf._obs_anchor = perf.cycles
         perf._obs_base = self.clock - perf.cycles
-        perf._obs_next = perf.cycles + self.config.window_cycles
+        perf._obs_next = perf.cycles + DEFAULT_WINDOW_CYCLES
         self._perf = perf
         self._sample(index, delta)
 
@@ -175,7 +147,7 @@ class Observatory:
             perf._obs_anchor = perf.cycles
             perf._obs = None
             perf._obs_next = _OBS_DISABLED
-        index = self.clock // self.config.window_cycles
+        index = self.clock // DEFAULT_WINDOW_CYCLES
         self.clock += delta
         self._sample(index, delta)
         self._totals = dict(self._collect_registry()[1])
@@ -382,8 +354,7 @@ class Observatory:
         the rewound clock.
         """
         perf = self._perf
-        self.store = WindowStore(self.config.window_cycles,
-                                 self.config.max_windows)
+        self.store = WindowStore(DEFAULT_WINDOW_CYCLES, MAX_WINDOWS)
         self.clock = 0
         self.cells = []
         self._flushed = False
@@ -399,8 +370,8 @@ class Observatory:
     # -- per-cell fan-out ----------------------------------------------
 
     def spawn(self) -> "Observatory":
-        """A fresh observatory with the same config, for one cell."""
-        return Observatory(self.label, self.config)
+        """A fresh observatory with the same label, for one cell."""
+        return Observatory(self.label)
 
     def absorb_cell(self, payload: Dict[str, Any], runner: str,
                     args: tuple) -> None:
@@ -426,7 +397,8 @@ class Observatory:
                                     + self.store.clipped)
         payload: Dict[str, Any] = {
             "label": self.label,
-            "config": self.config.to_dict(),
+            "config": {"window_cycles": DEFAULT_WINDOW_CYCLES,
+                       "max_windows": MAX_WINDOWS},
             "clock": self.clock,
             "clipped": self.store.clipped,
             "windows": self.store.to_windows(),
@@ -472,9 +444,7 @@ def uninstall() -> Optional[Observatory]:
 
 @contextlib.contextmanager
 def scoped(observatory: Optional[Observatory] = None,
-           label: str = "observatory",
-           config: Optional[ObservatoryConfig] = None
-           ) -> Iterator[Observatory]:
+           label: str = "observatory") -> Iterator[Observatory]:
     """Install an observatory for a ``with`` block (flushing it on
     exit), restoring whatever was installed before::
 
@@ -484,10 +454,7 @@ def scoped(observatory: Optional[Observatory] = None,
             payload = obs.to_dict()
     """
     if observatory is None:
-        previous = current()
-        if config is None and previous is not None:
-            config = previous.config
-        observatory = Observatory(label, config)
+        observatory = Observatory(label)
     with observe.scoped("observatory", observatory):
         try:
             yield observatory

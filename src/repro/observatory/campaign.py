@@ -85,7 +85,7 @@ def build_artifact(obs: "_observatory.Observatory",
     artifact: Dict[str, Any] = {
         "schema": SCHEMA,
         "label": obs.label,
-        "window_cycles": obs.config.window_cycles,
+        "window_cycles": _observatory.DEFAULT_WINDOW_CYCLES,
         "cells": cells,
         "slo": slo_report,
         "summary": {

@@ -18,12 +18,17 @@ The subsystem has four pieces:
   "switchless"``, and with no explicit choice the installed engine's
   :meth:`SwitchlessEngine.select` decides.
 
+The engine is configless: ``SwitchlessEngine(force=..., workers=...)``
+is its whole surface, and every other knob is a module constant.
+
 Like telemetry, faults and audit, the engine is a
 module-global switch that is *zero cost when disabled*: dispatch seams
 guard with ``if _switchless._engine is not None`` and the default is
-``None``.  An engine in ``observe`` mode is installed-but-dormant — it
-watches every site but never diverts a call and never charges a cycle,
-so all counters stay bit-identical.
+``None``.  Every cell installs its engine through one slot,
+``with scoped(engine):``, where ``scoped(None)`` runs the block with no
+engine at all.  An adaptive engine whose policy has not flipped a site
+watches every dispatch but never diverts one and never charges a cycle,
+so until the first flip all counters stay bit-identical.
 """
 
 from __future__ import annotations
@@ -31,28 +36,19 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Iterator, Optional
 
-from .engine import (
-    MODES,
-    STAT_FIELDS,
-    SwitchlessConfig,
-    SwitchlessEngine,
-    SwitchlessStats,
-)
+from .engine import STAT_FIELDS, SwitchlessEngine, SwitchlessStats
 from .policy import AdaptivePolicy, SiteState
 
 __all__ = [
     "AdaptivePolicy",
-    "MODES",
     "STAT_FIELDS",
     "SiteState",
-    "SwitchlessConfig",
     "SwitchlessEngine",
     "SwitchlessStats",
     "current",
     "enabled",
     "install",
     "scoped",
-    "stats_dict",
     "uninstall",
 ]
 
@@ -60,10 +56,10 @@ __all__ = [
 _engine: Optional[SwitchlessEngine] = None
 
 
-def install(engine: Optional[SwitchlessEngine] = None) -> SwitchlessEngine:
-    """Install ``engine`` (or a default one) process-wide."""
+def install(engine: SwitchlessEngine) -> SwitchlessEngine:
+    """Install ``engine`` process-wide."""
     global _engine
-    _engine = engine if engine is not None else SwitchlessEngine()
+    _engine = engine
     return _engine
 
 
@@ -80,19 +76,15 @@ def current() -> Optional[SwitchlessEngine]:
     return _engine
 
 
-def stats_dict() -> dict:
-    """The installed engine's counters (empty dict when disabled)."""
-    return _engine.stats.to_dict() if _engine is not None else {}
-
-
 @contextmanager
-def scoped(engine: Optional[SwitchlessEngine] = None
-           ) -> Iterator[SwitchlessEngine]:
-    """Install an engine for the duration of a with-block (nest-safe)."""
+def scoped(engine: Optional[SwitchlessEngine]
+           ) -> Iterator[Optional[SwitchlessEngine]]:
+    """Install ``engine`` (``None``: no engine) for the duration of a
+    with-block, restoring the previous one on exit (nest-safe)."""
     global _engine
     previous = _engine
-    _engine = engine if engine is not None else SwitchlessEngine()
+    _engine = engine
     try:
-        yield _engine
+        yield engine
     finally:
         _engine = previous

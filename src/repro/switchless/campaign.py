@@ -115,7 +115,7 @@ def run_switchless_cell(workload: str, mechanism: str, seed: int,
     identically in-process or inside a fork worker."""
     from repro import switchless as _sl
     from repro.core import convention, fastpath
-    from repro.switchless import SwitchlessConfig, SwitchlessEngine
+    from repro.switchless import SwitchlessEngine
 
     if workload not in WORKLOADS:
         raise ValueError(f"unknown workload {workload!r}; "
@@ -124,49 +124,41 @@ def run_switchless_cell(workload: str, mechanism: str, seed: int,
         raise ValueError(f"unknown mechanism {mechanism!r}; "
                          f"choose from {MECHANISMS}")
     convention.clear_caches()
-    was_fast = fastpath.enabled()
-    fastpath.enable()
     engine = None
-    if mechanism == "switchless":
-        engine = SwitchlessEngine(SwitchlessConfig(mode="force",
-                                                   workers=workers))
-    elif mechanism == "adaptive":
-        engine = SwitchlessEngine(SwitchlessConfig(workers=workers))
-    previous = _sl._engine
-    _sl._engine = engine
+    if mechanism != "world_call":
+        engine = SwitchlessEngine(force=mechanism == "switchless",
+                                  workers=workers)
     try:
-        harness = _WorldCallHarness()
-        cpu = harness.cpu
-        plan = schedule(workload, seed)
-        calls = 0
-        cycles_calls = 0
-        start = cpu.perf.cycles
-        for burst, idle in plan:
-            for _ in range(burst):
-                before = cpu.perf.cycles
-                harness.call()
-                cycles_calls += cpu.perf.cycles - before
-                calls += 1
-            harness.idle(idle)
-        cell: Dict[str, Any] = {
-            "workload": workload,
-            "mechanism": mechanism,
-            "workers": workers,
-            "calls": calls,
-            "cycles_calls": cycles_calls,
-            "cycles_total": cpu.perf.cycles - start,
-            "mean_call_cycles": round(cycles_calls / calls, 2),
-        }
-        if engine is not None:
-            cell["switchless"] = {"stats": engine.stats.to_dict(),
-                                  "tuning": engine.tuning(),
-                                  "policy": engine.policy.snapshot()}
-        return cell
+        with fastpath.scoped(True), _sl.scoped(engine):
+            harness = _WorldCallHarness()
+            cpu = harness.cpu
+            plan = schedule(workload, seed)
+            calls = 0
+            cycles_calls = 0
+            start = cpu.perf.cycles
+            for burst, idle in plan:
+                for _ in range(burst):
+                    before = cpu.perf.cycles
+                    harness.call()
+                    cycles_calls += cpu.perf.cycles - before
+                    calls += 1
+                harness.idle(idle)
     finally:
-        _sl._engine = previous
-        if not was_fast:
-            fastpath.disable()
         convention.clear_caches()
+    cell: Dict[str, Any] = {
+        "workload": workload,
+        "mechanism": mechanism,
+        "workers": workers,
+        "calls": calls,
+        "cycles_calls": cycles_calls,
+        "cycles_total": cpu.perf.cycles - start,
+        "mean_call_cycles": round(cycles_calls / calls, 2),
+    }
+    if engine is not None:
+        cell["switchless"] = {"stats": engine.stats.to_dict(),
+                              "tuning": engine.tuning(),
+                              "policy": engine.policy.snapshot()}
+    return cell
 
 
 CELL_RUNNERS["switchlesscell"] = run_switchless_cell

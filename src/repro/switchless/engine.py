@@ -27,8 +27,13 @@ Cost accounting (all primitives live in :class:`repro.hw.costs.CostModel`):
   configless paper's CPU-waste metric), not charges on the caller: the
   caller's counters only ever contain what it actually waits on.
 
+The engine is configless: ``force`` and ``workers`` are its only
+settings.  Ring size, the tuner's bounds and the window width are
+module constants, and the auto-tuner retunes the worker pool and spin
+budget per window from what it measured.
+
 The engine is a policy, so it is a zero-cost-when-disabled module
-global of its own (see ``repro.switchless.install``) rather than an
+global of its own (see ``repro.switchless.scoped``) rather than an
 observer on :mod:`repro.observe`: the dispatch seams read one module
 attribute and branch on ``None``, like the fault engine.
 """
@@ -47,7 +52,7 @@ from repro.errors import (
     WorldCallError,
 )
 from repro.observe import Event
-from repro.switchless.policy import AdaptivePolicy
+from repro.switchless.policy import WINDOW_CYCLES, AdaptivePolicy
 
 #: Additive counters, in ``to_dict`` order.
 STAT_FIELDS = (
@@ -67,8 +72,14 @@ STAT_FIELDS = (
     "spin_shrinks",
 )
 
-#: Valid engine modes.
-MODES = ("adaptive", "observe", "force")
+#: Poll iterations a worker spins before it parks (the tuner's start).
+SPIN_BUDGET = 1024
+#: Pages per ring (matches crossvm SHARED_PAGES).
+RING_PAGES = 20
+#: Bounds the auto-tuner keeps the worker pool and spin budget within.
+MAX_WORKERS = 8
+MIN_SPIN = 16
+MAX_SPIN = 16384
 
 
 @dataclass
@@ -92,25 +103,6 @@ class SwitchlessStats:
 
     def to_dict(self) -> Dict[str, int]:
         return {name: getattr(self, name) for name in STAT_FIELDS}
-
-
-@dataclass(frozen=True)
-class SwitchlessConfig:
-    """Initial knobs; ``workers`` and ``spin_budget`` are only starting
-    points when ``autotune`` is on — the engine retunes them per window."""
-
-    workers: int = 1
-    spin_budget: int = 1024         # poll iterations before a worker parks
-    ring_pages: int = 20            # per ring (matches crossvm SHARED_PAGES)
-    mode: str = "adaptive"          # adaptive | observe | force
-    autotune: bool = True
-    max_workers: int = 8
-    min_spin: int = 16
-    max_spin: int = 16384
-    window_cycles: int = 1_000_000
-    flip_calls: int = 32
-    occupancy_ceiling: float = 0.9
-    cold_ratio_ceiling: float = 0.25
 
 
 class _Worker:
@@ -137,22 +129,23 @@ class _RingPair:
 
 
 class SwitchlessEngine:
-    """Deterministic worker scheduler + dispatch target for the seams."""
+    """Deterministic worker scheduler + dispatch target for the seams.
 
-    def __init__(self, config: Optional[SwitchlessConfig] = None) -> None:
-        self.config = config if config is not None else SwitchlessConfig()
-        if self.config.mode not in MODES:
+    ``force=True`` diverts every dispatch to the rings; otherwise the
+    adaptive policy decides per site.  ``workers`` is the initial pool
+    size; the auto-tuner retunes it (and the spin budget) per window.
+    """
+
+    def __init__(self, *, force: bool = False, workers: int = 1) -> None:
+        if workers < 1:
             raise ConfigurationError(
-                f"switchless mode must be one of {MODES}, "
-                f"not {self.config.mode!r}")
+                f"switchless workers must be at least 1, not {workers!r}")
+        self.force = force
+        self.workers = workers
         self.stats = SwitchlessStats()
-        self.policy = AdaptivePolicy(
-            window_cycles=self.config.window_cycles,
-            flip_calls=self.config.flip_calls,
-            occupancy_ceiling=self.config.occupancy_ceiling,
-            cold_ratio_ceiling=self.config.cold_ratio_ceiling)
-        #: Live (auto-tuned) knobs.
-        self.spin_budget = self.config.spin_budget
+        self.policy = AdaptivePolicy()
+        #: Live (auto-tuned) knob.
+        self.spin_budget = SPIN_BUDGET
         self._machine = None
         self._rings: Dict[Tuple[str, Any], _RingPair] = {}
         self._pool: List[_Worker] = []
@@ -167,7 +160,7 @@ class SwitchlessEngine:
 
     @property
     def worker_count(self) -> int:
-        return len(self._pool) if self._pool else max(1, self.config.workers)
+        return len(self._pool) if self._pool else self.workers
 
     def tuning(self) -> Dict[str, int]:
         """The currently tuned (non-additive) knob values."""
@@ -183,12 +176,11 @@ class SwitchlessEngine:
         """Mechanism decision for one dispatch (observes the call).
 
         Pure bookkeeping: nothing is charged to the simulated CPU, so an
-        engine in ``observe`` mode leaves every counter bit-identical.
-        Returns ``"switchless"`` to divert the call, ``None`` to leave
-        it on its default path.
+        adaptive engine leaves every counter bit-identical until its
+        policy flips a site.  Returns ``"switchless"`` to divert the
+        call, ``None`` to leave it on its default path.
         """
-        mode = self.config.mode
-        if mode == "force":
+        if self.force:
             return "switchless"
         before = len(self.policy.flips)
         mechanism = self.policy.decide((kind, caller_id, callee_id), cycles)
@@ -197,8 +189,6 @@ class SwitchlessEngine:
             site, to_mechanism, at_cycles = self.policy.flips[-1]
             observe.emit("switchless", "flip", site=site,
                          detail=to_mechanism, cycles=at_cycles)
-        if mode == "observe":
-            return None
         return "switchless" if mechanism == "switchless" else None
 
     def world_call(self, runtime, caller, callee_wid: int,
@@ -390,8 +380,7 @@ class SwitchlessEngine:
         first = self._machine is None
         self._machine = machine
         self._rings.clear()
-        self._pool = [_Worker(i)
-                      for i in range(max(1, self.config.workers))]
+        self._pool = [_Worker(i) for i in range(self.workers)]
         self._win_start = None
         self._win_seq0 = self._seq
         self._win_calls = 0
@@ -427,7 +416,7 @@ class SwitchlessEngine:
             from repro.hypervisor.shared_memory import (SharedMemoryRegion,
                                                         SharedRing)
             cpu = machine.cpu
-            pages = self.config.ring_pages
+            pages = RING_PAGES
             label = f"switchless-{key[0]}"
             regions = [
                 SharedMemoryRegion(machine.memory,
@@ -550,23 +539,22 @@ class SwitchlessEngine:
             self._win_start = now
             self._win_seq0 = self._seq
             return
-        if now - self._win_start < self.config.window_cycles:
+        if now - self._win_start < WINDOW_CYCLES:
             return
-        if self.config.autotune and self._win_calls:
-            cfg = self.config
+        if self._win_calls:
             if self._win_wakeups * 4 >= self._win_calls and \
-                    self.spin_budget * 2 <= cfg.max_spin:
+                    self.spin_budget * 2 <= MAX_SPIN:
                 # Cold-heavy window: spin longer before parking.
                 self.spin_budget *= 2
                 self.stats.spin_grows += 1
             elif self._win_wakeups == 0 and \
-                    self._win_waste * 8 >= cfg.window_cycles and \
-                    self.spin_budget // 2 >= cfg.min_spin:
+                    self._win_waste * 8 >= WINDOW_CYCLES and \
+                    self.spin_budget // 2 >= MIN_SPIN:
                 # Pure waste, no wakeups: spinning far too long.
                 self.spin_budget //= 2
                 self.stats.spin_shrinks += 1
             if self._win_reassigns * 2 >= self._win_calls and \
-                    len(self._pool) < cfg.max_workers:
+                    len(self._pool) < MAX_WORKERS:
                 # Workers thrash between rings: add one.
                 self._pool.append(_Worker(len(self._pool)))
                 self.stats.worker_grows += 1

@@ -7,13 +7,13 @@ wall-clock — so decisions are a pure function of the workload and its
 seed.  At each window boundary it may flip the site:
 
 * ``world_call`` -> ``switchless`` when the observed call rate reaches
-  ``flip_calls`` per window and ring occupancy (service cycles over the
-  window) stays under ``occupancy_ceiling`` — a hot site whose worker
-  can keep up without queueing;
+  :data:`FLIP_CALLS` per window and ring occupancy (service cycles over
+  the window) stays under :data:`OCCUPANCY_CEILING` — a hot site whose
+  worker can keep up without queueing;
 * ``switchless`` -> ``world_call`` when the rate collapses (under a
-  quarter of ``flip_calls``) or the cold-call ratio exceeds
-  ``cold_ratio_ceiling`` — paying futex wakeups per call is worse than
-  just switching worlds.
+  quarter of :data:`FLIP_CALLS`) or the cold-call ratio exceeds
+  :data:`COLD_RATIO_CEILING` — paying futex wakeups per call is worse
+  than just switching worlds.
 
 Every flip is appended to a decision log so tests (and the campaign
 artifact) can assert that the same seed yields the identical sequence.
@@ -26,6 +26,17 @@ from typing import Dict, List, Tuple
 
 #: A dispatch site: (kind, caller identity, callee identity).
 Site = Tuple[str, object, object]
+
+#: Window width on the modeled-cycle clock (shared with the engine's
+#: auto-tuner).
+WINDOW_CYCLES = 1_000_000
+#: Calls per window that make a site hot enough to flip to switchless.
+FLIP_CALLS = 32
+#: Highest ring occupancy (service cycles over the window) at which a
+#: hot site may still flip.
+OCCUPANCY_CEILING = 0.9
+#: Cold-call ratio above which a switchless site flips back.
+COLD_RATIO_CEILING = 0.25
 
 
 @dataclass
@@ -43,13 +54,7 @@ class SiteState:
 class AdaptivePolicy:
     """Flips hot (site, caller, callee) tuples between mechanisms."""
 
-    def __init__(self, *, window_cycles: int = 1_000_000,
-                 flip_calls: int = 32, occupancy_ceiling: float = 0.9,
-                 cold_ratio_ceiling: float = 0.25) -> None:
-        self.window_cycles = window_cycles
-        self.flip_calls = flip_calls
-        self.occupancy_ceiling = occupancy_ceiling
-        self.cold_ratio_ceiling = cold_ratio_ceiling
+    def __init__(self) -> None:
         self.sites: Dict[Site, SiteState] = {}
         #: Decision log: (site label, new mechanism, modeled cycles).
         self.flips: List[Tuple[str, str, int]] = []
@@ -71,7 +76,7 @@ class AdaptivePolicy:
             state.calls = 0
             state.cold = 0
             state.service_cycles = 0
-        elif cycles - state.window_start >= self.window_cycles:
+        elif cycles - state.window_start >= WINDOW_CYCLES:
             self._roll(site, state, cycles)
         state.calls += 1
         return state.mechanism
@@ -95,12 +100,11 @@ class AdaptivePolicy:
         cold_ratio = state.cold / state.calls if state.calls else 0.0
         new = state.mechanism
         if state.mechanism == "world_call":
-            if state.calls >= self.flip_calls and \
-                    occupancy <= self.occupancy_ceiling:
+            if state.calls >= FLIP_CALLS and occupancy <= OCCUPANCY_CEILING:
                 new = "switchless"
         else:
-            if state.calls < max(1, self.flip_calls // 4) or \
-                    cold_ratio > self.cold_ratio_ceiling:
+            if state.calls < FLIP_CALLS // 4 or \
+                    cold_ratio > COLD_RATIO_CEILING:
                 new = "world_call"
         if new != state.mechanism:
             state.mechanism = new

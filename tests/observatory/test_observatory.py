@@ -19,52 +19,44 @@ class TestClockAndWindows:
         assert perf._obs is None  # sentinel survived a 100-gigacycle run
 
     def test_adopted_counter_fills_windows_on_the_modeled_clock(self):
-        with observatory.scoped(
-                config=observatory.ObservatoryConfig(
-                    window_cycles=1000)) as obs:
+        with observatory.scoped() as obs:
             perf = PerfCounters()
             assert perf._obs is obs
             for _ in range(10):
-                perf.charge("x", Cost(1, 300))
-            # Boundaries fired at 1200 and 2400; the 600-cycle tail is
+                perf.charge("x", Cost(1, 30_000))
+            # Boundaries fired at 120k and 240k; the 60k-cycle tail is
             # still pending until the scoped exit flushes it.
-            assert obs.clock == 2400
+            assert obs.clock == 240_000
             assert obs.store.window_count() == 2
-        assert obs.clock == 3000
+        assert obs.clock == 300_000
         assert obs.store.window_count() == 3
 
     def test_one_big_charge_lands_in_the_open_window(self):
-        with observatory.scoped(
-                config=observatory.ObservatoryConfig(
-                    window_cycles=1000)) as obs:
+        with observatory.scoped() as obs:
             perf = PerfCounters()
-            perf.charge("x", Cost(1, 5500))   # jumps 5 windows at once
+            perf.charge("x", Cost(1, 550_000))   # jumps 5 windows at once
         # The whole delta belongs to the window open when the activity
         # started (no retroactive smearing).
         windows = obs.store.to_windows()
         assert [w["index"] for w in windows] == [0]
-        assert windows[0]["cycles"] == 5500
-        assert obs.clock == 5500
+        assert windows[0]["cycles"] == 550_000
+        assert obs.clock == 550_000
 
     def test_second_machine_extends_the_clock(self):
-        with observatory.scoped(
-                config=observatory.ObservatoryConfig(
-                    window_cycles=1000)) as obs:
+        with observatory.scoped() as obs:
             first = PerfCounters()
-            first.charge("x", Cost(1, 1500))
+            first.charge("x", Cost(1, 150_000))
             second = PerfCounters()   # fresh cycle domain, same axis
-            second.charge("x", Cost(1, 1200))
-        assert obs.clock == 2700
+            second.charge("x", Cost(1, 120_000))
+        assert obs.clock == 270_000
 
     def test_reset_reanchors_instead_of_rewinding(self):
-        with observatory.scoped(
-                config=observatory.ObservatoryConfig(
-                    window_cycles=1000)) as obs:
+        with observatory.scoped() as obs:
             perf = PerfCounters()
-            perf.charge("x", Cost(1, 700))
+            perf.charge("x", Cost(1, 70_000))
             perf.reset()
-            perf.charge("x", Cost(1, 700))
-        assert obs.clock == 1400
+            perf.charge("x", Cost(1, 70_000))
+        assert obs.clock == 140_000
 
     def test_uninstall_disarms_the_counter(self):
         with observatory.scoped() as obs:
@@ -75,11 +67,9 @@ class TestClockAndWindows:
         assert perf._obs_next == observatory._OBS_DISABLED
 
     def test_flush_is_idempotent(self):
-        with observatory.scoped(
-                config=observatory.ObservatoryConfig(
-                    window_cycles=1000)) as obs:
+        with observatory.scoped() as obs:
             perf = PerfCounters()
-            perf.charge("x", Cost(1, 300))
+            perf.charge("x", Cost(1, 30_000))
         before = obs.store.to_windows()
         obs.flush()
         obs.flush()
@@ -89,9 +79,7 @@ class TestClockAndWindows:
 class TestConservation:
     def _run(self, charges):
         with telemetry.scoped("t") as session:
-            with observatory.scoped(
-                    config=observatory.ObservatoryConfig(
-                        window_cycles=1000)) as obs:
+            with observatory.scoped() as obs:
                 perf = PerfCounters()
                 counter = session.metrics.counter("unit.calls")
                 for cycles in charges:
@@ -101,14 +89,14 @@ class TestConservation:
         return payload
 
     def test_window_deltas_sum_to_flat_totals(self):
-        payload = self._run([300] * 17)
+        payload = self._run([30_000] * 17)
         assert payload["crosscheck"]["ok"], payload["crosscheck"]
         summed = sum(w["counters"].get("unit.calls", 0)
                      for w in payload["windows"])
         assert summed == payload["totals"]["unit.calls"] == 17
 
     def test_partial_final_window_is_flushed(self):
-        payload = self._run([300])   # never crosses a boundary
+        payload = self._run([30_000])   # never crosses a boundary
         assert payload["crosscheck"]["ok"]
         assert payload["totals"]["unit.calls"] == 1
         assert len(payload["windows"]) == 1
@@ -116,11 +104,9 @@ class TestConservation:
     def test_baseline_absorbs_preexisting_counts(self):
         with telemetry.scoped("t") as session:
             session.metrics.counter("unit.calls").inc(10)
-            with observatory.scoped(
-                    config=observatory.ObservatoryConfig(
-                        window_cycles=1000)) as obs:
+            with observatory.scoped() as obs:
                 session.metrics.counter("unit.calls").inc(2)
-                PerfCounters().charge("x", Cost(1, 100))
+                PerfCounters().charge("x", Cost(1, 10_000))
             payload = obs.to_dict()
         assert payload["baseline"]["unit.calls"] == 10
         assert payload["totals"]["unit.calls"] == 12
@@ -130,15 +116,13 @@ class TestConservation:
         # run_switchless_cell swaps the engine mid-recording; the
         # sampling must not produce negative deltas when a source's
         # identity changes.
-        with observatory.scoped(
-                config=observatory.ObservatoryConfig(
-                    window_cycles=1000)) as obs:
+        with observatory.scoped() as obs:
             with telemetry.scoped("a") as first:
                 first.metrics.counter("unit.calls").inc(5)
-                PerfCounters().charge("x", Cost(1, 1000))
+                PerfCounters().charge("x", Cost(1, 100_000))
             with telemetry.scoped("b") as second:
                 second.metrics.counter("unit.calls").inc(3)
-                PerfCounters().charge("x", Cost(1, 1000))
+                PerfCounters().charge("x", Cost(1, 100_000))
                 obs.flush()   # while the live source is installed
         total = sum(w["counters"].get("unit.calls", 0)
                     for w in obs.store.to_windows())

@@ -1,19 +1,14 @@
 """Engine-level tests: hot/cold scheduling determinism, the cost
-model's hot-call advantage, observe-mode dormancy (bit-identical
+model's hot-call advantage, unflipped-engine dormancy (bit-identical
 counters), stats merging, and the mechanism seam's error cases."""
 
 import pytest
 
 from repro import switchless as sl
 from repro.errors import ConfigurationError
-from repro.switchless import (
-    MODES,
-    STAT_FIELDS,
-    SwitchlessConfig,
-    SwitchlessEngine,
-    SwitchlessStats,
-)
+from repro.switchless import STAT_FIELDS, SwitchlessEngine, SwitchlessStats
 from repro.switchless.campaign import _WorldCallHarness, run_switchless_cell
+from repro.switchless.policy import WINDOW_CYCLES
 
 
 @pytest.fixture(autouse=True)
@@ -30,8 +25,7 @@ def _run_harness(engine, bursts=((50, 200_000), (50, 200_000))):
     from repro.core import convention, fastpath
 
     convention.clear_caches()
-    with fastpath.scoped(True), sl.scoped(engine) if engine is not None \
-            else _null_ctx():
+    with fastpath.scoped(True), sl.scoped(engine):
         harness = _WorldCallHarness()
         cpu = harness.cpu
         spent = 0
@@ -44,25 +38,17 @@ def _run_harness(engine, bursts=((50, 200_000), (50, 200_000))):
         return spent, cpu.perf.snapshot()
 
 
-class _null_ctx:
-    def __enter__(self):
-        return None
-
-    def __exit__(self, *exc):
-        return False
-
-
 class TestScheduling:
     def test_same_schedule_same_stats(self):
         runs = []
         for _ in range(2):
-            engine = SwitchlessEngine(SwitchlessConfig(mode="force"))
+            engine = SwitchlessEngine(force=True)
             cycles, _snap = _run_harness(engine)
             runs.append((cycles, engine.stats.to_dict()))
         assert runs[0] == runs[1]
 
     def test_hot_and_cold_partition_calls(self):
-        engine = SwitchlessEngine(SwitchlessConfig(mode="force"))
+        engine = SwitchlessEngine(force=True)
         _run_harness(engine)
         stats = engine.stats
         assert stats.calls == 100
@@ -77,7 +63,7 @@ class TestScheduling:
         transport must model cheaper than world_call on the identical
         schedule (bursts sized like the campaign's)."""
         schedule = ((200, 200_000), (200, 200_000))
-        engine = SwitchlessEngine(SwitchlessConfig(mode="force"))
+        engine = SwitchlessEngine(force=True)
         switchless_cycles, _ = _run_harness(engine, schedule)
         world_cycles, _ = _run_harness(None, schedule)
         assert switchless_cycles < world_cycles
@@ -87,8 +73,7 @@ class TestScheduling:
         cycles are identical at 1/2/4 workers."""
         totals = set()
         for workers in (1, 2, 4):
-            engine = SwitchlessEngine(SwitchlessConfig(mode="force",
-                                                       workers=workers))
+            engine = SwitchlessEngine(force=True, workers=workers)
             cycles, _ = _run_harness(engine)
             totals.add(cycles)
         assert len(totals) == 1
@@ -96,25 +81,20 @@ class TestScheduling:
 
 class TestObserveDormancy:
     def test_observe_mode_counters_bit_identical(self):
-        """An installed-but-dormant (observe) engine must not perturb a
-        single simulated number: cycles, instructions, or any event
-        count."""
+        """An installed adaptive engine whose policy never flips must
+        not perturb a single simulated number: cycles, instructions, or
+        any event count."""
         _, bare = _run_harness(None)
-        engine = SwitchlessEngine(SwitchlessConfig(mode="observe"))
+        engine = SwitchlessEngine()
         _, observed = _run_harness(engine)
         assert observed.cycles == bare.cycles
         assert observed.instructions == bare.instructions
         assert observed.events == bare.events
         # ... while still watching every dispatch.
         assert engine.policy.sites
-
-    def test_observe_mode_never_diverts(self):
-        engine = SwitchlessEngine(SwitchlessConfig(mode="observe"))
-        for i in range(200):
-            assert engine.select("world", 1, 2, i * 10_000) is None
-        # The policy still judged the hot site (observe watches); only
-        # the diversion is withheld.
-        assert engine.policy.mechanism_of(("world", 1, 2)) == "switchless"
+        assert len(engine.policy.sites) == 1
+        assert not engine.policy.flips
+        assert engine.stats.calls == 0
 
 
 class TestAdaptiveRouting:
@@ -124,13 +104,13 @@ class TestAdaptiveRouting:
         from repro.core import convention, fastpath
 
         convention.clear_caches()
-        engine = SwitchlessEngine(SwitchlessConfig(mode="adaptive"))
+        engine = SwitchlessEngine()
         with fastpath.scoped(True), sl.scoped(engine):
             harness = _WorldCallHarness()
             for _ in range(50):
                 harness.call()
             assert engine.stats.calls == 0
-            harness.idle(engine.config.window_cycles + 1)
+            harness.idle(WINDOW_CYCLES + 1)
             for _ in range(25):
                 harness.call()
         assert engine.stats.flips_to_switchless == 1
@@ -146,19 +126,27 @@ class TestStatsAndConfig:
         assert list(stats.to_dict().items()) == [
             (name, value) for value, name in enumerate(STAT_FIELDS)]
 
-    def test_bad_mode_rejected(self):
+    def test_fewer_than_one_worker_rejected(self):
         with pytest.raises(ConfigurationError):
-            SwitchlessEngine(SwitchlessConfig(mode="sideways"))
-        assert "observe" in MODES
+            SwitchlessEngine(workers=0)
 
     def test_install_uninstall(self):
-        engine = sl.install(SwitchlessEngine(SwitchlessConfig()))
+        engine = sl.install(SwitchlessEngine())
         try:
             assert sl.enabled()
             assert sl.current() is engine
         finally:
             sl.uninstall()
         assert not sl.enabled()
+        assert sl.current() is None
+
+    def test_scoped_none_suspends_the_outer_engine(self):
+        outer = SwitchlessEngine()
+        with sl.scoped(outer):
+            with sl.scoped(None) as inner:
+                assert inner is None
+                assert sl.current() is None
+            assert sl.current() is outer
         assert sl.current() is None
 
 
@@ -194,7 +182,7 @@ class TestMechanismSeam:
             via_world = harness.runtime.call(
                 harness.caller, harness.callee.wid, ("getppid",),
                 authorize=False, mechanism="world_call")
-            engine = SwitchlessEngine(SwitchlessConfig(mode="force"))
+            engine = SwitchlessEngine(force=True)
             with sl.scoped(engine):
                 via_ring = harness.runtime.call(
                     harness.caller, harness.callee.wid, ("getppid",),

@@ -17,34 +17,33 @@ def _drive(policy, arrivals):
 
 class TestFlipRules:
     def test_hot_site_flips_to_switchless(self):
-        policy = AdaptivePolicy(window_cycles=1000, flip_calls=4)
-        _drive(policy, [(i * 10, 5, False) for i in range(110)])
+        policy = AdaptivePolicy()
+        _drive(policy, [(i * 10_000, 5_000, False) for i in range(110)])
         assert policy.mechanism_of(SITE) == "switchless"
         assert policy.flips
         assert policy.flips[0][1] == "switchless"
 
     def test_sparse_site_stays_world_call(self):
-        policy = AdaptivePolicy(window_cycles=1000, flip_calls=4)
-        _drive(policy, [(i * 2000, 5, False) for i in range(50)])
+        policy = AdaptivePolicy()
+        _drive(policy, [(i * 2_000_000, 5_000, False) for i in range(50)])
         assert policy.mechanism_of(SITE) == "world_call"
         assert not policy.flips
 
     def test_saturated_ring_refuses_flip(self):
         """High call rate but the worker can't keep up (occupancy over
         the ceiling): flipping would just queue calls."""
-        policy = AdaptivePolicy(window_cycles=1000, flip_calls=4,
-                                occupancy_ceiling=0.5)
-        _drive(policy, [(i * 10, 100, False) for i in range(110)])
+        policy = AdaptivePolicy()
+        _drive(policy, [(i * 10_000, 100_000, False) for i in range(110)])
         assert policy.mechanism_of(SITE) == "world_call"
 
     def test_cold_heavy_site_flips_back(self):
-        policy = AdaptivePolicy(window_cycles=1000, flip_calls=4,
-                                cold_ratio_ceiling=0.25)
+        policy = AdaptivePolicy()
         # Window 1: hot enough to flip.
-        _drive(policy, [(i * 10, 5, False) for i in range(110)])
+        _drive(policy, [(i * 10_000, 5_000, False) for i in range(110)])
         assert policy.mechanism_of(SITE) == "switchless"
         # Window 2+: every call cold — worse than world switching.
-        _drive(policy, [(1100 + i * 10, 50, True) for i in range(220)])
+        _drive(policy, [(1_100_000 + i * 10_000, 50_000, True)
+                        for i in range(220)])
         assert policy.mechanism_of(SITE) == "world_call"
         assert [flip[1] for flip in policy.flips] == ["switchless",
                                                       "world_call"]
@@ -78,19 +77,19 @@ class TestClockDomains:
     def test_backwards_clock_reanchors_without_flipping(self):
         """A window anchor from a previous machine (larger cycle count)
         must not wedge the boundary check or force a bogus flip."""
-        policy = AdaptivePolicy(window_cycles=1000, flip_calls=4)
-        policy.sites[SITE] = SiteState(window_start=50_000_000,
+        policy = AdaptivePolicy()
+        policy.sites[SITE] = SiteState(window_start=50_000_000_000,
                                        mechanism="switchless")
-        policy.decide(SITE, 10)      # new machine: clock restarted
+        policy.decide(SITE, 10_000)  # new machine: clock restarted
         state = policy.sites[SITE]
-        assert state.window_start == 10
+        assert state.window_start == 10_000
         assert state.calls == 1
         assert state.mechanism == "switchless"
         assert not policy.flips
 
     def test_rebase_restarts_windows(self):
-        policy = AdaptivePolicy(window_cycles=1000, flip_calls=4)
-        _drive(policy, [(i * 10, 5, False) for i in range(50)])
+        policy = AdaptivePolicy()
+        _drive(policy, [(i * 10_000, 5_000, False) for i in range(50)])
         policy.rebase()
         for state in policy.sites.values():
             assert state.window_start == 0
@@ -99,8 +98,8 @@ class TestClockDomains:
 
 class TestSnapshot:
     def test_snapshot_shape(self):
-        policy = AdaptivePolicy(window_cycles=1000, flip_calls=4)
-        _drive(policy, [(i * 10, 5, False) for i in range(110)])
+        policy = AdaptivePolicy()
+        _drive(policy, [(i * 10_000, 5_000, False) for i in range(110)])
         snap = policy.snapshot()
         assert set(snap) == {"flips", "sites"}
         assert snap["sites"] == {"world:1:2": "switchless"}

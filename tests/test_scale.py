@@ -148,7 +148,7 @@ class TestFleetScale:
         from repro import switchless
         from repro.fleet import traffic
         from repro.fleet.scheduler import build_fleet
-        from repro.switchless import SwitchlessConfig, SwitchlessEngine
+        from repro.switchless import SwitchlessEngine
 
         fleet = build_fleet(traffic.tenant_plan(500, 0))
         table, caches = fleet.table, fleet.machine.cpu.wt_caches
@@ -156,8 +156,7 @@ class TestFleetScale:
         a, b = fleet.tenants[0], fleet.tenants[1]
         assert a.shard != b.shard
 
-        engine = switchless.install(
-            SwitchlessEngine(SwitchlessConfig(mode="force", workers=1)))
+        engine = switchless.install(SwitchlessEngine(force=True))
         site_a = ("world", a.caller_wid, a.callee_wid)
         site_b = ("world", b.caller_wid, b.callee_wid)
         try:

@@ -128,6 +128,12 @@ class WorldCallRuntime:
         self.recoveries: Counter = Counter()
         #: Calls completed over the legacy vmcall/trap fallback path.
         self.legacy_calls = 0
+        #: The fast path's fixed caller- and callee-side entry charges,
+        #: fused once for this machine's cost model.
+        self._caller_entry = fused.world_call_caller_entry(
+            machine.cost_model)
+        self._callee_entry = fused.world_call_callee_entry(
+            machine.cost_model, sched_reload=_SCHED_RELOAD)
 
     # ------------------------------------------------------------------
     # setup (one-time, Section 3.3 "World-call setup")
@@ -376,7 +382,7 @@ class WorldCallRuntime:
         # Caller saves its running state in its own memory space.
         fast = fastpath.enabled() and not cpu.trace.enabled
         if fast:
-            fused.world_call_caller_entry(cpu.cost_model).apply(cpu.perf)
+            self._caller_entry.apply(cpu.perf)
         else:
             cpu.charge("world_save_state")
         caller.call_stack.append({
@@ -453,8 +459,9 @@ class WorldCallRuntime:
             self._recover_return(caller, delivered_caller_wid, fault)
 
         # --- back in the caller ----------------------------------------
-        returned_from = cpu.regs.read(WID_REGISTER)
-        cpu.charge("world_restore_state")
+        returned_from = cpu.regs.gprs[WID_REGISTER]
+        cpu.perf.charge("world_restore_state",
+                        cpu.cost_model.world_restore_state)
         saved = caller.call_stack.pop()
         if returned_from != saved["expected_callee"]:
             raise ControlFlowViolation(
@@ -664,9 +671,7 @@ class WorldCallRuntime:
                 if callee.process is not None:
                     callee.kernel.current = callee.process
                 if authorize and fast:
-                    fused.world_call_callee_entry(
-                        cpu.cost_model,
-                        sched_reload=_SCHED_RELOAD).apply(cpu.perf)
+                    self._callee_entry.apply(cpu.perf)
                     fused_entry = True
                 elif authorize:
                     cpu.perf.charge("sched_reload", _SCHED_RELOAD)

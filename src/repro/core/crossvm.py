@@ -47,6 +47,7 @@ from repro.hw import fused
 from repro.guestos.kernel import Kernel
 from repro.guestos.process import Process
 from repro.hw.cpu import Mode, Ring, VMFUNC_EPT_SWITCH
+from repro.hw.costs import CostModel
 from repro.hw.idt import IDT
 from repro.hw.mem import PAGE_SIZE
 from repro.hw.paging import PageTable
@@ -69,6 +70,12 @@ SHARED_PAGES = 20
 #: Size of the saved-context record the helper writes (regs + flags).
 _CONTEXT_SAVE_BYTES = 160
 
+#: Largest payload the shared region holds after the saved context and
+#: the 4-byte length header.
+_CAPACITY = SHARED_PAGES * PAGE_SIZE - _CONTEXT_SAVE_BYTES - 4
+
+_RING_KERNEL = int(Ring.KERNEL)
+
 #: Zero block written into the shared page as the saved context (hoisted
 #: off the fast path; the content is always the same).
 _CTX_ZEROS = b"\x00" * _CONTEXT_SAVE_BYTES
@@ -87,12 +94,48 @@ class _PairState:
         self.helpers = helpers          # vm name -> helper process
         self.calls = 0
         #: Fast-path memos: whether the context-save block has been
-        #: zeroed once, and the per-half ``(fixed cost, events)`` pairs
-        #: with the copy event counts folded in (the copy *costs* vary
-        #: by payload size and are summed in per call).
+        #: zeroed once, and each half's whole ``(cost, events)`` charge,
+        #: copies included — the enter half keyed by request length,
+        #: the return half by ``(restore_idt, reply length)``.
         self.ctx_zeroed = False
-        self.enter_fused: Optional[tuple] = None
-        self.return_fused: Dict[bool, tuple] = {}
+        self.enter_charges: Dict[int, tuple] = {}
+        self.return_charges: Dict[Tuple[bool, int], tuple] = {}
+
+
+def _enter_charge(cm: CostModel, request_len: int) -> tuple:
+    """Steps 2-4 of Figure 4 as one ``(cost, events)`` charge: helper
+    CR3, cli, IDT2, VMFUNC, sti, plus the save-area copy, the
+    calling-info write and its read-back."""
+    rec = fused.crossvm_enter(cm, install_idt=True)
+    events = dict(rec.events)
+    events["copy"] = 3
+    return (rec.cost + cm.copy(_CONTEXT_SAVE_BYTES)
+            + cm.copy(4 + request_len) + cm.copy(request_len), events)
+
+
+def _enter_fault_charge(cm: CostModel, restore_idt: bool,
+                        request_len: int) -> tuple:
+    """What steps 2-3 and their unwind charge when the VMFUNC into the
+    peer faults: helper CR3, cli, IDT2, the save-area and calling-info
+    copies, then the IDT restore, sti and the original CR3."""
+    rec = fused.fuse(cm, (("cr3_write", 2), ("int_toggle", 2),
+                          ("idt_switch", 2 if restore_idt else 1)))
+    events = dict(rec.events)
+    events["copy"] = 2
+    return (rec.cost + cm.copy(_CONTEXT_SAVE_BYTES)
+            + cm.copy(4 + request_len), events)
+
+
+def _return_charge(cm: CostModel, restore_idt: bool,
+                   reply_len: int) -> tuple:
+    """Steps 5-6 of Figure 4 as one ``(cost, events)`` charge: cli,
+    VMFUNC back, the IDT restore, sti and the original CR3, plus the
+    reply write and its read-back."""
+    rec = fused.crossvm_return(cm, restore_idt=restore_idt)
+    events = dict(rec.events)
+    events["copy"] = 2
+    return (rec.cost + cm.copy(4 + reply_len) + cm.copy(reply_len),
+            events)
 
 
 class CrossVMSyscallMechanism:
@@ -119,9 +162,9 @@ class CrossVMSyscallMechanism:
                    ) -> _PairState:
         """Prepare the helper context, code page, IDT2 and shared page
         for a VM pair (idempotent)."""
-        key = self._key(vm_a, vm_b)
-        if key in self._pairs:
-            return self._pairs[key]
+        known = self._pairs.get((vm_a.name, vm_b.name))
+        if known is not None:
+            return known
         if vm_a.kernel is None or vm_b.kernel is None:
             raise ConfigurationError("both VMs need booted kernels")
 
@@ -163,7 +206,9 @@ class CrossVMSyscallMechanism:
             vm_b.name: vm_b.kernel.spawn("crossvm-helper"),
         }
         state = _PairState(helper_pt, idt2, helpers)
-        self._pairs[key] = state
+        # Keyed by both orders so a call finds its pair without sorting.
+        self._pairs[(vm_a.name, vm_b.name)] = state
+        self._pairs[(vm_b.name, vm_a.name)] = state
         return state
 
     def _map_cross_page(self, table: PageTable, code_gpa: int) -> None:
@@ -172,16 +217,19 @@ class CrossVMSyscallMechanism:
                       executable=True)
 
     @staticmethod
-    def _key(vm_a: VirtualMachine, vm_b: VirtualMachine) -> Tuple[str, str]:
-        return tuple(sorted((vm_a.name, vm_b.name)))  # type: ignore
+    def _require_pair(state: Optional[_PairState], from_vm: VirtualMachine,
+                      to_vm: VirtualMachine) -> _PairState:
+        if state is None:
+            raise ConfigurationError(
+                f"setup_pair({from_vm.name}, {to_vm.name}) was never run")
+        return state
 
     @staticmethod
     def _check_fits(payload_len: int) -> None:
-        capacity = SHARED_PAGES * PAGE_SIZE - _CONTEXT_SAVE_BYTES - 4
-        if payload_len > capacity:
+        if payload_len > _CAPACITY:
             raise SimulationError(
                 f"cross-VM payload of {payload_len}B exceeds the shared "
-                f"region capacity of {capacity}B")
+                f"region capacity of {_CAPACITY}B")
 
     # ------------------------------------------------------------------
     # the redirected call
@@ -204,13 +252,16 @@ class CrossVMSyscallMechanism:
         explicit choice, the engine's policy decides.
         """
 
+        state = self._pairs.get((from_vm.name, to_vm.name))
+
         def serve(payload):
             r_name, r_args, r_kwargs = payload
             remote_kernel = to_vm.kernel
             assert isinstance(remote_kernel, Kernel)
-            state = self._pairs[self._key(from_vm, to_vm)]
-            runner = executor if executor is not None else \
-                state.helpers[to_vm.name]
+            runner = executor
+            if runner is None:
+                runner = self._require_pair(
+                    state, from_vm, to_vm).helpers[to_vm.name]
             return remote_kernel.execute_syscall(
                 runner, r_name, *r_args, **r_kwargs)
 
@@ -218,7 +269,8 @@ class CrossVMSyscallMechanism:
                              (name, args, kwargs), serve, "crossvm")
         if routed is not _NOT_ROUTED:
             return routed
-        return self._roundtrip(from_vm, to_vm, (name, args, kwargs), serve)
+        return self._roundtrip(state, from_vm, to_vm, (name, args, kwargs),
+                               serve)
 
     def call_function(self, from_vm: VirtualMachine,
                       to_vm: VirtualMachine,
@@ -236,7 +288,8 @@ class CrossVMSyscallMechanism:
                              "crossvm_fn")
         if routed is not _NOT_ROUTED:
             return routed
-        return self._roundtrip(from_vm, to_vm, payload, fn)
+        return self._roundtrip(self._pairs.get((from_vm.name, to_vm.name)),
+                               from_vm, to_vm, payload, fn)
 
     def _route(self, from_vm: VirtualMachine, to_vm: VirtualMachine,
                mechanism: Optional[str], request_obj: Any,
@@ -269,11 +322,13 @@ class CrossVMSyscallMechanism:
             f"unknown call mechanism {mechanism!r}; expected one of "
             f"{MECHANISMS} ('vmfunc' is an alias of 'world_call')")
 
-    def _roundtrip(self, from_vm: VirtualMachine, to_vm: VirtualMachine,
+    def _roundtrip(self, state: Optional[_PairState],
+                   from_vm: VirtualMachine, to_vm: VirtualMachine,
                    request_obj: Any, server: Callable[[Any], Any]) -> Any:
         observers = observe.observers
         if observers is None:
-            return self._roundtrip_impl(from_vm, to_vm, request_obj, server)
+            return self._roundtrip_impl(state, from_vm, to_vm, request_obj,
+                                        server)
         # One bracket per Figure-4 round trip (covers the fused path too).
         cpu = self.machine.cpu
         observe.publish(observers, Event(
@@ -281,7 +336,8 @@ class CrossVMSyscallMechanism:
             cycles=cpu.perf.cycles, ref=cpu))
         outcome = "ok"
         try:
-            return self._roundtrip_impl(from_vm, to_vm, request_obj, server)
+            return self._roundtrip_impl(state, from_vm, to_vm, request_obj,
+                                        server)
         except BaseException as exc:
             outcome = type(exc).__name__
             raise
@@ -290,19 +346,17 @@ class CrossVMSyscallMechanism:
                 "core", "crossvm_end", from_vm.name, to_vm.name,
                 detail=outcome, cycles=cpu.perf.cycles, ref=cpu))
 
-    def _roundtrip_impl(self, from_vm: VirtualMachine,
-                        to_vm: VirtualMachine, request_obj: Any,
+    def _roundtrip_impl(self, state: Optional[_PairState],
+                        from_vm: VirtualMachine, to_vm: VirtualMachine,
+                        request_obj: Any,
                         server: Callable[[Any], Any]) -> Any:
-        state = self._pairs.get(self._key(from_vm, to_vm))
-        if state is None:
-            raise ConfigurationError(
-                f"setup_pair({from_vm.name}, {to_vm.name}) was never run")
+        state = self._require_pair(state, from_vm, to_vm)
         cpu = self.machine.cpu
         if cpu.mode is not Mode.NON_ROOT or cpu.vm_name != from_vm.name:
             raise SimulationError(
                 f"cross-VM call must start in {from_vm.name}'s kernel, "
                 f"CPU is in {cpu.world_label}")
-        cpu.require_ring(int(Ring.KERNEL), "cross-VM call")
+        cpu.require_ring(_RING_KERNEL, "cross-VM call")
         memory = self.machine.memory
 
         saved_pt = cpu.page_table
@@ -353,11 +407,15 @@ class CrossVMSyscallMechanism:
         except GuestOSError as err:
             outcome = err
 
-        # Step 5: returned buffer into the shared page, switch back.
+        # Step 5: returned buffer into the shared page, switch back.  A
+        # reply too large for the shared page is never written; the
+        # round trip still unwinds through steps 5-6 and then fails, so
+        # the CPU is back in from_vm's own context.
         reply = convention.encode(outcome)
-        self._check_fits(len(reply))
-        cpu.write_virt(memory, SHARED_GVA + _CONTEXT_SAVE_BYTES,
-                       len(reply).to_bytes(4, "big") + reply)
+        fits = len(reply) <= _CAPACITY
+        if fits:
+            cpu.write_virt(memory, SHARED_GVA + _CONTEXT_SAVE_BYTES,
+                           len(reply).to_bytes(4, "big") + reply)
         cpu.cli()
         cpu.vmfunc(VMFUNC_EPT_SWITCH, from_vm.vm_id)
 
@@ -365,12 +423,15 @@ class CrossVMSyscallMechanism:
         if saved_idt is not None:
             cpu.install_idt(saved_idt)
         cpu.sti()
-        header = cpu.read_virt(memory, SHARED_GVA + _CONTEXT_SAVE_BYTES, 4,
-                               charge=False)
-        reply = cpu.read_virt(memory, SHARED_GVA + _CONTEXT_SAVE_BYTES + 4,
-                              int.from_bytes(header, "big"))
+        if fits:
+            header = cpu.read_virt(memory, SHARED_GVA + _CONTEXT_SAVE_BYTES,
+                                   4, charge=False)
+            reply = cpu.read_virt(memory,
+                                  SHARED_GVA + _CONTEXT_SAVE_BYTES + 4,
+                                  int.from_bytes(header, "big"))
         assert saved_pt is not None
         cpu.write_cr3(saved_pt)
+        self._check_fits(len(reply))
         state.calls += 1
 
         result = convention.decode(reply)
@@ -438,11 +499,13 @@ class CrossVMSyscallMechanism:
                          to_vm: VirtualMachine, request_obj: Any,
                          server: Callable[[Any], Any], saved_pt: PageTable,
                          saved_idt: Optional[IDT]) -> Any:
-        """The Figure-4 sequence with fused cost charging.
+        """The Figure-4 sequence as two straight-line halves.
 
-        Performs the same state changes as :meth:`_roundtrip` but
-        applies each half's fixed charge sequence (copy events folded
-        in, variable-size copy costs summed per call) as one batch —
+        Performs the same state changes as the step-by-step path, but
+        each half stores CR3, the IDT and IF directly, checks the ring
+        once (on entry, by the caller, and again after the callee
+        returns, where the return half's ``cli`` would fault) and
+        applies one charge looked up in the pair's per-length memo —
         counters come out bit-identical to the step-by-step path.
 
         Two further model-equivalences trim pure overhead: the shared
@@ -456,60 +519,85 @@ class CrossVMSyscallMechanism:
         memory = self.machine.memory
         cm = cpu.cost_model
         perf = cpu.perf
+        interrupts = cpu.interrupts
+        tlb = cpu.tlb
 
         # Steps 2-3: helper context, save area, calling info, switch.
-        cpu.write_cr3(state.helper_pt, charge=False)
-        cpu.cli(charge=False)
-        cpu.install_idt(state.idt2, charge=False)
+        helper_pt = state.helper_pt
+        cpu.page_table = helper_pt
+        tlb.on_cr3_write(helper_pt.root)
+        interrupts.interrupts_enabled = False
+        interrupts.idt = state.idt2
         if not state.ctx_zeroed:
             cpu.write_virt(memory, SHARED_GVA, _CTX_ZEROS, charge=False)
             state.ctx_zeroed = True
         request = convention.encode(request_obj)
-        self._check_fits(len(request))
+        request_len = len(request)
+        self._check_fits(request_len)
         cpu.write_virt(memory, SHARED_GVA + _CONTEXT_SAVE_BYTES,
-                       len(request).to_bytes(4, "big") + request,
+                       request_len.to_bytes(4, "big") + request,
                        charge=False)
-        cpu.vmfunc(VMFUNC_EPT_SWITCH, to_vm.vm_id, charge=False)
+        try:
+            cpu.ept_switch(to_vm.vm_id, charge=False)
+        except VMFuncFault:
+            # As in the step-by-step path: unwind the helper context
+            # (we never left from_vm), charge what it charged, and
+            # degrade to the trap-based round trip.
+            restore_idt = saved_idt is not None
+            if restore_idt:
+                interrupts.idt = saved_idt
+            interrupts.interrupts_enabled = True
+            cpu.page_table = saved_pt
+            tlb.on_cr3_write(saved_pt.root)
+            perf.charge_batch(*_enter_fault_charge(cm, restore_idt,
+                                                   request_len))
+            if not self.recovery_legacy:
+                raise
+            return self._legacy_roundtrip(from_vm, to_vm, request_obj,
+                                          server)
 
         # Step 4: in to_vm's kernel context.  The calling info in the
         # shared page is byte-for-byte the buffer written above.
-        cpu.sti(charge=False)
-        ef = state.enter_fused
-        if ef is None:
-            rec = fused.crossvm_enter(cm, install_idt=True)
-            events = dict(rec.events)
-            events["copy"] = events.get("copy", 0) + 3
-            ef = state.enter_fused = (rec.cost, events)
-        perf.charge_batch(
-            ef[0] + cm.copy(_CONTEXT_SAVE_BYTES) + cm.copy(4 + len(request))
-            + cm.copy(len(request)),
-            ef[1])
+        interrupts.interrupts_enabled = True
+        charge = state.enter_charges.get(request_len)
+        if charge is None:
+            charge = state.enter_charges[request_len] = _enter_charge(
+                cm, request_len)
+        perf.charge_batch(*charge)
         try:
             outcome = server(convention.decode(request))
         except GuestOSError as err:
             outcome = err
 
         # Steps 5-6: returned buffer, switch back, restore VM1 context.
+        # An oversized reply unwinds the same way before failing.
         reply = convention.encode(outcome)
-        self._check_fits(len(reply))
-        cpu.write_virt(memory, SHARED_GVA + _CONTEXT_SAVE_BYTES,
-                       len(reply).to_bytes(4, "big") + reply, charge=False)
-        cpu.cli(charge=False)
-        cpu.vmfunc(VMFUNC_EPT_SWITCH, from_vm.vm_id, charge=False)
+        reply_len = len(reply)
+        fits = reply_len <= _CAPACITY
+        if fits:
+            cpu.write_virt(memory, SHARED_GVA + _CONTEXT_SAVE_BYTES,
+                           reply_len.to_bytes(4, "big") + reply,
+                           charge=False)
+        if cpu.ring != _RING_KERNEL:
+            cpu.require_ring(_RING_KERNEL, "cli")
+        interrupts.interrupts_enabled = False
+        cpu.ept_switch(from_vm.vm_id, charge=False)
         restore_idt = saved_idt is not None
         if restore_idt:
-            cpu.install_idt(saved_idt, charge=False)
-        cpu.sti(charge=False)
-        cpu.write_cr3(saved_pt, charge=False)
-        rf = state.return_fused.get(restore_idt)
-        if rf is None:
+            interrupts.idt = saved_idt
+        interrupts.interrupts_enabled = True
+        cpu.page_table = saved_pt
+        tlb.on_cr3_write(saved_pt.root)
+        if not fits:
             rec = fused.crossvm_return(cm, restore_idt=restore_idt)
-            events = dict(rec.events)
-            events["copy"] = events.get("copy", 0) + 2
-            rf = state.return_fused[restore_idt] = (rec.cost, events)
-        perf.charge_batch(rf[0] + cm.copy(4 + len(reply))
-                          + cm.copy(len(reply)),
-                          rf[1])
+            perf.charge_batch(rec.cost, rec.events)
+            self._check_fits(reply_len)
+        key = (restore_idt, reply_len)
+        charge = state.return_charges.get(key)
+        if charge is None:
+            charge = state.return_charges[key] = _return_charge(
+                cm, restore_idt, reply_len)
+        perf.charge_batch(*charge)
         state.calls += 1
 
         result = convention.decode(reply)

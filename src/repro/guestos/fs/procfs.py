@@ -85,6 +85,12 @@ class ProcFS:
             return b"" if proc is None else proc.name.encode() + b"\x00"
         return generate
 
+    def _gen_pid_comm(self, pid: int):
+        def generate() -> bytes:
+            proc = self.kernel.processes.get(pid)
+            return b"" if proc is None else (proc.name + "\n").encode()
+        return generate
+
     # ------------------------------------------------------------------
     # filesystem interface
     # ------------------------------------------------------------------
@@ -98,22 +104,14 @@ class ProcFS:
         pid = int(directory.target)
         if self.kernel.processes.get(pid) is None:
             raise GuestOSError(Errno.ENOENT, f"process {pid} is gone")
-        generators = {
-            "stat": self._gen_pid_stat(pid),
-            "status": self._gen_pid_status(pid),
-            "cmdline": self._gen_pid_cmdline(pid),
-            "comm": lambda: (
-                (self.kernel.processes[pid].name + "\n").encode()
-                if pid in self.kernel.processes else b""),
-        }
-        generator = generators.get(name)
-        if generator is None:
+        make_generator = _PID_FILES.get(name)
+        if make_generator is None:
             raise GuestOSError(Errno.ENOENT, f"no /proc entry {name}")
         key = f"{pid}/{name}"
         node = self._cache.get(key)
         if node is None:
             node = Inode(InodeType.FILE, mode=0o444)
-            node.generator = generator
+            node.generator = make_generator(self, pid)
             self._cache[key] = node
         return node
 
@@ -159,3 +157,14 @@ class ProcFS:
             pids = [str(pid) for pid in sorted(self.kernel.processes)]
             return list(_STATIC_FILES) + pids
         return ["cmdline", "comm", "stat", "status"]
+
+
+#: The files of a ``/proc/<pid>`` directory, each with the method that
+#: builds its content generator (only on the lookup that creates the
+#: node).
+_PID_FILES = {
+    "stat": ProcFS._gen_pid_stat,
+    "status": ProcFS._gen_pid_status,
+    "cmdline": ProcFS._gen_pid_cmdline,
+    "comm": ProcFS._gen_pid_comm,
+}

@@ -53,9 +53,10 @@ class Scheduler:
         previous = kernel.current
         if previous is proc:
             return
-        kernel.cpu.context_switch(
-            proc.page_table, detail or f"{getattr(previous, 'name', '?')} "
-            f"-> {proc.name}", charge=charge)
+        cpu = kernel.cpu
+        if not detail and cpu.trace.enabled:
+            detail = f"{getattr(previous, 'name', '?')} -> {proc.name}"
+        cpu.context_switch(proc.page_table, detail, charge=charge)
         if previous is not None and previous.alive:
             previous.state = "ready"
         proc.state = "running"

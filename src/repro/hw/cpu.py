@@ -90,6 +90,10 @@ class CPU:
         #: Software memo of successful page walks (wall-clock only);
         #: distinct from the flush-accounting ``tlb`` model.
         self._xlat_cache: dict = {}
+        #: Memo of validated ``world_call`` entry points (wall-clock
+        #: only): (CR3 root, EPTP, PC, user) -> the mapping epoch the
+        #: two-stage walk last succeeded at.
+        self._entry_cache: dict = {}
         self.perf = PerfCounters()
         self.trace = TransitionTrace()
 
@@ -332,8 +336,7 @@ class CPU:
     # VMFUNC (fn 0) and the CrossOver extension (fns 0x1 / 0x2)
     # ------------------------------------------------------------------
 
-    def vmfunc(self, function: int, argument: int = 0,
-               charge: bool = True) -> Optional[int]:
+    def vmfunc(self, function: int, argument: int = 0) -> Optional[int]:
         """Execute VMFUNC.
 
         * fn 0x0 — EPTP switch (requires VT-x VMFUNC support; non-root
@@ -348,38 +351,43 @@ class CPU:
             _faults._engine.fire("hw.vmfunc", cpu=self, function=function,
                                  argument=argument)
         if function == VMFUNC_EPT_SWITCH:
-            return self._vmfunc_ept_switch(argument, charge)
+            return self.ept_switch(argument)
         if function == VMFUNC_WORLD_CALL:
             return self._world_call(argument)
         raise VMFuncFault(f"unsupported VMFUNC index {function:#x}")
 
-    def _vmfunc_ept_switch(self, index: int, charge: bool = True) -> None:
+    def ept_switch(self, index: int, charge: bool = True) -> None:
+        """VMFUNC fn 0: switch to the EPT at ``index`` of the EPTP list.
+
+        ``charge=False`` skips only the charge: the fused cross-VM round
+        trip calls this directly and charges the switch inside its
+        precomputed half.  The checks, the EPT/TLB switch and the
+        ``ept_switch`` event are the same either way.
+        """
         if not self.features.vmfunc:
             raise InvalidOpcode("VMFUNC not supported by this processor")
-        self.require_non_root("VMFUNC")
-        if self.eptp_list is None:
+        if self.mode is not Mode.NON_ROOT:
+            self.require_non_root("VMFUNC")
+        eptp_list = self.eptp_list
+        if eptp_list is None:
             raise VMFuncFault("no EPTP list configured for this guest")
-        if not 0 <= index < self.eptp_list.size:
+        if not 0 <= index < eptp_list.size:
             raise VMFuncFault(f"EPTP index {index} out of range")
-        target = self.eptp_list.get(index)
+        target = eptp_list.get(index)
         if target is None:
             raise VMFuncFault(f"EPTP list slot {index} is empty")
-        if self.trace.enabled:
-            frm = self.world_label
-            self.ept = target
-            if target.label:
-                self.vm_name = target.label
-            self.tlb.on_ept_switch(target.eptp)
+        trace_on = self.trace.enabled
+        frm = self.world_label if trace_on else ""
+        self.ept = target
+        if target.label:
+            self.vm_name = target.label
+        self.tlb.on_ept_switch(target.eptp)
+        if trace_on:
             self.transition("vmfunc_ept_switch", frm, self.world_label,
                             f"eptp[{index}]")
-        else:
-            self.ept = target
-            if target.label:
-                self.vm_name = target.label
-            self.tlb.on_ept_switch(target.eptp)
-            if charge:
-                self.perf.charge("vmfunc_ept_switch",
-                                 self.cost_model.vmfunc_ept_switch)
+        elif charge:
+            self.perf.charge("vmfunc_ept_switch",
+                             self.cost_model.vmfunc_ept_switch)
         observers = observe.observers
         if observers is not None:
             observe.publish(observers, observe.Event(
@@ -399,7 +407,8 @@ class CPU:
         if not self.features.crossover or self.wt_caches is None:
             raise InvalidOpcode(
                 "world_call requires the CrossOver extension")
-        self.charge("world_call_hw")
+        cost_model = self.cost_model
+        self.perf.charge("world_call_hw", cost_model.world_call_hw)
         # Observers see the hardware datapath itself (not just the
         # transition trace, which may be disabled on the fast path).
         # Observation never charges: modeled counters stay bit-identical.
@@ -407,7 +416,12 @@ class CPU:
         if observers is not None:
             observe.publish(observers, observe.Event(
                 "hw", "world_call_issue", callee_wid=callee_wid, ref=self))
-        caller = self._lookup_caller()
+        ept = self.ept
+        table = self.page_table
+        caller = self._lookup_caller((
+            self.mode is Mode.ROOT, self.ring,
+            ept.eptp if ept is not None else 0,
+            table.root if table is not None else 0))
         try:
             callee = self.wt_caches.lookup_callee(callee_wid)
         except WorldTableCacheMiss:
@@ -421,11 +435,23 @@ class CPU:
 
         # Validate the entry point through the callee's own translations
         # BEFORE committing the switch: a non-executable or unmapped PC
-        # faults with the caller's context intact.
-        entry_gpa = callee.page_table.translate(
-            callee.pc, user=callee.ring == int(Ring.USER), execute=True)
-        if callee.ept is not None:
-            callee.ept.translate(entry_gpa, execute=True)
+        # faults with the caller's context intact.  A success is
+        # memoized until the next page-table/EPT mutation (the
+        # ``translate`` discipline), so a remap walks — and faults —
+        # again.
+        callee_ept = callee.ept
+        callee_table = callee.page_table
+        user = callee.ring == _RING_USER
+        key = (callee_table.root,
+               callee_ept.eptp if callee_ept is not None else 0,
+               callee.pc, user)
+        epoch = _hwmem._mapping_epoch
+        if self._entry_cache.get(key) != epoch:
+            entry_gpa = callee_table.translate(callee.pc, user=user,
+                                               execute=True)
+            if callee_ept is not None:
+                callee_ept.translate(entry_gpa, execute=True)
+            self._entry_cache[key] = epoch
 
         trace_on = self.trace.enabled
         frm = (self.world_label if trace_on or observers is not None
@@ -433,17 +459,18 @@ class CPU:
         # Commit: the callee sees the hardware-authenticated caller WID.
         self.mode = Mode.ROOT if callee.host_mode else Mode.NON_ROOT
         self.ring = callee.ring
-        self.ept = callee.ept
-        self.page_table = callee.page_table
+        self.ept = callee_ept
+        self.page_table = callee_table
         self.vm_name = callee.vm_name
-        if callee.ept is not None:
-            self.tlb.on_ept_switch(callee.ept.eptp)
-        self.tlb.on_cr3_write(callee.page_table.root)
+        if callee_ept is not None:
+            self.tlb.on_ept_switch(callee_ept.eptp)
+        self.tlb.on_cr3_write(callee_table.root)
         self._current_wid = callee.wid
-        self.regs.write("rip", callee.pc)
-        self.regs.write(WID_REGISTER, caller.wid)
+        gprs = self.regs.gprs
+        gprs["rip"] = callee.pc
+        gprs[WID_REGISTER] = caller.wid
         if trace_on:
-            hw_cost = self.cost_model.world_call_hw
+            hw_cost = cost_model.world_call_hw
             self.trace.record("world_call", frm, self.world_label,
                               f"wid {caller.wid} -> {callee_wid}",
                               hw_cost.cycles, hw_cost.instructions)
@@ -457,8 +484,9 @@ class CPU:
                 cycles=self.perf.cycles))
         return caller.wid
 
-    def _lookup_caller(self) -> WorldTableEntry:
-        """Identify the calling world from the current context."""
+    def _lookup_caller(self, key) -> WorldTableEntry:
+        """Identify the calling world from the current context, whose
+        IWT key ``(host mode, ring, EPTP, CR3)`` is ``key``."""
         assert self.wt_caches is not None
         if (self.features.current_wid_register
                 and self._current_wid is not None
@@ -467,17 +495,14 @@ class CPU:
             # after the last context switch, skipping the IWT lookup.
             entry = self.wt_caches.wt.lookup(self._current_wid)
             assert entry is not None
-            if entry.context_key() == self._context_key():
+            if entry.context_key() == key:
                 return entry
         try:
-            return self.wt_caches.lookup_caller(self._context_key())
+            return self.wt_caches.lookup_caller(key)
         except WorldTableCacheMiss:
             self.charge("wt_miss_exception")
             observe.emit("hw", "wt_miss", detail="iwt", ref=self)
             raise
-
-    def _context_key(self):
-        return (self.mode is Mode.ROOT, self.ring, self.eptp, self.cr3)
 
     def manage_wtc(self, operation: str, entry: WorldTableEntry) -> None:
         """``manage_wtc`` (VMFUNC fn 0x2): fill or invalidate the caches.

@@ -33,21 +33,24 @@ class RegisterFile:
     """Named general-purpose registers plus an MSR map."""
 
     def __init__(self) -> None:
-        self._gprs: Dict[str, int] = {name: 0 for name in GPR_NAMES}
+        #: GPR name -> value.  The world-call datapath reads and writes
+        #: it directly; everything else goes through :meth:`read` and
+        #: :meth:`write`, which reject unknown names.
+        self.gprs: Dict[str, int] = {name: 0 for name in GPR_NAMES}
         self._msrs: Dict[int, int] = {}
 
     def read(self, name: str) -> int:
         """Read a general-purpose register by name."""
         try:
-            return self._gprs[name]
+            return self.gprs[name]
         except KeyError:
             raise SimulationError(f"unknown register {name!r}") from None
 
     def write(self, name: str, value: int) -> None:
         """Write a general-purpose register by name."""
-        if name not in self._gprs:
+        if name not in self.gprs:
             raise SimulationError(f"unknown register {name!r}")
-        self._gprs[name] = value
+        self.gprs[name] = value
 
     def read_msr(self, index: int) -> int:
         """Read an MSR (0 when never written)."""
@@ -59,11 +62,11 @@ class RegisterFile:
 
     def snapshot(self) -> Dict[str, int]:
         """Copy of all GPR values (used when saving world-call state)."""
-        return dict(self._gprs)
+        return dict(self.gprs)
 
     def restore(self, values: Dict[str, int]) -> None:
         """Restore GPRs from a snapshot."""
-        gprs = self._gprs
+        gprs = self.gprs
         if values.keys() <= gprs.keys():
             # A snapshot (or subset) restores as one bulk update — this
             # sits on the world-call hot path, where the per-name

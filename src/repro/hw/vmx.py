@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.hw.cpu import Mode
 from repro.hw.ept import EPT, EPTPList
 from repro.hw.idt import IDT
 from repro.hw.paging import PageTable
@@ -71,8 +72,6 @@ class VMCS:
 
     def load_guest(self, cpu) -> None:
         """Restore the guest context into the CPU on VM entry."""
-        from repro.hw.cpu import Mode  # local import avoids a cycle
-
         cpu.mode = Mode.NON_ROOT
         cpu.ring = self.guest.ring
         cpu.page_table = self.guest.page_table
@@ -93,8 +92,6 @@ class VMCS:
 
     def load_host(self, cpu) -> None:
         """Restore the host context on a VM exit."""
-        from repro.hw.cpu import Mode  # local import avoids a cycle
-
         cpu.mode = Mode.ROOT
         cpu.ring = self.host.ring
         cpu.page_table = self.host.page_table

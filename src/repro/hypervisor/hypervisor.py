@@ -110,7 +110,9 @@ class Hypervisor:
     def launch(self, cpu: CPU, vm: VirtualMachine, detail: str = "",
                charge: bool = True) -> None:
         """VM entry into ``vm`` (vmlaunch/vmresume)."""
-        cpu.vmentry(vm.vmcs, detail or f"enter {vm.name}", charge=charge)
+        if not detail and cpu.trace.enabled:
+            detail = f"enter {vm.name}"
+        cpu.vmentry(vm.vmcs, detail, charge=charge)
         self.injector.deliver_pending(cpu, vm, charge=charge)
 
     def exit_to_host(self, cpu: CPU, reason: str, detail: str = "") -> None:

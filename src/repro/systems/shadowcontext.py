@@ -112,22 +112,24 @@ class ShadowContext(CrossWorldSystem):
     # syscall, which may observe the cycle counter mid-redirect)
     # ------------------------------------------------------------------
 
-    def _fused_batch(self, key) -> tuple:
-        """Memoized ``(cost, events)`` for one redirect charge shape.
+    def _fused_batch(self, shape, length: int) -> tuple:
+        """Memoized ``(cost, events)`` for one redirect charge shape
+        plus the copy of a ``length``-byte buffer.
 
         Built locally (not via :func:`repro.hw.fused.fuse`) because the
         ``irq_deliver`` event is priced by the ``irq_vector`` cost —
         the kind name and cost-model attribute differ.
         """
         cache = self.__dict__.setdefault("_fused_batches", {})
+        key = (shape, length)
         hit = cache.get(key)
         if hit is None:
-            if key == "post":
+            if shape == "post":
                 kinds = [("vmexit", "vmexit"),
                          ("vmexit_handle", "vmexit_handle"),
                          ("vmentry", "vmentry")]
             else:
-                resumed_user, switched = key
+                resumed_user, switched = shape
                 kinds = [("vmexit", "vmexit"),
                          ("vmexit_handle", "vmexit_handle"),
                          ("virq_inject", "virq_inject"),
@@ -142,11 +144,10 @@ class ShadowContext(CrossWorldSystem):
                     kinds.append(("context_switch", "context_switch"))
                 kinds.append(("sysret", "sysret"))
             cm = self.machine.cost_model
-            cost = None
+            cost = cm.copy(length)
             events: dict = {"copy": 1}
             for kind, attr in kinds:
-                c = getattr(cm, attr)
-                cost = c if cost is None else cost + c
+                cost = cost + getattr(cm, attr)
                 events[kind] = events.get(kind, 0) + 1
             hit = cache[key] = (cost, events)
         return hit
@@ -155,7 +156,6 @@ class ShadowContext(CrossWorldSystem):
                                  kwargs: dict) -> Any:
         cpu = self.machine.cpu
         hypervisor = self.machine.hypervisor
-        cm = self.machine.cost_model
         remote = self.remote_kernel
 
         request = convention.encode((name, args, kwargs))
@@ -174,8 +174,8 @@ class ShadowContext(CrossWorldSystem):
         remote.scheduler.switch_to(self.dummy, "wake dummy", charge=False)
         cpu.sysret("dummy user", charge=False)
 
-        cost, events = self._fused_batch((resumed_user, switched))
-        cpu.perf.charge_batch(cost + cm.copy(len(request)), events)
+        cpu.perf.charge_batch(*self._fused_batch((resumed_user, switched),
+                                                 len(request)))
 
         try:
             result: Any = self.dummy.syscall(name, *args, **kwargs)
@@ -187,8 +187,7 @@ class ShadowContext(CrossWorldSystem):
         cpu.vmexit(ExitReason.VMCALL, "shadowcontext done", charge=False)
         hypervisor.launch(cpu, self.local_vm, "resume trusted VM",
                           charge=False)
-        cost, events = self._fused_batch("post")
-        cpu.perf.charge_batch(cost + cm.copy(len(reply)), events)
+        cpu.perf.charge_batch(*self._fused_batch("post", len(reply)))
         if isinstance(result, GuestOSError):
             raise result
         return result

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import fastpath
 from repro.core.crossvm import (
     CROSS_CODE_GVA,
     CrossVMSyscallMechanism,
@@ -9,6 +10,7 @@ from repro.core.crossvm import (
 )
 from repro.errors import (
     ConfigurationError,
+    GeneralProtectionFault,
     GuestOSError,
     SimulationError,
 )
@@ -143,6 +145,41 @@ class TestCall:
         machine, vm1, k1, vm2, k2, mech = mechanism
         with pytest.raises(SimulationError):
             mech.call(vm1, vm2, "write", 1, b"x" * (90 * 4096))
+
+    @pytest.mark.parametrize("fast", [True, False],
+                             ids=["fused", "stepwise"])
+    def test_oversized_reply_unwinds_to_caller(self, mechanism, fast):
+        """A reply too large for the shared page fails the call, but
+        only after switching back: the CPU ends in vm1's own context
+        (not stranded in vm2 on the helper page table with IDT2), and
+        the next call works."""
+        machine, vm1, k1, vm2, k2, mech = mechanism
+        cpu = machine.cpu
+
+        def context():
+            return (cpu.mode, cpu.ring, cpu.cr3, cpu.eptp, cpu.vm_name,
+                    cpu.interrupts.idt, cpu.interrupts.interrupts_enabled)
+
+        with fastpath.scoped(fast), cpu.trace.scoped(False):
+            before = context()
+            with pytest.raises(SimulationError, match="exceeds the shared"):
+                mech.call_function(vm1, vm2, lambda _: b"x" * 90_000)
+            assert context() == before
+            assert mech.call(vm1, vm2, "getpid") == \
+                mech.setup_pair(vm1, vm2).helpers["vm2"].pid
+
+    @pytest.mark.parametrize("fast", [True, False],
+                             ids=["fused", "stepwise"])
+    def test_callee_left_in_user_mode_faults_on_return(self, mechanism,
+                                                       fast):
+        """The return half starts with ``cli``, which needs CPL 0: a
+        service that drops to ring 3 faults there in both tiers."""
+        machine, vm1, k1, vm2, k2, mech = mechanism
+        cpu = machine.cpu
+        with fastpath.scoped(fast), cpu.trace.scoped(False):
+            with pytest.raises(GeneralProtectionFault,
+                               match="cli requires CPL 0, current CPL 3"):
+                mech.call_function(vm1, vm2, lambda _: cpu.sysret())
 
     def test_call_counter(self, mechanism):
         machine, vm1, k1, vm2, k2, mech = mechanism

@@ -41,8 +41,10 @@ from repro.errors import (
     CallTimeout,
     ConfigurationError,
     ControlFlowViolation,
+    EPTViolation,
     GuestOSError,
     NoSuchWorld,
+    PageFault,
     SimulationError,
     WorldCallError,
     WorldCallFault,
@@ -399,11 +401,13 @@ class WorldCallRuntime:
 
         try:
             delivered_caller_wid = self._world_call_hw(cpu, callee_wid)
-        except WorldCallFault:
+        except (WorldCallFault, PageFault, EPTViolation):
             # The transition never happened: the CPU is still in the
-            # caller's world.  Unwind the frame pushed above so the
-            # caller is exactly as before the call, then let the fault
-            # reach the retry/fallback layer.
+            # caller's world (a callee entry point that does not
+            # translate faults before the switch commits, too).  Unwind
+            # the frame pushed above so the caller is exactly as before
+            # the call, then let the fault reach the retry/fallback
+            # layer.
             cpu.charge("world_restore_state")
             self._unwind_caller(caller)
             raise

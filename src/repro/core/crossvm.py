@@ -176,6 +176,10 @@ class CrossVMSyscallMechanism:
 
         # Cross-ring code page: one host frame at a common GPA, mapped
         # into both VMs and into kernel space of every address space.
+        # The kernel half is shared the way x86-64 shares it: the page
+        # goes into the master table and every table already built; a
+        # process that builds its table later inherits it from the
+        # master clone.
         code_gpa = hypervisor.alloc_common_gpa(1)
         code_frame = self.machine.memory.allocate("cross-ring-code")
         shm_gpa = hypervisor.alloc_common_gpa(SHARED_PAGES)
@@ -189,7 +193,9 @@ class CrossVMSyscallMechanism:
             assert isinstance(kernel, Kernel)
             self._map_cross_page(kernel.master_page_table, code_gpa)
             for proc in kernel.processes.values():
-                self._map_cross_page(proc.page_table, code_gpa)
+                table = proc.built_page_table()
+                if table is not None:
+                    self._map_cross_page(table, code_gpa)
 
         # Helper context: ONE page table object => literally the same
         # CR3 value on both sides of the switch.
@@ -362,13 +368,20 @@ class CrossVMSyscallMechanism:
         saved_pt = cpu.page_table
         saved_idt = cpu.interrupts.idt
 
+        # The request is marshaled and sized before step 2: one too
+        # large for the shared page fails here, in from_vm's own
+        # context, having charged nothing in either tier.
+        request = convention.encode(request_obj)
+        self._check_fits(len(request))
+
         # The fused batches cannot model a VMFUNC that faults halfway;
         # with a fault engine installed the dispatcher takes the
         # step-by-step path so injected faults land between real steps.
         if fastpath.enabled() and not cpu.trace.enabled and \
                 _faults._engine is None:
             return self._roundtrip_fused(state, from_vm, to_vm, request_obj,
-                                         server, saved_pt, saved_idt)
+                                         request, server, saved_pt,
+                                         saved_idt)
 
         # Step 2: enter the helper context.
         cpu.write_cr3(state.helper_pt)
@@ -377,8 +390,6 @@ class CrossVMSyscallMechanism:
 
         # Step 3: save context + calling info in the shared user page.
         cpu.write_virt(memory, SHARED_GVA, b"\x00" * _CONTEXT_SAVE_BYTES)
-        request = convention.encode(request_obj)
-        self._check_fits(len(request))
         cpu.write_virt(memory, SHARED_GVA + _CONTEXT_SAVE_BYTES,
                        len(request).to_bytes(4, "big") + request)
         try:
@@ -497,7 +508,8 @@ class CrossVMSyscallMechanism:
 
     def _roundtrip_fused(self, state: _PairState, from_vm: VirtualMachine,
                          to_vm: VirtualMachine, request_obj: Any,
-                         server: Callable[[Any], Any], saved_pt: PageTable,
+                         request: bytes, server: Callable[[Any], Any],
+                         saved_pt: PageTable,
                          saved_idt: Optional[IDT]) -> Any:
         """The Figure-4 sequence as two straight-line halves.
 
@@ -531,9 +543,7 @@ class CrossVMSyscallMechanism:
         if not state.ctx_zeroed:
             cpu.write_virt(memory, SHARED_GVA, _CTX_ZEROS, charge=False)
             state.ctx_zeroed = True
-        request = convention.encode(request_obj)
         request_len = len(request)
-        self._check_fits(request_len)
         cpu.write_virt(memory, SHARED_GVA + _CONTEXT_SAVE_BYTES,
                        request_len.to_bytes(4, "big") + request,
                        charge=False)

@@ -22,7 +22,7 @@ from repro.guestos.fs.procfs import ProcFS
 from repro.guestos.fs.ramfs import RamFS
 from repro.guestos.fs.vfs import VFS
 from repro.guestos.net import NetStack
-from repro.guestos.process import Process, USER_STACK_GVA, USER_TEXT_GVA
+from repro.guestos.process import Process
 from repro.guestos.scheduler import Scheduler
 from repro.guestos.syscalls import SyscallTable
 from repro.hw.costs import CLOCK_HZ
@@ -108,15 +108,16 @@ class Kernel:
 
     def spawn(self, name: str, *, parent: Optional[Process] = None,
               uid: int = 0) -> Process:
-        """Create a process with a fresh address space, ready to run."""
+        """Create a process, ready to run.
+
+        Maps nothing and allocates no frame: the process takes its pid
+        and CR3 root now, and its address space and fd table are built
+        the first time anything reads them (:attr:`Process.page_table`,
+        :attr:`Process.fds`).  Every process goes through this one
+        path, whether it ever runs or only shows up in ``/proc``.
+        """
         self.last_pid += 1
         proc = Process(self, self.last_pid, name, parent=parent, uid=uid)
-        proc.page_table.clone_mappings(self.master_page_table)
-        text_gpa = self.vm.map_new_page(f"pid{proc.pid}-text")
-        stack_gpa = self.vm.map_new_page(f"pid{proc.pid}-stack")
-        proc.page_table.map(USER_TEXT_GVA, text_gpa, user=True,
-                            executable=True, writable=False)
-        proc.page_table.map(USER_STACK_GVA, stack_gpa, user=True)
         self.processes[proc.pid] = proc
         self.scheduler.enqueue(proc)
         if parent is not None:
@@ -127,7 +128,7 @@ class Kernel:
         """Terminate a process (exit or fatal signal)."""
         proc.state = "zombie"
         proc.exit_code = code
-        proc.fds.close_all()
+        proc.close_files()
         self.scheduler.dequeue(proc)
         if proc.parent is None or not proc.parent.alive:
             self.processes.pop(proc.pid, None)

@@ -25,7 +25,7 @@ from repro.hw.mem import bump_mapping_epoch
 _root_counter = itertools.count(0x1000)
 
 
-def _fresh_root() -> int:
+def fresh_root() -> int:
     """Allocate a unique CR3 root token (page-aligned-looking)."""
     return next(_root_counter) << 12
 
@@ -62,7 +62,7 @@ class PageTable:
 
     def __init__(self, label: str = "", root: Optional[int] = None) -> None:
         self.label = label
-        self.root = root if root is not None else _fresh_root()
+        self.root = root if root is not None else fresh_root()
         self._entries: Dict[int, PTE] = {}
 
     def __len__(self) -> int:

@@ -75,7 +75,10 @@ def prepare_inspection_environment(kernel: Kernel,
     """Populate the inspected VM: processes, utmp sessions, /bin files.
 
     Must run before the CPU needs to be anywhere specific — it touches
-    only kernel data structures, never the CPU.
+    only kernel data structures, never the CPU.  The daemons never run:
+    each takes a pid and a CR3 root and shows up in ``/proc``, but gets
+    no page table, host frame or EPT entry (``Kernel.spawn`` builds an
+    address space only on first use), so this allocates no host frames.
     """
     for i in range(scales["procs"]):
         uid = 1000 + (i % 3) if i % 4 else 0

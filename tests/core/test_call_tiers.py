@@ -51,15 +51,18 @@ def _record(machine, results, call):
 
 def _run_sequence(fast, mutate=None):
     """12 calls, an optional mid-workload mutation, 12 more calls;
-    returns (per-call records, (instructions, cycles, events))."""
+    returns (per-call records, (instructions, cycles, events), the
+    caller's call-stack depth after each call)."""
     convention.clear_caches()
     machine, runtime, caller, callee = _build_worldcall_harness(
         lambda request: ("pong", request.payload))
     results = []
+    depths = []
     with fastpath.scoped(fast), machine.cpu.trace.scoped(False):
         def record(payload):
             _record(machine, results,
                     lambda: runtime.call(caller, callee.wid, payload))
+            depths.append(len(caller.call_stack))
 
         for i in range(12):
             record(("ping", i))
@@ -68,7 +71,8 @@ def _run_sequence(fast, mutate=None):
         for i in range(12):
             record(("ping", 100 + i))
     perf = machine.cpu.perf
-    return results, (perf.instructions, perf.cycles, dict(perf.events))
+    return (results, (perf.instructions, perf.cycles, dict(perf.events)),
+            depths)
 
 
 def _evict_and_restore(machine, runtime, callee):
@@ -106,17 +110,22 @@ class TestWorldCallTiers:
 
     def test_entry_page_remapped_non_executable(self):
         fast = _run_sequence(True, _entry_page_not_executable)
-        assert fast == _run_sequence(False, _entry_page_not_executable)
+        slow = _run_sequence(False, _entry_page_not_executable)
+        assert fast == slow
         assert fast[0][11][0] == ("pong", ("ping", 11)), fast[0][11]
         assert fast[0][12][0] == ("raised", "PageFault"), fast[0][12]
         assert fast[0][-1][0] == ("raised", "PageFault"), fast[0][-1]
+        # A faulting call unwinds the caller frame it pushed, in both
+        # tiers: the stack is empty after every call, faulting or not.
+        assert fast[2] == slow[2] == [0] * 24
 
 
 def _run_crossvm(fast, mutate=None):
-    """Figure-4 round trips (``getpid``, ``readdir``, a remote errno and
-    a reply too large for the shared page), an optional mid-workload
-    mutation, then the same again; returns the per-call records, the
-    recoveries and the pair's completed VMFUNC round trips."""
+    """Figure-4 round trips (``getpid``, ``readdir``, a remote errno, a
+    reply too large for the shared page and a request too large for
+    it), an optional mid-workload mutation, then the same again;
+    returns the per-call records, the recoveries and the pair's
+    completed VMFUNC round trips."""
     convention.clear_caches()
     machine, vm1, k1, vm2, k2 = build_two_vm_machine()
     mech = CrossVMSyscallMechanism(machine)
@@ -128,7 +137,8 @@ def _run_crossvm(fast, mutate=None):
              lambda: mech.call(vm1, vm2, "readdir", "/"),
              lambda: mech.call(vm1, vm2, "open", "/no/such/file", "r"),
              lambda: mech.call_function(vm1, vm2,
-                                        lambda _: b"x" * 90_000)]
+                                        lambda _: b"x" * 90_000),
+             lambda: mech.call(vm1, vm2, "write", 1, b"x" * 90_000)]
     with fastpath.scoped(fast), machine.cpu.trace.scoped(False):
         def burst():
             for _ in range(4):
@@ -162,7 +172,8 @@ class TestCrossVMTiers:
         assert results[1][0] and isinstance(results[1][0], list)
         assert results[2][0] == ("raised", "GuestOSError")
         assert results[3][0] == ("raised", "SimulationError")
-        assert results[4][0] == results[0][0]
+        assert results[4][0] == ("raised", "SimulationError")
+        assert results[5][0] == results[0][0]
 
     def test_peer_slot_cleared_mid_workload(self):
         fast = _run_crossvm(True, _clear_peer_slot)
@@ -170,9 +181,11 @@ class TestCrossVMTiers:
         results, recoveries, calls = fast
         # 16 degraded calls between two bursts of 12 VMFUNC round trips
         # (the oversized replies fail); the trap path has no shared
-        # page, so its large replies go through.
+        # page, so its large replies go through.  An oversized request
+        # is refused before the switch is tried, so it never degrades.
         assert recoveries == {"legacy_roundtrip": 16}, recoveries
         assert calls == 24, calls
-        degraded = [r[0] for r in results[16:32]]
+        degraded = [r[0] for r in results[20:40]]
         assert degraded[3] == b"x" * 90_000
+        assert degraded[4] == ("raised", "SimulationError")
         assert degraded[:3] == [r[0] for r in results[:3]]

@@ -170,6 +170,30 @@ class TestCall:
 
     @pytest.mark.parametrize("fast", [True, False],
                              ids=["fused", "stepwise"])
+    def test_oversized_request_unwinds_to_caller(self, mechanism, fast):
+        """A request too large for the shared page is refused before
+        step 2: the CPU never enters the helper context (no helper CR3,
+        no IDT2, IF still on), nothing is charged, and the next call
+        works."""
+        machine, vm1, k1, vm2, k2, mech = mechanism
+        cpu = machine.cpu
+
+        def context():
+            return (cpu.mode, cpu.ring, cpu.cr3, cpu.eptp, cpu.vm_name,
+                    cpu.interrupts.idt, cpu.interrupts.interrupts_enabled)
+
+        with fastpath.scoped(fast), cpu.trace.scoped(False):
+            before = context()
+            cycles = cpu.perf.cycles
+            with pytest.raises(SimulationError, match="exceeds the shared"):
+                mech.call(vm1, vm2, "write", 1, b"x" * 90_000)
+            assert context() == before
+            assert cpu.perf.cycles == cycles
+            assert mech.call(vm1, vm2, "getpid") == \
+                mech.setup_pair(vm1, vm2).helpers["vm2"].pid
+
+    @pytest.mark.parametrize("fast", [True, False],
+                             ids=["fused", "stepwise"])
     def test_callee_left_in_user_mode_faults_on_return(self, mechanism,
                                                        fast):
         """The return half starts with ``cli``, which needs CPL 0: a

@@ -74,10 +74,6 @@ MECHANISMS = ("baseline", "world_call", "switchless")
 #: process state when a world call lands in a kernel world.
 _SCHED_RELOAD = Cost(15, 50)
 
-#: Sentinel: "no pre-decoded payload available, decode the wire".
-#: Distinct from ``None`` because ``None`` is a legitimate payload.
-_NO_PAYLOAD = object()
-
 
 def publish_authorization(caller_wid: int, callee_wid: int, decision: str,
                           detail: str = "") -> None:
@@ -366,14 +362,9 @@ class WorldCallRuntime:
                                  caller=caller, callee_wid=callee_wid,
                                  payload=payload)
 
-        if _faults._engine is None:
-            # One content walk yields both the wire bytes and the fresh
-            # copy the callee receives; the fault engine needs the
-            # decode kept separate so it can poison the wire in flight.
-            wire, decoded = convention.roundtrip(payload)
-        else:
-            wire = convention.encode(payload)
-            decoded = _NO_PAYLOAD
+        # One content walk yields both the wire bytes and the fresh copy
+        # the callee receives.
+        wire, decoded = convention.roundtrip(payload)
         in_registers = convention.fits_registers(wire)
         channel = self._channels.get((caller.wid, callee_wid))
         if not in_registers and channel is None:
@@ -423,18 +414,13 @@ class WorldCallRuntime:
         callee = self.registry.get(callee_wid)
         try:
             result = self._run_callee(callee, callee_wid,
-                                      presented_wid, wire,
-                                      in_registers, channel, authorize,
-                                      decoded=decoded)
+                                      presented_wid, decoded,
+                                      in_registers, channel, authorize)
         except CalleeHang:
             return self._recover_from_hang(caller, callee)
 
         try:
-            if _faults._engine is None:
-                result_wire, result_value = convention.roundtrip(result)
-            else:
-                result_wire = convention.encode(result)
-                result_value = _NO_PAYLOAD
+            result_wire, value = convention.roundtrip(result)
             result_in_regs = convention.fits_registers(result_wire)
             if not result_in_regs and channel is None:
                 raise WorldCallError(
@@ -479,10 +465,6 @@ class WorldCallRuntime:
             assert channel is not None
             result_wire = channel.read_payload(cpu, self.machine.memory)
             value = convention.decode(result_wire)
-        elif result_value is _NO_PAYLOAD:
-            value = convention.decode(result_wire)
-        else:
-            value = result_value
         if isinstance(value, GuestOSError):
             raise value
         if isinstance(value, tuple) and len(value) == 2 and \
@@ -646,9 +628,8 @@ class WorldCallRuntime:
     # ------------------------------------------------------------------
 
     def _run_callee(self, callee: Optional[World], callee_wid: int,
-                    caller_wid: int, wire: bytes, in_registers: bool,
-                    channel: Optional[Channel], authorize: bool,
-                    decoded: Any = _NO_PAYLOAD) -> Any:
+                    caller_wid: int, decoded: Any, in_registers: bool,
+                    channel: Optional[Channel], authorize: bool) -> Any:
         cpu = self.machine.cpu
         if callee is None:
             raise SimulationError(
@@ -694,8 +675,7 @@ class WorldCallRuntime:
                     return ("__denied__", denied.detail or str(denied))
                 publish_authorization(caller_wid, callee_wid, "allow")
             if in_registers:
-                payload = (convention.decode(wire)
-                           if decoded is _NO_PAYLOAD else decoded)
+                payload = decoded
             else:
                 assert channel is not None
                 payload = convention.decode(

@@ -23,7 +23,6 @@ from typing import Any
 
 from repro import faults as _faults
 from repro import observe
-from repro.core import fastpath
 from repro.errors import GuestOSError, SimulationError
 from repro.guestos.fs.inode import InodeType, StatResult
 
@@ -39,8 +38,14 @@ _LIT_TAG = "__lit__"
 _ALL_TAGS = frozenset({_STAT_TAG, _ERR_TAG, _BYTES_TAG, _LIT_TAG})
 
 
+#: Exact types whose repr is already the wire form (scalar fast path).
+_SCALAR_TYPES = frozenset({bool, int, float, str, type(None)})
+
+
 def _to_wire(value: Any) -> Any:
     """Convert to literal-encodable form (tagging rich types)."""
+    if type(value) in _SCALAR_TYPES:
+        return value
     if isinstance(value, StatResult):
         fields = (value.ino, value.type.value, value.mode, value.uid,
                   value.gid, value.size, value.nlink, value.atime,
@@ -51,7 +56,7 @@ def _to_wire(value: Any) -> Any:
     if isinstance(value, bytes):
         return (_BYTES_TAG, value.hex())
     if isinstance(value, tuple):
-        wired = tuple(_to_wire(v) for v in value)
+        wired = tuple([_to_wire(v) for v in value])
         if wired and isinstance(wired[0], str) and wired[0] in _ALL_TAGS:
             return (_LIT_TAG, wired)
         return wired
@@ -90,69 +95,55 @@ def _from_wire(value: Any) -> Any:
 
 
 # ---------------------------------------------------------------------------
-# The marshaling cache (fast-path layer 1).
+# The round-trip memo: the one marshaling cache.
 #
 # Benchmarks call the same operations thousands of times with identical
-# payloads, so the dominant pattern is re-encoding a value already seen
-# (and re-parsing a wire form already produced).  Both directions are
-# memoized in small LRUs.
-#
-# Encode keys capture the payload's full content (type-qualified, and
+# payloads, and every hot call path needs both halves of a crossing: the
+# wire form (for copy charges and register-fit checks) and a fresh
+# decoded copy (for the peer).  :func:`roundtrip` memoizes both in one
+# LRU keyed by the payload's content (type-qualified, and
 # order-preserving for dicts, whose repr depends on insertion order), so
-# mutating a payload between encodes simply produces a different key.
-# Decode entries for deeply immutable payloads are shared outright; for
-# payloads containing mutable containers (or rich types like
-# ``GuestOSError``, whose instances must not be shared across raises)
-# the cache stores a frozen *template* that is thawed — rebuilt
-# container-by-container — on every hit, so no two callers ever alias.
-# The wire bytes produced are the exact ``repr`` the slow path would
-# emit, so simulated copy charges (which depend only on payload length)
-# are bit-identical.
+# mutating a payload between calls simply produces a different key.
+# The decoded half is cached as a template: deeply immutable payloads
+# are shared outright; payloads containing mutable containers (or rich
+# types like ``GuestOSError``, whose instances must not be shared across
+# raises) are frozen and thawed — rebuilt container-by-container — on
+# every hit, so no two callers ever alias.  The cached wire is exactly
+# what :func:`encode` emits, so simulated copy charges (which depend
+# only on payload length) are bit-identical.
 # ---------------------------------------------------------------------------
 
 _CACHE_MAX = 4096
 
-_encode_cache: "OrderedDict[Any, bytes]" = OrderedDict()
-_decode_cache: "OrderedDict[bytes, Any]" = OrderedDict()
-
-#: Integrity digests of cached encode wires, maintained only while a
-#: fault engine is installed (the hot path pays nothing otherwise).
-#: A hit whose wire no longer matches its digest is a poisoned entry:
-#: it is dropped and re-encoded from the live payload instead of ever
-#: handing corrupted bytes to a channel.
-_encode_crc: dict = {}
-
-#: One-walk round-trip memo: content key -> (wire bytes, frozen decoded
-#: template).  Hot call paths need *both* the wire form (for copy
-#: charges and register-fit checks) and a fresh decoded copy (for the
-#: callee); going through ``encode`` then ``decode`` walks the payload
-#: once to key the encode cache and then hashes the produced wire again
-#: to key the decode cache.  :func:`roundtrip` does one content-key walk
-#: and returns both halves.
+#: Content key -> (wire bytes, frozen decoded template).
 _roundtrip_cache: "OrderedDict[Any, tuple]" = OrderedDict()
 
-#: Hit/miss statistics, exposed for BENCH artifacts and tests.
-cache_stats = {"encode_hits": 0, "encode_misses": 0,
-               "decode_hits": 0, "decode_misses": 0,
-               "roundtrip_hits": 0, "roundtrip_misses": 0,
-               "poison_repaired": 0}
+#: Integrity digests of cached wires, recorded only while a fault engine
+#: is installed (the hot path pays nothing otherwise).  A hit whose wire
+#: no longer matches its digest is a poisoned entry: it is dropped and
+#: re-marshaled from the live payload instead of ever handing corrupted
+#: bytes to a channel.
+_wire_crc: dict = {}
 
-#: Exact types whose repr is already the wire form (scalar fast path).
-_SCALAR_TYPES = frozenset({bool, int, float, str, type(None)})
+#: Hit/miss statistics, exposed for benchmarks and tests.
+cache_stats = {"roundtrip_hits": 0, "roundtrip_misses": 0,
+               "poison_repaired": 0}
 
 
 def _cache_key(value: Any) -> Any:
     """A hashable key identifying ``value`` and its structure, or
     ``None`` when the payload is not safely cacheable.
 
-    The concrete type is part of the key: ``1``, ``1.0`` and ``True``
-    hash equal but encode differently.  Mutable containers are keyed by
-    content, which is safe for *encode*: a later mutation yields a
+    The concrete type is part of the key at every level, dict keys
+    included: ``1``, ``1.0`` and ``True`` hash equal but encode
+    differently.  Floats are keyed by their repr, so ``-0.0`` and
+    ``0.0`` (equal, but marshaled apart) never share an entry.  Mutable
+    containers are keyed by content: a later mutation yields a
     different key rather than a stale hit.
     """
     t = type(value)
     if t in _SCALAR_TYPES or t is bytes:
-        return (t, value)
+        return (t, repr(value)) if t is float else (t, value)
     if t is tuple or t is list:
         parts = []
         for item in value:
@@ -164,10 +155,11 @@ def _cache_key(value: Any) -> Any:
     if t is dict:
         parts = []
         for k, item in value.items():
+            kpart = _cache_key(k)
             part = _cache_key(item)
-            if part is None:
+            if kpart is None or part is None:
                 return None
-            parts.append((k, part))
+            parts.append((kpart, part))
         return (dict, tuple(parts))
     if t is StatResult:
         return (StatResult, value.ino, value.type, value.mode, value.uid,
@@ -389,113 +381,51 @@ def _fast_literal(text: str):
 
 
 def clear_caches() -> None:
-    """Drop the marshaling caches and zero the statistics."""
-    _encode_cache.clear()
-    _decode_cache.clear()
+    """Drop the marshaling cache and zero the statistics."""
     _roundtrip_cache.clear()
-    _encode_crc.clear()
+    _wire_crc.clear()
     for key in cache_stats:
         cache_stats[key] = 0
 
 
-def poison_encode_cache() -> int:
-    """Corrupt every tracked encode-cache wire (fault injection).
+def poison_roundtrip_cache() -> int:
+    """Corrupt every tracked round-trip cache wire (fault injection).
 
     Flips the last byte of each cached wire whose integrity digest is
     being maintained; returns how many entries were poisoned.  Used by
     the ``core.marshal_cache_poison`` injection site.
     """
-    poisoned = 0
-    for key in list(_encode_crc):
-        wire = _encode_cache.get(key)
-        if wire is None or not wire:
-            continue
-        _encode_cache[key] = wire[:-1] + bytes([wire[-1] ^ 0xFF])
-        poisoned += 1
-    return poisoned
+    for key in _wire_crc:
+        wire, frozen = _roundtrip_cache[key]
+        _roundtrip_cache[key] = (wire[:-1] + bytes([wire[-1] ^ 0xFF]), frozen)
+    return len(_wire_crc)
 
 
 def encode(value: Any) -> bytes:
     """Marshal ``value`` to its wire form."""
-    if not fastpath.enabled():
-        return repr(_to_wire(value)).encode()
-    if type(value) in _SCALAR_TYPES:
-        # Register-sized scalar fast path: the repr *is* the wire form,
-        # no tagging walk and no cache bookkeeping needed.
-        return repr(value).encode()
-    key = _cache_key(value)
-    if key is not None:
-        cached = _encode_cache.get(key)
-        if cached is not None:
-            if _faults._engine is not None:
-                crc = _encode_crc.get(key)
-                if crc is not None and zlib.crc32(cached) != crc:
-                    # Poisoned entry: repair from the live payload
-                    # rather than ever returning corrupted bytes.
-                    cached = repr(_to_wire(value)).encode()
-                    _encode_cache[key] = cached
-                    _encode_crc[key] = zlib.crc32(cached)
-                    cache_stats["poison_repaired"] += 1
-                    observe.emit(
-                        "core", "marshal_repair",
-                        detail="poisoned encode-cache entry re-encoded")
-            _encode_cache.move_to_end(key)
-            cache_stats["encode_hits"] += 1
-            return cached
-    wire = repr(_to_wire(value)).encode()
-    if key is not None:
-        cache_stats["encode_misses"] += 1
-        _encode_cache[key] = wire
-        if _faults._engine is not None:
-            _encode_crc[key] = zlib.crc32(wire)
-        if len(_encode_cache) > _CACHE_MAX:
-            evicted_key, _ = _encode_cache.popitem(last=False)
-            _encode_crc.pop(evicted_key, None)
-    return wire
+    return repr(_to_wire(value)).encode()
 
 
 def decode(data: bytes) -> Any:
     """Unmarshal wire bytes (literal-eval only; never executes code)."""
-    if fastpath.enabled():
-        cached = _decode_cache.get(data)
-        if cached is not None:
-            _decode_cache.move_to_end(data)
-            cache_stats["decode_hits"] += 1
-            return _thaw(cached) if isinstance(cached, _Thaw) else cached
     try:
         text = data.decode()
         try:
             literal = _fast_literal(text)
         except _Unsupported:
             literal = ast.literal_eval(text)
-        value = _from_wire(literal)
+        return _from_wire(literal)
     except (ValueError, SyntaxError) as err:
         raise SimulationError(f"corrupt wire payload: {err}") from err
-    if fastpath.enabled():
-        cache_stats["decode_misses"] += 1
-        _decode_cache[bytes(data)] = _freeze(value)
-        if len(_decode_cache) > _CACHE_MAX:
-            _decode_cache.popitem(last=False)
-    return value
 
 
 def roundtrip(value: Any) -> "tuple[bytes, Any]":
-    """Marshal ``value`` and return ``(wire, fresh_decoded_copy)`` with a
-    single content-key walk.
+    """Marshal ``value`` and return ``(wire, fresh_decoded_copy)``.
 
-    Equivalent to ``(encode(value), decode(encode(value)))`` but on the
-    hot path: one :func:`_cache_key` walk keys both halves, so a hit
-    does zero hashing of the produced wire bytes.  Callers must only use
-    this while no fault engine is installed — the poison-repair CRC
-    validation lives in :func:`encode` and is deliberately skipped here
-    (``WorldCallRuntime._call`` encodes and decodes separately whenever
-    faults are armed).
+    Equal to ``(encode(value), decode(encode(value)))``, memoized on the
+    payload's content: a hit costs one key walk and a thaw.
     """
-    if not fastpath.enabled():
-        wire = encode(value)
-        return wire, decode(wire)
-    t = type(value)
-    if t in _SCALAR_TYPES:
+    if type(value) in _SCALAR_TYPES:
         # Scalars are immutable and shareable: the repr is the wire form
         # and the "fresh copy" is the value itself.
         return repr(value).encode(), value
@@ -505,17 +435,29 @@ def roundtrip(value: Any) -> "tuple[bytes, Any]":
         return wire, decode(wire)
     hit = _roundtrip_cache.get(key)
     if hit is not None:
-        _roundtrip_cache.move_to_end(key)
-        cache_stats["roundtrip_hits"] += 1
         wire, frozen = hit
-        return wire, (_thaw(frozen) if isinstance(frozen, _Thaw) else frozen)
+        crc = _wire_crc.get(key) if _faults._engine is not None else None
+        if crc is None or zlib.crc32(wire) == crc:
+            _roundtrip_cache.move_to_end(key)
+            cache_stats["roundtrip_hits"] += 1
+            return wire, (_thaw(frozen) if isinstance(frozen, _Thaw)
+                          else frozen)
+        # Poisoned entry: drop it and re-marshal from the live payload
+        # rather than ever returning corrupted bytes.
+        del _roundtrip_cache[key], _wire_crc[key]
+        cache_stats["poison_repaired"] += 1
+        observe.emit("core", "marshal_repair",
+                     detail="poisoned round-trip cache entry re-marshaled")
     cache_stats["roundtrip_misses"] += 1
     wire = encode(value)
     fresh = decode(wire)
     # Freeze before handing ``fresh`` back: the caller may mutate it.
     _roundtrip_cache[key] = (wire, _freeze(fresh))
+    if _faults._engine is not None:
+        _wire_crc[key] = zlib.crc32(wire)
     if len(_roundtrip_cache) > _CACHE_MAX:
-        _roundtrip_cache.popitem(last=False)
+        evicted, _ = _roundtrip_cache.popitem(last=False)
+        _wire_crc.pop(evicted, None)
     return wire, fresh
 
 

@@ -371,7 +371,7 @@ class CrossVMSyscallMechanism:
         # The request is marshaled and sized before step 2: one too
         # large for the shared page fails here, in from_vm's own
         # context, having charged nothing in either tier.
-        request = convention.encode(request_obj)
+        request, decoded = convention.roundtrip(request_obj)
         self._check_fits(len(request))
 
         # The fused batches cannot model a VMFUNC that faults halfway;
@@ -380,7 +380,7 @@ class CrossVMSyscallMechanism:
         if fastpath.enabled() and not cpu.trace.enabled and \
                 _faults._engine is None:
             return self._roundtrip_fused(state, from_vm, to_vm, request_obj,
-                                         request, server, saved_pt,
+                                         request, decoded, server, saved_pt,
                                          saved_idt)
 
         # Step 2: enter the helper context.
@@ -508,8 +508,8 @@ class CrossVMSyscallMechanism:
 
     def _roundtrip_fused(self, state: _PairState, from_vm: VirtualMachine,
                          to_vm: VirtualMachine, request_obj: Any,
-                         request: bytes, server: Callable[[Any], Any],
-                         saved_pt: PageTable,
+                         request: bytes, decoded: Any,
+                         server: Callable[[Any], Any], saved_pt: PageTable,
                          saved_idt: Optional[IDT]) -> Any:
         """The Figure-4 sequence as two straight-line halves.
 
@@ -522,10 +522,12 @@ class CrossVMSyscallMechanism:
 
         Two further model-equivalences trim pure overhead: the shared
         frames hand back exactly the bytes just written through the
-        peer mapping, so the read-backs reuse the writer's buffer
-        (lengths — and therefore copy charges — are identical), and
-        the zeroed context-save block is only written on a pair's
-        first call (nothing else ever touches those bytes).
+        peer mapping, so neither side re-reads or re-decodes them — the
+        server gets the request's round-trip copy ``decoded`` and the
+        caller the reply's (lengths, and therefore copy charges, are
+        identical) — and the zeroed context-save block is only written
+        on a pair's first call (nothing else ever touches those
+        bytes).
         """
         cpu = self.machine.cpu
         memory = self.machine.memory
@@ -575,13 +577,13 @@ class CrossVMSyscallMechanism:
                 cm, request_len)
         perf.charge_batch(*charge)
         try:
-            outcome = server(convention.decode(request))
+            outcome = server(decoded)
         except GuestOSError as err:
             outcome = err
 
         # Steps 5-6: returned buffer, switch back, restore VM1 context.
         # An oversized reply unwinds the same way before failing.
-        reply = convention.encode(outcome)
+        reply, result = convention.roundtrip(outcome)
         reply_len = len(reply)
         fits = reply_len <= _CAPACITY
         if fits:
@@ -610,7 +612,6 @@ class CrossVMSyscallMechanism:
         perf.charge_batch(*charge)
         state.calls += 1
 
-        result = convention.decode(reply)
         if isinstance(result, GuestOSError):
             raise result
         return result

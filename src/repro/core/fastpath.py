@@ -2,10 +2,8 @@
 
 The fast-path engine (PR 1) collapses the simulator's own hot loops the
 same way CrossOver collapses world switches: repeated work is done once
-and cached.  Three layers hang off this switch:
+and cached.  Two layers hang off this switch:
 
-* the **marshaling cache** in :mod:`repro.core.convention` (memoized
-  wire encodings / decodings);
 * **fused cost charging** (:mod:`repro.hw.fused`): the fixed charge
   sequence of a call shape is applied as one
   :meth:`~repro.hw.perf.PerfCounters.charge_batch` instead of N

@@ -141,10 +141,10 @@ def _act_authorization_denial(engine, ctx) -> None:
 
 
 def _act_marshal_cache_poison(engine, ctx) -> None:
-    """Scribble every cached encode wire (cache poisoning)."""
+    """Scribble every cached round-trip wire (cache poisoning)."""
     from repro.core import convention
 
-    convention.poison_encode_cache()
+    convention.poison_roundtrip_cache()
 
 
 def _act_callee_stall(engine, ctx) -> None:
@@ -231,9 +231,9 @@ _SITES: Tuple[FaultSite, ...] = (
     FaultSite(
         name="core.marshal_cache_poison", layer="core",
         hookpoint="core.call.pre", op="worldcall", expect="recovered",
-        doc="Every cached encode wire is corrupted; the integrity check "
-            "on cache hits detects the mismatch, drops the entry, and "
-            "re-encodes from the live payload.",
+        doc="Every cached round-trip wire is corrupted; the integrity "
+            "check on cache hits detects the mismatch, drops the entry, "
+            "and re-marshals from the live payload.",
         action=_act_marshal_cache_poison),
     FaultSite(
         name="core.callee_stall", layer="core",

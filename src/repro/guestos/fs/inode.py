@@ -122,3 +122,13 @@ class Inode:
         if self.type is not InodeType.FILE or self.data is None:
             raise GuestOSError(Errno.EINVAL, "inode has no content")
         return bytes(self.data)
+
+    def read(self, offset: int, length: int) -> bytes:
+        """Up to ``length`` readable bytes at ``offset``, copying only
+        those (not the whole file first, as slicing :meth:`content`
+        would)."""
+        if self.generator is not None:
+            return self.generator()[offset:offset + length]
+        if self.type is not InodeType.FILE or self.data is None:
+            raise GuestOSError(Errno.EINVAL, "inode has no content")
+        return bytes(self.data[offset:offset + length])

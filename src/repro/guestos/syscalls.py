@@ -151,8 +151,7 @@ class SyscallTable:
                 assert node.driver is not None
                 data = node.driver.read(open_file.offset, length)
             else:
-                content = node.content()
-                data = content[open_file.offset:open_file.offset + length]
+                data = node.read(open_file.offset, length)
             open_file.offset += len(data)
         if data:
             kernel.copy_to_user(len(data))
@@ -228,7 +227,7 @@ class SyscallTable:
             assert node.driver is not None
             data = node.driver.read(offset, length)
         else:
-            data = node.content()[offset:offset + length]
+            data = node.read(offset, length)
         if data:
             self.kernel.copy_to_user(len(data))
         return data

@@ -106,7 +106,7 @@ class FuseDaemon:
         if entry is None:
             raise GuestOSError(Errno.EBADF, f"bad FUSE handle {handle}")
         node, offset = entry
-        data = node.content()[offset:offset + length]
+        data = node.read(offset, length)
         self._handles[handle] = (node, offset + len(data))
         return data
 

@@ -1,9 +1,9 @@
 """Golden equivalence: the fast path must change wall-clock only.
 
 For every Table-4 measurement (every system x variant x op, plus
-native), the fast-path engine — marshaling cache, fused cost charging,
-trace-off machines — must produce *identical* instructions, cycles, and
-per-event counts to the seed's step-by-step path.
+native), the fast-path engine — fused cost charging and trace-off
+machines — must produce *identical* instructions, cycles, and per-event
+counts to the seed's step-by-step path.
 """
 
 import pytest

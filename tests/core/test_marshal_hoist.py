@@ -2,13 +2,17 @@
 
 ``WorldCallRuntime._call`` once marshaled each direction twice —
 ``encode`` walked the payload to derive the cache key and produce the
-wire, then ``decode`` parsed the wire right back.  The hoisted
+wire, then ``decode`` parsed the wire right back — and took that path
+whenever a fault engine was installed.  The hoisted
 :func:`repro.core.convention.roundtrip` keys both halves off a single
-walk and hits its own cache in steady state.  This pins the counts
-with counting stubs so the re-derivation cannot creep back in.
+walk and hits its own cache in steady state, faults armed or not.  This
+pins the counts with counting stubs so the re-derivation cannot creep
+back in.
 """
 
+from repro import faults
 from repro.core import convention, fastpath
+from repro.faults import FaultEngine
 
 
 def _build_worldcall_harness(handler):
@@ -42,24 +46,35 @@ def _counting(monkeypatch, name, counts):
     monkeypatch.setattr(convention, name, wrapper)
 
 
+def _steady_state_counts(monkeypatch):
+    """Marshaling calls made by ten warm world calls."""
+    machine, runtime, caller, callee = _build_worldcall_harness(
+        lambda request: ("pong", request.payload))
+    payload = ("ping", 7)
+    with fastpath.scoped(True), machine.cpu.trace.scoped(False):
+        # Warm the round-trip cache outside the counted window.
+        for _ in range(4):
+            runtime.call(caller, callee.wid, payload)
+        counts = {"encode": 0, "decode": 0, "roundtrip": 0}
+        for name in counts:
+            _counting(monkeypatch, name, counts)
+        for _ in range(10):
+            result = runtime.call(caller, callee.wid, payload)
+            assert result == ("pong", payload)
+    return counts
+
+
 class TestMarshalHoist:
     def test_steady_state_is_roundtrip_only(self, monkeypatch):
-        machine, runtime, caller, callee = _build_worldcall_harness(
-            lambda request: ("pong", request.payload))
-        payload = ("ping", 7)
-        with fastpath.scoped(True), machine.cpu.trace.scoped(False):
-            # Warm every marshaling cache outside the counted window.
-            for _ in range(4):
-                runtime.call(caller, callee.wid, payload)
-            counts = {"encode": 0, "decode": 0, "roundtrip": 0}
-            for name in counts:
-                _counting(monkeypatch, name, counts)
-            calls = 10
-            for _ in range(calls):
-                result = runtime.call(caller, callee.wid, payload)
-                assert result == ("pong", payload)
         # One roundtrip for the request, one for the result; a
         # regression to separate encode+decode per direction shows up
         # as nonzero encode/decode counts.
-        assert counts == {"encode": 0, "decode": 0,
-                          "roundtrip": 2 * calls}, counts
+        counts = _steady_state_counts(monkeypatch)
+        assert counts == {"encode": 0, "decode": 0, "roundtrip": 20}, counts
+
+    def test_steady_state_under_inert_fault_engine(self, monkeypatch):
+        """An installed engine that injects nothing must not divert the
+        call onto a second marshaling path."""
+        with faults.scoped(FaultEngine([])):
+            counts = _steady_state_counts(monkeypatch)
+        assert counts == {"encode": 0, "decode": 0, "roundtrip": 20}, counts

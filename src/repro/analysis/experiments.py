@@ -19,7 +19,6 @@ from repro.analysis.calibration import (
 )
 from repro.analysis.measure import (Measurement, measure_callable,
                                     measured_region)
-from repro.core import fastpath
 from repro.core.call import MECHANISMS, CallRequest, WorldCallRuntime
 from repro.core.world import WorldRegistry
 from repro.errors import ConfigurationError, GuestOSError
@@ -67,14 +66,13 @@ TABLE4_OPS: Dict[str, Tuple[str, int]] = {
 
 
 def _tune(machine: Machine) -> None:
-    """Fast-path tuning for experiment machines.
+    """Switch the transition trace off on an experiment machine.
 
-    The table runners never read the transition trace, so recording is
-    switched off when the fast path is on — that is what arms the fused
-    charge batches in the core (the figure runners, which *do* read the
-    trace, keep it enabled).  Simulated counters are unaffected."""
-    if fastpath.enabled():
-        machine.cpu.trace.enabled = False
+    The table runners never read the trace, and an untraced CPU runs the
+    Figure-4 round trip as two straight-line halves (the figure runners,
+    which *do* read the trace, keep it enabled).  Simulated counters are
+    the same either way."""
+    machine.cpu.trace.enabled = False
 
 
 def _surface_for(system_name: str, optimized: bool,

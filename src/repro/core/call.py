@@ -31,7 +31,7 @@ from typing import Any, Dict, Optional, Tuple
 from repro import faults as _faults
 from repro import observe
 from repro import switchless as _switchless
-from repro.core import convention, fastpath
+from repro.core import convention
 from repro.core.binding import BindingTable
 from repro.core.channel import Channel, next_channel_gva
 from repro.core.world import World, WorldRegistry
@@ -50,7 +50,6 @@ from repro.errors import (
     WorldCallFault,
     WorldNotPresent,
 )
-from repro.hw import fused
 from repro.hw.costs import Cost
 from repro.hw.cpu import Mode, WID_REGISTER
 from repro.observe import Event
@@ -126,12 +125,6 @@ class WorldCallRuntime:
         self.recoveries: Counter = Counter()
         #: Calls completed over the legacy vmcall/trap fallback path.
         self.legacy_calls = 0
-        #: The fast path's fixed caller- and callee-side entry charges,
-        #: fused once for this machine's cost model.
-        self._caller_entry = fused.world_call_caller_entry(
-            machine.cost_model)
-        self._callee_entry = fused.world_call_callee_entry(
-            machine.cost_model, sched_reload=_SCHED_RELOAD)
 
     # ------------------------------------------------------------------
     # setup (one-time, Section 3.3 "World-call setup")
@@ -373,19 +366,14 @@ class WorldCallRuntime:
                 "call setup_channel() first")
 
         # Caller saves its running state in its own memory space.
-        fast = fastpath.enabled() and not cpu.trace.enabled
-        if fast:
-            self._caller_entry.apply(cpu.perf)
-        else:
-            cpu.charge("world_save_state")
+        cpu.charge("world_save_state")
         caller.call_stack.append({
             "expected_callee": callee_wid,
             "regs": cpu.regs.snapshot(),
             "kernel_current": (caller.kernel.current
                                if caller.kernel is not None else None),
         })
-        if not fast:
-            cpu.charge("world_param_setup")
+        cpu.charge("world_param_setup")
         if not in_registers:
             assert channel is not None
             channel.write_payload(cpu, self.machine.memory, wire)
@@ -646,23 +634,17 @@ class WorldCallRuntime:
                     "(not supported; Section 5.3)")
         callee.busy = True
         saved_current = None
-        fast = fastpath.enabled() and not cpu.trace.enabled
         try:
             # Section 5.3: make the callee OS aware of the world switch
             # (skipped, like authorization, in minimal mode).
-            fused_entry = False
             if callee.kernel is not None:
                 saved_current = callee.kernel.current
                 if callee.process is not None:
                     callee.kernel.current = callee.process
-                if authorize and fast:
-                    self._callee_entry.apply(cpu.perf)
-                    fused_entry = True
-                elif authorize:
+                if authorize:
                     cpu.perf.charge("sched_reload", _SCHED_RELOAD)
             if authorize:
-                if not fused_entry:
-                    cpu.charge("world_authorize")
+                cpu.charge("world_authorize")
                 try:
                     if _faults._engine is not None:
                         _faults._engine.fire("core.call.authorize",

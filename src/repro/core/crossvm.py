@@ -39,15 +39,14 @@ from typing import Any, Callable, Dict, Optional, Tuple
 from repro import faults as _faults
 from repro import observe
 from repro import switchless as _switchless
-from repro.core import convention, fastpath
+from repro.core import convention
 from repro.core.call import MECHANISMS
 from repro.errors import (ConfigurationError, GuestOSError, SimulationError,
                           VMFuncFault)
-from repro.hw import fused
 from repro.guestos.kernel import Kernel
 from repro.guestos.process import Process
 from repro.hw.cpu import Mode, Ring, VMFUNC_EPT_SWITCH
-from repro.hw.costs import CostModel
+from repro.hw.costs import Cost, CostModel
 from repro.hw.idt import IDT
 from repro.hw.mem import PAGE_SIZE
 from repro.hw.paging import PageTable
@@ -76,8 +75,8 @@ _CAPACITY = SHARED_PAGES * PAGE_SIZE - _CONTEXT_SAVE_BYTES - 4
 
 _RING_KERNEL = int(Ring.KERNEL)
 
-#: Zero block written into the shared page as the saved context (hoisted
-#: off the fast path; the content is always the same).
+#: Zero block written into the shared page as the saved context (the
+#: content is always the same).
 _CTX_ZEROS = b"\x00" * _CONTEXT_SAVE_BYTES
 
 #: Sentinel: the mechanism seam declined and the default path should run.
@@ -93,7 +92,7 @@ class _PairState:
         self.idt2 = idt2
         self.helpers = helpers          # vm name -> helper process
         self.calls = 0
-        #: Fast-path memos: whether the context-save block has been
+        #: Straight-line memos: whether the context-save block has been
         #: zeroed once, and each half's whole ``(cost, events)`` charge,
         #: copies included — the enter half keyed by request length,
         #: the return half by ``(restore_idt, reply length)``.
@@ -102,15 +101,30 @@ class _PairState:
         self.return_charges: Dict[Tuple[bool, int], tuple] = {}
 
 
+def _batch(cm: CostModel, kinds: Tuple[Tuple[str, int], ...],
+           *copies: int) -> tuple:
+    """One ``(cost, events)`` charge for
+    :meth:`~repro.hw.perf.PerfCounters.charge_batch`: ``kinds`` pairs
+    cost-model fields with how often each is charged, and ``copies``
+    are the byte lengths of the copies charged alongside them."""
+    cost = Cost()
+    events: Dict[str, int] = {}
+    for kind, count in kinds:
+        cost = cost + getattr(cm, kind).scaled(count)
+        events[kind] = count
+    for length in copies:
+        cost = cost + cm.copy(length)
+    if copies:
+        events["copy"] = len(copies)
+    return cost, events
+
+
 def _enter_charge(cm: CostModel, request_len: int) -> tuple:
-    """Steps 2-4 of Figure 4 as one ``(cost, events)`` charge: helper
-    CR3, cli, IDT2, VMFUNC, sti, plus the save-area copy, the
-    calling-info write and its read-back."""
-    rec = fused.crossvm_enter(cm, install_idt=True)
-    events = dict(rec.events)
-    events["copy"] = 3
-    return (rec.cost + cm.copy(_CONTEXT_SAVE_BYTES)
-            + cm.copy(4 + request_len) + cm.copy(request_len), events)
+    """Steps 2-4 of Figure 4: helper CR3, cli, IDT2, VMFUNC, sti, plus
+    the save-area copy, the calling-info write and its read-back."""
+    return _batch(cm, (("cr3_write", 1), ("int_toggle", 2),
+                       ("vmfunc_ept_switch", 1), ("idt_switch", 1)),
+                  _CONTEXT_SAVE_BYTES, 4 + request_len, request_len)
 
 
 def _enter_fault_charge(cm: CostModel, restore_idt: bool,
@@ -118,24 +132,21 @@ def _enter_fault_charge(cm: CostModel, restore_idt: bool,
     """What steps 2-3 and their unwind charge when the VMFUNC into the
     peer faults: helper CR3, cli, IDT2, the save-area and calling-info
     copies, then the IDT restore, sti and the original CR3."""
-    rec = fused.fuse(cm, (("cr3_write", 2), ("int_toggle", 2),
-                          ("idt_switch", 2 if restore_idt else 1)))
-    events = dict(rec.events)
-    events["copy"] = 2
-    return (rec.cost + cm.copy(_CONTEXT_SAVE_BYTES)
-            + cm.copy(4 + request_len), events)
+    return _batch(cm, (("cr3_write", 2), ("int_toggle", 2),
+                       ("idt_switch", 2 if restore_idt else 1)),
+                  _CONTEXT_SAVE_BYTES, 4 + request_len)
 
 
 def _return_charge(cm: CostModel, restore_idt: bool,
-                   reply_len: int) -> tuple:
-    """Steps 5-6 of Figure 4 as one ``(cost, events)`` charge: cli,
-    VMFUNC back, the IDT restore, sti and the original CR3, plus the
-    reply write and its read-back."""
-    rec = fused.crossvm_return(cm, restore_idt=restore_idt)
-    events = dict(rec.events)
-    events["copy"] = 2
-    return (rec.cost + cm.copy(4 + reply_len) + cm.copy(reply_len),
-            events)
+                   *copies: int) -> tuple:
+    """Steps 5-6 of Figure 4: cli, VMFUNC back, the IDT restore, sti and
+    the original CR3, plus ``copies`` (the reply write and its
+    read-back; none when the reply did not fit)."""
+    kinds: Tuple[Tuple[str, int], ...] = (
+        ("int_toggle", 2), ("vmfunc_ept_switch", 1), ("cr3_write", 1))
+    if restore_idt:
+        kinds += (("idt_switch", 1),)
+    return _batch(cm, kinds, *copies)
 
 
 class CrossVMSyscallMechanism:
@@ -335,7 +346,7 @@ class CrossVMSyscallMechanism:
         if observers is None:
             return self._roundtrip_impl(state, from_vm, to_vm, request_obj,
                                         server)
-        # One bracket per Figure-4 round trip (covers the fused path too).
+        # One bracket per Figure-4 round trip, traced or not.
         cpu = self.machine.cpu
         observe.publish(observers, Event(
             "core", "crossvm_begin", from_vm.name, to_vm.name,
@@ -374,14 +385,13 @@ class CrossVMSyscallMechanism:
         request, decoded = convention.roundtrip(request_obj)
         self._check_fits(len(request))
 
-        # The fused batches cannot model a VMFUNC that faults halfway;
-        # with a fault engine installed the dispatcher takes the
-        # step-by-step path so injected faults land between real steps.
-        if fastpath.enabled() and not cpu.trace.enabled and \
-                _faults._engine is None:
-            return self._roundtrip_fused(state, from_vm, to_vm, request_obj,
-                                         request, decoded, server, saved_pt,
-                                         saved_idt)
+        # A trace records every step, and a fault engine must be able
+        # to fault any step, so either takes the step-by-step path; the
+        # straight-line halves run otherwise.
+        if not cpu.trace.enabled and _faults._engine is None:
+            return self._roundtrip_straight(state, from_vm, to_vm,
+                                            request_obj, request, decoded,
+                                            server, saved_pt, saved_idt)
 
         # Step 2: enter the helper context.
         cpu.write_cr3(state.helper_pt)
@@ -506,11 +516,12 @@ class CrossVMSyscallMechanism:
             raise outcome
         return outcome
 
-    def _roundtrip_fused(self, state: _PairState, from_vm: VirtualMachine,
-                         to_vm: VirtualMachine, request_obj: Any,
-                         request: bytes, decoded: Any,
-                         server: Callable[[Any], Any], saved_pt: PageTable,
-                         saved_idt: Optional[IDT]) -> Any:
+    def _roundtrip_straight(self, state: _PairState,
+                            from_vm: VirtualMachine, to_vm: VirtualMachine,
+                            request_obj: Any, request: bytes, decoded: Any,
+                            server: Callable[[Any], Any],
+                            saved_pt: PageTable,
+                            saved_idt: Optional[IDT]) -> Any:
         """The Figure-4 sequence as two straight-line halves.
 
         Performs the same state changes as the step-by-step path, but
@@ -518,7 +529,9 @@ class CrossVMSyscallMechanism:
         once (on entry, by the caller, and again after the callee
         returns, where the return half's ``cli`` would fault) and
         applies one charge looked up in the pair's per-length memo —
-        counters come out bit-identical to the step-by-step path.
+        counters come out bit-identical to the step-by-step path.  The
+        ``ept_switch`` events are published before their half's charge,
+        so their ``cycles`` differ from a traced run's.
 
         Two further model-equivalences trim pure overhead: the shared
         frames hand back exactly the bytes just written through the
@@ -601,14 +614,13 @@ class CrossVMSyscallMechanism:
         cpu.page_table = saved_pt
         tlb.on_cr3_write(saved_pt.root)
         if not fits:
-            rec = fused.crossvm_return(cm, restore_idt=restore_idt)
-            perf.charge_batch(rec.cost, rec.events)
+            perf.charge_batch(*_return_charge(cm, restore_idt))
             self._check_fits(reply_len)
         key = (restore_idt, reply_len)
         charge = state.return_charges.get(key)
         if charge is None:
             charge = state.return_charges[key] = _return_charge(
-                cm, restore_idt, reply_len)
+                cm, restore_idt, 4 + reply_len, reply_len)
         perf.charge_batch(*charge)
         state.calls += 1
 

@@ -186,7 +186,7 @@ class _CalibrationHarness:
 def calibrate_costs(mechanism: str) -> MechanismCosts:
     """Measure one mechanism's stage costs on a fresh machine."""
     from repro import switchless as _sl
-    from repro.core import convention, fastpath
+    from repro.core import convention
     from repro.switchless import SwitchlessEngine
 
     if mechanism not in MECHANISMS:
@@ -197,7 +197,7 @@ def calibrate_costs(mechanism: str) -> MechanismCosts:
               else None)
     mech_arg = "baseline" if mechanism == "baseline" else None
     try:
-        with fastpath.scoped(True), _sl.scoped(engine):
+        with _sl.scoped(engine):
             harness = _CalibrationHarness()
             harness.call(mech_arg)           # cold caches / ring setup
             harness.call(mech_arg)

@@ -72,8 +72,6 @@ class Kernel:
         self.current: Optional[Process] = None
         self.scheduler = Scheduler(self)
         self.redirector: Optional[SyscallRedirector] = None
-        #: Fused user->kernel entry charge, built on first syscall.
-        self._entry_fused = None
 
         self.rootfs = RamFS()
         self.devfs = DevFS()

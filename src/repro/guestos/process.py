@@ -5,10 +5,8 @@ from __future__ import annotations
 from functools import cached_property
 from typing import List, Optional
 
-from repro.core import fastpath
 from repro.errors import SimulationError
 from repro.guestos.fd import FDTable
-from repro.hw import fused
 from repro.hw.paging import PageTable, fresh_root
 
 #: Conventional user-space layout.
@@ -100,21 +98,6 @@ class Process:
             raise SimulationError(
                 f"{self!r} issued a syscall but {kernel.current!r} is "
                 "the running process")
-        if fastpath.enabled() and not cpu.trace.enabled and cpu.ring == 3:
-            # Fused fast path: one batched charge for the fixed
-            # user->kernel sequence.  The SYSRET charge stays on the far
-            # side of dispatch so mid-syscall observers of the cycle
-            # counter (e.g. /proc/uptime) read identical values.
-            entry = kernel._entry_fused
-            if entry is None:
-                entry = kernel._entry_fused = \
-                    fused.syscall_entry(cpu.cost_model)
-            cpu.perf.charge_batch(entry.cost, entry.events)
-            cpu.syscall_trap(name, charge=False)
-            try:
-                return kernel.dispatch(self, name, *args, **kwargs)
-            finally:
-                cpu.sysret(name)
         cpu.charge("user_wrapper")
         cpu.syscall_trap(name)
         cpu.charge("syscall_dispatch")

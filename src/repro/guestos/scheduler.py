@@ -44,8 +44,7 @@ class Scheduler:
                     return proc
         return candidates[0]
 
-    def switch_to(self, proc: Process, detail: str = "",
-                  charge: bool = True) -> None:
+    def switch_to(self, proc: Process, detail: str = "") -> None:
         """Context-switch the CPU to ``proc`` (must be called at CPL 0)."""
         kernel = self.kernel
         if not proc.alive:
@@ -56,7 +55,7 @@ class Scheduler:
         cpu = kernel.cpu
         if not detail and cpu.trace.enabled:
             detail = f"{getattr(previous, 'name', '?')} -> {proc.name}"
-        cpu.context_switch(proc.page_table, detail, charge=charge)
+        cpu.context_switch(proc.page_table, detail)
         if previous is not None and previous.alive:
             previous.state = "ready"
         proc.state = "running"

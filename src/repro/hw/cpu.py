@@ -167,12 +167,8 @@ class CPU:
     # native ring transitions
     # ------------------------------------------------------------------
 
-    def syscall_trap(self, detail: str = "", charge: bool = True) -> None:
-        """SYSCALL: user -> kernel within the current address space.
-
-        ``charge=False`` performs the ring switch without charging (the
-        caller is applying the cost as part of a fused batch).
-        """
+    def syscall_trap(self, detail: str = "") -> None:
+        """SYSCALL: user -> kernel within the current address space."""
         if self.ring != _RING_USER:
             self.require_ring(_RING_USER, "syscall")
         if self.trace.enabled:
@@ -181,10 +177,9 @@ class CPU:
             self.transition("syscall_trap", frm, self.world_label, detail)
         else:
             self.ring = _RING_KERNEL
-            if charge:
-                self.perf.charge("syscall_trap", self.cost_model.syscall_trap)
+            self.perf.charge("syscall_trap", self.cost_model.syscall_trap)
 
-    def sysret(self, detail: str = "", charge: bool = True) -> None:
+    def sysret(self, detail: str = "") -> None:
         """SYSRET: kernel -> user within the current address space."""
         if self.ring != _RING_KERNEL:
             self.require_ring(_RING_KERNEL, "sysret")
@@ -194,11 +189,9 @@ class CPU:
             self.transition("sysret", frm, self.world_label, detail)
         else:
             self.ring = _RING_USER
-            if charge:
-                self.perf.charge("sysret", self.cost_model.sysret)
+            self.perf.charge("sysret", self.cost_model.sysret)
 
-    def iret_to_ring(self, ring: int, detail: str = "",
-                     charge: bool = True) -> None:
+    def iret_to_ring(self, ring: int, detail: str = "") -> None:
         """IRET-style return to an arbitrary ring (used by injectors)."""
         self.require_ring(_RING_KERNEL, "iret")
         if self.trace.enabled:
@@ -208,8 +201,7 @@ class CPU:
                             detail or "iret")
         else:
             self.ring = int(ring)
-            if charge:
-                self.perf.charge("sysret", self.cost_model.sysret)
+            self.perf.charge("sysret", self.cost_model.sysret)
 
     # ------------------------------------------------------------------
     # control registers, IDT, interrupt flag
@@ -228,32 +220,28 @@ class CPU:
             self.trace.record("cr3_write", self.world_label,
                               self.world_label, detail)
 
-    def install_idt(self, idt: IDT, charge: bool = True) -> None:
+    def install_idt(self, idt: IDT) -> None:
         """LIDT; privileged."""
         if self.ring != _RING_KERNEL:
             self.require_ring(_RING_KERNEL, "lidt")
         self.interrupts.install(idt)
-        if charge:
-            self.perf.charge("idt_switch", self.cost_model.idt_switch)
+        self.perf.charge("idt_switch", self.cost_model.idt_switch)
 
-    def cli(self, charge: bool = True) -> None:
+    def cli(self) -> None:
         """Disable interrupts; privileged."""
         if self.ring != _RING_KERNEL:
             self.require_ring(_RING_KERNEL, "cli")
         self.interrupts.disable()
-        if charge:
-            self.perf.charge("int_toggle", self.cost_model.int_toggle)
+        self.perf.charge("int_toggle", self.cost_model.int_toggle)
 
-    def sti(self, charge: bool = True) -> None:
+    def sti(self) -> None:
         """Enable interrupts; privileged."""
         if self.ring != _RING_KERNEL:
             self.require_ring(_RING_KERNEL, "sti")
         self.interrupts.enable()
-        if charge:
-            self.perf.charge("int_toggle", self.cost_model.int_toggle)
+        self.perf.charge("int_toggle", self.cost_model.int_toggle)
 
-    def deliver_irq(self, vector: int, detail: str = "",
-                    charge: bool = True) -> None:
+    def deliver_irq(self, vector: int, detail: str = "") -> None:
         """Vector an interrupt through the current IDT (to CPL 0)."""
         if not self.interrupts.interrupts_enabled:
             raise SimulationError(
@@ -266,11 +254,9 @@ class CPU:
                             cost=self.cost_model.irq_vector)
         else:
             self.ring = _RING_KERNEL
-            if charge:
-                self.perf.charge("irq_deliver", self.cost_model.irq_vector)
+            self.perf.charge("irq_deliver", self.cost_model.irq_vector)
 
-    def context_switch(self, page_table: PageTable, detail: str = "",
-                       charge: bool = True) -> None:
+    def context_switch(self, page_table: PageTable, detail: str = "") -> None:
         """In-kernel process context switch (scheduler path)."""
         if self.ring != _RING_KERNEL:
             self.require_ring(_RING_KERNEL, "context switch")
@@ -284,16 +270,13 @@ class CPU:
             self.page_table = page_table
             self.tlb.on_cr3_write(page_table.root)
             self._current_wid = None
-            if charge:
-                self.perf.charge("context_switch",
-                                 self.cost_model.context_switch)
+            self.perf.charge("context_switch", self.cost_model.context_switch)
 
     # ------------------------------------------------------------------
     # VMX transitions (primitives; the hypervisor orchestrates them)
     # ------------------------------------------------------------------
 
-    def vmexit(self, reason: str, detail: str = "",
-               charge: bool = True) -> None:
+    def vmexit(self, reason: str, detail: str = "") -> None:
         """Guest -> host transition; saves guest state into the VMCS."""
         self.require_non_root("vm exit")
         if self.current_vmcs is None:
@@ -310,11 +293,9 @@ class CPU:
             vmcs.save_guest(self)
             vmcs.exit_reason = reason
             vmcs.load_host(self)
-            if charge:
-                self.perf.charge("vmexit", self.cost_model.vmexit)
+            self.perf.charge("vmexit", self.cost_model.vmexit)
 
-    def vmentry(self, vmcs: "VMCS", detail: str = "",
-                charge: bool = True) -> None:
+    def vmentry(self, vmcs: "VMCS", detail: str = "") -> None:
         """Host -> guest transition; loads guest state from the VMCS."""
         self.require_root("vm entry")
         if self.ring != _RING_KERNEL:
@@ -329,8 +310,7 @@ class CPU:
             vmcs.save_host(self)
             vmcs.load_guest(self)
             self.current_vmcs = vmcs
-            if charge:
-                self.perf.charge("vmentry", self.cost_model.vmentry)
+            self.perf.charge("vmentry", self.cost_model.vmentry)
 
     # ------------------------------------------------------------------
     # VMFUNC (fn 0) and the CrossOver extension (fns 0x1 / 0x2)
@@ -359,10 +339,12 @@ class CPU:
     def ept_switch(self, index: int, charge: bool = True) -> None:
         """VMFUNC fn 0: switch to the EPT at ``index`` of the EPTP list.
 
-        ``charge=False`` skips only the charge: the fused cross-VM round
-        trip calls this directly and charges the switch inside its
-        precomputed half.  The checks, the EPT/TLB switch and the
-        ``ept_switch`` event are the same either way.
+        ``charge=False`` skips only the charge: the untraced Figure-4
+        round trip (:mod:`repro.core.crossvm`) calls this directly and
+        charges the switch inside its precomputed half.  The checks, the
+        EPT/TLB switch and the ``ept_switch`` event are the same either
+        way; only the event's ``cycles`` differ, since they are read
+        before that half's charge.
         """
         if not self.features.vmfunc:
             raise InvalidOpcode("VMFUNC not supported by this processor")
@@ -410,7 +392,7 @@ class CPU:
         cost_model = self.cost_model
         self.perf.charge("world_call_hw", cost_model.world_call_hw)
         # Observers see the hardware datapath itself (not just the
-        # transition trace, which may be disabled on the fast path).
+        # transition trace, which is usually off).
         # Observation never charges: modeled counters stay bit-identical.
         observers = observe.observers
         if observers is not None:

@@ -19,9 +19,8 @@ from repro.hw.costs import Cost, us
 
 #: Event kinds that count as a *world switch* in the paper's terminology:
 #: any ring crossing, host/guest mode switch, or address-space switch.
-#: :meth:`PerfDelta.world_switches` sums these, and the fused-charging
-#: layer (:mod:`repro.hw.fused`) classifies its batched events with the
-#: same constant so the two can never drift.
+#: :meth:`PerfDelta.world_switches` and telemetry's
+#: ``trace.world_switches`` counter both classify events with it.
 WORLD_SWITCH_KINDS = frozenset({
     "syscall_trap", "sysret", "vmexit", "vmentry",
     "vmfunc_ept_switch", "world_call", "world_call_hw",
@@ -109,11 +108,10 @@ class PerfCounters:
     def charge_batch(self, cost: Cost, events: Mapping[str, int]) -> None:
         """Apply a pre-summed cost plus its per-event counts in one call.
 
-        The fast-path engine fuses the fixed charge sequence of a call
-        shape (e.g. syscall trap + dispatch, or a full cross-VM round
-        trip) into a single aggregate ``cost`` with exact ``events``
-        counts — the counters end up bit-identical to charging each
-        primitive individually.
+        The untraced Figure-4 round trip charges each of its halves this
+        way: one aggregate ``cost`` with exact ``events`` counts, so the
+        counters end up bit-identical to charging each primitive
+        individually.
         """
         self.instructions += cost.instructions
         self.cycles += cost.cycles

@@ -107,13 +107,12 @@ class Hypervisor:
     # VM entry / exit orchestration
     # ------------------------------------------------------------------
 
-    def launch(self, cpu: CPU, vm: VirtualMachine, detail: str = "",
-               charge: bool = True) -> None:
+    def launch(self, cpu: CPU, vm: VirtualMachine, detail: str = "") -> None:
         """VM entry into ``vm`` (vmlaunch/vmresume)."""
         if not detail and cpu.trace.enabled:
             detail = f"enter {vm.name}"
-        cpu.vmentry(vm.vmcs, detail, charge=charge)
-        self.injector.deliver_pending(cpu, vm, charge=charge)
+        cpu.vmentry(vm.vmcs, detail)
+        self.injector.deliver_pending(cpu, vm)
 
     def exit_to_host(self, cpu: CPU, reason: str, detail: str = "") -> None:
         """Force a VM exit and charge the hypervisor's handling cost."""
@@ -274,7 +273,7 @@ class Hypervisor:
 
     def restore_world(self, cpu: CPU, entry: WorldTableEntry) -> None:
         """Privileged context restore to a registered world (used by the
-        watchdog path; not the fast path)."""
+        watchdog path; not the world-call datapath)."""
         cpu.mode = Mode.ROOT if entry.host_mode else Mode.NON_ROOT
         cpu.ring = entry.ring
         cpu.ept = entry.ept

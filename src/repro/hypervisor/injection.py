@@ -34,11 +34,10 @@ class Injector:
         self.injected_by_vector: Dict[int, int] = {}
 
     def inject(self, cpu: CPU, vm: VirtualMachine, vector: int,
-               detail: str = "", charge: bool = True) -> None:
+               detail: str = "") -> None:
         """Queue ``vector`` on ``vm`` (hypervisor-side work is charged)."""
         cpu.require_root("virq injection")
-        if charge:
-            cpu.charge("virq_inject")
+        cpu.charge("virq_inject")
         vm.queue_virq(vector, detail)
         self.injected += 1
         self.injected_by_vector[vector] = \
@@ -49,8 +48,7 @@ class Injector:
                 "hv", "virq_inject", to=vm.name, detail=f"vector {vector:#x}",
                 ref=vector))
 
-    def deliver_pending(self, cpu: CPU, vm: VirtualMachine,
-                        charge: bool = True) -> int:
+    def deliver_pending(self, cpu: CPU, vm: VirtualMachine) -> int:
         """Deliver every queued virq through the guest IDT.
 
         Must be called with the CPU already inside ``vm`` (after a VM
@@ -66,7 +64,7 @@ class Injector:
                 return delivered
             vector, detail = item
             prior_ring = cpu.ring
-            cpu.deliver_irq(vector, detail, charge=charge)
+            cpu.deliver_irq(vector, detail)
             delivered += 1
             observers = observe.observers
             if observers is not None:
@@ -80,4 +78,4 @@ class Injector:
                 handler(vector)
             # IRET back to the interrupted privilege level.
             if cpu.ring != prior_ring:
-                cpu.iret_to_ring(prior_ring, "irq return", charge=charge)
+                cpu.iret_to_ring(prior_ring, "irq return")

@@ -44,23 +44,22 @@ def record(workers: Optional[int] = None,
            objectives: Sequence[Any] = ()) -> Dict[str, Any]:
     """Run the standard recording and build the artifact dict."""
     from repro.analysis import parallel
-    from repro.core import convention, fastpath
+    from repro.core import convention
     from repro.switchless import campaign  # noqa: F401 (registers
     #                                        the switchlesscell runner)
 
     specs = [("table4", (name, True, 2)) for name in RECORD_SYSTEMS]
     specs.append(("switchlesscell", ("bursty", "adaptive", RECORD_SEED, 2)))
-    # Warm the calling convention cache from a known-empty state, fast
-    # path on, so every recording starts from the same state.
+    # Warm the calling convention cache from a known-empty state, so
+    # every recording starts from the same state.
     convention.clear_caches()
     session = telemetry.TelemetrySession.lightweight("observatory")
-    with fastpath.scoped(True):
-        telemetry.install(session)
-        try:
-            with _observatory.scoped(label="observatory") as obs:
-                parallel.run_cells(specs, workers=workers)
-        finally:
-            telemetry.uninstall()
+    telemetry.install(session)
+    try:
+        with _observatory.scoped(label="observatory") as obs:
+            parallel.run_cells(specs, workers=workers)
+    finally:
+        telemetry.uninstall()
     return build_artifact(obs, objectives)
 
 

@@ -38,8 +38,7 @@ class Event:
 
     ``ref`` is the object the seam observed, for observers that need
     more than those fields: the :class:`~repro.hw.trace.TransitionEvent`
-    of a ``transition``, the :class:`~repro.hw.fused.FusedCharge` of a
-    ``fused`` batch, the CPU of a call bracket, the system of a
+    of a ``transition``, the CPU of a call bracket, the system of a
     redirect, the perf counter of a ``perf_counters``/``perf_reset``,
     the vector of a ``virq_inject``.
     """

@@ -114,7 +114,7 @@ def run_switchless_cell(workload: str, mechanism: str, seed: int,
     one transport.  Self-contained (fresh machine + engine), so it runs
     identically in-process or inside a fork worker."""
     from repro import switchless as _sl
-    from repro.core import convention, fastpath
+    from repro.core import convention
     from repro.switchless import SwitchlessEngine
 
     if workload not in WORKLOADS:
@@ -129,7 +129,7 @@ def run_switchless_cell(workload: str, mechanism: str, seed: int,
         engine = SwitchlessEngine(force=mechanism == "switchless",
                                   workers=workers)
     try:
-        with fastpath.scoped(True), _sl.scoped(engine):
+        with _sl.scoped(engine):
             harness = _WorldCallHarness()
             cpu = harness.cpu
             plan = schedule(workload, seed)

@@ -13,8 +13,8 @@ Exactly one session is installed process-wide at a time, as one
 subscriber on the observer bus (:mod:`repro.observe`); it receives
 every datapath record through :meth:`TelemetrySession.on_event`, so:
 
-* with telemetry **off**, the hooks are a dead branch: fast-path
-  equivalence and all modeled counters are untouched;
+* with telemetry **off**, the hooks are a dead branch: all modeled
+  counters are untouched;
 * with telemetry **on**, collection only ever *reads* the perf
   counters and the trace — it never charges, so modeled instructions,
   cycles, per-event counts and world switches stay **bit-identical**
@@ -76,9 +76,6 @@ class TelemetrySession:
         # Pre-bound unlabeled counters (one attribute call per hit).
         metrics = self.metrics
         self._inc_world_switches = metrics.counter("trace.world_switches").inc
-        self._inc_fused_batches = metrics.counter("fused.batches").inc
-        self._inc_fused_switches = metrics.counter(
-            "fused.world_switches").inc
         # Bound-``inc`` caches for the labeled hot-path counters, keyed
         # by plain tuples (no sort, no stringification per call).
         self._kind_counters: Dict[str, Callable] = {}
@@ -149,11 +146,6 @@ class TelemetrySession:
                                 cycles=event.cycles,
                                 instructions=event.instructions)
 
-    def _fused(self, event) -> None:
-        """One :class:`~repro.hw.fused.FusedCharge` batch was applied."""
-        self._inc_fused_batches()
-        self._inc_fused_switches(event.ref.world_switches)
-
     def _world_call_issue(self, event) -> None:
         """The CPU began a hardware ``world_call`` (it may still fault)."""
         self.metrics.counter("hw.world_call", cpu=event.ref.cpu_id).inc()
@@ -188,7 +180,7 @@ class TelemetrySession:
 
     def _crossvm_begin(self, event) -> None:
         """A Figure-4 cross-VM round trip started (one span per round
-        trip, covering the fused path too)."""
+        trip, traced or not)."""
         frm, to = event.frm, event.to
         self._inc(("core.crossvm_roundtrips", frm, to),
                   "core.crossvm_roundtrips", frm=frm, to=to)
@@ -237,7 +229,6 @@ class TelemetrySession:
 
     _HANDLERS = {
         "transition": _transition,
-        "fused": _fused,
         "world_call_issue": _world_call_issue,
         "wt_miss": _wt_miss,
         "call_begin": _call_begin,

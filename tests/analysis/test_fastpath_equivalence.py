@@ -1,15 +1,32 @@
-"""Golden equivalence: the fast path must change wall-clock only.
+"""Golden equivalence: the transition trace must change wall-clock only.
 
 For every Table-4 measurement (every system x variant x op, plus
-native), the fast-path engine — fused cost charging and trace-off
-machines — must produce *identical* instructions, cycles, and per-event
-counts to the seed's step-by-step path.
+native), machines that keep their transition trace on (every transition
+charged step by step, the "slow" side) and the trace-off machines the
+experiments build (where the Figure-4 round trip runs as two
+straight-line halves) must produce *identical* instructions, cycles and
+per-event counts.
 """
+
+import contextlib
 
 import pytest
 
 from repro.analysis import experiments, parallel
-from repro.core import convention, fastpath
+from repro.core import convention
+
+
+@contextlib.contextmanager
+def traced():
+    """Experiment machines built inside keep their transition trace on
+    (``_tune`` is what switches it off)."""
+    tune = experiments._tune
+    experiments._tune = lambda machine: None
+    try:
+        yield
+    finally:
+        experiments._tune = tune
+
 
 #: Every Table-4 column: native plus each system x variant.
 COLUMNS = [(None, False)] + [(name, optimized)
@@ -18,12 +35,13 @@ COLUMNS = [(None, False)] + [(name, optimized)
 
 
 def _column_deltas(system_name, optimized, iterations=3):
-    """Raw per-op counter deltas for one Table-4 column."""
+    """Raw per-op counter deltas for one Table-4 column, and whether its
+    machine recorded its transition trace."""
     if system_name is None:
         surface = experiments._native_surface()
     else:
         surface = experiments._surface_for(system_name, optimized)
-    out = {}
+    out = {"traced": experiments._machine_of(surface).cpu.trace.enabled}
     for op, (method, divisor) in experiments.TABLE4_OPS.items():
         m = experiments._measure_op(surface, method, divisor, iterations)
         out[op] = (m.delta.instructions, m.delta.cycles,
@@ -37,10 +55,10 @@ class TestTable4Golden:
                                   for n, o in COLUMNS])
     def test_counters_identical(self, system_name, optimized):
         convention.clear_caches()
-        with fastpath.scoped(False):
+        with traced():
             slow = _column_deltas(system_name, optimized)
-        with fastpath.scoped(True):
-            fast = _column_deltas(system_name, optimized)
+        fast = _column_deltas(system_name, optimized)
+        assert slow.pop("traced") and not fast.pop("traced")
         for op in slow:
             s_insns, s_cycles, s_events = slow[op]
             f_insns, f_cycles, f_events = fast[op]
@@ -51,17 +69,15 @@ class TestTable4Golden:
 
 class TestMergedResults:
     def test_run_table4_identical(self):
-        with fastpath.scoped(False):
+        with traced():
             slow = experiments.run_table4(iterations=2)
-        with fastpath.scoped(True):
-            fast = experiments.run_table4(iterations=2)
+        fast = experiments.run_table4(iterations=2)
         assert slow == fast
 
     def test_table5_cell_identical(self):
-        with fastpath.scoped(False):
+        with traced():
             slow = experiments.table5_cell("uptime")
-        with fastpath.scoped(True):
-            fast = experiments.table5_cell("uptime")
+        fast = experiments.table5_cell("uptime")
         assert slow == fast
 
 

@@ -1,17 +1,18 @@
-"""Stepwise oracle vs fused fast path on raw call sequences.
+"""Traced vs untraced CPUs on raw call sequences.
 
-``tests/analysis/test_fastpath_equivalence.py`` holds the two tiers
-bit-identical on the paper's tables.  These cases drive
-``WorldCallRuntime.call`` and the Figure-4 cross-VM round trip
+``tests/analysis/test_fastpath_equivalence.py`` holds traced and
+untraced machines bit-identical on the paper's tables.  These cases
+drive ``WorldCallRuntime.call`` and the Figure-4 cross-VM round trip
 directly and mutate the machine between two hot bursts — an
 evict/restore of the callee's entry, a revocation of the callee, a
 non-executable remap of its entry page, a cleared EPTP slot — so the
-fast path's caches must notice the change exactly where the
-step-by-step path does.  After every call the results, the counters
-and the CPU's architectural state must agree between the tiers.
+caches of the untraced run (and the Figure-4 round trip's straight-line
+halves) must notice the change exactly where the traced, step-by-step
+run does.  After every call the results, the counters and the CPU's
+architectural state must agree between the two.
 """
 
-from repro.core import convention, fastpath
+from repro.core import convention
 from repro.core.crossvm import CrossVMSyscallMechanism
 from repro.testbed import build_two_vm_machine, enter_vm_kernel
 
@@ -50,15 +51,16 @@ def _record(machine, results, call):
 
 
 def _run_sequence(fast, mutate=None):
-    """12 calls, an optional mid-workload mutation, 12 more calls;
-    returns (per-call records, (instructions, cycles, events), the
-    caller's call-stack depth after each call)."""
+    """12 calls, an optional mid-workload mutation, 12 more calls, with
+    the transition trace off (``fast``) or on; returns (per-call
+    records, (instructions, cycles, events), the caller's call-stack
+    depth after each call)."""
     convention.clear_caches()
     machine, runtime, caller, callee = _build_worldcall_harness(
         lambda request: ("pong", request.payload))
     results = []
     depths = []
-    with fastpath.scoped(fast), machine.cpu.trace.scoped(False):
+    with machine.cpu.trace.scoped(not fast):
         def record(payload):
             _record(machine, results,
                     lambda: runtime.call(caller, callee.wid, payload))
@@ -123,8 +125,9 @@ class TestWorldCallTiers:
 def _run_crossvm(fast, mutate=None):
     """Figure-4 round trips (``getpid``, ``readdir``, a remote errno, a
     reply too large for the shared page and a request too large for
-    it), an optional mid-workload mutation, then the same again;
-    returns the per-call records, the recoveries and the pair's
+    it), an optional mid-workload mutation, then the same again, with
+    the transition trace off (``fast``: the straight-line halves) or
+    on; returns the per-call records, the recoveries and the pair's
     completed VMFUNC round trips."""
     convention.clear_caches()
     machine, vm1, k1, vm2, k2 = build_two_vm_machine()
@@ -139,7 +142,7 @@ def _run_crossvm(fast, mutate=None):
              lambda: mech.call_function(vm1, vm2,
                                         lambda _: b"x" * 90_000),
              lambda: mech.call(vm1, vm2, "write", 1, b"x" * 90_000)]
-    with fastpath.scoped(fast), machine.cpu.trace.scoped(False):
+    with machine.cpu.trace.scoped(not fast):
         def burst():
             for _ in range(4):
                 for call in calls:

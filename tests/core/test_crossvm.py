@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core import fastpath
 from repro.core.crossvm import (
     CROSS_CODE_GVA,
     CrossVMSyscallMechanism,
@@ -146,6 +145,8 @@ class TestCall:
         with pytest.raises(SimulationError):
             mech.call(vm1, vm2, "write", 1, b"x" * (90 * 4096))
 
+    # ``fused`` runs the round trip untraced, as its two straight-line
+    # halves; ``stepwise`` runs it with the transition trace on.
     @pytest.mark.parametrize("fast", [True, False],
                              ids=["fused", "stepwise"])
     def test_oversized_reply_unwinds_to_caller(self, mechanism, fast):
@@ -160,7 +161,7 @@ class TestCall:
             return (cpu.mode, cpu.ring, cpu.cr3, cpu.eptp, cpu.vm_name,
                     cpu.interrupts.idt, cpu.interrupts.interrupts_enabled)
 
-        with fastpath.scoped(fast), cpu.trace.scoped(False):
+        with cpu.trace.scoped(not fast):
             before = context()
             with pytest.raises(SimulationError, match="exceeds the shared"):
                 mech.call_function(vm1, vm2, lambda _: b"x" * 90_000)
@@ -182,7 +183,7 @@ class TestCall:
             return (cpu.mode, cpu.ring, cpu.cr3, cpu.eptp, cpu.vm_name,
                     cpu.interrupts.idt, cpu.interrupts.interrupts_enabled)
 
-        with fastpath.scoped(fast), cpu.trace.scoped(False):
+        with cpu.trace.scoped(not fast):
             before = context()
             cycles = cpu.perf.cycles
             with pytest.raises(SimulationError, match="exceeds the shared"):
@@ -200,7 +201,7 @@ class TestCall:
         service that drops to ring 3 faults there in both tiers."""
         machine, vm1, k1, vm2, k2, mech = mechanism
         cpu = machine.cpu
-        with fastpath.scoped(fast), cpu.trace.scoped(False):
+        with cpu.trace.scoped(not fast):
             with pytest.raises(GeneralProtectionFault,
                                match="cli requires CPL 0, current CPL 3"):
                 mech.call_function(vm1, vm2, lambda _: cpu.sysret())

@@ -11,7 +11,7 @@ back in.
 """
 
 from repro import faults
-from repro.core import convention, fastpath
+from repro.core import convention
 from repro.faults import FaultEngine
 
 
@@ -51,7 +51,7 @@ def _steady_state_counts(monkeypatch):
     machine, runtime, caller, callee = _build_worldcall_harness(
         lambda request: ("pong", request.payload))
     payload = ("ping", 7)
-    with fastpath.scoped(True), machine.cpu.trace.scoped(False):
+    with machine.cpu.trace.scoped(False):
         # Warm the round-trip cache outside the counted window.
         for _ in range(4):
             runtime.call(caller, callee.wid, payload)

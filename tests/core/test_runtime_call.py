@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro import observe
+from repro import switchless as sl
 from repro.core.authorization import AllowListPolicy
 from repro.core.call import CallRequest, WorldCallRuntime
 from repro.core.world import WorldRegistry
@@ -15,6 +17,7 @@ from repro.errors import (
     WorldCallError,
 )
 from repro.hw.costs import FEATURES_CROSSOVER
+from repro.switchless import SwitchlessEngine
 from repro.testbed import build_two_vm_machine, enter_vm_kernel
 
 
@@ -125,12 +128,41 @@ class TestBasicCalls:
         assert harness.k2.current is sentinel
 
 
+class _Collector:
+    """A bare bus observer that keeps every record."""
+
+    def __init__(self):
+        self.events = []
+
+    def on_event(self, event):
+        self.events.append(event)
+
+
 class TestAuthorization:
-    def test_denied_caller(self):
+    @pytest.mark.parametrize("traced", [False, True],
+                             ids=["untraced", "traced"])
+    @pytest.mark.parametrize("mechanism",
+                             ["baseline", "world_call", "switchless"])
+    def test_denied_caller(self, mechanism, traced):
+        """The protected path: a caller outside the allow list is refused
+        under every call mechanism, traced or not — the handler never
+        runs, the caller is left as it was, and exactly one ``deny``
+        decision is published."""
         harness = Harness(policy=AllowListPolicy())   # empty allow list
-        with pytest.raises(AuthorizationDenied):
-            harness.call("echo")
-        assert harness.caller.matches_cpu(harness.machine.cpu)
+        cpu = harness.machine.cpu
+        cpu.trace.enabled = traced
+        engine = (SwitchlessEngine(force=True)
+                  if mechanism == "switchless" else None)
+        collector = _Collector()
+        with sl.scoped(engine), observe.scoped("audit", collector), \
+                pytest.raises(AuthorizationDenied):
+            harness.call("echo", mechanism=mechanism)
+        assert harness.handler_log == []
+        assert harness.caller.call_stack == []
+        assert harness.caller.matches_cpu(cpu)
+        decisions = [e.decision for e in collector.events
+                     if e.kind == "authorization"]
+        assert decisions == ["deny"], decisions
 
     def test_granted_caller(self):
         policy = AllowListPolicy()

@@ -1,14 +1,14 @@
 """WT/IWT cache-miss refill under injected incoherence (satellite of
 the fault-injection PR): the hypervisor's ``manage_wtc`` refill must
 make a flushed cache transparent — same results and bit-identical
-:class:`~repro.hw.perf.PerfCounters` whether the marshaling fast path
-is on or off — and translation memos must never survive a mapping
-epoch bump."""
+:class:`~repro.hw.perf.PerfCounters` whether the CPU records its
+transition trace or not — and translation memos must never survive a
+mapping epoch bump."""
 
 import pytest
 
 from repro import faults
-from repro.core import convention, fastpath
+from repro.core import convention
 from repro.errors import WorldTableCacheMiss
 from repro.faults import FaultEngine, FaultPlan
 from repro.faults.campaign import _WorldCallCell
@@ -16,15 +16,15 @@ from repro.faults.sites import SITES
 from repro.hw import mem
 
 
-def _run_flushed_sequence(use_fastpath: bool, ops: int = 3):
+def _run_flushed_sequence(traced: bool, ops: int = 3):
     """Build a fresh world-call cell and run ``ops`` calls with a WT/IWT
-    cache flush injected on the middle one; returns (results, snapshot).
+    cache flush injected on the middle one, with the transition trace on
+    or (as the campaign cells run) off; returns (results, snapshot).
     """
     convention.clear_caches()
-    was_fast = fastpath.enabled()
-    (fastpath.enable if use_fastpath else fastpath.disable)()
     try:
         cell = _WorldCallCell("ShadowContext", ())
+        cell.cpu.trace.enabled = traced
         site = SITES["hw.wt_cache_incoherence"]
         plan = FaultPlan(site=site.name, schedule=(ops // 2,), budget=1)
         results = []
@@ -37,33 +37,30 @@ def _run_flushed_sequence(use_fastpath: bool, ops: int = 3):
             assert engine.fired_counts() == {site.name: 1}
         return results, cell.cpu.perf.snapshot()
     finally:
-        (fastpath.enable if was_fast else fastpath.disable)()
         convention.clear_caches()
 
 
 class TestRefillEquivalence:
     def test_refill_transparent_to_results(self):
-        results, _ = _run_flushed_sequence(use_fastpath=False)
+        results, _ = _run_flushed_sequence(traced=True)
         assert len(set(map(repr, results))) == 1
 
     def test_slow_and_fastpath_counters_bit_identical(self):
-        _, slow = _run_flushed_sequence(use_fastpath=False)
-        _, fast = _run_flushed_sequence(use_fastpath=True)
+        _, slow = _run_flushed_sequence(traced=True)
+        _, fast = _run_flushed_sequence(traced=False)
         assert slow.instructions == fast.instructions
         assert slow.cycles == fast.cycles
         assert slow.events == fast.events
 
     def test_two_faulted_runs_bit_identical(self):
-        _, first = _run_flushed_sequence(use_fastpath=True)
-        _, second = _run_flushed_sequence(use_fastpath=True)
+        _, first = _run_flushed_sequence(traced=False)
+        _, second = _run_flushed_sequence(traced=False)
         assert first == second
 
     def test_refill_charges_wt_walk_and_manage_wtc(self):
-        _, clean = _run_flushed_sequence(use_fastpath=True, ops=2)
+        _, clean = _run_flushed_sequence(traced=False, ops=2)
         # same sequence but the flush scheduled past the end: no fire
         convention.clear_caches()
-        was_fast = fastpath.enabled()
-        fastpath.enable()
         try:
             cell = _WorldCallCell("ShadowContext", ())
             site = SITES["hw.wt_cache_incoherence"]
@@ -76,8 +73,6 @@ class TestRefillEquivalence:
                     engine.end_operation()
             unfaulted = cell.cpu.perf.snapshot()
         finally:
-            if not was_fast:
-                fastpath.disable()
             convention.clear_caches()
         # the faulted run pays extra wt walks + manage_wtc refills
         assert clean.events.get("wt_walk", 0) \

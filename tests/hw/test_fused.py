@@ -1,16 +1,13 @@
-"""Fused cost charging: batches must equal step-by-step charging."""
+"""Fused charging: one batched ``(cost, events)`` charge must equal
+charging the same primitives one by one."""
 
 import pytest
 
-from repro.hw import fused
+from repro.core.crossvm import _batch, _enter_charge, _enter_fault_charge
 from repro.hw.costs import Cost, DEFAULT_COST_MODEL
-from repro.hw.perf import WORLD_SWITCH_KINDS, PerfCounters
+from repro.hw.perf import PerfCounters
 
-
-def _charged(apply):
-    perf = PerfCounters()
-    apply(perf)
-    return perf
+CM = DEFAULT_COST_MODEL
 
 
 class TestChargeBatch:
@@ -38,64 +35,36 @@ class TestChargeBatch:
 
 
 class TestFuse:
+    """The Figure-4 round trip's batch builder."""
+
     def test_fuse_sums_costs_and_counts(self):
-        record = fused.fuse(DEFAULT_COST_MODEL,
-                            ("cr3_write", ("int_toggle", 2), "idt_switch"))
-        expected = (DEFAULT_COST_MODEL.cr3_write
-                    + DEFAULT_COST_MODEL.int_toggle.scaled(2)
-                    + DEFAULT_COST_MODEL.idt_switch)
-        assert record.cost == expected
-        assert record.events == {"cr3_write": 1, "int_toggle": 2,
-                                 "idt_switch": 1}
-
-    def test_fuse_memoizes_per_model(self):
-        a = fused.fuse(DEFAULT_COST_MODEL, ("vmexit",))
-        b = fused.fuse(DEFAULT_COST_MODEL, ("vmexit",))
-        assert a is b
-
-    def test_world_switch_classification_reuses_perf_kinds(self):
-        record = fused.fuse(DEFAULT_COST_MODEL,
-                            ("vmexit", "vmentry", "idt_switch", "cr3_write"))
-        expected = sum(1 for k in ("vmexit", "vmentry", "idt_switch",
-                                   "cr3_write")
-                       if k in WORLD_SWITCH_KINDS)
-        assert record.world_switches == expected == 2
+        cost, events = _batch(CM, (("cr3_write", 1), ("int_toggle", 2),
+                                   ("idt_switch", 1)))
+        assert cost == CM.cr3_write + CM.int_toggle.scaled(2) + CM.idt_switch
+        assert events == {"cr3_write": 1, "int_toggle": 2, "idt_switch": 1}
 
     def test_apply_with_extra_cost(self):
-        record = fused.fuse(DEFAULT_COST_MODEL, (("int_toggle", 2),))
-        extra = DEFAULT_COST_MODEL.copy(160)
-        perf = _charged(lambda p: record.apply(p, extra=extra))
-        assert perf.cycles == record.cost.cycles + extra.cycles
-        assert perf.events["int_toggle"] == 2
+        """Copies ride on the fixed part: each adds its own cost and
+        one ``copy`` event; no copies, no ``copy`` event."""
+        fixed, _ = _batch(CM, (("int_toggle", 2),))
+        cost, events = _batch(CM, (("int_toggle", 2),), 160, 3)
+        assert cost == fixed + CM.copy(160) + CM.copy(3)
+        assert events == {"int_toggle": 2, "copy": 2}
+        perf = PerfCounters()
+        perf.charge_batch(cost, events)
+        assert perf.cycles == cost.cycles
+        assert "copy" not in _batch(CM, (("int_toggle", 2),))[1]
 
 
 class TestShapes:
-    def test_syscall_entry_matches_sequential(self):
-        seq = PerfCounters()
-        for kind in ("user_wrapper", "syscall_trap", "syscall_dispatch"):
-            seq.charge(kind, getattr(DEFAULT_COST_MODEL, kind))
-        perf = _charged(fused.syscall_entry(DEFAULT_COST_MODEL).apply)
-        assert (perf.instructions, perf.cycles) == (seq.instructions,
-                                                    seq.cycles)
-        assert dict(perf.events) == dict(seq.events)
-
-    def test_vmexit_roundtrip_matches_sequential(self):
-        seq = PerfCounters()
-        for kind in ("vmexit", "vmexit_handle", "vmentry"):
-            seq.charge(kind, getattr(DEFAULT_COST_MODEL, kind))
-        perf = _charged(fused.vmexit_roundtrip(DEFAULT_COST_MODEL).apply)
-        assert dict(perf.events) == dict(seq.events)
-        assert perf.cycles == seq.cycles
-
-    def test_callee_entry_includes_sched_reload(self):
-        reload_cost = Cost(15, 50)
-        record = fused.world_call_callee_entry(DEFAULT_COST_MODEL,
-                                               sched_reload=reload_cost)
-        assert record.events == {"sched_reload": 1, "world_authorize": 1}
-        assert record.cost == reload_cost + DEFAULT_COST_MODEL.world_authorize
-
     @pytest.mark.parametrize("install", [True, False])
     def test_crossvm_enter_idt_variants(self, install):
-        record = fused.crossvm_enter(DEFAULT_COST_MODEL, install_idt=install)
-        assert record.events.get("idt_switch", 0) == (1 if install else 0)
-        assert record.events["vmfunc_ept_switch"] == 1
+        """The enter half always installs IDT2 and switches once; when
+        the switch faults the unwind charges no switch and restores the
+        saved IDT only if there was one."""
+        _, events = _enter_charge(CM, 8)
+        assert events["idt_switch"] == 1
+        assert events["vmfunc_ept_switch"] == 1
+        _, events = _enter_fault_charge(CM, install, 8)
+        assert events["idt_switch"] == (2 if install else 1)
+        assert "vmfunc_ept_switch" not in events

@@ -5,7 +5,7 @@ import pytest
 from repro.errors import SimulationError
 from repro.hw.costs import Cost
 from repro.hw.idt import IDT, InterruptState
-from repro.hw.perf import PerfCounters
+from repro.hw.perf import WORLD_SWITCH_KINDS, PerfCounters
 from repro.hw.registers import (
     MSR_EPTP_LIST,
     MSR_WORLD_TABLE,
@@ -146,6 +146,16 @@ class TestPerfCounters:
         perf.charge("world_call", Cost(0, 1))
         perf.charge("copy", Cost(0, 1))       # not a switch
         assert snap.delta(perf.snapshot()).world_switches == 3
+
+    def test_world_switch_classification_reuses_perf_kinds(self):
+        """A batched charge counts its world switches by the same kind
+        set: exits and entries are switches, IDT and CR3 loads are not."""
+        kinds = ("vmexit", "vmentry", "idt_switch", "cr3_write")
+        perf = PerfCounters()
+        snap = perf.snapshot()
+        perf.charge_batch(Cost(0, 1), dict.fromkeys(kinds, 1))
+        expected = sum(1 for k in kinds if k in WORLD_SWITCH_KINDS)
+        assert snap.delta(perf.snapshot()).world_switches == expected == 2
 
     def test_reset(self):
         perf = PerfCounters()

@@ -193,16 +193,15 @@ class TestParallelDeterminism:
 
     def _record(self, workers):
         from repro.analysis import parallel
-        from repro.core import convention, fastpath
+        from repro.core import convention
         from repro.switchless import campaign  # noqa: F401
         convention.clear_caches()
-        with fastpath.scoped(True):
-            telemetry.install(telemetry.TelemetrySession.lightweight("t"))
-            try:
-                with observatory.scoped() as obs:
-                    parallel.run_cells(list(self.SPECS), workers=workers)
-            finally:
-                telemetry.uninstall()
+        telemetry.install(telemetry.TelemetrySession.lightweight("t"))
+        try:
+            with observatory.scoped() as obs:
+                parallel.run_cells(list(self.SPECS), workers=workers)
+        finally:
+            telemetry.uninstall()
         return obs.cells
 
     def test_cells_byte_identical_across_worker_counts(self):

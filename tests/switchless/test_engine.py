@@ -22,10 +22,10 @@ def _run_harness(engine, bursts=((50, 200_000), (50, 200_000))):
     """Replay a fixed burst/idle schedule with ``engine`` installed
     (or None); returns (cycles spent inside calls, final perf snapshot).
     """
-    from repro.core import convention, fastpath
+    from repro.core import convention
 
     convention.clear_caches()
-    with fastpath.scoped(True), sl.scoped(engine):
+    with sl.scoped(engine):
         harness = _WorldCallHarness()
         cpu = harness.cpu
         spent = 0
@@ -101,11 +101,11 @@ class TestAdaptiveRouting:
     def test_flipped_site_routes_through_the_ring(self):
         """Once the policy flips a hot site at a window boundary, every
         later call on it is served by the ring, not by world_call."""
-        from repro.core import convention, fastpath
+        from repro.core import convention
 
         convention.clear_caches()
         engine = SwitchlessEngine()
-        with fastpath.scoped(True), sl.scoped(engine):
+        with sl.scoped(engine):
             harness = _WorldCallHarness()
             for _ in range(50):
                 harness.call()
@@ -152,41 +152,38 @@ class TestStatsAndConfig:
 
 class TestMechanismSeam:
     def test_switchless_without_engine_raises(self):
-        from repro.core import convention, fastpath
+        from repro.core import convention
 
         convention.clear_caches()
-        with fastpath.scoped(True):
-            harness = _WorldCallHarness()
-            with pytest.raises(ConfigurationError):
-                harness.runtime.call(harness.caller, harness.callee.wid,
-                                     ("getppid",), authorize=False,
-                                     mechanism="switchless")
+        harness = _WorldCallHarness()
+        with pytest.raises(ConfigurationError):
+            harness.runtime.call(harness.caller, harness.callee.wid,
+                                 ("getppid",), authorize=False,
+                                 mechanism="switchless")
 
     def test_unknown_mechanism_rejected(self):
-        from repro.core import convention, fastpath
+        from repro.core import convention
 
         convention.clear_caches()
-        with fastpath.scoped(True):
-            harness = _WorldCallHarness()
-            with pytest.raises(ConfigurationError):
-                harness.runtime.call(harness.caller, harness.callee.wid,
-                                     ("getppid",), authorize=False,
-                                     mechanism="sideways")
+        harness = _WorldCallHarness()
+        with pytest.raises(ConfigurationError):
+            harness.runtime.call(harness.caller, harness.callee.wid,
+                                 ("getppid",), authorize=False,
+                                 mechanism="sideways")
 
     def test_explicit_mechanisms_agree_on_results(self):
-        from repro.core import convention, fastpath
+        from repro.core import convention
 
         convention.clear_caches()
-        with fastpath.scoped(True):
-            harness = _WorldCallHarness()
-            via_world = harness.runtime.call(
+        harness = _WorldCallHarness()
+        via_world = harness.runtime.call(
+            harness.caller, harness.callee.wid, ("getppid",),
+            authorize=False, mechanism="world_call")
+        engine = SwitchlessEngine(force=True)
+        with sl.scoped(engine):
+            via_ring = harness.runtime.call(
                 harness.caller, harness.callee.wid, ("getppid",),
-                authorize=False, mechanism="world_call")
-            engine = SwitchlessEngine(force=True)
-            with sl.scoped(engine):
-                via_ring = harness.runtime.call(
-                    harness.caller, harness.callee.wid, ("getppid",),
-                    authorize=False, mechanism="switchless")
+                authorize=False, mechanism="switchless")
         assert via_world == via_ring
         assert engine.stats.calls == 1
 

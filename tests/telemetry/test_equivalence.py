@@ -2,17 +2,21 @@
 
 With a session installed, every modeled quantity — instructions,
 cycles, per-event counts — must be bit-identical to a telemetry-off
-run, with the fast path both off and on (telemetry hooks observe; they
-never charge)."""
+run, on traced machines (``slowpath``) and on untraced ones
+(``fastpath``): telemetry hooks observe; they never charge."""
+
+import contextlib
 
 import pytest
 
 from repro import telemetry
 from repro.analysis import experiments
-from repro.core import convention, fastpath
+from repro.core import convention
 
-#: A cross-section of Table-4 columns: the native surface, a plain
-#: baseline, the fused-fast-path-heavy baseline, and an optimized path.
+from tests.analysis.test_fastpath_equivalence import traced
+
+#: A cross-section of Table-4 columns: the native surface, two
+#: trap-based baselines, and an optimized path.
 COLUMNS = [(None, False), ("Proxos", False), ("ShadowContext", False),
            ("HyperShell", True)]
 
@@ -36,11 +40,11 @@ def _column_deltas(system_name, optimized, iterations=2):
                               for n, o in COLUMNS])
 def test_counters_identical_with_telemetry(system_name, optimized, fast):
     convention.clear_caches()
-    with fastpath.scoped(fast):
+    with contextlib.nullcontext() if fast else traced():
         plain = _column_deltas(system_name, optimized)
         with telemetry.scoped("equivalence"):
-            traced = _column_deltas(system_name, optimized)
-    assert traced == plain
+            observed = _column_deltas(system_name, optimized)
+    assert observed == plain
 
 
 @pytest.mark.parametrize("fast", [False, True], ids=["slowpath", "fastpath"])
@@ -50,9 +54,9 @@ def test_counters_identical_with_telemetry(system_name, optimized, fast):
 def test_counters_identical_with_counters_only_session(system_name,
                                                        optimized, fast):
     """The same invariant under :meth:`TelemetrySession.lightweight`,
-    on the stepwise tier and on the fused tier."""
+    traced and untraced."""
     convention.clear_caches()
-    with fastpath.scoped(fast):
+    with contextlib.nullcontext() if fast else traced():
         plain = _column_deltas(system_name, optimized)
         session = telemetry.install(
             telemetry.TelemetrySession.lightweight("equivalence"))
@@ -65,20 +69,20 @@ def test_counters_identical_with_counters_only_session(system_name,
 
 
 def test_fastpath_equivalence_holds_under_telemetry():
-    """The PR-1 golden invariant (fast path == slow path) still holds
+    """The golden invariant (traced == untraced counters) still holds
     while a telemetry session is collecting."""
     convention.clear_caches()
     with telemetry.scoped("equivalence"):
-        with fastpath.scoped(False):
-            slow = _column_deltas("ShadowContext", False)
-        with fastpath.scoped(True):
-            fast = _column_deltas("ShadowContext", False)
-    assert fast == slow
+        for optimized in (False, True):
+            with traced():
+                slow = _column_deltas("ShadowContext", optimized)
+            fast = _column_deltas("ShadowContext", optimized)
+            assert fast == slow, optimized
 
 
 def test_figure4_identical_with_telemetry():
     plain = experiments.run_figure4()
     with telemetry.scoped("fig4") as session:
-        traced = experiments.run_figure4()
-    assert traced == plain
+        observed = experiments.run_figure4()
+    assert observed == plain
     assert session.metrics.family("core.crossvm_roundtrips")

@@ -2,6 +2,7 @@
 observer, and observers that never move a modeled counter."""
 
 import ast
+import contextlib
 from pathlib import Path
 
 import pytest
@@ -9,7 +10,9 @@ import pytest
 from repro import audit, observatory, observe, telemetry
 from repro.analysis import experiments
 from repro.audit.recorder import FlightRecorder
-from repro.core import convention, fastpath
+from repro.core import convention
+
+from tests.analysis.test_fastpath_equivalence import traced
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
@@ -122,9 +125,10 @@ def _column_deltas(system_name, optimized, iterations=2):
 def test_counters_identical_under_all_four_observers(system_name, optimized,
                                                      fast):
     """Every bus observer stacked (telemetry, audit, observatory; the
-    name still counts xray, which has left the bus) moves no counter."""
+    name still counts xray, which has left the bus) moves no counter,
+    on untraced machines (``fused``) and on traced ones (``stepwise``)."""
     convention.clear_caches()
-    with fastpath.scoped(fast):
+    with contextlib.nullcontext() if fast else traced():
         plain = _column_deltas(system_name, optimized)
         with telemetry.scoped("stacked") as session, \
                 audit.scoped(FlightRecorder("stacked")) as recorder, \

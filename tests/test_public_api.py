@@ -27,10 +27,10 @@ class TestPublicAPI:
         machine = repro.Machine(features=repro.FEATURES_CROSSOVER)
         assert machine.cpu.features.crossover
 
-    def test_fastpath_is_the_only_environment_knob(self):
-        """``REPRO_FASTPATH`` (stepwise oracle vs fused fast path) is the
-        one execution-tier switch; no other ``REPRO_*`` variable may be
-        read anywhere in the package."""
+    def test_no_environment_knobs(self):
+        """No ``REPRO_*`` environment variable is read anywhere in the
+        package: which path a call takes follows the CPU's transition
+        trace, never a process-wide switch."""
         import ast
         import os
 
@@ -64,7 +64,7 @@ class TestPublicAPI:
                         if name is not None:
                             found.setdefault(name, []).append(
                                 os.path.relpath(path, root))
-        assert set(found) == {"REPRO_FASTPATH"}, found
+        assert found == {}, found
 
 
 class TestErrorHierarchy:

@@ -19,18 +19,15 @@ from repro.analysis.calibration import (
 )
 from repro.analysis.measure import (Measurement, measure_callable,
                                     measured_region)
-from repro.core.call import MECHANISMS, CallRequest, WorldCallRuntime
-from repro.core.world import WorldRegistry
-from repro.errors import ConfigurationError, GuestOSError
+from repro.core.call import MECHANISMS, WorldCallRuntime
+from repro.errors import ConfigurationError
 from repro.guestos.kernel import Kernel, SyscallRedirector
 from repro.guestos.process import Process
-from repro.hw.costs import FEATURES_CROSSOVER, FEATURES_VMFUNC
-from repro.hw.vmx import ExitReason
-from repro.hypervisor.injection import VECTOR_SYSCALL_REDIRECT
+from repro.hw.costs import FEATURES_VMFUNC
 from repro.machine import Machine
 from repro.systems import HyperShell, Proxos, ShadowContext, Tahoma
-from repro.testbed import build_single_vm_machine, build_two_vm_machine, \
-    enter_vm_kernel
+from repro.testbed import (WorldPair, build_single_vm_machine,
+                           build_two_vm_machine, enter_vm_kernel)
 from repro.workloads.lmbench import (
     HostShellSurface,
     LibOSSurface,
@@ -337,9 +334,10 @@ class _WorldCallRedirector(SyscallRedirector):
 
 class _MinimalHypervisorRedirector(SyscallRedirector):
     """The Table-7 "w/o CrossOver" path: the leanest hypervisor-mediated
-    redirection (exit, inject, in-kernel execution, exit, resume) with
-    no dummy-process context switch — matching the paper's QEMU setup
-    where "there are rare context switches during this test"."""
+    redirection (the hypervisor's one frame, with the syscall executed
+    in the remote kernel) and no dummy-process context switch —
+    matching the paper's QEMU setup where "there are rare context
+    switches during this test"."""
 
     def __init__(self, machine: Machine, local_vm, remote_vm,
                  executor: Process) -> None:
@@ -354,57 +352,21 @@ class _MinimalHypervisorRedirector(SyscallRedirector):
         return name not in LOCAL_ONLY_SYSCALLS
 
     def redirect(self, proc, name, args, kwargs):
-        cpu = self.machine.cpu
-        hypervisor = self.machine.hypervisor
-        cpu.vmexit(ExitReason.VMCALL, "redirect")
-        cpu.charge("vmexit_handle")
-        hypervisor.injector.inject(cpu, self.remote_vm,
-                                   VECTOR_SYSCALL_REDIRECT, "syscall")
-        hypervisor.launch(cpu, self.remote_vm, "deliver")
-        if cpu.ring != 0:
-            cpu.syscall_trap("enter remote kernel")
         remote: Kernel = self.remote_vm.kernel
-        try:
-            result = remote.execute_syscall(self.executor, name, *args,
-                                            **kwargs)
-        except GuestOSError as err:
-            result = err
-        cpu.vmexit(ExitReason.VMCALL, "done")
-        cpu.charge("vmexit_handle")
-        hypervisor.launch(cpu, self.local_vm, "resume")
-        if isinstance(result, GuestOSError):
-            raise result
-        return result
+        return self.machine.hypervisor.redirect(
+            self.machine.cpu, self.local_vm, self.remote_vm,
+            lambda: remote.execute_syscall(self.executor, name, *args,
+                                           **kwargs))
 
 
 def _crossover_surface() -> NativeSurface:
     """Two VMs on CrossOver hardware with kernel worlds + world_call
     redirection (authorize off, per Section 7.2)."""
-    machine, vm1, k1, vm2, k2 = build_two_vm_machine(
-        features=FEATURES_CROSSOVER)
-    _tune(machine)
-    registry = WorldRegistry(machine)
-    runtime = WorldCallRuntime(machine, registry)
-    executor = k2.spawn("world-executor")
-
-    def entry(request: CallRequest):
-        name, *args = request.payload
-        return k2.syscalls.invoke(executor, name, *args)
-
-    enter_vm_kernel(machine, vm1)
-    caller_world = registry.create_kernel_world(k1, label="K(vm1)")
-    enter_vm_kernel(machine, vm2)
-    callee_world = registry.create_kernel_world(k2, handler=entry,
-                                                service_process=executor,
-                                                label="K(vm2)")
-    enter_vm_kernel(machine, vm1)
-    runtime.setup_channel(caller_world, callee_world, pages=16)
-    redirector = _WorldCallRedirector(runtime, caller_world,
-                                      callee_world.wid)
-    k1.install_redirector(redirector)
-
+    pair = WorldPair()
+    pair.k1.install_redirector(_WorldCallRedirector(
+        pair.runtime, pair.caller, pair.callee.wid))
     # Reuse RedirectedSurface mechanics without a CrossWorldSystem.
-    surface = NativeSurface(k1)
+    surface = NativeSurface(pair.k1)
     surface.label = "crossover-worldcall"
     return surface
 

@@ -87,6 +87,17 @@ def publish_authorization(caller_wid: int, callee_wid: int, decision: str,
             callee_wid=callee_wid, decision=decision, detail=detail))
 
 
+def callee_outcome(value: Any, caller_wid: int) -> Any:
+    """The caller side of every mechanism's return: re-raise an error
+    the callee half reported (a denial names the caller's own WID, which
+    the wire does not carry), or return the result."""
+    if isinstance(value, AuthorizationDenied):
+        raise AuthorizationDenied(caller_wid, value.detail)
+    if isinstance(value, (GuestOSError, WorldCallError)):
+        raise value
+    return value
+
+
 @dataclass
 class RecoveryConfig:
     """Which graceful-degradation policies the runtime may use.
@@ -401,9 +412,9 @@ class WorldCallRuntime:
                 presented_wid = forged
         callee = self.registry.get(callee_wid)
         try:
-            result = self._run_callee(callee, callee_wid,
-                                      presented_wid, decoded,
-                                      in_registers, channel, authorize)
+            result = self._run_callee(callee, callee_wid, presented_wid,
+                                      decoded, authorize,
+                                      None if in_registers else channel)
         except CalleeHang:
             return self._recover_from_hang(caller, callee)
 
@@ -451,16 +462,9 @@ class WorldCallRuntime:
 
         if not result_in_regs:
             assert channel is not None
-            result_wire = channel.read_payload(cpu, self.machine.memory)
-            value = convention.decode(result_wire)
-        if isinstance(value, GuestOSError):
-            raise value
-        if isinstance(value, tuple) and len(value) == 2 and \
-                value[0] == "__denied__":
-            raise AuthorizationDenied(caller.wid, value[1])
-        if isinstance(value, tuple) and len(value) == 2 and \
-                value[0] == "__wcerr__":
-            raise WorldCallError(value[1])
+            value = convention.decode(
+                channel.read_payload(cpu, self.machine.memory))
+        value = callee_outcome(value, caller.wid)
         self.calls_completed += 1
         return value
 
@@ -537,87 +541,43 @@ class WorldCallRuntime:
         """The pre-CrossOver redirection path, used as a fallback.
 
         Models the baseline mechanism the paper compares against: the
-        caller vmcalls out, the hypervisor injects a virtual interrupt
-        into the callee's VM and enters it, the handler runs there, and
-        a second exit/entry pair brings the result back.  Much more
-        expensive than ``world_call`` (two full world-switch round
-        trips) but it works without a live world-table entry.
+        hypervisor's redirection frame
+        (:meth:`~repro.hypervisor.hypervisor.Hypervisor.redirect`) runs
+        the shared callee half in the callee's VM.  Much more expensive
+        than ``world_call`` (two full world-switch round trips) but it
+        works without a live world-table entry.  Payload and result are
+        marshaled like every other mechanism's, so the callee never
+        aliases the caller's objects.
         """
-        from repro.hw.vmx import ExitReason
-        from repro.hypervisor.injection import VECTOR_SYSCALL_REDIRECT
-
-        cpu = self.machine.cpu
-        hypervisor = self.machine.hypervisor
         callee = self.registry.get(callee_wid)
         assert callee is not None     # _legacy_available checked
-        caller_vm = caller.entry.owner_vm
-        callee_vm = callee.entry.owner_vm
-
-        cpu.vmexit(ExitReason.VMCALL, "world_call legacy fallback")
-        cpu.charge("vmexit_handle")
-        hypervisor.injector.inject(cpu, callee_vm, VECTOR_SYSCALL_REDIRECT,
-                                   "legacy world call")
-        hypervisor.launch(cpu, callee_vm, "deliver legacy world call")
-        if cpu.ring != 0:
-            cpu.syscall_trap("legacy world-call entry")
-
-        outcome: Any = None
-        error: Optional[Exception] = None
-        if callee.busy:
-            error = WorldCallError(
-                f"concurrent world call into {callee.label} "
-                "(not supported; Section 5.3)")
-        else:
-            callee.busy = True
-            saved_current = None
-            try:
-                if callee.kernel is not None:
-                    saved_current = callee.kernel.current
-                    if callee.process is not None:
-                        callee.kernel.current = callee.process
-                    if authorize:
-                        cpu.perf.charge("sched_reload", _SCHED_RELOAD)
-                if authorize:
-                    cpu.charge("world_authorize")
-                    try:
-                        callee.policy.check(caller.wid)
-                        publish_authorization(caller.wid, callee_wid,
-                                              "allow")
-                    except AuthorizationDenied as denied:
-                        publish_authorization(caller.wid, callee_wid,
-                                              "deny",
-                                              denied.detail or str(denied))
-                        error = denied
-                if error is None:
-                    request = CallRequest(
-                        caller_wid=caller.wid, payload=payload,
-                        service=callee.policy.service_for(caller.wid))
-                    try:
-                        outcome = callee.handler(request)
-                    except (GuestOSError, AuthorizationDenied,
-                            WorldCallError) as err:
-                        error = err
-            finally:
-                callee.busy = False
-                if callee.kernel is not None:
-                    callee.kernel.current = saved_current
-
-        cpu.vmexit(ExitReason.VMCALL, "legacy world call done")
-        cpu.charge("vmexit_handle")
-        hypervisor.launch(cpu, caller_vm, "resume after legacy world call")
-
+        decoded = convention.roundtrip(payload)[1]
+        result = self.machine.hypervisor.redirect(
+            self.machine.cpu, caller.entry.owner_vm, callee.entry.owner_vm,
+            lambda: self._run_callee(callee, callee_wid, caller.wid,
+                                     decoded, authorize))
         self.legacy_calls += 1
-        if error is not None:
-            raise error
-        return outcome
+        return callee_outcome(convention.roundtrip(result)[1], caller.wid)
 
     # ------------------------------------------------------------------
     # callee side
     # ------------------------------------------------------------------
 
     def _run_callee(self, callee: Optional[World], callee_wid: int,
-                    caller_wid: int, decoded: Any, in_registers: bool,
-                    channel: Optional[Channel], authorize: bool) -> Any:
+                    caller_wid: int, payload: Any, authorize: bool,
+                    channel: Optional[Channel] = None, *,
+                    sched_reload: bool = True) -> Any:
+        """The callee half every mechanism runs: the busy guard, the
+        software authorization of ``caller_wid``, and the entry handler.
+
+        ``payload`` is the caller's decoded copy; with a ``channel`` it
+        is read back from the shared channel after authorization
+        instead.  Errors come back as exception objects for the
+        marshaling convention to carry to the caller
+        (:func:`callee_outcome`); only :class:`CalleeHang` is raised,
+        for the watchdog.  ``sched_reload=False`` is the switchless
+        worker, which already runs as the service process.
+        """
         cpu = self.machine.cpu
         if callee is None:
             raise SimulationError(
@@ -629,9 +589,9 @@ class WorldCallRuntime:
             # Reported to the caller as an error result so its context
             # is restored by the normal return path (Section 5.3: one
             # outstanding call per world).
-            return ("__wcerr__",
-                    f"concurrent world call into {callee.label} "
-                    "(not supported; Section 5.3)")
+            return WorldCallError(f"concurrent world call into "
+                                  f"{callee.label} (not supported; "
+                                  "Section 5.3)")
         callee.busy = True
         saved_current = None
         try:
@@ -641,7 +601,7 @@ class WorldCallRuntime:
                 saved_current = callee.kernel.current
                 if callee.process is not None:
                     callee.kernel.current = callee.process
-                if authorize:
+                if authorize and sched_reload:
                     cpu.perf.charge("sched_reload", _SCHED_RELOAD)
             if authorize:
                 cpu.charge("world_authorize")
@@ -654,12 +614,9 @@ class WorldCallRuntime:
                 except AuthorizationDenied as denied:
                     publish_authorization(caller_wid, callee_wid, "deny",
                                           denied.detail or str(denied))
-                    return ("__denied__", denied.detail or str(denied))
+                    return denied
                 publish_authorization(caller_wid, callee_wid, "allow")
-            if in_registers:
-                payload = decoded
-            else:
-                assert channel is not None
+            if channel is not None:
                 payload = convention.decode(
                     channel.read_payload(cpu, self.machine.memory))
             request = CallRequest(
@@ -672,19 +629,13 @@ class WorldCallRuntime:
                 return callee.handler(request)
             except CalleeHang:
                 raise        # handled by the watchdog path in call()
-            except GuestOSError as err:
-                return err   # marshaled back, re-raised at the caller
-            except AuthorizationDenied as denied:
-                # Handlers may refuse at a finer granularity than the
-                # entry policy (e.g. per-service); the refusal travels
-                # back like a policy denial so the caller's context is
-                # restored properly.
-                return ("__denied__", denied.detail or str(denied))
-            except WorldCallError as err:
-                # A failure of a *nested* call the handler made (busy
-                # peer, missing channel): report it to our caller with
-                # its context intact rather than unwinding raw.
-                return ("__wcerr__", str(err))
+            except (GuestOSError, WorldCallError) as err:
+                # Remote errno failures, finer-grained refusals than the
+                # entry policy (e.g. per-service), and failures of a
+                # *nested* call the handler made (busy peer, missing
+                # channel) all travel back to our caller, whose context
+                # the normal return path restores.
+                return err
         finally:
             callee.busy = False
             if callee.kernel is not None:

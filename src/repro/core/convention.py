@@ -11,7 +11,10 @@ simple parameters can be passed directly through registers" (Section
 The wire format is a restricted, reversible literal encoding (no pickle:
 a malicious peer must not gain code execution through the channel).
 Guest-kernel result types (:class:`StatResult`, :class:`GuestOSError`)
-get explicit tagged encodings.
+and the runtime errors a callee reports to its caller as its whole
+result (:class:`AuthorizationDenied`, :class:`WorldCallError`) get
+explicit tagged encodings, so an error crosses out of band: a user value that
+merely looks like one is escaped, never raised.
 """
 
 from __future__ import annotations
@@ -23,7 +26,8 @@ from typing import Any
 
 from repro import faults as _faults
 from repro import observe
-from repro.errors import GuestOSError, SimulationError
+from repro.errors import (AuthorizationDenied, GuestOSError,
+                          SimulationError, WorldCallError)
 from repro.guestos.fs.inode import InodeType, StatResult
 
 #: Bytes of arguments that fit in registers (6 GPRs x 8 bytes).
@@ -32,10 +36,13 @@ REGISTER_BUDGET = 48
 _STAT_TAG = "__stat__"
 _ERR_TAG = "__errno__"
 _BYTES_TAG = "__bytes__"
+_DENIED_TAG = "__denied__"
+_WCERR_TAG = "__wcerr__"
 #: Escape tag for user tuples whose first element collides with a tag.
 _LIT_TAG = "__lit__"
 
-_ALL_TAGS = frozenset({_STAT_TAG, _ERR_TAG, _BYTES_TAG, _LIT_TAG})
+_ALL_TAGS = frozenset({_STAT_TAG, _ERR_TAG, _BYTES_TAG, _DENIED_TAG,
+                       _WCERR_TAG, _LIT_TAG})
 
 
 #: Exact types whose repr is already the wire form (scalar fast path).
@@ -402,7 +409,16 @@ def poison_roundtrip_cache() -> int:
 
 
 def encode(value: Any) -> bytes:
-    """Marshal ``value`` to its wire form."""
+    """Marshal ``value`` to its wire form.
+
+    A runtime error the callee reports (:class:`AuthorizationDenied`,
+    :class:`WorldCallError`) crosses only as the whole result; inside a
+    payload it is as unmarshalable as any other object.
+    """
+    if isinstance(value, AuthorizationDenied):
+        return repr((_DENIED_TAG, value.detail or str(value))).encode()
+    if isinstance(value, WorldCallError):
+        return repr((_WCERR_TAG, str(value))).encode()
     return repr(_to_wire(value)).encode()
 
 
@@ -414,6 +430,13 @@ def decode(data: bytes) -> Any:
             literal = _fast_literal(text)
         except _Unsupported:
             literal = ast.literal_eval(text)
+        if type(literal) is tuple and len(literal) == 2:
+            if literal[0] == _DENIED_TAG:
+                # The wire names no WID: the caller re-raises the denial
+                # with its own (``repro.core.call.callee_outcome``).
+                return AuthorizationDenied(-1, literal[1])
+            if literal[0] == _WCERR_TAG:
+                return WorldCallError(literal[1])
         return _from_wire(literal)
     except (ValueError, SyntaxError) as err:
         raise SimulationError(f"corrupt wire payload: {err}") from err

@@ -93,9 +93,10 @@ class _PairState:
         self.helpers = helpers          # vm name -> helper process
         self.calls = 0
         #: Straight-line memos: whether the context-save block has been
-        #: zeroed once, and each half's whole ``(cost, events)`` charge,
-        #: copies included — the enter half keyed by request length,
-        #: the return half by ``(restore_idt, reply length)``.
+        #: zeroed once, and each half's whole charge, copies included,
+        #: as ``(cost, events, switch_cycles)`` (see :func:`_enter_charge`)
+        #: — the enter half keyed by request length, the return half by
+        #: ``(restore_idt, reply length)``.
         self.ctx_zeroed = False
         self.enter_charges: Dict[int, tuple] = {}
         self.return_charges: Dict[Tuple[bool, int], tuple] = {}
@@ -121,10 +122,17 @@ def _batch(cm: CostModel, kinds: Tuple[Tuple[str, int], ...],
 
 def _enter_charge(cm: CostModel, request_len: int) -> tuple:
     """Steps 2-4 of Figure 4: helper CR3, cli, IDT2, VMFUNC, sti, plus
-    the save-area copy, the calling-info write and its read-back."""
-    return _batch(cm, (("cr3_write", 1), ("int_toggle", 2),
-                       ("vmfunc_ept_switch", 1), ("idt_switch", 1)),
-                  _CONTEXT_SAVE_BYTES, 4 + request_len, request_len)
+    the save-area copy, the calling-info write and its read-back.
+
+    Returns ``(cost, events, switch_cycles)``: the batch charge and the
+    cycles of its part up to and including the VMFUNC, which the
+    step-by-step path has charged when it publishes the switch (all but
+    the ``sti`` and the read-back)."""
+    cost, events = _batch(cm, (("cr3_write", 1), ("int_toggle", 2),
+                               ("vmfunc_ept_switch", 1), ("idt_switch", 1)),
+                          _CONTEXT_SAVE_BYTES, 4 + request_len, request_len)
+    after = cm.int_toggle.cycles + cm.copy(request_len).cycles
+    return cost, events, cost.cycles - after
 
 
 def _enter_fault_charge(cm: CostModel, restore_idt: bool,
@@ -141,12 +149,20 @@ def _return_charge(cm: CostModel, restore_idt: bool,
                    *copies: int) -> tuple:
     """Steps 5-6 of Figure 4: cli, VMFUNC back, the IDT restore, sti and
     the original CR3, plus ``copies`` (the reply write and its
-    read-back; none when the reply did not fit)."""
+    read-back; none when the reply did not fit).
+
+    Returns ``(cost, events, switch_cycles)`` like :func:`_enter_charge`;
+    up to the switch the step-by-step path has charged the reply write,
+    the ``cli`` and the VMFUNC."""
     kinds: Tuple[Tuple[str, int], ...] = (
         ("int_toggle", 2), ("vmfunc_ept_switch", 1), ("cr3_write", 1))
     if restore_idt:
         kinds += (("idt_switch", 1),)
-    return _batch(cm, kinds, *copies)
+    cost, events = _batch(cm, kinds, *copies)
+    switch = cm.int_toggle.cycles + cm.vmfunc_ept_switch.cycles
+    if copies:
+        switch += cm.copy(copies[0]).cycles
+    return cost, events, switch
 
 
 class CrossVMSyscallMechanism:
@@ -529,9 +545,10 @@ class CrossVMSyscallMechanism:
         once (on entry, by the caller, and again after the callee
         returns, where the return half's ``cli`` would fault) and
         applies one charge looked up in the pair's per-length memo —
-        counters come out bit-identical to the step-by-step path.  The
-        ``ept_switch`` events are published before their half's charge,
-        so their ``cycles`` differ from a traced run's.
+        counters come out bit-identical to the step-by-step path.  Each
+        ``ept_switch`` event is published before its half's charge, with
+        the memo's cost up to the switch added, so its ``cycles`` match
+        the step-by-step path's too.
 
         Two further model-equivalences trim pure overhead: the shared
         frames hand back exactly the bytes just written through the
@@ -562,13 +579,17 @@ class CrossVMSyscallMechanism:
         cpu.write_virt(memory, SHARED_GVA + _CONTEXT_SAVE_BYTES,
                        request_len.to_bytes(4, "big") + request,
                        charge=False)
+        charge = state.enter_charges.get(request_len)
+        if charge is None:
+            charge = state.enter_charges[request_len] = _enter_charge(
+                cm, request_len)
+        restore_idt = saved_idt is not None
         try:
-            cpu.ept_switch(to_vm.vm_id, charge=False)
+            cpu.ept_switch(to_vm.vm_id, pending=charge[2])
         except VMFuncFault:
             # As in the step-by-step path: unwind the helper context
             # (we never left from_vm), charge what it charged, and
             # degrade to the trap-based round trip.
-            restore_idt = saved_idt is not None
             if restore_idt:
                 interrupts.idt = saved_idt
             interrupts.interrupts_enabled = True
@@ -584,11 +605,7 @@ class CrossVMSyscallMechanism:
         # Step 4: in to_vm's kernel context.  The calling info in the
         # shared page is byte-for-byte the buffer written above.
         interrupts.interrupts_enabled = True
-        charge = state.enter_charges.get(request_len)
-        if charge is None:
-            charge = state.enter_charges[request_len] = _enter_charge(
-                cm, request_len)
-        perf.charge_batch(*charge)
+        perf.charge_batch(charge[0], charge[1])
         try:
             outcome = server(decoded)
         except GuestOSError as err:
@@ -603,25 +620,24 @@ class CrossVMSyscallMechanism:
             cpu.write_virt(memory, SHARED_GVA + _CONTEXT_SAVE_BYTES,
                            reply_len.to_bytes(4, "big") + reply,
                            charge=False)
+            key = (restore_idt, reply_len)
+            charge = state.return_charges.get(key)
+            if charge is None:
+                charge = state.return_charges[key] = _return_charge(
+                    cm, restore_idt, 4 + reply_len, reply_len)
+        else:
+            charge = _return_charge(cm, restore_idt)
         if cpu.ring != _RING_KERNEL:
             cpu.require_ring(_RING_KERNEL, "cli")
         interrupts.interrupts_enabled = False
-        cpu.ept_switch(from_vm.vm_id, charge=False)
-        restore_idt = saved_idt is not None
+        cpu.ept_switch(from_vm.vm_id, pending=charge[2])
         if restore_idt:
             interrupts.idt = saved_idt
         interrupts.interrupts_enabled = True
         cpu.page_table = saved_pt
         tlb.on_cr3_write(saved_pt.root)
-        if not fits:
-            perf.charge_batch(*_return_charge(cm, restore_idt))
-            self._check_fits(reply_len)
-        key = (restore_idt, reply_len)
-        charge = state.return_charges.get(key)
-        if charge is None:
-            charge = state.return_charges[key] = _return_charge(
-                cm, restore_idt, 4 + reply_len, reply_len)
-        perf.charge_batch(*charge)
+        perf.charge_batch(charge[0], charge[1])
+        self._check_fits(reply_len)
         state.calls += 1
 
         if isinstance(result, GuestOSError):

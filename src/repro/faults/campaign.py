@@ -44,6 +44,7 @@ from repro.campaign import Campaign, sweep
 from repro.errors import AuthorizationDenied, CallTimeout
 from repro.faults.plan import seeded_plan
 from repro.faults.sites import SITES, SITE_NAMES, FaultSite
+from repro.testbed import WorldPair
 
 SCHEMA = "crossover-faults/v1"
 
@@ -76,43 +77,15 @@ DEFAULT_OPS = 6
 # ---------------------------------------------------------------------------
 
 
-class _WorldCallCell:
+class _WorldCallCell(WorldPair):
     """CrossOver world-call surface: two kernel worlds, authorized."""
 
     def __init__(self, system: str, disabled: Tuple[str, ...]) -> None:
         from repro.core.authorization import AllowListPolicy
-        from repro.core.call import CallRequest, WorldCallRuntime
-        from repro.core.world import WorldRegistry
-        from repro.hw.costs import FEATURES_CROSSOVER
-        from repro.testbed import build_two_vm_machine, enter_vm_kernel
 
-        machine, vm1, k1, vm2, k2 = build_two_vm_machine(
-            features=FEATURES_CROSSOVER)
-        machine.cpu.trace.enabled = False
-        self.machine = machine
-        self.cpu = machine.cpu
-        self.registry = WorldRegistry(machine)
-        self.runtime = WorldCallRuntime(machine, self.registry)
-        self.k1 = k1
-        executor = k2.spawn("executor")
-
-        def entry(request: CallRequest):
-            name, *args = request.payload
-            return k2.syscalls.invoke(executor, name, *args)
-
-        enter_vm_kernel(machine, vm1)
         policy = AllowListPolicy()
-        self.caller = self.registry.create_kernel_world(k1, label="K(vm1)")
-        enter_vm_kernel(machine, vm2)
-        self.callee = self.registry.create_kernel_world(
-            k2, handler=entry, policy=policy, service_process=executor,
-            label="K(vm2)")
-        enter_vm_kernel(machine, vm1)
+        super().__init__(policy)
         policy.grant(self.caller.wid)
-        self.runtime.setup_channel(self.caller, self.callee, pages=16)
-        enter_vm_kernel(machine, vm1)
-        self.cpu.write_cr3(k1.master_page_table)
-
         recovery = self.runtime.recovery
         for name in ("revalidate", "wtc_refill", "legacy_fallback",
                      "hypercall_retry"):
@@ -204,22 +177,10 @@ class _BaselineCell:
         self.syscall = _SYSTEM_SYSCALLS[system]
 
     def operate(self, site: FaultSite) -> Any:
-        from repro.hw.vmx import ExitReason
-        from repro.hypervisor.injection import VECTOR_SYSCALL_REDIRECT
-        cpu, hv = self.cpu, self.machine.hypervisor
         name, args = self.syscall
-        cpu.vmexit(ExitReason.VMCALL, "campaign redirect")
-        cpu.charge("vmexit_handle")
-        hv.injector.inject(cpu, self.vm2, VECTOR_SYSCALL_REDIRECT,
-                           "redirected syscall")
-        hv.launch(cpu, self.vm2, "deliver redirected syscall")
-        if cpu.ring != 0:
-            cpu.syscall_trap("redirected syscall")
-        result = self.k2.execute_syscall(self.executor, name, *args)
-        cpu.vmexit(ExitReason.VMCALL, "campaign redirect done")
-        cpu.charge("vmexit_handle")
-        hv.launch(cpu, self.vm1, "resume caller VM")
-        return result
+        return self.machine.hypervisor.redirect(
+            self.cpu, self.vm1, self.vm2,
+            lambda: self.k2.execute_syscall(self.executor, name, *args))
 
     def recoveries(self) -> Dict[str, int]:
         return {}

@@ -122,65 +122,19 @@ class MechanismCosts:
         }
 
 
-class _CalibrationHarness:
-    """A fresh two-VM world-call surface (the lmbench NULL-call shape),
-    with a callee-side-only measurement so the transport halves can be
-    separated from the handler's own work."""
+def _service_only(pair) -> int:
+    """The NULL call's handler cost, measured in the callee's kernel —
+    no transport — so the transport halves can be separated from the
+    handler's own work.  Restores the caller context afterwards."""
+    from repro.testbed import enter_vm_kernel
 
-    def __init__(self) -> None:
-        from repro.core.call import CallRequest, WorldCallRuntime
-        from repro.core.world import WorldRegistry
-        from repro.hw.costs import FEATURES_CROSSOVER
-        from repro.testbed import build_two_vm_machine, enter_vm_kernel
-
-        machine, vm1, k1, vm2, k2 = build_two_vm_machine(
-            features=FEATURES_CROSSOVER)
-        machine.cpu.trace.enabled = False
-        self.machine = machine
-        self.cpu = machine.cpu
-        self.vm1, self.k1 = vm1, k1
-        self.vm2, self.k2 = vm2, k2
-        self._enter = enter_vm_kernel
-        registry = WorldRegistry(machine)
-        self.runtime = WorldCallRuntime(machine, registry)
-        self.executor = k2.spawn("fleet-executor")
-
-        def entry(request: CallRequest):
-            name, *args = request.payload
-            return k2.syscalls.invoke(self.executor, name, *args)
-
-        enter_vm_kernel(machine, vm1)
-        self.caller = registry.create_kernel_world(k1, label="K(vm1)")
-        enter_vm_kernel(machine, vm2)
-        self.callee = registry.create_kernel_world(
-            k2, handler=entry, service_process=self.executor,
-            label="K(vm2)")
-        enter_vm_kernel(machine, vm1)
-        self.runtime.setup_channel(self.caller, self.callee, pages=16)
-        self.cpu.write_cr3(k1.master_page_table)
-
-    def call(self, mechanism: Optional[str]) -> int:
-        """One ``getppid`` shuttle; returns its modeled cycle cost."""
-        before = self.cpu.perf.cycles
-        self.runtime.call(self.caller, self.callee.wid, ("getppid",),
-                          authorize=False, mechanism=mechanism)
-        return self.cpu.perf.cycles - before
-
-    def service_only(self) -> int:
-        """The handler's own cost, measured in the callee's kernel —
-        no transport.  Restores the caller context afterwards."""
-        self._enter(self.machine, self.vm2)
-        before = self.cpu.perf.cycles
-        self.k2.syscalls.invoke(self.executor, "getppid")
-        delta = self.cpu.perf.cycles - before
-        self._enter(self.machine, self.vm1)
-        self.cpu.write_cr3(self.k1.master_page_table)
-        return delta
-
-    def idle(self, cycles: int) -> None:
-        from repro.hw.costs import Cost
-
-        self.cpu.perf.charge("idle", Cost(0, cycles))
+    enter_vm_kernel(pair.machine, pair.vm2)
+    before = pair.cpu.perf.cycles
+    pair.k2.syscalls.invoke(pair.executor, "getppid")
+    delta = pair.cpu.perf.cycles - before
+    enter_vm_kernel(pair.machine, pair.vm1)
+    pair.cpu.write_cr3(pair.k1.master_page_table)
+    return delta
 
 
 def calibrate_costs(mechanism: str) -> MechanismCosts:
@@ -188,6 +142,7 @@ def calibrate_costs(mechanism: str) -> MechanismCosts:
     from repro import switchless as _sl
     from repro.core import convention
     from repro.switchless import SwitchlessEngine
+    from repro.testbed import WorldPair
 
     if mechanism not in MECHANISMS:
         raise SimulationError(f"unknown mechanism {mechanism!r}; "
@@ -198,19 +153,19 @@ def calibrate_costs(mechanism: str) -> MechanismCosts:
     mech_arg = "baseline" if mechanism == "baseline" else None
     try:
         with _sl.scoped(engine):
-            harness = _CalibrationHarness()
-            harness.call(mech_arg)           # cold caches / ring setup
-            harness.call(mech_arg)
-            total = min(harness.call(mech_arg) for _ in range(8))
-            service = harness.service_only()
-            harness.call(mech_arg)           # back to steady state
-            if harness.cpu.wt_caches is not None:
-                harness.cpu.wt_caches.flush()
-            miss_penalty = max(0, harness.call(mech_arg) - total)
+            pair = WorldPair()
+            pair.null_call(mech_arg)         # cold caches / ring setup
+            pair.null_call(mech_arg)
+            total = min(pair.null_call(mech_arg) for _ in range(8))
+            service = _service_only(pair)
+            pair.null_call(mech_arg)         # back to steady state
+            if pair.cpu.wt_caches is not None:
+                pair.cpu.wt_caches.flush()
+            miss_penalty = max(0, pair.null_call(mech_arg) - total)
             cold_extra = 0
             if mechanism == "switchless":
-                harness.idle(50_000_000)     # park the worker context
-                cold_extra = max(0, harness.call(mech_arg) - total)
+                pair.idle(50_000_000)        # park the worker context
+                cold_extra = max(0, pair.null_call(mech_arg) - total)
     finally:
         convention.clear_caches()
     transport = max(2, total - service)
@@ -219,7 +174,7 @@ def calibrate_costs(mechanism: str) -> MechanismCosts:
     # same cost model the measured call charged (save-state +
     # param-setup); clamped so the transition core keeps at least
     # one cycle.  Attribution only — issue timing is unchanged.
-    cm = harness.machine.cost_model
+    cm = pair.machine.cost_model
     marshal = min(max(0, issue - 1),
                   cm.world_save_state.cycles
                   + cm.world_param_setup.cycles)

@@ -336,15 +336,16 @@ class CPU:
             return self._world_call(argument)
         raise VMFuncFault(f"unsupported VMFUNC index {function:#x}")
 
-    def ept_switch(self, index: int, charge: bool = True) -> None:
+    def ept_switch(self, index: int, pending: Optional[int] = None) -> None:
         """VMFUNC fn 0: switch to the EPT at ``index`` of the EPTP list.
 
-        ``charge=False`` skips only the charge: the untraced Figure-4
-        round trip (:mod:`repro.core.crossvm`) calls this directly and
-        charges the switch inside its precomputed half.  The checks, the
-        EPT/TLB switch and the ``ept_switch`` event are the same either
-        way; only the event's ``cycles`` differ, since they are read
-        before that half's charge.
+        ``pending`` is for a caller that charges this switch itself,
+        together with the steps around it, right after the call: the
+        untraced Figure-4 round trip (:mod:`repro.core.crossvm`) charges
+        each half once.  The switch is then not charged here, and
+        ``pending`` is the half's cost up to and including the switch,
+        so the ``ept_switch`` event reports the cycle count the
+        step-by-step path would.
         """
         if not self.features.vmfunc:
             raise InvalidOpcode("VMFUNC not supported by this processor")
@@ -367,7 +368,7 @@ class CPU:
         if trace_on:
             self.transition("vmfunc_ept_switch", frm, self.world_label,
                             f"eptp[{index}]")
-        elif charge:
+        elif pending is None:
             self.perf.charge("vmfunc_ept_switch",
                              self.cost_model.vmfunc_ept_switch)
         observers = observe.observers
@@ -375,7 +376,7 @@ class CPU:
             observe.publish(observers, observe.Event(
                 "hw", "ept_switch", to=self.world_label, mode="G",
                 ring=self.ring, detail=f"eptp[{index}]",
-                cycles=self.perf.cycles))
+                cycles=self.perf.cycles + (pending or 0)))
 
     def _world_call(self, callee_wid: int) -> int:
         """The ``world_call`` datapath (Sections 3.3 and 5.1).

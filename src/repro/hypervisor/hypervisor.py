@@ -11,7 +11,7 @@ User" world of Figure 1).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro import faults as _faults
 from repro import observe
@@ -23,7 +23,7 @@ from repro.hw.paging import PageTable
 from repro.hw.vmx import ExitReason
 from repro.hw.world_table import WorldTableEntry
 from repro.hypervisor.hypercalls import Hypercall, HypercallTable
-from repro.hypervisor.injection import Injector
+from repro.hypervisor.injection import VECTOR_SYSCALL_REDIRECT, Injector
 from repro.hypervisor.scheduler import HostScheduler
 from repro.hypervisor.shared_memory import SharedMemoryRegion
 from repro.hypervisor.vm import COMMON_GPA_BASE, VirtualMachine
@@ -118,6 +118,28 @@ class Hypervisor:
         """Force a VM exit and charge the hypervisor's handling cost."""
         cpu.vmexit(reason, detail)
         cpu.charge("vmexit_handle")
+
+    def redirect(self, cpu: CPU, from_vm: VirtualMachine,
+                 to_vm: VirtualMachine, body: Callable[[], Any]) -> Any:
+        """The trap-and-inject frame of hypervisor-mediated redirection.
+
+        The caller vmcalls out of ``from_vm``, the hypervisor injects the
+        redirect vector into ``to_vm`` and enters it, ``body`` runs in
+        that VM's kernel, and a second exit/entry pair resumes
+        ``from_vm``.  Returns what ``body`` returns; anything ``body``
+        raises is raised only after ``from_vm`` is resumed.
+        """
+        self.exit_to_host(cpu, ExitReason.VMCALL, "redirect")
+        self.injector.inject(cpu, to_vm, VECTOR_SYSCALL_REDIRECT,
+                             "redirect")
+        self.launch(cpu, to_vm, "deliver redirect")
+        if cpu.ring != int(Ring.KERNEL):
+            cpu.syscall_trap("redirect entry")
+        try:
+            return body()
+        finally:
+            self.exit_to_host(cpu, ExitReason.VMCALL, "redirect done")
+            self.launch(cpu, from_vm, "resume")
 
     # ------------------------------------------------------------------
     # hypercalls

@@ -31,6 +31,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.analysis.experiments import CELL_RUNNERS, TABLE4_OPS
 from repro.campaign import Campaign, claim_failures, sweep
+from repro.testbed import WorldPair
 
 SCHEMA = "crossover-switchless/v1"
 
@@ -63,51 +64,6 @@ def schedule(workload: str, seed: int) -> List[Tuple[int, int]]:
             for _ in range(shape["phases"])]
 
 
-class _WorldCallHarness:
-    """A fresh two-VM world-call surface: kernel worlds on both sides,
-    a NULL-ish syscall (``getppid``) shuttled via ``runtime.call`` —
-    the lmbench NULL-call shape the paper's Table 4 leads with."""
-
-    def __init__(self) -> None:
-        from repro.core.call import CallRequest, WorldCallRuntime
-        from repro.core.world import WorldRegistry
-        from repro.hw.costs import FEATURES_CROSSOVER
-        from repro.testbed import build_two_vm_machine, enter_vm_kernel
-
-        machine, vm1, k1, vm2, k2 = build_two_vm_machine(
-            features=FEATURES_CROSSOVER)
-        machine.cpu.trace.enabled = False
-        self.machine = machine
-        self.cpu = machine.cpu
-        registry = WorldRegistry(machine)
-        self.runtime = WorldCallRuntime(machine, registry)
-        executor = k2.spawn("switchless-executor")
-
-        def entry(request: CallRequest):
-            name, *args = request.payload
-            return k2.syscalls.invoke(executor, name, *args)
-
-        enter_vm_kernel(machine, vm1)
-        self.caller = registry.create_kernel_world(k1, label="K(vm1)")
-        enter_vm_kernel(machine, vm2)
-        self.callee = registry.create_kernel_world(
-            k2, handler=entry, service_process=executor, label="K(vm2)")
-        enter_vm_kernel(machine, vm1)
-        self.runtime.setup_channel(self.caller, self.callee, pages=16)
-        self.cpu.write_cr3(k1.master_page_table)
-
-    def call(self) -> Any:
-        return self.runtime.call(self.caller, self.callee.wid,
-                                 ("getppid",), authorize=False)
-
-    def idle(self, cycles: int) -> None:
-        """Advance the modeled clock without issuing calls (the gap
-        between bursts that decides hot vs parked workers)."""
-        from repro.hw.costs import Cost
-
-        self.cpu.perf.charge("idle", Cost(0, cycles))
-
-
 def run_switchless_cell(workload: str, mechanism: str, seed: int,
                         workers: int = 1) -> Dict[str, Any]:
     """One campaign cell: the seeded schedule of ``workload`` through
@@ -130,7 +86,7 @@ def run_switchless_cell(workload: str, mechanism: str, seed: int,
                                   workers=workers)
     try:
         with _sl.scoped(engine):
-            harness = _WorldCallHarness()
+            harness = WorldPair()
             cpu = harness.cpu
             plan = schedule(workload, seed)
             calls = 0
@@ -138,9 +94,7 @@ def run_switchless_cell(workload: str, mechanism: str, seed: int,
             start = cpu.perf.cycles
             for burst, idle in plan:
                 for _ in range(burst):
-                    before = cpu.perf.cycles
-                    harness.call()
-                    cycles_calls += cpu.perf.cycles - before
+                    cycles_calls += harness.null_call()
                     calls += 1
                 harness.idle(idle)
     finally:

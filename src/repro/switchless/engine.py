@@ -44,13 +44,8 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro import observe
-from repro.errors import (
-    AuthorizationDenied,
-    ConfigurationError,
-    GuestOSError,
-    SimulationError,
-    WorldCallError,
-)
+from repro.errors import (CalleeHang, ConfigurationError, GuestOSError,
+                          SimulationError)
 from repro.observe import Event
 from repro.switchless.policy import WINDOW_CYCLES, AdaptivePolicy
 
@@ -234,7 +229,7 @@ class SwitchlessEngine:
     def _world_call_impl(self, runtime, caller, callee_wid: int,
                          payload: Any, authorize: bool) -> Any:
         from repro.core import convention
-        from repro.core.call import CallRequest, publish_authorization
+        from repro.core.call import callee_outcome
 
         machine = runtime.machine
         cpu = machine.cpu
@@ -242,82 +237,26 @@ class SwitchlessEngine:
             raise SimulationError(
                 f"CPU is not executing in caller world {caller.label} "
                 f"(currently {cpu.world_label})")
-        callee = runtime.registry.get(callee_wid)
-        if callee is None:
-            raise SimulationError(
-                f"world {callee_wid} exists in hardware but has no "
-                "registered software handler")
-        if callee.handler is None:
-            raise SimulationError(f"{callee.label} has no entry handler")
 
-        site = ("world", caller.wid, callee_wid)
         wire, decoded = convention.roundtrip(payload)
         start, cold, ring = self._submit(machine, ("world", callee_wid),
                                          wire)
-
-        if callee.busy:
-            result: Any = ("__wcerr__",
-                           f"concurrent world call into {callee.label} "
-                           "(not supported; Section 5.3)")
-        else:
-            callee.busy = True
-            saved_current = None
-            try:
-                # The worker context lives inside the callee world; the
-                # guest scheduler already runs it as the service process,
-                # so the current-process swap is pure bookkeeping (no
-                # sched_reload charge — that is a world-switch cost).
-                if callee.kernel is not None:
-                    saved_current = callee.kernel.current
-                    if callee.process is not None:
-                        callee.kernel.current = callee.process
-                result = None
-                denied_detail = None
-                if authorize:
-                    # The worker still checks the caller WID stamped on
-                    # the ring descriptor before serving it.
-                    cpu.charge("world_authorize")
-                    try:
-                        callee.policy.check(caller.wid)
-                        publish_authorization(caller.wid, callee_wid,
-                                              "allow")
-                    except AuthorizationDenied as denied:
-                        denied_detail = denied.detail or str(denied)
-                        publish_authorization(caller.wid, callee_wid,
-                                              "deny", denied_detail)
-                if denied_detail is not None:
-                    result = ("__denied__", denied_detail)
-                else:
-                    request = CallRequest(
-                        caller_wid=caller.wid, payload=decoded,
-                        service=callee.policy.service_for(caller.wid))
-                    try:
-                        result = callee.handler(request)
-                    except GuestOSError as err:
-                        result = err
-                    except AuthorizationDenied as denied:
-                        result = ("__denied__",
-                                  denied.detail or str(denied))
-                    except WorldCallError as err:
-                        result = ("__wcerr__", str(err))
-            finally:
-                callee.busy = False
-                if callee.kernel is not None:
-                    callee.kernel.current = saved_current
-
+        # The worker context lives inside the callee world and runs the
+        # runtime's one callee half.  The guest scheduler already runs it
+        # as the service process, so no sched_reload is charged — that
+        # is a world-switch cost.  No watchdog covers the worker: a hung
+        # handler is reported over the reply ring like any other error.
+        try:
+            result = runtime._run_callee(runtime.registry.get(callee_wid),
+                                         callee_wid, caller.wid, decoded,
+                                         authorize, sched_reload=False)
+        except CalleeHang as hang:
+            result = hang
         reply_wire, reply_value = convention.roundtrip(result)
         self._complete(machine, ring, reply_wire)
-        self.policy.note_service(site, cpu.perf.cycles - start, cold)
-
-        if isinstance(reply_value, GuestOSError):
-            raise reply_value
-        if isinstance(reply_value, tuple) and len(reply_value) == 2 and \
-                reply_value[0] == "__denied__":
-            raise AuthorizationDenied(caller.wid, reply_value[1])
-        if isinstance(reply_value, tuple) and len(reply_value) == 2 and \
-                reply_value[0] == "__wcerr__":
-            raise WorldCallError(reply_value[1])
-        return reply_value
+        self.policy.note_service(("world", caller.wid, callee_wid),
+                                 cpu.perf.cycles - start, cold)
+        return callee_outcome(reply_value, caller.wid)
 
     # ------------------------------------------------------------------
     # cross-VM service

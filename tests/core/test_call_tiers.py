@@ -12,6 +12,7 @@ run does.  After every call the results, the counters and the CPU's
 architectural state must agree between the two.
 """
 
+from repro import faults, observe
 from repro.core import convention
 from repro.core.crossvm import CrossVMSyscallMechanism
 from repro.testbed import build_two_vm_machine, enter_vm_kernel
@@ -167,7 +168,37 @@ def _clear_peer_slot(machine, vm, restore=False):
         directory.clear(vm.vm_id)
 
 
+class _SwitchRecorder:
+    """A bus observer that keeps every ``ept_switch`` event."""
+
+    def __init__(self):
+        self.switches = []
+
+    def on_event(self, event):
+        if event.kind == "ept_switch":
+            self.switches.append((event.to, event.detail, event.cycles))
+
+
+def _crossvm_switches(fast, engine=None):
+    recorder = _SwitchRecorder()
+    with observe.scoped("audit", recorder), faults.scoped(engine):
+        _run_crossvm(fast)
+    return recorder.switches
+
+
 class TestCrossVMTiers:
+    def test_ept_switch_events_identical(self):
+        """The straight-line halves publish each EPT switch with the
+        cycles the step-by-step path has charged by then, so an audit
+        record does not depend on which path ran: untraced, untraced
+        under an inert fault engine (step by step) and traced agree."""
+        straight = _crossvm_switches(True)
+        # Two bursts of four rounds; each call switches there and back,
+        # except the oversized request, which is refused before step 2.
+        assert len(straight) == 2 * 4 * 4 * 2
+        assert straight == _crossvm_switches(True, faults.FaultEngine([]))
+        assert straight == _crossvm_switches(False)
+
     def test_roundtrip_identical(self):
         fast = _run_crossvm(True)
         assert fast == _run_crossvm(False)

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core import convention
-from repro.errors import GuestOSError, SimulationError
+from repro.errors import (AuthorizationDenied, GuestOSError,
+                          SimulationError, WorldCallError)
 from repro.guestos.fs.inode import InodeType, StatResult
 
 
@@ -40,6 +41,50 @@ class TestRoundTrip:
     def test_corrupt_payload_rejected(self):
         with pytest.raises(SimulationError):
             convention.decode(b"((((")
+
+
+class TestErrorTags:
+    """Runtime errors cross as tags; user values never pose as them."""
+
+    def test_denial_wire_bytes_pinned(self):
+        # The bytes a real denial has always had on the wire: copy and
+        # register-fit charges depend on them.
+        wire = convention.encode(AuthorizationDenied(7, "not on allow list"))
+        assert wire == b"('__denied__', 'not on allow list')"
+        decoded = convention.decode(wire)
+        assert isinstance(decoded, AuthorizationDenied)
+        assert decoded.detail == "not on allow list"
+
+    def test_denial_without_detail_carries_its_message(self):
+        wire = convention.encode(AuthorizationDenied(7))
+        assert wire == b"('__denied__', 'world call from WID 7 denied')"
+
+    def test_world_call_error_wire_bytes_pinned(self):
+        wire = convention.encode(WorldCallError("busy"))
+        assert wire == b"('__wcerr__', 'busy')"
+        decoded = convention.decode(wire)
+        assert type(decoded) is WorldCallError
+        assert str(decoded) == "busy"
+
+    @pytest.mark.parametrize("error", [AuthorizationDenied(7, "x"),
+                                       WorldCallError("x")])
+    @pytest.mark.parametrize("wrap", [lambda e: [e], lambda e: ("ok", e),
+                                      lambda e: {"k": e}])
+    def test_nested_runtime_error_cannot_cross(self, error, wrap):
+        # Only a whole result is an error report; inside a payload an
+        # exception is as unmarshalable as any other object.
+        with pytest.raises(SimulationError, match="cannot marshal"):
+            convention.encode(wrap(error))
+        with pytest.raises(SimulationError, match="cannot marshal"):
+            convention.roundtrip(wrap(error))
+
+    @pytest.mark.parametrize("tag", ["__denied__", "__wcerr__"])
+    def test_user_tuple_shaped_like_a_tag_is_escaped(self, tag):
+        value = (tag, "x")
+        wire = convention.encode(value)
+        assert wire == f"('__lit__', ('{tag}', 'x'))".encode()
+        assert convention.decode(wire) == value
+        assert convention.roundtrip(value) == (wire, value)
 
 
 class TestRegisterPassing:

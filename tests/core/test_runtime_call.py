@@ -1,5 +1,7 @@
 """World-call runtime tests: the full software protocol of Section 3.3."""
 
+import copy
+
 import pytest
 
 from repro import observe
@@ -138,11 +140,54 @@ class _Collector:
         self.events.append(event)
 
 
+def _mutating_handler(request):
+    request.payload[1].append("from callee")
+    return len(request.payload[1])
+
+
+def _refusing_handler(request):
+    raise AuthorizationDenied(request.caller_wid + 1, "per-service refusal")
+
+
+#: case -> (payload, handler or None for the echo/syscall default,
+#: expected outcome).  ``"caller"`` stands for the caller's WID.
+_AGREEMENT_CASES = {
+    "argument_copy": (("mutate", [1, 2]), _mutating_handler, ("ok", 3)),
+    "remote_errno": (("open", "/tmp/nothing", "r"), None,
+                     ("GuestOSError", 2)),
+    "handler_refusal": (("echo",), _refusing_handler,
+                        ("AuthorizationDenied", "caller",
+                         "per-service refusal")),
+    "busy_callee": (("echo",), None, ("WorldCallError",)),
+    "echoed_denied_tuple": (("echo", "__denied__", "x"), None,
+                            ("ok", ("__denied__", "x"))),
+    "echoed_wcerr_tuple": (("echo", "__wcerr__", "x"), None,
+                           ("ok", ("__wcerr__", "x"))),
+}
+
+
+def _outcome(call):
+    """What a caller observes: ``("ok", value)`` or the error's type
+    with the fields a caller can act on."""
+    try:
+        return ("ok", call())
+    except GuestOSError as err:
+        return ("GuestOSError", err.errno)
+    except AuthorizationDenied as err:
+        return ("AuthorizationDenied", err.caller_wid, err.detail)
+    except WorldCallError as err:
+        return (type(err).__name__,)
+
+
+_TRACED = pytest.mark.parametrize("traced", [False, True],
+                                  ids=["untraced", "traced"])
+_MECHANISMS = pytest.mark.parametrize(
+    "mechanism", ["baseline", "world_call", "switchless"])
+
+
 class TestAuthorization:
-    @pytest.mark.parametrize("traced", [False, True],
-                             ids=["untraced", "traced"])
-    @pytest.mark.parametrize("mechanism",
-                             ["baseline", "world_call", "switchless"])
+    @_TRACED
+    @_MECHANISMS
     def test_denied_caller(self, mechanism, traced):
         """The protected path: a caller outside the allow list is refused
         under every call mechanism, traced or not — the handler never
@@ -163,6 +208,79 @@ class TestAuthorization:
         decisions = [e.decision for e in collector.events
                      if e.kind == "authorization"]
         assert decisions == ["deny"], decisions
+
+    @pytest.mark.parametrize("case", sorted(_AGREEMENT_CASES))
+    @_TRACED
+    @_MECHANISMS
+    def test_mechanisms_agree(self, mechanism, traced, case):
+        """Every mechanism runs the one callee half, so a caller sees the
+        same outcome under each: its arguments are copied, a remote
+        errno and a handler's own refusal (naming the caller's WID)
+        re-raise, a busy callee is a ``WorldCallError``, and a result
+        that merely looks like an error tag comes back as data.  The
+        caller is left as it was either way."""
+        payload, handler, expected = copy.deepcopy(_AGREEMENT_CASES[case])
+        harness = Harness(handler=handler)
+        cpu = harness.machine.cpu
+        cpu.trace.enabled = traced
+        harness.callee.busy = case == "busy_callee"
+        engine = (SwitchlessEngine(force=True)
+                  if mechanism == "switchless" else None)
+        with sl.scoped(engine):
+            outcome = _outcome(
+                lambda: harness.call(*payload, mechanism=mechanism))
+        if expected[1:2] == ("caller",):
+            expected = (expected[0], harness.caller.wid) + expected[2:]
+        assert outcome == expected
+        if case == "argument_copy":
+            assert payload[1] == [1, 2]
+        assert harness.callee.busy == (case == "busy_callee")
+        assert harness.caller.call_stack == []
+        assert harness.caller.matches_cpu(cpu)
+
+    @_TRACED
+    @_MECHANISMS
+    def test_hung_callee_resumes_caller(self, mechanism, traced):
+        """A callee that never returns fails the call under every
+        mechanism and the CPU is back in the caller's world either way:
+        the watchdog cancels a ``world_call``, the redirect frame
+        resumes the caller before the hang surfaces, and the switchless
+        worker reports it over the reply ring as a plain
+        ``WorldCallError``."""
+        harness = Harness()
+        cpu = harness.machine.cpu
+        cpu.trace.enabled = traced
+        harness.runtime.arm_watchdog(harness.caller)
+        engine = (SwitchlessEngine(force=True)
+                  if mechanism == "switchless" else None)
+        expected = {"world_call": CallTimeout, "baseline": CalleeHang,
+                    "switchless": WorldCallError}[mechanism]
+        with sl.scoped(engine), pytest.raises(WorldCallError) as raised:
+            harness.call("hang", mechanism=mechanism)
+        assert raised.type is expected
+        assert not harness.callee.busy
+        assert harness.caller.call_stack == []
+        assert harness.caller.matches_cpu(cpu)
+        with sl.scoped(engine):
+            assert harness.call("echo", 1, mechanism=mechanism) == (1,)
+
+    @_TRACED
+    @_MECHANISMS
+    def test_one_authorization_record_per_call(self, mechanism, traced):
+        policy = AllowListPolicy()
+        harness = Harness(policy=policy)
+        policy.grant(harness.caller.wid)
+        harness.machine.cpu.trace.enabled = traced
+        engine = (SwitchlessEngine(force=True)
+                  if mechanism == "switchless" else None)
+        collector = _Collector()
+        with sl.scoped(engine), observe.scoped("audit", collector):
+            for value in range(3):
+                assert harness.call("echo", value,
+                                    mechanism=mechanism) == (value,)
+        decisions = [(e.decision, e.caller_wid) for e in collector.events
+                     if e.kind == "authorization"]
+        assert decisions == [("allow", harness.caller.wid)] * 3
 
     def test_granted_caller(self):
         policy = AllowListPolicy()

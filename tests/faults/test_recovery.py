@@ -7,6 +7,7 @@ from repro import faults
 from repro.errors import (
     AuthorizationDenied,
     CallTimeout,
+    GuestOSError,
     NoSuchWorld,
     VMFuncFault,
     WorldNotPresent,
@@ -155,4 +156,14 @@ class TestBaselineRecovery:
         result, error, fired = _faulted_op(
             cell, "hypervisor.injection_storm")
         assert fired and error is None and result == clean
+        assert cell.state_ok()
+
+    def test_failed_redirected_syscall_resumes_the_caller(self):
+        """A redirected syscall that fails in the peer raises only after
+        the caller's VM is resumed."""
+        cell = _BaselineCell("Proxos", ())
+        cell.syscall = ("stat", ("/no/such/file",))
+        with pytest.raises(GuestOSError) as exc:
+            cell.operate(SITES["hypervisor.injection_storm"])
+        assert exc.value.errno == 2
         assert cell.state_ok()

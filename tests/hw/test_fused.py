@@ -3,7 +3,8 @@ charging the same primitives one by one."""
 
 import pytest
 
-from repro.core.crossvm import _batch, _enter_charge, _enter_fault_charge
+from repro.core.crossvm import (_batch, _enter_charge, _enter_fault_charge,
+                                _return_charge)
 from repro.hw.costs import Cost, DEFAULT_COST_MODEL
 from repro.hw.perf import PerfCounters
 
@@ -62,9 +63,26 @@ class TestShapes:
         """The enter half always installs IDT2 and switches once; when
         the switch faults the unwind charges no switch and restores the
         saved IDT only if there was one."""
-        _, events = _enter_charge(CM, 8)
+        _, events, _ = _enter_charge(CM, 8)
         assert events["idt_switch"] == 1
         assert events["vmfunc_ept_switch"] == 1
         _, events = _enter_fault_charge(CM, install, 8)
         assert events["idt_switch"] == (2 if install else 1)
         assert "vmfunc_ept_switch" not in events
+
+    def test_switch_cycles_are_the_step_by_step_prefix(self):
+        """Each half's memo entry carries what the step-by-step path has
+        charged when it publishes the EPT switch: for the enter half
+        everything but the ``sti`` and the request read-back, for the
+        return half the reply write, the ``cli`` and the VMFUNC."""
+        cost, _, switch = _enter_charge(CM, 8)
+        assert switch == cost.cycles - CM.int_toggle.cycles \
+            - CM.copy(8).cycles
+        assert switch == (CM.cr3_write + CM.int_toggle + CM.idt_switch
+                          + CM.copy(160) + CM.copy(4 + 8)
+                          + CM.vmfunc_ept_switch).cycles
+        _, _, switch = _return_charge(CM, True, 4 + 9, 9)
+        assert switch == (CM.copy(4 + 9) + CM.int_toggle
+                          + CM.vmfunc_ept_switch).cycles
+        _, _, switch = _return_charge(CM, False)
+        assert switch == (CM.int_toggle + CM.vmfunc_ept_switch).cycles

@@ -7,7 +7,8 @@ import pytest
 from repro import switchless as sl
 from repro.errors import ConfigurationError
 from repro.switchless import STAT_FIELDS, SwitchlessEngine, SwitchlessStats
-from repro.switchless.campaign import _WorldCallHarness, run_switchless_cell
+from repro.switchless.campaign import run_switchless_cell
+from repro.testbed import WorldPair
 from repro.switchless.policy import WINDOW_CYCLES
 
 
@@ -26,16 +27,13 @@ def _run_harness(engine, bursts=((50, 200_000), (50, 200_000))):
 
     convention.clear_caches()
     with sl.scoped(engine):
-        harness = _WorldCallHarness()
-        cpu = harness.cpu
+        harness = WorldPair()
         spent = 0
         for burst, idle in bursts:
             for _ in range(burst):
-                before = cpu.perf.cycles
-                harness.call()
-                spent += cpu.perf.cycles - before
+                spent += harness.null_call()
             harness.idle(idle)
-        return spent, cpu.perf.snapshot()
+        return spent, harness.cpu.perf.snapshot()
 
 
 class TestScheduling:
@@ -106,13 +104,13 @@ class TestAdaptiveRouting:
         convention.clear_caches()
         engine = SwitchlessEngine()
         with sl.scoped(engine):
-            harness = _WorldCallHarness()
+            harness = WorldPair()
             for _ in range(50):
-                harness.call()
+                harness.null_call()
             assert engine.stats.calls == 0
             harness.idle(WINDOW_CYCLES + 1)
             for _ in range(25):
-                harness.call()
+                harness.null_call()
         assert engine.stats.flips_to_switchless == 1
         assert engine.stats.calls == 25
 
@@ -155,7 +153,7 @@ class TestMechanismSeam:
         from repro.core import convention
 
         convention.clear_caches()
-        harness = _WorldCallHarness()
+        harness = WorldPair()
         with pytest.raises(ConfigurationError):
             harness.runtime.call(harness.caller, harness.callee.wid,
                                  ("getppid",), authorize=False,
@@ -165,7 +163,7 @@ class TestMechanismSeam:
         from repro.core import convention
 
         convention.clear_caches()
-        harness = _WorldCallHarness()
+        harness = WorldPair()
         with pytest.raises(ConfigurationError):
             harness.runtime.call(harness.caller, harness.callee.wid,
                                  ("getppid",), authorize=False,
@@ -175,7 +173,7 @@ class TestMechanismSeam:
         from repro.core import convention
 
         convention.clear_caches()
-        harness = _WorldCallHarness()
+        harness = WorldPair()
         via_world = harness.runtime.call(
             harness.caller, harness.callee.wid, ("getppid",),
             authorize=False, mechanism="world_call")

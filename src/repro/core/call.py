@@ -415,21 +415,20 @@ class WorldCallRuntime:
             result = self._run_callee(callee, callee_wid, presented_wid,
                                       decoded, authorize,
                                       None if in_registers else channel)
-        except CalleeHang:
-            return self._recover_from_hang(caller, callee)
-
-        try:
             result_wire, value = convention.roundtrip(result)
             result_in_regs = convention.fits_registers(result_wire)
             if not result_in_regs and channel is None:
                 raise WorldCallError(
                     f"result of {len(result_wire)}B needs a channel")
+        except CalleeHang:
+            return self._recover_from_hang(caller, callee)
         except (WorldCallError, SimulationError):
-            # Result marshaling failed with the CPU still in the
-            # callee's context and the caller's frame still on its call
-            # stack.  Unwind through the normal return transition so the
-            # caller world is left exactly as before the call, then let
-            # the error propagate.
+            # No software world or entry handler behind the callee WID,
+            # or result marshaling failed, with the CPU in the callee's
+            # context and the caller's frame still on its call stack.
+            # Unwind through the normal return transition so the caller
+            # world is left exactly as before the call, then let the
+            # error propagate.
             self._world_call_hw(cpu, delivered_caller_wid)
             cpu.charge("world_restore_state")
             self._unwind_caller(caller)

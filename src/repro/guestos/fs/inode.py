@@ -64,10 +64,17 @@ class StatResult:
 class Inode:
     """One filesystem object.
 
-    ``FILE`` inodes carry ``data`` (a bytearray); ``DIR`` inodes carry
-    ``children`` (name -> Inode); ``DEVICE`` inodes carry a ``driver``
-    object exposing ``read(offset, length) -> bytes`` and
+    ``FILE`` inodes carry ``data``; ``DIR`` inodes carry ``children``
+    (name -> Inode); ``DEVICE`` inodes carry a ``driver`` object
+    exposing ``read(offset, length) -> bytes`` and
     ``write(offset, data) -> int``; ``SYMLINK`` inodes carry ``target``.
+
+    File data is copy-on-write.  ``data`` holds immutable ``bytes``,
+    which machines built from the same image may share (the same object
+    in every machine), until the first :meth:`write` or :meth:`truncate`
+    swaps in a ``bytearray`` this inode owns.  Those two methods are the
+    only in-place writers; set-up code that assigns or appends
+    (``data += ...``) to ``bytes`` rebinds only its own inode.
     """
 
     def __init__(self, itype: InodeType, *, mode: int = 0o644, uid: int = 0,
@@ -80,7 +87,7 @@ class Inode:
         self.gid = gid
         self.nlink = 1
         self.atime = self.mtime = self.ctime = now
-        self.data = bytearray() if itype is InodeType.FILE else None
+        self.data = b"" if itype is InodeType.FILE else None
         self.children: Optional[Dict[str, "Inode"]] = (
             {} if itype is InodeType.DIR else None)
         self.driver = driver
@@ -122,6 +129,27 @@ class Inode:
         if self.type is not InodeType.FILE or self.data is None:
             raise GuestOSError(Errno.EINVAL, "inode has no content")
         return bytes(self.data)
+
+    def write(self, offset: int, data: bytes) -> int:
+        """Write ``data`` at ``offset``, zero-filling any gap past the
+        end; returns the bytes written.  The first write copies shared
+        content into a bytearray this inode owns."""
+        if type(self.data) is not bytearray:
+            if self.type is not InodeType.FILE:
+                raise GuestOSError(Errno.EINVAL, "not writable")
+            self.data = bytearray(self.data)
+        buf = self.data
+        end = offset + len(data)
+        if len(buf) < end:
+            buf.extend(bytes(end - len(buf)))
+        buf[offset:end] = data
+        return len(data)
+
+    def truncate(self) -> None:
+        """Drop this FILE inode's content (``O_TRUNC``)."""
+        if self.type is not InodeType.FILE:
+            raise GuestOSError(Errno.EINVAL, "not a regular file")
+        self.data = bytearray()
 
     def read(self, offset: int, length: int) -> bytes:
         """Up to ``length`` readable bytes at ``offset``, copying only

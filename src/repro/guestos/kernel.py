@@ -36,6 +36,11 @@ KERNEL_TEXT_GVA = 0xC000_0000
 #: Base uptime at boot, so /proc/uptime looks like a warm machine.
 BOOT_UPTIME_SECONDS = 3600.0
 
+#: The boot image's /usr/share/dict/words, shared by every kernel's
+#: inode until that inode's first write (file data is copy-on-write).
+_DEFAULT_WORDS = b"\n".join(
+    f"word{i:05d}".encode() for i in range(2000)) + b"\n"
+
 
 class SyscallRedirector:
     """Interface for syscall interception (subclassed by the systems)."""
@@ -228,34 +233,28 @@ class Kernel:
             self.rootfs.create(root, name, InodeType.DIR, mode=0o755)
         etc = self.rootfs.lookup(root, "etc")
         passwd = self.rootfs.create(etc, "passwd", InodeType.FILE)
-        assert passwd.data is not None
-        passwd.data += (b"root:x:0:0:root:/root:/bin/bash\n"
-                        b"alice:x:1000:1000::/home/alice:/bin/bash\n"
-                        b"bob:x:1001:1001::/home/bob:/bin/bash\n")
+        passwd.data = (b"root:x:0:0:root:/root:/bin/bash\n"
+                       b"alice:x:1000:1000::/home/alice:/bin/bash\n"
+                       b"bob:x:1001:1001::/home/bob:/bin/bash\n")
         hostname = self.rootfs.create(etc, "hostname", InodeType.FILE)
-        assert hostname.data is not None
-        hostname.data += f"{self.vm.name}\n".encode()
+        hostname.data = f"{self.vm.name}\n".encode()
 
         var = self.rootfs.lookup(root, "var")
         run = self.rootfs.create(var, "run", InodeType.DIR, mode=0o755)
         self.rootfs.create(var, "log", InodeType.DIR, mode=0o755)
         utmp = self.rootfs.create(run, "utmp", InodeType.FILE)
-        assert utmp.data is not None
-        utmp.data += (b"alice pts/0 2015-06-13 09:00\n"
-                      b"bob   pts/1 2015-06-13 09:30\n")
+        utmp.data = (b"alice pts/0 2015-06-13 09:00\n"
+                     b"bob   pts/1 2015-06-13 09:30\n")
 
         tmp = self.rootfs.lookup(root, "tmp")
         f = self.rootfs.create(tmp, "f", InodeType.FILE)
-        assert f.data is not None
-        f.data += b"lmbench scratch file\n"
+        f.data = b"lmbench scratch file\n"
 
         usr = self.rootfs.lookup(root, "usr")
         share = self.rootfs.create(usr, "share", InodeType.DIR, mode=0o755)
         dictdir = self.rootfs.create(share, "dict", InodeType.DIR, mode=0o755)
         words = self.rootfs.create(dictdir, "words", InodeType.FILE)
-        assert words.data is not None
-        words.data += b"\n".join(
-            f"word{i:05d}".encode() for i in range(2000)) + b"\n"
+        words.data = _DEFAULT_WORDS
 
 
 def boot_kernel(machine, vm, cpu: Optional[CPU] = None) -> Kernel:

@@ -111,8 +111,7 @@ class SyscallTable:
         if node.type is InodeType.DIR and "w" in flags:
             raise GuestOSError(Errno.EISDIR, f"cannot write dir {path}")
         if trunc and node.type is InodeType.FILE:
-            assert node.data is not None
-            del node.data[:]
+            node.truncate()
         open_file = OpenFile(inode=node, path=path,
                              readable="r" in flags,
                              writable="w" in flags)
@@ -177,15 +176,9 @@ class SyscallTable:
         if node.type is InodeType.DEVICE:
             assert node.driver is not None
             return node.driver.write(open_file.offset, data)
-        if node.type is not InodeType.FILE:
-            raise GuestOSError(Errno.EINVAL, "not writable")
-        assert node.data is not None
-        end = open_file.offset + len(data)
-        if len(node.data) < end:
-            node.data.extend(b"\x00" * (end - len(node.data)))
-        node.data[open_file.offset:end] = data
-        open_file.offset = end
-        return len(data)
+        written = node.write(open_file.offset, data)
+        open_file.offset += written
+        return written
 
     def sys_lseek(self, proc: Process, fd: int, offset: int,
                   whence: str = "set") -> int:
@@ -248,14 +241,7 @@ class SyscallTable:
         if node.type is InodeType.DEVICE:
             assert node.driver is not None
             return node.driver.write(offset, data)
-        if node.type is not InodeType.FILE:
-            raise GuestOSError(Errno.EINVAL, "not writable")
-        assert node.data is not None
-        end = offset + len(data)
-        if len(node.data) < end:
-            node.data.extend(b"\x00" * (end - len(node.data)))
-        node.data[offset:end] = data
-        return len(data)
+        return node.write(offset, data)
 
     def sys_fsync(self, proc: Process, fd: int) -> int:
         """Durability barrier (a cost-only operation on ramfs)."""

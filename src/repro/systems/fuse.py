@@ -115,13 +115,9 @@ class FuseDaemon:
         if entry is None:
             raise GuestOSError(Errno.EBADF, f"bad FUSE handle {handle}")
         node, offset = entry
-        assert node.data is not None
-        end = offset + len(data)
-        if len(node.data) < end:
-            node.data.extend(b"\x00" * (end - len(node.data)))
-        node.data[offset:end] = data
-        self._handles[handle] = (node, end)
-        return len(data)
+        written = node.write(offset, data)
+        self._handles[handle] = (node, offset + written)
+        return written
 
     def _op_stat(self, path: str):
         return self._resolve(path).stat()

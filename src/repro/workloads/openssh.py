@@ -58,6 +58,11 @@ CALLS_PER_BLOCK = 3
 #: Blocks simulated exactly before extrapolation kicks in.
 SAMPLE_BLOCKS = 48
 
+#: The served file's content: enough real bytes for every exactly
+#: simulated block (the extrapolated tail reuses the measured per-block
+#: cost).  One object, shared by every machine's inode until a write.
+_PAYLOAD = (bytes(range(256)) * (BLOCK_SIZE // 256)) * (SAMPLE_BLOCKS + 1)
+
 #: Page-cache pressure: extra cycles/byte on the native read path once
 #: the working set outgrows the modelled LLC+page-cache sweet spot.
 def _cache_pressure(size_mb: int) -> float:
@@ -125,11 +130,7 @@ class OpenSSHTransfer:
         if "payload" not in tmp.children:
             node = serving_kernel.rootfs.create(tmp, "payload",
                                                 InodeType.FILE)
-            assert node.data is not None
-            # Enough real content for every exactly-simulated block;
-            # the extrapolated tail reuses the measured per-block cost.
-            node.data += (bytes(range(256)) * (BLOCK_SIZE // 256)
-                          ) * (SAMPLE_BLOCKS + 1)
+            node.data = _PAYLOAD
         self.size_mb = size_mb
 
         if self.mode == "native":

@@ -46,13 +46,18 @@ USER_COMPUTE = {
 }
 
 
+#: The content of every /bin file: a 64-byte ELF header stub, one object
+#: shared by all of them.
+_ELF_STUB = b"\x7fELF" + bytes(60)
+
+
 @lru_cache(maxsize=8)
 def _utmp_blob(entries: int) -> bytes:
     """The synthetic /var/run/utmp content for a session count.
 
     Every machine in a sweep is populated identically, so the blob is
-    built once per scale and shared (host-level memoization only: the
-    simulated write into the inode is unchanged)."""
+    built once per scale and every machine's inode holds this one
+    object until its first write (file data is copy-on-write)."""
     records = []
     for i in range(entries):
         user = f"user{i % 37:02d}"
@@ -63,7 +68,8 @@ def _utmp_blob(entries: int) -> bytes:
 
 @lru_cache(maxsize=8)
 def _words_blob(words_kib: int) -> bytes:
-    """The synthetic /usr/share/dict/words content for a size scale."""
+    """The synthetic /usr/share/dict/words content for a size scale,
+    shared like :func:`_utmp_blob`'s."""
     line = b"abcdefgh%05d\n"
     count = words_kib * 1024 // len(line % 0)
     return b"".join(line % i for i in range(count))
@@ -88,17 +94,13 @@ def prepare_inspection_environment(kernel: Kernel,
     var = kernel.rootfs.lookup(root, "var")
     run = kernel.rootfs.lookup(var, "run")
     utmp = kernel.rootfs.lookup(run, "utmp")
-    assert utmp.data is not None
-    del utmp.data[:]
-    utmp.data += _utmp_blob(scales["utmp_entries"])
+    utmp.data = _utmp_blob(scales["utmp_entries"])
 
     usr = kernel.rootfs.lookup(root, "usr")
     share = kernel.rootfs.lookup(usr, "share")
     dictdir = kernel.rootfs.lookup(share, "dict")
     words = kernel.rootfs.lookup(dictdir, "words")
-    assert words.data is not None
-    del words.data[:]
-    words.data += _words_blob(scales["words_kib"])
+    words.data = _words_blob(scales["words_kib"])
 
     bindir = kernel.rootfs.lookup(root, "bin")
     assert bindir.children is not None
@@ -107,8 +109,7 @@ def prepare_inspection_environment(kernel: Kernel,
         if name not in bindir.children:
             node = kernel.rootfs.create(bindir, name, InodeType.FILE,
                                         mode=0o755)
-            assert node.data is not None
-            node.data += b"\x7fELF" + bytes(60)
+            node.data = _ELF_STUB
 
 
 @dataclass

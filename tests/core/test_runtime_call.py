@@ -305,6 +305,35 @@ class TestAuthorization:
         assert delta.count("world_authorize") == 0
 
 
+class TestMissingCallee:
+    @_TRACED
+    @pytest.mark.parametrize("missing", ["handler", "software_world"])
+    def test_caller_resumed(self, missing, traced):
+        """A callee WID with no entry handler, or with no software world
+        registered behind it, raises ``SimulationError`` only after the
+        return transition has put the CPU back in the caller's world and
+        popped the caller's frame; the next call works once the callee
+        is whole again."""
+        harness = Harness()
+        cpu = harness.machine.cpu
+        cpu.trace.enabled = traced
+        callee = harness.callee
+        handler = callee.handler
+        if missing == "handler":
+            callee.handler = None
+        else:
+            del harness.registry.worlds[callee.wid]
+        with pytest.raises(SimulationError):
+            harness.call("echo", 1)
+        assert harness.caller.matches_cpu(cpu)
+        assert harness.caller.call_stack == []
+        assert not callee.busy
+        callee.handler = handler
+        harness.registry.worlds[callee.wid] = callee
+        assert harness.call("echo", 2) == (2,)
+        assert harness.caller.call_stack == []
+
+
 class TestConcurrencyAndCFI:
     def test_reentrant_call_into_busy_world_rejected(self, harness):
         def reentrant(request):

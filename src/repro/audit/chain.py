@@ -3,14 +3,21 @@
 Every flight-recorder record carries ``hash = H(prev_hash ‖ record)``
 over a canonical byte encoding of the record: all fields except the
 hash itself, as ``json.dumps(body, sort_keys=True, separators=(",",
-":"))`` would write them.  One encoder, :func:`encode`, produces those
+":"))`` would write them.  One encoder, :func:`encode_static` (and
+:func:`encode`, its form for a body tuple), produces those
 bytes for the recorder, :func:`canonical`, :func:`link` and
-:func:`verify_chain` alike.  Every record has the same 14 body fields,
-so their sorted order is a constant; the encoder fills a fixed
-template, cached per value shape (the exact type of each field), and
-falls back to ``json.dumps`` for any value that is not an exact
-``str``, ``int`` or ``None``, for strings that need escaping, and for
-dicts whose key set is not exactly :data:`RECORD_FIELDS`.
+:func:`verify_chain` alike.  Of a record's 14 body fields only the
+three counters (``seq``, ``epoch``, ``cycles``) change from record to
+record; the other eleven (:data:`STATIC_FIELDS`) take one value
+combination per site.  The encoder keys a bounded cache on those
+eleven values and builds each entry once with ``json.dumps``: a
+``bytes`` template with one ``%d`` slot per counter, so a record's
+bytes are one ``template % (cycles, epoch, seq)``.  The cached path
+takes exact ``int`` counters, an exact ``int`` or None in
+``caller_wid``, ``callee_wid`` and ``ring``, and an exact ``str`` or
+None elsewhere (``1``, ``True`` and ``1.0`` are equal keys but
+different JSON); any other value, and any dict whose key set is not
+exactly :data:`RECORD_FIELDS`, goes to ``json.dumps``.
 
 The chain makes a recorded log *tamper evident* offline:
 
@@ -31,7 +38,7 @@ from __future__ import annotations
 import hashlib
 import json
 import operator
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import AuditViolation
 
@@ -54,45 +61,80 @@ RECORD_FIELDS = (
 #: The fields that get hashed, in :data:`RECORD_FIELDS` order.
 BODY_FIELDS = RECORD_FIELDS[:-1]
 
+#: The three counters: the body fields whose values change on every
+#: record.
+COUNTER_FIELDS = ("seq", "epoch", "cycles")
+
+#: The other eleven body fields, in :data:`BODY_FIELDS` order: their
+#: values repeat from record to record (one combination per site).
+STATIC_FIELDS = tuple(field for field in BODY_FIELDS
+                      if field not in COUNTER_FIELDS)
+
 _FIELD_SET = frozenset(RECORD_FIELDS)
 _body_of = operator.itemgetter(*BODY_FIELDS)
 
-#: Body positions in canonical (sorted-key) order; ``callee_wid``
-#: sorts before ``caller_wid``.
-_SORTED = sorted(range(len(BODY_FIELDS)), key=BODY_FIELDS.__getitem__)
+#: The static fields that hold an int (or None); the rest hold a str
+#: (or None).
+_INT_FIELDS = frozenset(("caller_wid", "callee_wid", "ring"))
 
-#: Value shape (the exact type of each body field) -> (format string,
-#: picker of the non-None values in sorted order, the ``"`` the format
-#: writes), or None when some type needs ``json.dumps``.
-_TEMPLATES: Dict[Tuple[type, ...],
-                 Optional[Tuple[str, Callable, bytes]]] = {}
+#: Static values -> (the same values, the one tuple every record of
+#: that site shares; their canonical bytes with one ``%d`` slot per
+#: counter, in sorted-key order: cycles, epoch, seq).
+_TEMPLATES: Dict[Tuple[Any, ...], Tuple[Tuple[Any, ...], bytes]] = {}
 
-#: The bytes a JSON string holds unescaped: printable ASCII but ``"``
-#: and ``\``.
-_PLAIN = bytes(c for c in range(0x20, 0x7f) if c not in b'"\\')
+#: Entries :data:`_TEMPLATES` holds before it is cleared.
+TEMPLATE_LIMIT = 4096
 
 
-def _template(shape: Tuple[type, ...]):
-    """Build the template for one value shape (None: fall back)."""
-    parts, picked = [], []
-    for index in _SORTED:
-        kind = shape[index]
-        if kind is type(None):
-            slot = "null"
-        elif kind is int or kind is str:
-            slot = "%s" if kind is int else '"%s"'
-            picked.append(index)
-        else:
+def _template(static: Tuple[Any, ...]
+              ) -> Optional[Tuple[Tuple[Any, ...], bytes]]:
+    """Build and cache the template of one static value combination
+    (None, uncached, when some value needs ``json.dumps``)."""
+    for field, value in zip(STATIC_FIELDS, static):
+        if value is not None and type(value) is not (
+                int if field in _INT_FIELDS else str):
             return None
-        # Field names are plain identifiers: no escaping, no ``%``.
-        parts.append(f'"{BODY_FIELDS[index]}":{slot}')
-    text = "{" + ",".join(parts) + "}"
-    if len(picked) > 1:
-        pick = operator.itemgetter(*picked)
-    else:   # itemgetter returns a bare value for one index
-        def pick(values):
-            return tuple(values[index] for index in picked)
-    return text, pick, b'"' * text.count('"')
+    values = dict(zip(STATIC_FIELDS, static))
+    # ``json.dumps`` writes ASCII only; a ``%`` in a value is doubled
+    # so that the format leaves it alone.
+    text = "{" + ",".join(
+        f'"{field}":%d' if field in COUNTER_FIELDS else
+        f'"{field}":' + json.dumps(values[field]).replace("%", "%%")
+        for field in sorted(BODY_FIELDS)) + "}"
+    if len(_TEMPLATES) >= TEMPLATE_LIMIT:
+        _TEMPLATES.clear()
+    entry = _TEMPLATES[static] = (static, text.encode("ascii"))
+    return entry
+
+
+def encode_static(static: Tuple[Any, ...], seq: int, epoch: int,
+                  cycles: int) -> Tuple[Tuple[Any, ...], bytes]:
+    """The canonical bytes of one record body given as its
+    :data:`STATIC_FIELDS` values and its three counters, with the
+    cached tuple equal to ``static`` (``static`` itself when the body
+    takes the ``json.dumps`` path).
+
+    The cache key is the static values alone: once the int fields are
+    admitted only as an exact ``int`` or None (``True`` and ``1.0``
+    equal ``1``), equal keys mean equal types too.
+    """
+    # Positions in STATIC_FIELDS: fam..ring are 0-7, decision..detail
+    # 8-10; in the body, epoch sits between the two runs.
+    caller, callee, ring = static[4], static[5], static[7]
+    if (type(cycles) is int and type(epoch) is int and type(seq) is int
+            and (caller is None or type(caller) is int)
+            and (callee is None or type(callee) is int)
+            and (ring is None or type(ring) is int)):
+        try:
+            entry = _TEMPLATES.get(static)
+        except TypeError:   # unhashable, so neither a str nor an int
+            entry = None
+        if entry is None:
+            entry = _template(static)
+        if entry is not None:
+            return entry[0], entry[1] % (cycles, epoch, seq)
+    return static, _dumps(dict(zip(BODY_FIELDS, (
+        seq, *static[:8], epoch, *static[8:], cycles))))
 
 
 def encode(body: Tuple[Any, ...]) -> bytes:
@@ -100,19 +142,8 @@ def encode(body: Tuple[Any, ...]) -> bytes:
     :data:`BODY_FIELDS` values in that order, and the result equals
     ``json.dumps`` of the body dict with sorted keys and no whitespace.
     """
-    shape = tuple(map(type, body))
-    try:
-        entry = _TEMPLATES[shape]
-    except KeyError:
-        entry = _TEMPLATES[shape] = _template(shape)
-    if entry is not None:
-        text, pick, quotes = entry
-        raw = (text % pick(body)).encode("utf-8", "surrogatepass")
-        # Printable ASCII other than ``"`` and ``\`` encodes as itself,
-        # so the template's own quotes must be all that is left.
-        if raw.translate(None, _PLAIN) == quotes:
-            return raw
-    return _dumps(dict(zip(BODY_FIELDS, body)))
+    return encode_static(body[1:9] + body[10:13],
+                         body[0], body[9], body[13])[1]
 
 
 def _dumps(body: Dict[str, Any]) -> bytes:
@@ -129,10 +160,13 @@ def canonical(record: Dict[str, Any]) -> bytes:
                    if key != "hash"})
 
 
-def link_body(prev_hash: str, body: Tuple[Any, ...]) -> str:
-    """``H(prev_hash ‖ body)`` for a body tuple (see :func:`encode`)."""
-    return hashlib.sha256(prev_hash.encode("ascii")
-                          + encode(body)).hexdigest()
+def link_static(prev_hash: str, static: Tuple[Any, ...], seq: int,
+                epoch: int, cycles: int) -> Tuple[Tuple[Any, ...], str]:
+    """``H(prev_hash ‖ body)`` for a body given as in
+    :func:`encode_static`, with the cached tuple equal to ``static``."""
+    static, raw = encode_static(static, seq, epoch, cycles)
+    return static, hashlib.sha256(prev_hash.encode("ascii")
+                                  + raw).hexdigest()
 
 
 def link(prev_hash: str, record: Dict[str, Any]) -> str:

@@ -33,12 +33,19 @@ field set (the bus record's fields plus ``seq``, ``epoch`` and
                 records, per-event charge for trace records)
 ``hash``        chain link — see :mod:`repro.audit.chain`
 
-Cost: the append path hashes straight from the event's fields through
-the chain's one canonical encoder (:func:`repro.audit.chain.encode`)
-and retains each record as a tuple in :data:`RECORD_FIELDS` order.
-Dicts are built only on export: :attr:`FlightRecorder.records` and
-:meth:`FlightRecorder.to_log` return fresh ones on every call, so
-tampering with an exported log never touches the recorder's own.
+Cost: the append path hands the event's eleven static fields and the
+three counters to the chain's one canonical encoder
+(:func:`repro.audit.chain.link_static`), which fills the site's cached
+byte template and hashes it.  The recorder formats no bytes itself, and
+it retains each record as ``(static, epoch, cycles, hash)``: ``static``
+is the encoder's cached tuple, shared by every record of that site,
+``epoch`` is one int per mapping epoch, and ``seq`` follows from the
+record's position in the ring.  Dicts are built only on export:
+:attr:`FlightRecorder.records` and :meth:`FlightRecorder.to_log` return
+fresh ones in :data:`RECORD_FIELDS` order on every call, so tampering
+with an exported log never touches the recorder's own.  Digests stay
+hex strings: the export needs one per record anyway, so a raw 32-byte
+digest would only add a second object beside it.
 
 Determinism: records contain only modeled state (no wall-clock, no
 RNG, no PIDs), so the same workload produces a byte-identical log at
@@ -70,8 +77,11 @@ class FlightRecorder:
     def __init__(self, label: str = "audit", capacity: int = 65536) -> None:
         self.label = label
         self.capacity = capacity
-        #: Retained records as tuples in :data:`RECORD_FIELDS` order;
-        #: the deque drops the oldest past ``capacity``.
+        #: Retained records, oldest first, as ``(static, epoch, cycles,
+        #: hash)``: ``static`` is the chain's shared tuple of the
+        #: record's :data:`~repro.audit.chain.STATIC_FIELDS` values, and
+        #: ``seq`` is implied by the position.  The deque drops the
+        #: oldest past ``capacity``.
         self._records: Deque[Tuple[Any, ...]] = deque(maxlen=capacity)
         self._seq = 0
         #: Records whose decision was ``"deny"`` — the online anomaly
@@ -83,7 +93,10 @@ class FlightRecorder:
         # core.call) can import it without cycles.
         from repro.hw import mem
         self._mem = mem
-        self._epoch_base = mem.mapping_epoch()
+        self._epoch_base = self._raw_epoch = mem.mapping_epoch()
+        #: The epoch relative to installation: one int for all the
+        #: records of one mapping epoch.
+        self._epoch = 0
 
     # ------------------------------------------------------------------
     # the observer seam and the append path
@@ -100,19 +113,25 @@ class FlightRecorder:
         self._append(event, event.ref.kind)
 
     def _append(self, event, kind: Optional[str] = None) -> None:
-        body = (self._seq, event.fam, kind or event.kind, event.frm,
-                event.to, event.caller_wid, event.callee_wid, event.mode,
-                event.ring, self._mem.mapping_epoch() - self._epoch_base,
-                event.decision, event.site, event.detail, event.cycles)
-        self._prev_hash = _chain.link_body(self._prev_hash, body)
+        raw = self._mem.mapping_epoch()
+        if raw != self._raw_epoch:
+            self._raw_epoch = raw
+            self._epoch = raw - self._epoch_base
+        static, self._prev_hash = _chain.link_static(
+            self._prev_hash,
+            (event.fam, kind or event.kind, event.frm, event.to,
+             event.caller_wid, event.callee_wid, event.mode, event.ring,
+             event.decision, event.site, event.detail),
+            self._seq, self._epoch, event.cycles)
         self._seq += 1
-        self._records.append(body + (self._prev_hash,))
+        self._records.append((static, self._epoch, event.cycles,
+                              self._prev_hash))
         if event.decision == "deny":
             self.denials += 1
             # The online anomaly signal: the observatory pins it to the
             # window it happened in.
             observe.emit("audit", "anomaly",
-                         site=f"{event.fam}.{body[2]}",
+                         site=f"{event.fam}.{static[1]}",
                          detail=event.detail or event.frm)
 
     #: Every kind the log records.  ``fault_injected`` is a marker for
@@ -151,7 +170,10 @@ class FlightRecorder:
     def records(self) -> List[Dict[str, Any]]:
         """The retained records, oldest first, as fresh dicts: mutating
         them leaves the recorder's log intact."""
-        return [dict(zip(RECORD_FIELDS, record)) for record in self._records]
+        return [dict(zip(RECORD_FIELDS, (seq, *static[:8], epoch,
+                                         *static[8:], cycles, digest)))
+                for seq, (static, epoch, cycles, digest)
+                in enumerate(self._records, self._seq - len(self._records))]
 
     def to_log(self) -> Dict[str, Any]:
         """The exportable, verifiable log (plain data, json-ready; the
@@ -160,7 +182,7 @@ class FlightRecorder:
             "label": self.label,
             "algo": _chain.ALGORITHM,
             "genesis": _chain.GENESIS,
-            "first_seq": self._records[0][0] if self._records else 0,
+            "first_seq": self._seq - len(self._records),
             "dropped": self._dropped(),
             "final_hash": self._prev_hash,
             "records": self.records,

@@ -39,7 +39,7 @@ cost-attribution profiler in :mod:`repro.telemetry.profiler`.
 
 from __future__ import annotations
 
-from typing import Any, Callable, ContextManager, Dict, List, Optional
+from typing import Callable, ContextManager, Dict, List, Optional, Tuple
 
 from repro import observe
 from repro.hw.perf import WORLD_SWITCH_KINDS
@@ -105,11 +105,14 @@ class TelemetrySession:
         if handler is not None:
             handler(self, event)
 
-    def _inc(self, key: tuple, family: str, **labels: Any) -> None:
+    def _inc(self, key: tuple, names: Tuple[str, ...]) -> None:
+        """Bump the counter of family ``key[0]`` whose labels ``names``
+        take the values ``key[1:]``; the labels are built only the
+        first time the key is seen."""
         inc = self._counters.get(key)
         if inc is None:
             inc = self._counters[key] = self.metrics.counter(
-                family, **labels).inc
+                key[0], **dict(zip(names, key[1:]))).inc
         inc()
 
     def _open(self, span, cycles: int = 0) -> None:
@@ -158,8 +161,8 @@ class TelemetrySession:
         """A :class:`~repro.core.call.WorldCallRuntime` call started:
         count it and, in a span session, open its span."""
         caller, callee = event.caller_wid, event.callee_wid
-        self._inc(("core.world_calls", caller, callee), "core.world_calls",
-                  caller_wid=caller, callee_wid=callee)
+        self._inc(("core.world_calls", caller, callee),
+                  ("caller_wid", "callee_wid"))
         self._open(self.tracer.span("world_call", category="core",
                                     cpu=event.ref, caller_wid=caller,
                                     callee_wid=callee)
@@ -182,8 +185,7 @@ class TelemetrySession:
         """A Figure-4 cross-VM round trip started (one span per round
         trip, traced or not)."""
         frm, to = event.frm, event.to
-        self._inc(("core.crossvm_roundtrips", frm, to),
-                  "core.crossvm_roundtrips", frm=frm, to=to)
+        self._inc(("core.crossvm_roundtrips", frm, to), ("frm", "to"))
         self._open(self.tracer.span("crossvm_roundtrip", category="core",
                                     cpu=event.ref, frm=frm, to=to)
                    if self.spans else None)
@@ -195,7 +197,7 @@ class TelemetrySession:
         """The switchless engine diverted one call (``detail`` is
         ``world`` or ``crossvm``)."""
         kind = event.detail
-        self._inc(("switchless.calls", kind), "switchless.calls", kind=kind)
+        self._inc(("switchless.calls", kind), ("kind",))
         if not self.spans:
             self._open(None)
             return
@@ -211,21 +213,23 @@ class TelemetrySession:
         self._close()
 
     def _fault_injected(self, event) -> None:
-        site = event.site
-        self._inc(("faults.injected", site), "faults.injected", site=site)
+        self._inc(("faults.injected", event.site), ("site",))
 
     def _recovery(self, event) -> None:
         """A graceful-degradation policy activated: a ``recovery``
         record names it (revalidate, legacy_fallback, ...) in
         ``detail``; a ``marshal_repair`` is its own policy."""
         policy = event.detail if event.kind == "recovery" else event.kind
-        self._inc(("faults.recoveries", policy), "faults.recoveries",
-                  policy=policy)
+        self._inc(("faults.recoveries", policy), ("policy",))
 
     def _virq_inject(self, event) -> None:
-        vector, vm = event.ref, event.to
-        self._inc(("hypervisor.virq_injected", vector, vm),
-                  "hypervisor.virq_injected", vector=f"{vector:#04x}", vm=vm)
+        # Not ``_inc``: the vector label is the value formatted.
+        key = ("hypervisor.virq_injected", event.ref, event.to)
+        inc = self._counters.get(key)
+        if inc is None:
+            inc = self._counters[key] = self.metrics.counter(
+                key[0], vector=f"{event.ref:#04x}", vm=event.to).inc
+        inc()
 
     _HANDLERS = {
         "transition": _transition,
@@ -259,8 +263,7 @@ class TelemetrySession:
         a span session, ``None`` in a counters-only session."""
         name = system.name
         variant = system.variant
-        self._inc(("system.redirects", name, variant), "system.redirects",
-                  system=name, variant=variant)
+        self._inc(("system.redirects", name, variant), ("system", "variant"))
         if not self.spans:
             return None
         return self.tracer.span(f"{name}.redirect", category="system",

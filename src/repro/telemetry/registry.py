@@ -120,14 +120,25 @@ def bucket_percentile(bounds: Tuple[float, ...], bucket_counts,
     return float(bounds[-1]) if bounds else None  # pragma: no cover
 
 
-class Counter:
-    """A monotonically increasing integer."""
+class _Series:
+    """One series: a family name, its label key and the two rendered
+    together once, for every snapshot."""
 
-    __slots__ = ("name", "labels", "value")
+    __slots__ = ("name", "labels", "rendered")
 
     def __init__(self, name: str, labels: LabelKey) -> None:
         self.name = name
         self.labels = labels
+        self.rendered = series_name(name, labels)
+
+
+class Counter(_Series):
+    """A monotonically increasing integer."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, name: str, labels: LabelKey) -> None:
+        super().__init__(name, labels)
         self.value = 0
 
     def inc(self, amount: int = 1) -> None:
@@ -137,21 +148,20 @@ class Counter:
         self.value += amount
 
 
-class Gauge:
+class Gauge(_Series):
     """A point-in-time value (set, not accumulated)."""
 
-    __slots__ = ("name", "labels", "value")
+    __slots__ = ("value",)
 
     def __init__(self, name: str, labels: LabelKey) -> None:
-        self.name = name
-        self.labels = labels
+        super().__init__(name, labels)
         self.value: float = 0
 
     def set(self, value: float) -> None:
         self.value = value
 
 
-class Histogram:
+class Histogram(_Series):
     """A fixed-bucket histogram with percentile estimation.
 
     ``buckets`` are inclusive upper bounds; one implicit overflow bucket
@@ -163,15 +173,14 @@ class Histogram:
     counts — merge order cannot change a percentile.
     """
 
-    __slots__ = ("name", "labels", "buckets", "bucket_counts", "count",
-                 "total", "min", "max")
+    __slots__ = ("buckets", "bucket_counts", "count", "total", "min",
+                 "max")
 
     def __init__(self, name: str, labels: LabelKey,
                  buckets: Tuple[float, ...] = DEFAULT_BUCKETS) -> None:
         if not buckets or list(buckets) != sorted(buckets):
             raise ValueError("histogram buckets must be sorted and non-empty")
-        self.name = name
-        self.labels = labels
+        super().__init__(name, labels)
         self.buckets = tuple(buckets)
         self.bucket_counts = [0] * (len(buckets) + 1)
         self.count = 0
@@ -266,7 +275,7 @@ class MetricsRegistry:
             kind, series_map = self._families[name]
             for key in sorted(series_map):
                 series = series_map[key]
-                rendered = series_name(name, key)
+                rendered = series.rendered
                 if kind == "counter":
                     out["counters"][rendered] = series.value
                 elif kind == "gauge":

@@ -2,14 +2,15 @@
 and AuditViolation."""
 
 import hashlib
+import itertools
 import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.audit import FlightRecorder, RECORD_FIELDS, verify_chain
+from repro.audit import FlightRecorder, RECORD_FIELDS, chain, verify_chain
 from repro.audit.chain import (
-    ALGORITHM, BODY_FIELDS, GENESIS, canonical, encode, link,
+    ALGORITHM, BODY_FIELDS, GENESIS, STATIC_FIELDS, canonical, encode, link,
     require_chain)
 from repro.errors import AuditViolation, CrossOverError
 from repro.observe import Event
@@ -85,6 +86,78 @@ class TestCanonicalEncoder:
         assert canonical(short) == _reference(short)
         wide = dict(body, **{extra: value})
         assert canonical(dict(wide, hash="h")) == _reference(wide)
+
+
+def _site(**fields):
+    """A body dict a template can serve: str and int values only."""
+    body = {"seq": 12, "fam": "hw", "kind": "ept_switch", "frm": "",
+            "to": "K(vm2)", "caller_wid": None, "callee_wid": None,
+            "mode": "G", "ring": 0, "epoch": 593, "decision": None,
+            "site": None, "detail": "eptp[2]", "cycles": 10**9}
+    body.update(fields)
+    return body
+
+
+def _encode(body):
+    return encode(tuple(body[field] for field in BODY_FIELDS))
+
+
+_STRING_FIELDS = [field for field in STATIC_FIELDS
+                  if field not in ("caller_wid", "callee_wid", "ring")]
+
+
+class TestTemplateCache:
+    @pytest.mark.parametrize("field", ["caller_wid", "callee_wid", "ring"])
+    @pytest.mark.parametrize("order", list(itertools.permutations(
+        [1, True, 1.0])), ids=repr)
+    def test_int_fields_keep_one_type_per_template(self, field, order):
+        chain._TEMPLATES.clear()
+        for value in order:
+            body = _site(**{field: value})
+            assert _encode(body) == _reference(body)
+
+    @pytest.mark.parametrize("field", _STRING_FIELDS)
+    def test_non_str_in_a_string_field_is_never_templated(self, field):
+        chain._TEMPLATES.clear()
+        for value in ("1", 1, True, 1.0, "1"):
+            body = _site(**{field: value})
+            assert _encode(body) == _reference(body)
+        index = STATIC_FIELDS.index(field)
+        assert [type(static[index]) for static in chain._TEMPLATES] == [str]
+
+    @pytest.mark.parametrize("field", _STRING_FIELDS)
+    @pytest.mark.parametrize("value", [
+        "%", "%d", "%s%%", "%(seq)d", '"', '\\"', "\\", "\u00e9\u20ac",
+        "\U0001f600", "\ud800", "a\udfffb", "\x00\x1f\x7f"])
+    def test_awkward_strings_in_every_string_field(self, field, value):
+        for seq in (0, 7):      # the miss, then the cached template
+            body = _site(seq=seq, **{field: value})
+            assert _encode(body) == _reference(body)
+
+    @pytest.mark.parametrize("field", chain.COUNTER_FIELDS)
+    @pytest.mark.parametrize("value", [True, False, 1.0, None, -3, 2**70])
+    def test_counters_of_every_type(self, field, value):
+        for body in (_site(), _site(**{field: value}), _site()):
+            assert _encode(body) == _reference(body)
+
+    def test_cache_stays_within_its_bound(self):
+        chain._TEMPLATES.clear()
+        for index in range(chain.TEMPLATE_LIMIT + 300):
+            body = _site(detail=f"detail {index}", cycles=index)
+            assert _encode(body) == _reference(body)
+            assert len(chain._TEMPLATES) <= chain.TEMPLATE_LIMIT
+
+    def test_one_shared_tuple_per_site(self):
+        first = ("hw", "ept_switch", "", "K(vm2)", None, None, "G", 0,
+                 None, None, "eptp[2]")
+        again = tuple(list(first))
+        assert again is not first
+        shared, _ = chain.encode_static(first, 0, 0, 1)
+        assert chain.encode_static(again, 1, 0, 2)[0] is shared
+
+    def test_unhashable_values_fall_back(self):
+        body = _site(detail=["not", "hashable"])
+        assert _encode(body) == _reference(body)
 
 
 _events = st.builds(

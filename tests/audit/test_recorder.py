@@ -1,12 +1,20 @@
 """Recorder semantics: install/scoped discipline, record shape,
 zero-perturbation of modeled costs, ring bounding."""
 
+import hashlib
+import json
+import tracemalloc
+from types import SimpleNamespace
+
 from repro import audit
 from repro.audit import FlightRecorder, RECORD_FIELDS, verify_chain
+from repro.audit.chain import BODY_FIELDS, GENESIS
 from repro.core.authorization import AllowListPolicy
 from repro.core.call import CallRequest, WorldCallRuntime
 from repro.core.world import WorldRegistry
+from repro.hw import mem
 from repro.hw.costs import FEATURES_CROSSOVER
+from repro.observe import Event
 from repro.testbed import build_two_vm_machine, enter_vm_kernel
 from tests.audit import _feed
 
@@ -108,6 +116,102 @@ class TestRingBounding:
         assert log["dropped"] == 7
         assert log["first_seq"] == 7
         assert [r["seq"] for r in log["records"]] == [7, 8, 9]
+
+
+#: The sites a sweep's records come from, in the order a cross-VM
+#: round trip and a redirected read emit them.
+_SWEEP_MIX = [
+    ("hw", "ept_switch", dict(to="K(vm2)", mode="G", ring=0,
+                              detail="eptp[2]")),
+    ("hw", "ept_switch", dict(to="K(vm1)", mode="G", ring=0,
+                              detail="eptp[1]")),
+    ("sys", "redirect_begin", dict(frm="ShadowContext/optimized",
+                                   detail="read")),
+    ("sys", "redirect_end", dict(frm="ShadowContext/optimized",
+                                 detail="read")),
+    ("core", "crossvm_begin", dict(frm="vm1", to="vm2")),
+    ("core", "crossvm_end", dict(frm="vm1", to="vm2", detail="ok")),
+    ("hv", "virq_inject", dict(to="vm2", detail="vector 0xf3")),
+    ("hv", "virq_deliver", dict(to="vm2", detail="vector 0xf3")),
+]
+
+#: Sites only the json.dumps fallback can encode, and a transition.
+_ODD_MIX = [
+    ("core", "authorization", dict(caller_wid=1, callee_wid=2,
+                                   decision="deny")),
+    ("hw", "world_call", dict(caller_wid=True, callee_wid=2, ring=1.0,
+                              detail="100% \u00e9 \"q\" \\")),
+    ("fault", "fault_injected", dict(site="hw.entry_revoked",
+                                     cycles=True)),
+    ("trace", "transition", dict(ref=SimpleNamespace(kind="vmexit"))),
+]
+
+
+def _parent_log(events, epochs):
+    """The records and final hash of ``events``, built as the recorder
+    used to build them: a body tuple in field order, hashed as sorted
+    JSON, exported as ``dict(zip(RECORD_FIELDS, body + (hash,)))``."""
+    prev, records = GENESIS, []
+    for seq, (event, epoch) in enumerate(zip(events, epochs)):
+        kind = event.ref.kind if event.kind == "transition" else event.kind
+        body = (seq, event.fam, kind, event.frm, event.to,
+                event.caller_wid, event.callee_wid, event.mode, event.ring,
+                epoch, event.decision, event.site, event.detail,
+                event.cycles)
+        canonical = json.dumps(dict(zip(BODY_FIELDS, body)), sort_keys=True,
+                               separators=(",", ":")).encode("utf-8")
+        prev = hashlib.sha256(prev.encode("ascii") + canonical).hexdigest()
+        records.append(dict(zip(RECORD_FIELDS, body + (prev,))))
+    return records, prev
+
+
+class TestCompactRing:
+    def test_export_equals_the_tuple_ring_at_every_capacity(self):
+        recorders = [FlightRecorder("ring", capacity)
+                     for capacity in (1, 7, 64, 65536)]
+        mix = _SWEEP_MIX + _ODD_MIX
+        events, epochs = [], []
+        for index in range(200):
+            if index % 13 == 5:
+                mem.bump_mapping_epoch()
+            fam, kind, fields = mix[index * 5 % len(mix)]
+            event = Event(fam, kind, **dict({"cycles": 1000 + 37 * index},
+                                            **fields))
+            events.append(event)
+            epochs.append((index + 8) // 13)   # bumps so far
+            for recorder in recorders:
+                recorder.on_event(event)
+        records, final = _parent_log(events, epochs)
+        for recorder in recorders:
+            kept = min(recorder.capacity, len(records))
+            assert recorder.to_log() == {
+                "label": "ring", "algo": "sha256", "genesis": GENESIS,
+                "first_seq": len(records) - kept,
+                "dropped": len(records) - kept, "final_hash": final,
+                "records": records[len(records) - kept:]}
+            assert recorder.records == records[len(records) - kept:]
+            assert verify_chain(recorder.to_log()) == []
+        assert recorders[-1].to_log()["dropped"] == 0
+
+
+class TestRingFootprint:
+    def test_sweep_like_records_stay_compact(self):
+        # 65,536 records of the sweep's sites with rising cycles: about
+        # 14.8 MB as (shared site tuple, epoch, cycles, hash), 22.9 MB
+        # as one 15-field tuple per record.
+        tracemalloc.start()
+        try:
+            recorder = FlightRecorder("sweep")
+            before = tracemalloc.get_traced_memory()[0]
+            for index in range(65536):
+                fam, kind, fields = _SWEEP_MIX[index % len(_SWEEP_MIX)]
+                recorder.on_event(Event(fam, kind, cycles=10**9 + 37 * index,
+                                        **fields))
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(recorder) == 65536
+        assert retained < 18_000_000, retained
 
 
 class TestExportIsolation:

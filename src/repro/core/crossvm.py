@@ -52,6 +52,7 @@ from repro.hw.mem import PAGE_SIZE
 from repro.hw.paging import PageTable
 from repro.hw.vmx import ExitReason
 from repro.hypervisor.hypercalls import Hypercall
+from repro.hypervisor.paths import CALLEE, CALLER, EXIT, LAUNCH, Step, TrapPath
 from repro.hypervisor.vm import VirtualMachine
 from repro.observe import Event
 
@@ -81,6 +82,20 @@ _CTX_ZEROS = b"\x00" * _CONTEXT_SAVE_BYTES
 
 #: Sentinel: the mechanism seam declined and the default path should run.
 _NOT_ROUTED = object()
+
+#: The trap round trip of an explicit ``mechanism="baseline"`` call.
+BASELINE_PATH = TrapPath(
+    enter=(Step(EXIT, ExitReason.VMCALL, "crossvm baseline out"),
+           Step(LAUNCH, CALLEE, "crossvm baseline entry")),
+    leave=(Step(EXIT, ExitReason.VMCALL, "crossvm baseline done"),
+           Step(LAUNCH, CALLER, "crossvm baseline resume")))
+
+#: The trap round trip the dispatcher falls back to after a VMFUNC fault.
+LEGACY_PATH = TrapPath(
+    enter=(Step(EXIT, ExitReason.VMFUNC_FAULT, "crossvm legacy out"),
+           Step(LAUNCH, CALLEE, "crossvm legacy entry")),
+    leave=(Step(EXIT, ExitReason.VMCALL, "crossvm legacy done"),
+           Step(LAUNCH, CALLER, "crossvm legacy resume")))
 
 
 class _PairState:
@@ -476,61 +491,38 @@ class CrossVMSyscallMechanism:
             raise result
         return result
 
-    def _trap_roundtrip(self, from_vm: VirtualMachine,
-                        to_vm: VirtualMachine, request_obj: Any,
-                        server: Callable[[Any], Any],
-                        first_exit: ExitReason, label: str) -> Any:
-        """The trap-based round trip both pre-VMFUNC paths share: exit
-        to the hypervisor, enter the peer VM, run the service there,
-        and come back with a second exit/entry pair.  Returns the
-        outcome — possibly a :class:`GuestOSError` instance, which the
-        caller decides how to surface."""
-        cpu = self.machine.cpu
-        hypervisor = self.machine.hypervisor
-        cpu.vmexit(first_exit, f"{label} out")
-        cpu.charge("vmexit_handle")
-        hypervisor.launch(cpu, to_vm, f"{label} entry")
-        try:
-            outcome = server(request_obj)
-        except GuestOSError as err:
-            outcome = err
-        cpu.vmexit(ExitReason.VMCALL, f"{label} done")
-        cpu.charge("vmexit_handle")
-        hypervisor.launch(cpu, from_vm, f"{label} resume")
-        return outcome
-
     def _baseline_roundtrip(self, from_vm: VirtualMachine,
                             to_vm: VirtualMachine, request_obj: Any,
                             server: Callable[[Any], Any]) -> Any:
-        """An explicitly requested ``mechanism="baseline"`` round trip.
+        """An explicitly requested ``mechanism="baseline"`` round trip:
+        the hypervisor walks :data:`BASELINE_PATH` around the service.
 
         Same transitions as the legacy fallback, but deliberate — no
         recovery accounting."""
-        outcome = self._trap_roundtrip(from_vm, to_vm, request_obj, server,
-                                       ExitReason.VMCALL,
-                                       "crossvm baseline")
-        self.baseline_calls += 1
-        if isinstance(outcome, GuestOSError):
-            raise outcome
-        return outcome
+        try:
+            return self.machine.hypervisor.redirect(
+                self.machine.cpu, from_vm, to_vm,
+                lambda: server(request_obj), BASELINE_PATH)
+        finally:
+            self.baseline_calls += 1
 
     def _legacy_roundtrip(self, from_vm: VirtualMachine,
                           to_vm: VirtualMachine, request_obj: Any,
                           server: Callable[[Any], Any]) -> Any:
-        """The pre-VMFUNC fallback: a trap-based round trip.
+        """The pre-VMFUNC fallback: the hypervisor walks
+        :data:`LEGACY_PATH` around the service.
 
         When the exit-free EPTP switch is unavailable (VMFUNC faulted),
         the dispatcher falls back to what baseline systems do.  Two full
         world switches instead of zero, but the call still completes.
         """
-        outcome = self._trap_roundtrip(from_vm, to_vm, request_obj, server,
-                                       ExitReason.VMFUNC_FAULT,
-                                       "crossvm legacy")
-        self.recoveries["legacy_roundtrip"] += 1
-        observe.emit("core", "recovery", detail="crossvm_legacy")
-        if isinstance(outcome, GuestOSError):
-            raise outcome
-        return outcome
+        try:
+            return self.machine.hypervisor.redirect(
+                self.machine.cpu, from_vm, to_vm,
+                lambda: server(request_obj), LEGACY_PATH)
+        finally:
+            self.recoveries["legacy_roundtrip"] += 1
+            observe.emit("core", "recovery", detail="crossvm_legacy")
 
     def _roundtrip_straight(self, state: _PairState,
                             from_vm: VirtualMachine, to_vm: VirtualMachine,

@@ -15,7 +15,9 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro import faults as _faults
 from repro import observe
+from repro.core import convention
 from repro.errors import ConfigurationError, GuestOSError, SimulationError
+from repro.guestos.process import Process
 from repro.hw.cpu import CPU, Mode, Ring
 from repro.hw.ept import EPTPList
 from repro.hw.mem import PAGE_SIZE, Frame
@@ -24,10 +26,16 @@ from repro.hw.vmx import ExitReason
 from repro.hw.world_table import WorldTableEntry
 from repro.hypervisor.hypercalls import Hypercall, HypercallTable
 from repro.hypervisor.injection import VECTOR_SYSCALL_REDIRECT, Injector
+from repro.hypervisor.paths import (CALLEE, COPY, EXIT, INJECT, LAUNCH,
+                                    SCHEDULE, SLEEP, SYSRET, TRAP_AND_INJECT,
+                                    TRAP_IF_USER, WAKE, Step, TrapPath)
 from repro.hypervisor.scheduler import HostScheduler
 from repro.hypervisor.shared_memory import SharedMemoryRegion
 from repro.hypervisor.vm import COMMON_GPA_BASE, VirtualMachine
 from repro.hypervisor.worlds import WorldService
+
+#: No outcome: the body raised something other than a guest error.
+_NO_OUTCOME = object()
 
 
 class HostProcess:
@@ -120,26 +128,70 @@ class Hypervisor:
         cpu.charge("vmexit_handle")
 
     def redirect(self, cpu: CPU, from_vm: VirtualMachine,
-                 to_vm: VirtualMachine, body: Callable[[], Any]) -> Any:
-        """The trap-and-inject frame of hypervisor-mediated redirection.
+                 to_vm: VirtualMachine, body: Callable[[], Any],
+                 path: TrapPath = TRAP_AND_INJECT, *,
+                 executor: Optional[Process] = None,
+                 request: Optional[bytes] = None) -> Any:
+        """Walk ``path.enter``, run ``body`` in ``to_vm``, walk
+        ``path.leave`` back to ``from_vm`` — also when ``body`` raises.
 
-        The caller vmcalls out of ``from_vm``, the hypervisor injects the
-        redirect vector into ``to_vm`` and enters it, ``body`` runs in
-        that VM's kernel, and a second exit/entry pair resumes
-        ``from_vm``.  Returns what ``body`` returns; anything ``body``
-        raises is raised only after ``from_vm`` is resumed.
-        """
-        self.exit_to_host(cpu, ExitReason.VMCALL, "redirect")
-        self.injector.inject(cpu, to_vm, VECTOR_SYSCALL_REDIRECT,
-                             "redirect")
-        self.launch(cpu, to_vm, "deliver redirect")
-        if cpu.ring != int(Ring.KERNEL):
-            cpu.syscall_trap("redirect entry")
+        ``TRAP_AND_INJECT`` serves the runtime's ``baseline`` mechanism,
+        Table 7's "w/o CrossOver" redirector and the fault campaign's
+        baseline cell; the four case-study baselines (``TRAP_PATH``)
+        and crossvm (``BASELINE_PATH``, ``LEGACY_PATH``) pass their own.
+        Wake/sleep rows act on ``executor``; copy rows copy ``request``,
+        then the marshaled outcome: a ``GuestOSError`` is copied back
+        before it is raised, any other exception leaves no reply.  A
+        call that starts in the host kernel skips the leading exit and
+        the trailing resume."""
+        in_host = cpu.mode is Mode.ROOT
+        self._walk(cpu, path.host_enter if in_host else path.enter,
+                   from_vm, to_vm, executor, request)
+        outcome: Any = _NO_OUTCOME
         try:
-            return body()
+            outcome = body()
+            return outcome
+        except GuestOSError as err:
+            outcome = err
+            raise
         finally:
-            self.exit_to_host(cpu, ExitReason.VMCALL, "redirect done")
-            self.launch(cpu, from_vm, "resume")
+            reply = None
+            if path.copies_reply and outcome is not _NO_OUTCOME:
+                reply = convention.encode(outcome)
+            self._walk(cpu, path.host_leave if in_host else path.leave,
+                       from_vm, to_vm, executor, reply)
+
+    def _walk(self, cpu: CPU, steps: Tuple[Step, ...],
+              caller: VirtualMachine, callee: VirtualMachine,
+              executor: Optional[Process], payload: Optional[bytes]
+              ) -> None:
+        """Charge and perform one half of a trap round trip."""
+        for op, arg, detail, _label in steps:
+            target = callee if arg == CALLEE else caller
+            if op == EXIT:
+                self.exit_to_host(cpu, arg, detail)
+            elif op == LAUNCH:
+                self.launch(cpu, target, detail)
+            elif op == COPY:
+                if payload is not None:
+                    cpu.perf.charge(
+                        "copy", self.machine.cost_model.copy(len(payload)))
+            elif op == TRAP_IF_USER:
+                if cpu.ring != 0:
+                    cpu.syscall_trap(detail)
+            elif op == WAKE:
+                callee.kernel.scheduler.switch_to(executor, detail)
+            elif op == SYSRET:
+                cpu.sysret(detail)
+            elif op == SLEEP:
+                callee.kernel.current = None
+            elif op == INJECT:
+                self.injector.inject(cpu, target, VECTOR_SYSCALL_REDIRECT,
+                                     detail)
+            elif op == SCHEDULE:
+                self.scheduler.schedule(cpu, target, detail)
+            else:
+                cpu.charge(arg)
 
     # ------------------------------------------------------------------
     # hypercalls

@@ -14,6 +14,9 @@ Each system comes in two variants:
 eleven Table-1 systems for the survey reproduction.
 """
 
+from repro.core import crossvm
+from repro.hypervisor.paths import TRAP_AND_INJECT, step_labels
+from repro.systems import hypershell, proxos, shadowcontext, tahoma
 from repro.systems.base import CrossWorldSystem, SystemRedirector
 from repro.systems.proxos import Proxos
 from repro.systems.hypershell import HyperShell
@@ -23,6 +26,13 @@ from repro.systems.fuse import UserSpaceFS
 from repro.systems.minibox import MiniBox
 from repro.systems.overshadow import Overshadow
 from repro.systems.splitdriver import SplitDriver
+
+#: Every single-body trap round trip, and the profiler's path-step
+#: labels read off their rows.
+TRAP_PATHS = (proxos.TRAP_PATH, shadowcontext.TRAP_PATH,
+              hypershell.TRAP_PATH, tahoma.TRAP_PATH, crossvm.BASELINE_PATH,
+              crossvm.LEGACY_PATH, TRAP_AND_INJECT)
+STEP_LABELS = step_labels(TRAP_PATHS)
 
 __all__ = [
     "CrossWorldSystem",

@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, Optional, Set, Tuple
+from typing import Any, Callable, Iterable, Optional, Set
 
 from repro import observe
+from repro.core import convention
 from repro.core.crossvm import CrossVMSyscallMechanism
-from repro.errors import ConfigurationError, GuestOSError, SimulationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.guestos.kernel import Kernel, SyscallRedirector
 from repro.guestos.process import Process
 from repro.hw.cpu import Mode
+from repro.hypervisor.paths import TrapPath
 from repro.hypervisor.vm import VirtualMachine
 from repro.machine import Machine
 from repro.observe import Event
@@ -21,12 +23,6 @@ LOCAL_ONLY_SYSCALLS = frozenset({
     "fork", "execve", "exit", "wait", "kill", "sched_yield", "brk",
     "mmap", "munmap",
 })
-
-#: Canonical profiler step labels shared by every system:
-#: ``(event kind, event detail) -> path-step frame``.  Each case-study
-#: module contributes its own table for its baseline path; unmapped
-#: events keep their raw kind as the step label (e.g. ``world_call``).
-STACK_STEPS: Dict[Tuple[str, str], str] = {}
 
 
 class CrossWorldSystem:
@@ -107,7 +103,17 @@ class CrossWorldSystem:
         """Subclass hook: the system's actual redirection path."""
         raise NotImplementedError
 
-    # -- helpers shared by the optimized variants -----------------------
+    # -- helpers shared by the variants ---------------------------------
+
+    def _trap_redirect(self, path: TrapPath, executor: Process, name: str,
+                       args: tuple, kwargs: dict) -> Any:
+        """A baseline: ``executor`` issues the syscall in the remote VM,
+        reached over the hypervisor's walk of ``path``."""
+        return self.machine.hypervisor.redirect(
+            self.machine.cpu, self.local_vm, self.remote_vm,
+            lambda: executor.syscall(name, *args, **kwargs), path,
+            executor=executor,
+            request=convention.encode((name, args, kwargs)))
 
     def _optimized_redirect(self, name: str, *args, **kwargs) -> Any:
         assert self.crossvm is not None and self.remote_executor is not None

@@ -22,25 +22,33 @@ from __future__ import annotations
 from typing import Any
 
 from repro import observe
-from repro.core import convention
-from repro.errors import GuestOSError, SimulationError
+from repro.errors import SimulationError
 from repro.hw.cpu import Mode, Ring
 from repro.hw.vmx import ExitReason
+from repro.hypervisor.paths import (CALLEE, CALLER, COPY, EXIT, LAUNCH,
+                                    SYSRET, TRAP_IF_USER, WAKE, Step,
+                                    TrapPath)
 from repro.systems.base import CrossWorldSystem
 
 
-#: Profiler step labels for the baseline INT3-helper path (Figure 2,
-#: case 2): ``(trace event kind, detail) -> canonical path step``.
-STACK_STEPS = {
-    ("vmexit", "hypershell redirect"): "vmcall-entry",
-    ("vmentry", "run helper"): "enter-guest",
-    ("syscall_trap", "helper resumes"): "helper-resume-trap",
-    ("sysret", "helper user"): "helper-user",
-    ("vmexit", "helper INT3"): "int3-exit",
-    ("vmentry", "inject syscall into helper"): "inject-syscall",
-    ("vmexit", "helper done"): "int3-done",
-    ("vmentry", "resume shell VM"): "resume-shell",
-}
+#: The baseline INT3-helper path (Figure 2, case 2), with its profiler
+#: path-step labels: the helper spins on INT3, so KVM hands it the
+#: syscall at its next breakpoint exit.  The first exit and the last
+#: entry only run when the call starts in a management-VM kernel.
+TRAP_PATH = TrapPath(
+    enter=(Step(EXIT, ExitReason.VMCALL, "hypershell redirect",
+                "vmcall-entry"),
+           Step(COPY),
+           Step(LAUNCH, CALLEE, "run helper", "enter-guest"),
+           Step(TRAP_IF_USER, None, "helper resumes", "helper-resume-trap"),
+           Step(WAKE, None, "schedule helper"),
+           Step(SYSRET, None, "helper user", "helper-user"),
+           Step(EXIT, ExitReason.BREAKPOINT, "helper INT3", "int3-exit"),
+           Step(LAUNCH, CALLEE, "inject syscall into helper",
+                "inject-syscall")),
+    leave=(Step(EXIT, ExitReason.BREAKPOINT, "helper done", "int3-done"),
+           Step(COPY),
+           Step(LAUNCH, CALLER, "resume shell VM", "resume-shell")))
 
 
 class HyperShell(CrossWorldSystem):
@@ -64,11 +72,15 @@ class HyperShell(CrossWorldSystem):
     # ------------------------------------------------------------------
 
     def _redirect(self, name: str, *args, **kwargs) -> Any:
-        """One reverse-redirected syscall."""
+        """One reverse-redirected syscall, from the management VM's
+        kernel or (baseline only) the host kernel."""
         if self.optimized:
             self._require_local_kernel()
             return self._optimized_redirect(name, *args, **kwargs)
-        return self._baseline_redirect(name, *args, **kwargs)
+        cpu = self.machine.cpu
+        if cpu.mode is not Mode.ROOT or cpu.ring != 0:
+            self._require_local_kernel()
+        return self._trap_redirect(TRAP_PATH, self.helper, name, args, kwargs)
 
     # ------------------------------------------------------------------
     # baseline: host shell -> KVM -> INT3 helper -> in-guest execution
@@ -99,56 +111,7 @@ class HyperShell(CrossWorldSystem):
         cpu.syscall_trap(name)
         cpu.charge("syscall_dispatch")
         try:
-            return self._baseline_redirect(name, *args, **kwargs)
+            return self._trap_redirect(TRAP_PATH, self.helper, name, args,
+                                       kwargs)
         finally:
             cpu.sysret(name)
-
-    def _baseline_redirect(self, name: str, *args, **kwargs) -> Any:
-        cpu = self.machine.cpu
-        hypervisor = self.machine.hypervisor
-        cm = self.machine.cost_model
-        # The canonical entry is the host kernel (KVM, via the shell's
-        # trap).  When driven from a management-VM kernel instead, the
-        # request first leaves that VM with a hypercall and the shell VM
-        # is resumed afterwards.
-        started_in_guest = (cpu.mode is Mode.NON_ROOT
-                            and cpu.vm_name == self.local_vm.name
-                            and cpu.ring == 0)
-        if started_in_guest:
-            cpu.vmexit(ExitReason.VMCALL, "hypershell redirect")
-            cpu.charge("vmexit_handle")
-        elif cpu.mode is not Mode.ROOT or cpu.ring != 0:
-            raise SimulationError(
-                "baseline HyperShell redirection runs in the host kernel")
-
-        request = convention.encode((name, args, kwargs))
-        cpu.perf.charge("copy", cm.copy(len(request)))
-
-        # Enter the guest; the helper is spinning on INT3, so the next
-        # breakpoint exit is immediate — KVM hands over the syscall.
-        hypervisor.launch(cpu, self.remote_vm, "run helper")
-        if cpu.ring != 0:
-            cpu.syscall_trap("helper resumes")
-        remote = self.remote_kernel
-        remote.scheduler.switch_to(self.helper, "schedule helper")
-        cpu.sysret("helper user")
-        cpu.vmexit(ExitReason.BREAKPOINT, "helper INT3")
-        cpu.charge("vmexit_handle")
-        hypervisor.launch(cpu, self.remote_vm, "inject syscall into helper")
-
-        # The helper executes the redirected syscall in-guest.
-        try:
-            result: Any = self.helper.syscall(name, *args, **kwargs)
-        except GuestOSError as err:
-            result = err
-
-        # Completion: the helper traps to KVM again with INT3.
-        cpu.vmexit(ExitReason.BREAKPOINT, "helper done")
-        cpu.charge("vmexit_handle")
-        reply = convention.encode(result)
-        cpu.perf.charge("copy", cm.copy(len(reply)))
-        if started_in_guest:
-            hypervisor.launch(cpu, self.local_vm, "resume shell VM")
-        if isinstance(result, GuestOSError):
-            raise result
-        return result

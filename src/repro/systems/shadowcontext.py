@@ -19,23 +19,29 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.core import convention
-from repro.errors import GuestOSError
 from repro.hw.vmx import ExitReason
-from repro.hypervisor.injection import VECTOR_SYSCALL_REDIRECT
+from repro.hypervisor.paths import (CALLEE, CALLER, COPY, EXIT, INJECT,
+                                    LAUNCH, SLEEP, SYSRET, TRAP_IF_USER,
+                                    WAKE, Step, TrapPath)
 from repro.systems.base import CrossWorldSystem
 
 
-#: Profiler step labels for the baseline inject-into-dummy path
-#: (Figure 2, case 4): ``(trace event kind, detail) -> canonical step``.
-STACK_STEPS = {
-    ("vmexit", "shadowcontext redirect"): "vmcall-entry",
-    ("vmentry", "run dummy process"): "enter-untrusted",
-    ("syscall_trap", "dummy dispatch"): "dummy-dispatch",
-    ("sysret", "dummy user"): "dummy-user",
-    ("vmexit", "shadowcontext done"): "vmcall-done",
-    ("vmentry", "resume trusted VM"): "resume-trusted",
-}
+#: The baseline inject-into-dummy path (Figure 2, case 4), with its
+#: profiler path-step labels.
+TRAP_PATH = TrapPath(
+    enter=(Step(EXIT, ExitReason.VMCALL, "shadowcontext redirect",
+                "vmcall-entry"),
+           Step(COPY),
+           Step(INJECT, CALLEE, "to dummy"),
+           Step(LAUNCH, CALLEE, "run dummy process", "enter-untrusted"),
+           Step(TRAP_IF_USER, None, "dummy dispatch", "dummy-dispatch"),
+           Step(WAKE, None, "wake dummy"),
+           Step(SYSRET, None, "dummy user", "dummy-user")),
+    leave=(Step(SLEEP),          # the dummy sleeps again
+           Step(EXIT, ExitReason.VMCALL, "shadowcontext done",
+                "vmcall-done"),
+           Step(COPY),
+           Step(LAUNCH, CALLER, "resume trusted VM", "resume-trusted")))
 
 
 class ShadowContext(CrossWorldSystem):
@@ -55,48 +61,4 @@ class ShadowContext(CrossWorldSystem):
         self._require_local_kernel()
         if self.optimized:
             return self._optimized_redirect(name, *args, **kwargs)
-        return self._baseline_redirect(name, *args, **kwargs)
-
-    # ------------------------------------------------------------------
-    # baseline: VM exit -> inject software interrupt -> dummy executes
-    # -> VM exit -> copy buffers back -> resume trusted VM
-    # ------------------------------------------------------------------
-
-    def _baseline_redirect(self, name: str, *args, **kwargs) -> Any:
-        cpu = self.machine.cpu
-        hypervisor = self.machine.hypervisor
-        cm = self.machine.cost_model
-
-        # The introspection interface raises a VM exit to KVM; all
-        # parameters are copied out of the trusted VM.
-        request = convention.encode((name, args, kwargs))
-        cpu.vmexit(ExitReason.VMCALL, "shadowcontext redirect")
-        cpu.charge("vmexit_handle")
-        cpu.perf.charge("copy", cm.copy(len(request)))
-
-        # KVM injects the redirected syscall into the dummy process with
-        # a software interrupt.
-        hypervisor.injector.inject(cpu, self.remote_vm,
-                                   VECTOR_SYSCALL_REDIRECT, "to dummy")
-        hypervisor.launch(cpu, self.remote_vm, "run dummy process")
-        if cpu.ring != 0:
-            cpu.syscall_trap("dummy dispatch")
-        remote = self.remote_kernel
-        remote.scheduler.switch_to(self.dummy, "wake dummy")
-        cpu.sysret("dummy user")
-        try:
-            result: Any = self.dummy.syscall(name, *args, **kwargs)
-        except GuestOSError as err:
-            result = err
-
-        # Completion raises another VM exit; the returned buffer is
-        # copied across VMs; the trusted VM resumes.
-        reply = convention.encode(result)
-        self.remote_kernel.current = None   # the dummy sleeps again
-        cpu.vmexit(ExitReason.VMCALL, "shadowcontext done")
-        cpu.charge("vmexit_handle")
-        cpu.perf.charge("copy", cm.copy(len(reply)))
-        hypervisor.launch(cpu, self.local_vm, "resume trusted VM")
-        if isinstance(result, GuestOSError):
-            raise result
-        return result
+        return self._trap_redirect(TRAP_PATH, self.dummy, name, args, kwargs)

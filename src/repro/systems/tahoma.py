@@ -19,27 +19,29 @@ from __future__ import annotations
 from typing import Any
 
 from repro.core import convention
-from repro.errors import GuestOSError, SimulationError
-from repro.guestos.pipe import WouldBlock
-from repro.hw.cpu import Mode
+from repro.errors import GuestOSError
 from repro.hw.vmx import ExitReason
+from repro.hypervisor.paths import (CALLEE, CALLER, EXIT, LAUNCH, SCHEDULE,
+                                    SLEEP, SYSRET, TRAP_IF_USER, WAKE, Step,
+                                    TrapPath)
 from repro.systems.base import CrossWorldSystem
 
 #: Port the manager's browser-call service listens on.
 MANAGER_PORT = 8080
 
-#: Profiler step labels for the baseline XML-over-TCP path (Figure 2,
-#: case 3): ``(trace event kind, detail) -> canonical path step``.
-STACK_STEPS = {
-    ("vmexit", "browser blocks on RPC"): "rpc-block",
-    ("vm_schedule", "run manager"): "schedule-manager",
-    ("vmentry", "manager VM"): "enter-manager",
-    ("syscall_trap", "manager wakeup"): "manager-wakeup",
-    ("sysret", "manager user"): "manager-user",
-    ("vmexit", "manager idles"): "manager-idle",
-    ("vm_schedule", "resume browser"): "schedule-browser",
-    ("vmentry", "browser VM"): "resume-browser",
-}
+#: The hypervisor half of the baseline XML-over-TCP path (Figure 2,
+#: case 3), with its profiler path-step labels.
+TRAP_PATH = TrapPath(
+    enter=(Step(EXIT, ExitReason.HLT, "browser blocks on RPC", "rpc-block"),
+           Step(SCHEDULE, CALLEE, "run manager", "schedule-manager"),
+           Step(LAUNCH, CALLEE, "manager VM", "enter-manager"),
+           Step(TRAP_IF_USER, None, "manager wakeup", "manager-wakeup"),
+           Step(WAKE, None, "wake manager"),
+           Step(SYSRET, None, "manager user", "manager-user")),
+    leave=(Step(SLEEP),
+           Step(EXIT, ExitReason.HLT, "manager idles", "manager-idle"),
+           Step(SCHEDULE, CALLER, "resume browser", "schedule-browser"),
+           Step(LAUNCH, CALLER, "browser VM", "resume-browser")))
 
 
 class Tahoma(CrossWorldSystem):
@@ -99,32 +101,28 @@ class Tahoma(CrossWorldSystem):
         self._require_local_kernel()
         if self.optimized:
             return self._optimized_redirect(name, *args, **kwargs)
-        return self._baseline_rpc(name, *args, **kwargs)
-
-    # ------------------------------------------------------------------
-    # baseline: XML over TCP over the virtual network
-    # ------------------------------------------------------------------
-
-    def _baseline_rpc(self, name: str, *args, **kwargs) -> Any:
         cpu = self.machine.cpu
-        hypervisor = self.machine.hypervisor
         kernel = self.local_kernel
 
-        # XML-marshal the request and send it down the TCP link.
+        # Baseline: XML-marshal the request and send it down the TCP
+        # link; the manager VM serves it; read and unmarshal the reply.
         cpu.charge("xml_marshal")
         request = convention.encode((name, args, kwargs))
         kernel.execute_syscall(self.link, "send", self.browser_fd, request)
+        self.machine.hypervisor.redirect(
+            cpu, self.local_vm, self.remote_vm, self._serve, TRAP_PATH,
+            executor=self.manager)
+        wire = kernel.execute_syscall(self.link, "recv",
+                                      self.browser_fd, 65536)
+        cpu.charge("xml_marshal")
+        value = convention.decode(wire)
+        if isinstance(value, GuestOSError):
+            raise value
+        return value
 
-        # The manager VM gets scheduled to serve the call.
-        hypervisor.exit_to_host(cpu, ExitReason.HLT, "browser blocks on RPC")
-        hypervisor.scheduler.schedule(cpu, self.remote_vm, "run manager")
-        hypervisor.launch(cpu, self.remote_vm, "manager VM")
-        if cpu.ring != 0:
-            cpu.syscall_trap("manager wakeup")
-        self.remote_kernel.scheduler.switch_to(self.manager, "wake manager")
-        cpu.sysret("manager user")
-
-        # Manager: recv, unmarshal, execute, marshal, reply.
+    def _serve(self) -> None:
+        """The manager: recv, unmarshal, execute, marshal, reply."""
+        cpu = self.machine.cpu
         wire = self.manager.syscall("recv", self.manager_fd, 65536)
         cpu.charge("xml_marshal")   # XML decode costs like encode
         r_name, r_args, r_kwargs = convention.decode(wire)
@@ -133,19 +131,5 @@ class Tahoma(CrossWorldSystem):
         except GuestOSError as err:
             result = err
         cpu.charge("xml_marshal")
-        reply = convention.encode(result)
-        self.manager.syscall("send", self.manager_fd, reply)
-
-        # Back to the browser VM; read and unmarshal the reply.
-        self.remote_kernel.current = None
-        cpu.vmexit(ExitReason.HLT, "manager idles")
-        cpu.charge("vmexit_handle")
-        hypervisor.scheduler.schedule(cpu, self.local_vm, "resume browser")
-        hypervisor.launch(cpu, self.local_vm, "browser VM")
-        wire = kernel.execute_syscall(self.link, "recv",
-                                      self.browser_fd, 65536)
-        cpu.charge("xml_marshal")
-        value = convention.decode(wire)
-        if isinstance(value, GuestOSError):
-            raise value
-        return value
+        self.manager.syscall("send", self.manager_fd,
+                             convention.encode(result))

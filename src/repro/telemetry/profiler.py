@@ -10,8 +10,9 @@ per-kind boundary crossings attributed to logical stacks of the form::
 
 Frames come from the span tree (``category == "system"`` spans carry
 the system and operation; any other span contributes its name) and the
-transition instants attached to them (the path step, labeled through
-each case study's ``STACK_STEPS`` table, falling back to the raw event
+transition instants attached to them (the path step: the label of
+the trap-path row that recorded the instant, see
+:data:`repro.systems.STEP_LABELS`, falling back to the raw event
 kind).  Cycles not consumed by a span's children or instants stay on
 the span's own stack as self time.  A counters-only session has no
 spans, so its profile is empty.
@@ -32,32 +33,12 @@ import json
 import os
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.systems import STEP_LABELS
 from repro.telemetry import TelemetrySession
 from repro.telemetry.spans import Span
 
 #: Weight fields a stack can be collapsed by.
 WEIGHTS = ("cycles", "instructions", "calls")
-
-_step_table_cache: Optional[Dict[Tuple[str, str], str]] = None
-
-
-def step_table() -> Dict[Tuple[str, str], str]:
-    """The merged ``(kind, detail) -> step label`` table of the four
-    case studies (imported lazily: the systems package imports
-    telemetry at module load)."""
-    global _step_table_cache
-    if _step_table_cache is None:
-        from repro.systems import (hypershell, proxos, shadowcontext,
-                                   tahoma)
-        from repro.systems import base as systems_base
-
-        table: Dict[Tuple[str, str], str] = {}
-        table.update(systems_base.STACK_STEPS)
-        for module in (proxos, hypershell, tahoma, shadowcontext):
-            table.update(module.STACK_STEPS)
-        _step_table_cache = table
-    return _step_table_cache
-
 
 class _Entry:
     """Accumulated weights of one stack."""
@@ -95,13 +76,12 @@ class StackProfile:
         entry = self._entry(stack)
         if span.category == "system":
             entry.calls += 1
-        steps = step_table()
         consumed_cycles = 0
         consumed_instructions = 0
         for event in span.events:
             args = event.args
-            step = steps.get((event.name, args.get("detail", "")),
-                             event.name)
+            step = STEP_LABELS.get((event.name, args.get("detail", "")),
+                                   event.name)
             cycles = args.get("cycles", 0) or 0
             instructions = args.get("instructions", 0) or 0
             leaf = self._entry(stack + (step,))

@@ -177,7 +177,7 @@ class OpenSSHTransfer:
             machine.hypervisor.scheduler.set_load(self.public_kernel.vm, 1)
 
             def redirect(name, *args):
-                return proxos._baseline_redirect(name, *args)
+                return proxos._redirect(name, *args)
 
         self._redirect = redirect
         self._ready = True

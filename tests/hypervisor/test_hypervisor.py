@@ -11,6 +11,8 @@ from repro.hw.cpu import VMFUNC_EPT_SWITCH, Mode
 from repro.hw.ept import EPT, EPTPList
 from repro.hw.paging import PageTable
 from repro.hypervisor.hypercalls import Hypercall
+from repro.hypervisor.paths import (CALLER, COPY, EXIT, LAUNCH, Step,
+                                    TrapPath, step_labels)
 from repro.guestos.kernel import KERNEL_TEXT_GVA
 from repro.machine import Machine
 
@@ -190,3 +192,19 @@ class TestHostProcesses:
         frame = machine.memory.allocate()
         machine.hypervisor.map_into_host_process(proc, 0x40_0000, frame)
         assert proc.page_table.translate(0x40_0000) == frame.hpa
+
+
+class TestTrapPaths:
+    BACK = (Step(LAUNCH, CALLER, "back"),)
+
+    def test_only_rows_that_record_an_event_take_a_label(self):
+        path = TrapPath(enter=(Step(COPY, label="copy"),), leave=self.BACK)
+        with pytest.raises(ConfigurationError):
+            step_labels([path])
+
+    def test_one_event_labeled_twice_rejected(self):
+        paths = [TrapPath(enter=(Step(EXIT, "vmcall", "out", label),),
+                          leave=self.BACK) for label in ("a", "b")]
+        assert step_labels(paths[:1]) == {("vmexit", "out"): "a"}
+        with pytest.raises(ConfigurationError):
+            step_labels(paths)

@@ -3,7 +3,9 @@ four reimplemented systems, baseline and optimized."""
 
 import pytest
 
+from repro.core.crossvm import CrossVMSyscallMechanism
 from repro.errors import GuestOSError, SimulationError
+from repro.hw.cpu import Mode
 from repro.systems import HyperShell, Proxos, ShadowContext, Tahoma
 from repro.systems.base import install_redirection
 from repro.testbed import build_two_vm_machine, enter_vm_kernel, exit_to_host
@@ -95,6 +97,43 @@ class TestOptimizationEffect:
         assert delta.count("vmfunc_ept_switch") == 0
 
 
+def _trap_round_trip(case):
+    """``(machine, caller VM, remote kernel, executor, call)`` for one
+    trap round trip: a baseline system or crossvm's baseline mechanism."""
+    if case is CrossVMSyscallMechanism:
+        machine, vm1, k1, vm2, k2 = build_two_vm_machine()
+        mech = CrossVMSyscallMechanism(machine)
+        enter_vm_kernel(machine, vm1)
+        mech.setup_pair(vm1, vm2)
+        executor = k2.spawn("executor")
+        enter_vm_kernel(machine, vm1)
+        return machine, vm1, k2, executor, (
+            lambda name, *args: mech.call(vm1, vm2, name, *args,
+                                          executor=executor,
+                                          mechanism="baseline"))
+    machine, k1, k2, system = build(case, False)
+    return (machine, system.local_vm, k2, system.remote_executor,
+            system.redirect_syscall)
+
+
+@pytest.mark.parametrize("case", ALL_SYSTEMS + [CrossVMSyscallMechanism],
+                         ids=lambda case: case.__name__)
+def test_failing_remote_half_resumes_caller(case):
+    """A remote half that raises something other than a guest error
+    (here a wrong-arity ``TypeError``) still walks its path back: the
+    error propagates with the caller's VM resumed, and the next call
+    works."""
+    machine, vm1, k2, executor, call = _trap_round_trip(case)
+    with pytest.raises(TypeError):
+        call("getppid", 1, 2, 3)
+    cpu = machine.cpu
+    assert (cpu.mode, cpu.vm_name, cpu.ring) == (Mode.NON_ROOT, vm1.name, 0)
+    # HyperShell's helper keeps spinning on INT3 between calls; every
+    # other executor is asleep again.
+    assert (k2.current is executor) == (case is HyperShell)
+    assert call("getppid") == call("getppid")
+
+
 class TestProxosSpecifics:
     def test_libos_syscall_has_no_ring_crossing(self):
         machine, k1, k2, system = build(Proxos, True)
@@ -148,6 +187,21 @@ class TestHyperShellSpecifics:
                        if e.kind == "vmexit" and "INT3" in e.detail
                        or "helper done" in e.detail]
         assert len(breakpoints) >= 1
+
+
+    def test_host_start_skips_first_exit_and_last_entry(self):
+        def exits_and_entries(call):
+            call("getppid")
+            snap = machine.cpu.perf.snapshot()
+            call("getppid")
+            delta = snap.delta(machine.cpu.perf.snapshot())
+            return delta.count("vmexit"), delta.count("vmentry")
+
+        machine, k1, k2, system = build(HyperShell, False)
+        assert exits_and_entries(system.redirect_syscall) == (3, 3)
+        exit_to_host(machine)
+        machine.hypervisor.enter_host_user(machine.cpu, system.shell)
+        assert exits_and_entries(system.shell_syscall) == (2, 2)
 
 
 class TestTahomaSpecifics:

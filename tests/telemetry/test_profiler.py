@@ -5,9 +5,48 @@ import json
 
 import pytest
 
+import sys
+
 from repro import telemetry
 from repro.analysis import experiments
+from repro.hypervisor.paths import step_labels
+from repro.systems import (STEP_LABELS, TRAP_PATHS, HyperShell, Proxos,
+                           ShadowContext, Tahoma)
 from repro.telemetry import profiler
+from repro.testbed import build_two_vm_machine, enter_vm_kernel
+
+#: The path-step labels of the four case-study baselines.
+FIGURE2_STEPS = {
+    ("vmexit", "proxos redirect"): "vmcall-entry",
+    ("vm_schedule", "run commodity OS"): "schedule-commodity",
+    ("vmentry", "deliver to commodity OS"): "inject-commodity",
+    ("syscall_trap", "proxos enqueue"): "enqueue-trap",
+    ("sysret", "run stub"): "wake-stub",
+    ("vmexit", "proxos done"): "vmcall-done",
+    ("vmentry", "resume private VM"): "resume-private",
+    ("vmexit", "hypershell redirect"): "vmcall-entry",
+    ("vmentry", "run helper"): "enter-guest",
+    ("syscall_trap", "helper resumes"): "helper-resume-trap",
+    ("sysret", "helper user"): "helper-user",
+    ("vmexit", "helper INT3"): "int3-exit",
+    ("vmentry", "inject syscall into helper"): "inject-syscall",
+    ("vmexit", "helper done"): "int3-done",
+    ("vmentry", "resume shell VM"): "resume-shell",
+    ("vmexit", "browser blocks on RPC"): "rpc-block",
+    ("vm_schedule", "run manager"): "schedule-manager",
+    ("vmentry", "manager VM"): "enter-manager",
+    ("syscall_trap", "manager wakeup"): "manager-wakeup",
+    ("sysret", "manager user"): "manager-user",
+    ("vmexit", "manager idles"): "manager-idle",
+    ("vm_schedule", "resume browser"): "schedule-browser",
+    ("vmentry", "browser VM"): "resume-browser",
+    ("vmexit", "shadowcontext redirect"): "vmcall-entry",
+    ("vmentry", "run dummy process"): "enter-untrusted",
+    ("syscall_trap", "dummy dispatch"): "dummy-dispatch",
+    ("sysret", "dummy user"): "dummy-user",
+    ("vmexit", "shadowcontext done"): "vmcall-done",
+    ("vmentry", "resume trusted VM"): "resume-trusted",
+}
 
 
 def _sweep_profile():
@@ -46,18 +85,34 @@ class TestAttribution:
         session = traced_session("Proxos", calls=3)
         return session, profiler.profile_session(session)
 
-    def test_stack_steps_labels_applied(self, proxos_profile):
-        """The ISSUE's canonical example stack shape:
-        ``proxos/<op>/vmcall-entry``."""
-        _, profile = proxos_profile
-        stacks = {"/".join(s) for s in profile.stacks()}
-        assert any(s.endswith("proxos/getppid/vmcall-entry")
-                   for s in stacks)
-        assert any(s.endswith("proxos/getppid/resume-private")
-                   for s in stacks)
-        # no unlabeled raw vmexit leaks through for Proxos' own path
-        assert not any(s.endswith("proxos/getppid/vmexit")
-                       for s in stacks)
+    def test_stack_steps_labels_applied(self):
+        """For each case study, every labeled row of its trap path names
+        its step in a traced ``getppid`` profile (e.g. ``proxos/getppid/
+        vmcall-entry``), and no raw exit, entry or schedule step leaks
+        under that system's own stack.  The rows of every trap path give
+        each ``(kind, detail)`` one label (``step_labels`` rejects a
+        second), together the 29 path steps of Figure 2's four cases."""
+        assert step_labels(TRAP_PATHS) == STEP_LABELS == FIGURE2_STEPS
+        for system_cls in (Proxos, ShadowContext, HyperShell, Tahoma):
+            machine, vm1, k1, vm2, k2 = build_two_vm_machine()
+            system = system_cls(machine, vm1, vm2, optimized=False)
+            enter_vm_kernel(machine, vm1)
+            system.setup()
+            enter_vm_kernel(machine, vm1)
+            with telemetry.scoped("labels") as session:
+                system.redirect_syscall("getppid")
+                system.redirect_syscall("getppid")
+            frame = system_cls.name.lower()
+            steps = {stack[-1]
+                     for stack in profiler.profile_session(session).stacks()
+                     if stack[-3:-1] == (frame, "getppid")}
+            path = sys.modules[system_cls.__module__].TRAP_PATH
+            assert set(step_labels([path]).values()) <= steps, frame
+            # Tahoma's TCP link also exits to the virtual NIC ("tx 19B"),
+            # outside its trap path.
+            raw = steps & {"vmexit", "vmentry", "vm_schedule"}
+            assert raw == ({"vmexit", "vmentry"} if system_cls is Tahoma
+                           else set()), frame
 
     def test_redirect_calls_counted(self, proxos_profile):
         _, profile = proxos_profile

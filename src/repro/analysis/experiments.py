@@ -8,6 +8,7 @@ next to the paper's reference numbers.
 
 from __future__ import annotations
 
+from contextlib import closing
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.analysis.calibration import (
@@ -136,9 +137,10 @@ def table4_cell(system_name: Optional[str], optimized: bool,
         surface = _native_surface()
     else:
         surface = _surface_for(system_name, optimized)
-    return {op: _measure_op(surface, method, divisor,
-                            iterations).microseconds
-            for op, (method, divisor) in TABLE4_OPS.items()}
+    with closing(_machine_of(surface)):
+        return {op: _measure_op(surface, method, divisor,
+                                iterations).microseconds
+                for op, (method, divisor) in TABLE4_OPS.items()}
 
 
 def table4_specs(iterations: int = 5) -> List[Tuple[str, tuple]]:
@@ -183,30 +185,30 @@ def run_table4(iterations: int = 5) -> Dict[str, Dict[str, Any]]:
 
 def _table5_native(tool: str) -> Tuple[float, str]:
     machine, vm1, k1, vm2, k2 = build_two_vm_machine()
-    _tune(machine)
-    prepare_inspection_environment(k2)
-    surface = NativeSurface(k2)
-    surface.prepare()
-    run = None
-
-    def do() -> None:
-        nonlocal run
-        run = run_utility(tool, surface)
-
-    m = measure_callable(machine, do, label=tool, iterations=1, warmup=0)
-    assert run is not None
-    return m.milliseconds, run.output
+    with closing(machine):
+        _tune(machine)
+        prepare_inspection_environment(k2)
+        surface = NativeSurface(k2)
+        surface.prepare()
+        return _run_utility(machine, tool, surface)
 
 
 def _table5_redirected(tool: str, optimized: bool) -> Tuple[float, str]:
     machine, vm1, k1, vm2, k2 = build_two_vm_machine()
-    _tune(machine)
-    prepare_inspection_environment(k2)
-    system = ShadowContext(machine, vm1, vm2, optimized=optimized)
-    enter_vm_kernel(machine, vm1)
-    system.setup()
-    surface = RedirectedSurface(system)
-    surface.prepare()
+    with closing(machine):
+        _tune(machine)
+        prepare_inspection_environment(k2)
+        system = ShadowContext(machine, vm1, vm2, optimized=optimized)
+        enter_vm_kernel(machine, vm1)
+        system.setup()
+        surface = RedirectedSurface(system)
+        surface.prepare()
+        return _run_utility(machine, tool, surface)
+
+
+def _run_utility(machine: Machine, tool: str, surface: SyscallSurface
+                 ) -> Tuple[float, str]:
+    """Run ``tool`` once on a prepared surface: (modeled ms, output)."""
     run = None
 
     def do() -> None:
@@ -261,10 +263,11 @@ def table6_cell(size: int) -> Dict[str, Any]:
     for mode in ("native", "crossover", "baseline"):
         machine, vm1, k1, vm2, k2 = build_two_vm_machine(
             names=("private", "public"))
-        _tune(machine)
-        transfer = OpenSSHTransfer(machine, k1, k2, mode=mode)
-        transfer.setup(size)
-        row[mode] = transfer.run().throughput_mb_s
+        with closing(machine):
+            _tune(machine)
+            transfer = OpenSSHTransfer(machine, k1, k2, mode=mode)
+            transfer.setup(size)
+            row[mode] = transfer.run().throughput_mb_s
     return row
 
 
@@ -395,13 +398,14 @@ def table7_cell(key: str, iterations: int = 5) -> Dict[str, float]:
     surface (the surface persists across rows, as in the paper's
     single-boot measurement)."""
     surface = _TABLE7_SURFACES[key]()
-    suite = LmbenchSuite(surface)
-    suite.setup()
     machine = _machine_of(surface)
-    return {row: measure_callable(machine, getattr(suite, method),
-                                  label=row,
-                                  iterations=iterations).instructions
-            for row, method in TABLE7_OPS.items()}
+    with closing(machine):
+        suite = LmbenchSuite(surface)
+        suite.setup()
+        return {row: measure_callable(machine, getattr(suite, method),
+                                      label=row,
+                                      iterations=iterations).instructions
+                for row, method in TABLE7_OPS.items()}
 
 
 def table7_specs(iterations: int = 5) -> List[Tuple[str, tuple]]:
@@ -453,10 +457,11 @@ def mechanism_cell(mechanism: str, iterations: int) -> Dict[str, Any]:
     with _sl.scoped(engine):
         surface = (_baseline_redirect_surface() if mechanism == "baseline"
                    else _crossover_surface())
-        return {"mechanism": mechanism, "rows": {
-            op: _measure_op(surface, method, divisor,
-                            iterations).microseconds
-            for op, (method, divisor) in TABLE4_OPS.items()}}
+        with closing(_machine_of(surface)):
+            return {"mechanism": mechanism, "rows": {
+                op: _measure_op(surface, method, divisor,
+                                iterations).microseconds
+                for op, (method, divisor) in TABLE4_OPS.items()}}
 
 
 # ---------------------------------------------------------------------------
@@ -471,13 +476,14 @@ def run_figure2() -> Dict[str, Dict[str, Any]]:
         surface = _surface_for(system_name, optimized=False,
                                keep_trace=True)
         machine = _machine_of(surface)
-        suite = LmbenchSuite(surface)
-        suite.setup()
-        suite.null_syscall()                    # warm
-        mark = machine.cpu.trace.mark
-        suite.null_syscall()
-        path = machine.cpu.trace.path(mark)
-        events = machine.cpu.trace.since(mark)
+        with closing(machine):
+            suite = LmbenchSuite(surface)
+            suite.setup()
+            suite.null_syscall()                    # warm
+            mark = machine.cpu.trace.mark
+            suite.null_syscall()
+            path = machine.cpu.trace.path(mark)
+            events = machine.cpu.trace.since(mark)
         from repro.analysis.traceviz import render_sequence
 
         results[system_name] = {
@@ -496,21 +502,22 @@ def run_figure2() -> Dict[str, Dict[str, Any]]:
 
 def run_figure4() -> Dict[str, Any]:
     """One VMFUNC cross-VM syscall, with its transition trace."""
-    machine, vm1, k1, vm2, k2 = build_two_vm_machine(
-        features=FEATURES_VMFUNC)
-    system = ShadowContext(machine, vm1, vm2, optimized=True)
-    enter_vm_kernel(machine, vm1)
-    system.setup()
-    enter_vm_kernel(machine, vm1)
-    app = k1.spawn("app")
     from repro.systems.base import install_redirection
 
-    install_redirection(system)
-    k1.enter_user(app)
-    app.syscall("getppid")                       # warm
-    mark = machine.cpu.trace.mark
-    result = app.syscall("getppid")
-    events = machine.cpu.trace.since(mark)
+    machine, vm1, k1, vm2, k2 = build_two_vm_machine(
+        features=FEATURES_VMFUNC)
+    with closing(machine):
+        system = ShadowContext(machine, vm1, vm2, optimized=True)
+        enter_vm_kernel(machine, vm1)
+        system.setup()
+        enter_vm_kernel(machine, vm1)
+        app = k1.spawn("app")
+        install_redirection(system)
+        k1.enter_user(app)
+        app.syscall("getppid")                       # warm
+        mark = machine.cpu.trace.mark
+        result = app.syscall("getppid")
+        events = machine.cpu.trace.since(mark)
     return {
         "result": result,
         "events": [str(e) for e in events],

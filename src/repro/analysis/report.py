@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+from contextlib import closing
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.analysis import experiments, parallel
@@ -54,17 +55,17 @@ def table1_rows() -> List[Dict[str, Any]]:
     from repro.machine import Machine
     from repro.systems.pathexec import measure_system
 
-    machine = Machine()
     rows = []
-    for s in TABLE1_SYSTEMS:
-        measured = measure_system(machine.cpu, s)
-        rows.append({"system": s.name, "category": s.category,
-                     "semantic": s.semantic,
-                     "minimal": s.minimal_crossings,
-                     "actual": s.actual_crossings,
-                     "times": s.times_label, "paper": s.paper_times,
-                     "cycles": measured["actual_cycles"],
-                     "speedup": measured["speedup"]})
+    with closing(Machine()) as machine:
+        for s in TABLE1_SYSTEMS:
+            measured = measure_system(machine.cpu, s)
+            rows.append({"system": s.name, "category": s.category,
+                         "semantic": s.semantic,
+                         "minimal": s.minimal_crossings,
+                         "actual": s.actual_crossings,
+                         "times": s.times_label, "paper": s.paper_times,
+                         "cycles": measured["actual_cycles"],
+                         "speedup": measured["speedup"]})
     return rows
 
 

@@ -32,6 +32,7 @@ every crossing check the recorded lists decide offline
 
 from __future__ import annotations
 
+from contextlib import closing
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro import audit
@@ -82,26 +83,27 @@ def record_cell(system: str, optimized: bool, calls: int
             surface = experiments._surface_for(system, optimized,
                                                keep_trace=True)
             machine = experiments._machine_of(surface)
-            suite = LmbenchSuite(surface)
-            suite.setup()
-            suite.null_syscall()             # warm the redirect path
-            trace = machine.cpu.trace
-            recorder = audit.FlightRecorder(label)
-            with audit.scoped(recorder):
-                for index in range(calls):
-                    mark = trace.mark
-                    with tracer.span("null_syscall", category="call",
-                                     cpu=machine.cpu,
-                                     index=index) as call_span:
-                        suite.null_syscall()
-                    crossings["trace"].append(len(trace.path(mark)) - 1)
-                    if call_span is not None:
-                        crossings["call_spans"].append(
-                            export.crossings_of_span(call_span))
-                        crossings["redirect_spans"].extend(
-                            export.crossings_of_span(child)
-                            for child in call_span.iter_spans()
-                            if child.category == "system")
+            with closing(machine):
+                suite = LmbenchSuite(surface)
+                suite.setup()
+                suite.null_syscall()             # warm the redirect path
+                trace = machine.cpu.trace
+                recorder = audit.FlightRecorder(label)
+                with audit.scoped(recorder):
+                    for index in range(calls):
+                        mark = trace.mark
+                        with tracer.span("null_syscall", category="call",
+                                         cpu=machine.cpu,
+                                         index=index) as call_span:
+                            suite.null_syscall()
+                        crossings["trace"].append(len(trace.path(mark)) - 1)
+                        if call_span is not None:
+                            crossings["call_spans"].append(
+                                export.crossings_of_span(call_span))
+                            crossings["redirect_spans"].extend(
+                                export.crossings_of_span(child)
+                                for child in call_span.iter_spans()
+                                if child.category == "system")
     finally:
         convention.clear_caches()
     return session, recorder.to_log(), crossings

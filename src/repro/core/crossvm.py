@@ -83,6 +83,9 @@ _CTX_ZEROS = b"\x00" * _CONTEXT_SAVE_BYTES
 #: Sentinel: the mechanism seam declined and the default path should run.
 _NOT_ROUTED = object()
 
+#: No outcome: the remote body raised something other than a guest error.
+_NO_OUTCOME = object()
+
 #: The trap round trip of an explicit ``mechanism="baseline"`` call.
 BASELINE_PATH = TrapPath(
     enter=(Step(EXIT, ExitReason.VMCALL, "crossvm baseline out"),
@@ -454,35 +457,40 @@ class CrossVMSyscallMechanism:
                                charge=False)
         body = cpu.read_virt(memory, SHARED_GVA + _CONTEXT_SAVE_BYTES + 4,
                              int.from_bytes(header, "big"))
+        outcome: Any = _NO_OUTCOME
         try:
             outcome = server(convention.decode(body))
         except GuestOSError as err:
             outcome = err
+        finally:
+            # Step 5: returned buffer into the shared page, switch back.
+            # A reply too large for the shared page is never written, nor
+            # is one the body never produced (it raised something other
+            # than a guest error); the round trip still unwinds through
+            # steps 5-6 and then fails, so the CPU is back in from_vm's
+            # own context.
+            reply = (b"" if outcome is _NO_OUTCOME
+                     else convention.encode(outcome))
+            fits = outcome is not _NO_OUTCOME and len(reply) <= _CAPACITY
+            if fits:
+                cpu.write_virt(memory, SHARED_GVA + _CONTEXT_SAVE_BYTES,
+                               len(reply).to_bytes(4, "big") + reply)
+            cpu.cli()
+            cpu.vmfunc(VMFUNC_EPT_SWITCH, from_vm.vm_id)
 
-        # Step 5: returned buffer into the shared page, switch back.  A
-        # reply too large for the shared page is never written; the
-        # round trip still unwinds through steps 5-6 and then fails, so
-        # the CPU is back in from_vm's own context.
-        reply = convention.encode(outcome)
-        fits = len(reply) <= _CAPACITY
-        if fits:
-            cpu.write_virt(memory, SHARED_GVA + _CONTEXT_SAVE_BYTES,
-                           len(reply).to_bytes(4, "big") + reply)
-        cpu.cli()
-        cpu.vmfunc(VMFUNC_EPT_SWITCH, from_vm.vm_id)
-
-        # Step 6: restore the original VM1 kernel context.
-        if saved_idt is not None:
-            cpu.install_idt(saved_idt)
-        cpu.sti()
-        if fits:
-            header = cpu.read_virt(memory, SHARED_GVA + _CONTEXT_SAVE_BYTES,
-                                   4, charge=False)
-            reply = cpu.read_virt(memory,
-                                  SHARED_GVA + _CONTEXT_SAVE_BYTES + 4,
-                                  int.from_bytes(header, "big"))
-        assert saved_pt is not None
-        cpu.write_cr3(saved_pt)
+            # Step 6: restore the original VM1 kernel context.
+            if saved_idt is not None:
+                cpu.install_idt(saved_idt)
+            cpu.sti()
+            if fits:
+                header = cpu.read_virt(
+                    memory, SHARED_GVA + _CONTEXT_SAVE_BYTES, 4,
+                    charge=False)
+                reply = cpu.read_virt(memory,
+                                      SHARED_GVA + _CONTEXT_SAVE_BYTES + 4,
+                                      int.from_bytes(header, "big"))
+            assert saved_pt is not None
+            cpu.write_cr3(saved_pt)
         self._check_fits(len(reply))
         state.calls += 1
 
@@ -598,37 +606,39 @@ class CrossVMSyscallMechanism:
         # shared page is byte-for-byte the buffer written above.
         interrupts.interrupts_enabled = True
         perf.charge_batch(charge[0], charge[1])
+        outcome: Any = _NO_OUTCOME
         try:
             outcome = server(decoded)
         except GuestOSError as err:
             outcome = err
-
-        # Steps 5-6: returned buffer, switch back, restore VM1 context.
-        # An oversized reply unwinds the same way before failing.
-        reply, result = convention.roundtrip(outcome)
-        reply_len = len(reply)
-        fits = reply_len <= _CAPACITY
-        if fits:
-            cpu.write_virt(memory, SHARED_GVA + _CONTEXT_SAVE_BYTES,
-                           reply_len.to_bytes(4, "big") + reply,
-                           charge=False)
-            key = (restore_idt, reply_len)
-            charge = state.return_charges.get(key)
-            if charge is None:
-                charge = state.return_charges[key] = _return_charge(
-                    cm, restore_idt, 4 + reply_len, reply_len)
-        else:
-            charge = _return_charge(cm, restore_idt)
-        if cpu.ring != _RING_KERNEL:
-            cpu.require_ring(_RING_KERNEL, "cli")
-        interrupts.interrupts_enabled = False
-        cpu.ept_switch(from_vm.vm_id, pending=charge[2])
-        if restore_idt:
-            interrupts.idt = saved_idt
-        interrupts.interrupts_enabled = True
-        cpu.page_table = saved_pt
-        tlb.on_cr3_write(saved_pt.root)
-        perf.charge_batch(charge[0], charge[1])
+        finally:
+            # Steps 5-6: returned buffer, switch back, restore VM1
+            # context.  An oversized reply, or none, unwinds the same way
+            # before failing.
+            reply, result = ((b"", None) if outcome is _NO_OUTCOME
+                             else convention.roundtrip(outcome))
+            reply_len = len(reply)
+            if outcome is not _NO_OUTCOME and reply_len <= _CAPACITY:
+                cpu.write_virt(memory, SHARED_GVA + _CONTEXT_SAVE_BYTES,
+                               reply_len.to_bytes(4, "big") + reply,
+                               charge=False)
+                key = (restore_idt, reply_len)
+                charge = state.return_charges.get(key)
+                if charge is None:
+                    charge = state.return_charges[key] = _return_charge(
+                        cm, restore_idt, 4 + reply_len, reply_len)
+            else:
+                charge = _return_charge(cm, restore_idt)
+            if cpu.ring != _RING_KERNEL:
+                cpu.require_ring(_RING_KERNEL, "cli")
+            interrupts.interrupts_enabled = False
+            cpu.ept_switch(from_vm.vm_id, pending=charge[2])
+            if restore_idt:
+                interrupts.idt = saved_idt
+            interrupts.interrupts_enabled = True
+            cpu.page_table = saved_pt
+            tlb.on_cr3_write(saved_pt.root)
+            perf.charge_batch(charge[0], charge[1])
         self._check_fits(reply_len)
         state.calls += 1
 

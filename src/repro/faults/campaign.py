@@ -36,6 +36,7 @@ and plan produce a byte-identical artifact at any worker count.
 from __future__ import annotations
 
 import argparse
+from contextlib import closing
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro import audit, faults
@@ -244,7 +245,7 @@ def run_fault_cell(system: str, site_name: str, ops: int, seed: int,
     recorder = audit.FlightRecorder(f"{system}:{site_name}")
     try:
         cell = _CELL_KINDS[site.op](system, disabled)
-        with audit.scoped(recorder), \
+        with closing(cell.machine), audit.scoped(recorder), \
                 faults.scoped(faults.FaultEngine([plan])) as engine:
             expected = repr(cell.operate(site))  # clean warm-up op
             cell.operate(site)  # steady-state op: the drift baseline

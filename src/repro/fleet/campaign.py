@@ -51,6 +51,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+from contextlib import closing
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro import telemetry
@@ -101,15 +102,16 @@ def run_fleet_cell(tenants: int, mechanism: str, seed: int,
     specs = traffic.tenant_plan(tenants, seed, rate_scale=rate_scale)
     costs = calibrate_costs(mechanism)
     fleet = build_fleet(specs)
-    horizon = int(horizon_ms * 1000 * CYCLES_PER_US)
-    recorder = XrayRecorder(seed=seed)
-    scheduler = FleetScheduler(
-        specs, costs, seed=seed, horizon_cycles=horizon,
-        cores=cores, interleave=interleave, churn_every=churn_every,
-        fleet=fleet, xray=recorder)
-    result = scheduler.run()
-    result["rate_scale"] = rate_scale
-    result["misses_serviced"] = fleet.service.misses_serviced
+    with closing(fleet.machine):
+        horizon = int(horizon_ms * 1000 * CYCLES_PER_US)
+        recorder = XrayRecorder(seed=seed)
+        scheduler = FleetScheduler(
+            specs, costs, seed=seed, horizon_cycles=horizon,
+            cores=cores, interleave=interleave, churn_every=churn_every,
+            fleet=fleet, xray=recorder)
+        result = scheduler.run()
+        result["rate_scale"] = rate_scale
+        result["misses_serviced"] = fleet.service.misses_serviced
     session = telemetry.current()
     if session is not None:
         session.absorb_stats("fleet", {

@@ -45,6 +45,7 @@ claim the scale tests and the CI smoke job ``cmp``).
 from __future__ import annotations
 
 import heapq
+from contextlib import closing
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional
 
@@ -152,8 +153,7 @@ def calibrate_costs(mechanism: str) -> MechanismCosts:
               else None)
     mech_arg = "baseline" if mechanism == "baseline" else None
     try:
-        with _sl.scoped(engine):
-            pair = WorldPair()
+        with _sl.scoped(engine), closing(WorldPair()) as pair:
             pair.null_call(mech_arg)         # cold caches / ring setup
             pair.null_call(mech_arg)
             total = min(pair.null_call(mech_arg) for _ in range(8))
@@ -166,6 +166,7 @@ def calibrate_costs(mechanism: str) -> MechanismCosts:
             if mechanism == "switchless":
                 pair.idle(50_000_000)        # park the worker context
                 cold_extra = max(0, pair.null_call(mech_arg) - total)
+            cm = pair.machine.cost_model
     finally:
         convention.clear_caches()
     transport = max(2, total - service)
@@ -174,7 +175,6 @@ def calibrate_costs(mechanism: str) -> MechanismCosts:
     # same cost model the measured call charged (save-state +
     # param-setup); clamped so the transition core keeps at least
     # one cycle.  Attribution only — issue timing is unchanged.
-    cm = pair.machine.cost_model
     marshal = min(max(0, issue - 1),
                   cm.world_save_state.cycles
                   + cm.world_param_setup.cycles)

@@ -25,6 +25,12 @@ class ProcFS:
         self._root = Inode(InodeType.DIR, mode=0o555)
         self._cache: Dict[str, Inode] = {}
 
+    def close(self) -> None:
+        """Drop the kernel and the node cache, whose generators point
+        back here."""
+        self.kernel = None
+        self._cache.clear()
+
     def root(self) -> Inode:
         """The /proc directory inode."""
         return self._root

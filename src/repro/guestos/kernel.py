@@ -206,6 +206,18 @@ class Kernel:
         self.cpu.charge("syscall_dispatch")
         return self.syscalls.invoke(proc, name, *args, **kwargs)
 
+    def close(self) -> None:
+        """Break this kernel's cycles (see ``Machine.close``): its
+        processes' and components' back-references, the procfs node
+        cache, the syscall handlers and the redirector."""
+        for proc in self.processes.values():
+            proc.release()
+        self.processes.clear()
+        self.scheduler.kernel = self.net.kernel = None
+        self.procfs.close()
+        self.syscalls.close()
+        self.redirector = None
+
     def install_redirector(self, redirector: Optional[SyscallRedirector]
                            ) -> None:
         """Install (or clear, with None) the syscall interceptor."""

@@ -21,7 +21,7 @@ its own stack traversal when it calls ``recv``.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.errors import GuestOSError, SimulationError
 from repro.guestos.fs.inode import Errno
@@ -87,6 +87,8 @@ class VirtualNetwork:
     def __init__(self) -> None:
         #: (address, port) -> listening Socket or HostEndpoint.
         self._listeners: Dict[Tuple[str, int], object] = {}
+        #: Every connected pair, so :meth:`close` can unlink them.
+        self._links: List[tuple] = []
 
     def bind(self, address: str, port: int, sock: Socket) -> None:
         """Claim (address, port) for a guest listener."""
@@ -113,6 +115,20 @@ class VirtualNetwork:
     def unbind(self, address: str, port: int) -> None:
         """Release a port binding."""
         self._listeners.pop((address, port), None)
+
+    def link(self, a, b) -> None:
+        """Connect two endpoints to each other."""
+        a.peer = b
+        b.peer = a
+        self._links.append((a, b))
+
+    def close(self) -> None:
+        """Release every binding and unlink every connected pair (see
+        ``Machine.close``)."""
+        self._listeners.clear()
+        for a, b in self._links:
+            a.peer = b.peer = None
+        self._links.clear()
 
 
 class NetStack:
@@ -157,14 +173,12 @@ class NetStack:
         borrowed = self._guest_io_kick(f"connect {address}:{port}")
         try:
             if isinstance(target, HostEndpoint):
-                sock.peer = target
-                target.peer = sock
+                self.network.link(sock, target)
                 return
             if not isinstance(target, Socket) or not target.listening:
                 raise GuestOSError(Errno.ECONNREFUSED, "peer not listening")
             server_side = Socket(target.stack)
-            server_side.peer = sock
-            sock.peer = server_side
+            self.network.link(server_side, sock)
             target.accept_queue.append(server_side)
         finally:
             self._reenter_guest("connect done", borrowed)

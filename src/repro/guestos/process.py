@@ -80,6 +80,13 @@ class Process:
         if fds is not None:
             fds.close_all()
 
+    def release(self) -> None:
+        """Drop the references to the kernel and the process tree (a
+        closing kernel calls this; the process is not used again)."""
+        self.kernel = None
+        self.parent = None
+        self.children.clear()
+
     @property
     def alive(self) -> bool:
         """True until the process exits."""

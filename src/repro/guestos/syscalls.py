@@ -33,6 +33,13 @@ class SyscallTable:
             if name.startswith("sys_"):
                 self._handlers[name[4:]] = getattr(self, name)
 
+    def close(self) -> None:
+        """Drop the kernel and the handlers (bound methods of this
+        table)."""
+        self.kernel = None
+        self._handlers.clear()
+        self._dispatch_cache.clear()
+
     def __contains__(self, name: str) -> bool:
         return name in self._handlers
 

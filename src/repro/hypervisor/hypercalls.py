@@ -36,6 +36,10 @@ class HypercallTable:
         """Install a handler for hypercall ``number``."""
         self._handlers[number] = handler
 
+    def clear(self) -> None:
+        """Remove every handler."""
+        self._handlers.clear()
+
     def dispatch(self, number: int, *args, **kwargs):
         """Invoke the handler for ``number``; ENOSYS-style error if none."""
         handler = self._handlers.get(number)

@@ -105,6 +105,17 @@ class Hypervisor:
             raise ConfigurationError(f"no VM with id {vm_id}")
         return vm
 
+    def close(self) -> None:
+        """Drop the machine, the VM tables (and each VM's kernel) and the
+        hypercall handlers, bound methods of this hypervisor (see
+        ``Machine.close``)."""
+        self.machine = None
+        for vm in self.vms.values():
+            vm.kernel = None
+        self.vms.clear()
+        self._vms_by_id.clear()
+        self.hypercalls.clear()
+
     def current_vm(self, cpu: CPU) -> VirtualMachine:
         """The VM the CPU is currently executing in."""
         if cpu.mode is not Mode.NON_ROOT:

@@ -72,6 +72,9 @@ class Machine:
         #: The machine-wide virtual network fabric (ports + delivery).
         self.network = VirtualNetwork()
 
+        #: Set by :meth:`close`.
+        self.closed = False
+
     @property
     def cpu(self) -> CPU:
         """The primary (boot) CPU."""
@@ -87,6 +90,30 @@ class Machine:
         frame = self.memory.allocate(label)
         self.host_page_table.map(frame.hpa, frame.hpa, user=False)
         return frame
+
+    # ------------------------------------------------------------------
+    # lifetime
+    # ------------------------------------------------------------------
+
+    def close(self) -> None:
+        """Break the reference cycles this machine owns.
+
+        Kernels, processes, procfs, the syscall tables and the
+        hypervisor all point back up to the machine, so a finished
+        machine is one large cycle that only a full garbage collection
+        would free.  ``close()`` clears those back-references layer by
+        layer, and reference counting frees the machine as soon as its
+        last user lets go.  Call it after every result has been read; a
+        closed machine must not be used again.  Idempotent.
+        """
+        if self.closed:
+            return
+        self.closed = True
+        for vm in self.hypervisor.vms.values():
+            if vm.kernel is not None:
+                vm.kernel.close()
+        self.hypervisor.close()
+        self.network.close()
 
     # ------------------------------------------------------------------
     # measurement helpers

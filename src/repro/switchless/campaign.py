@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import random
+from contextlib import closing
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.analysis.experiments import CELL_RUNNERS, TABLE4_OPS
@@ -85,8 +86,7 @@ def run_switchless_cell(workload: str, mechanism: str, seed: int,
         engine = SwitchlessEngine(force=mechanism == "switchless",
                                   workers=workers)
     try:
-        with _sl.scoped(engine):
-            harness = WorldPair()
+        with _sl.scoped(engine), closing(WorldPair()) as harness:
             cpu = harness.cpu
             plan = schedule(workload, seed)
             calls = 0
@@ -97,6 +97,7 @@ def run_switchless_cell(workload: str, mechanism: str, seed: int,
                     cycles_calls += harness.null_call()
                     calls += 1
                 harness.idle(idle)
+            cycles_total = cpu.perf.cycles - start
     finally:
         convention.clear_caches()
     cell: Dict[str, Any] = {
@@ -105,7 +106,7 @@ def run_switchless_cell(workload: str, mechanism: str, seed: int,
         "workers": workers,
         "calls": calls,
         "cycles_calls": cycles_calls,
-        "cycles_total": cpu.perf.cycles - start,
+        "cycles_total": cycles_total,
         "mean_call_cycles": round(cycles_calls / calls, 2),
     }
     if engine is not None:

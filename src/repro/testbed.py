@@ -101,11 +101,12 @@ class WorldPair:
         self.vm2, self.k2 = vm2, k2
         self.registry = WorldRegistry(machine)
         self.runtime = WorldCallRuntime(machine, self.registry)
-        self.executor = k2.spawn("executor")
+        self.executor = executor = k2.spawn("executor")
 
+        # Locals, not ``self``: the registry ``self`` owns stores it.
         def entry(request: CallRequest):
             name, *args = request.payload
-            return k2.syscalls.invoke(self.executor, name, *args)
+            return k2.syscalls.invoke(executor, name, *args)
 
         enter_vm_kernel(machine, vm1)
         self.caller = self.registry.create_kernel_world(k1, label="K(vm1)")
@@ -128,3 +129,8 @@ class WorldPair:
     def idle(self, cycles: int) -> None:
         """Advance the modeled clock without issuing calls."""
         self.cpu.perf.charge("idle", Cost(0, cycles))
+
+    def close(self) -> None:
+        """Release the machine (``Machine.close``); the pair must not be
+        used again."""
+        self.machine.close()

@@ -161,12 +161,15 @@ class OpenSSHTransfer:
 
         if self.mode == "crossover":
             mech = CrossVMSyscallMechanism(machine)
-            mech.setup_pair(self.private_kernel.vm, self.public_kernel.vm)
+            private_vm = self.private_kernel.vm
+            public_vm = self.public_kernel.vm
+            mech.setup_pair(private_vm, public_vm)
+            net_proc = self.net_proc
 
+            # Locals, not ``self``: the closure is stored on ``self``.
             def redirect(name, *args):
-                return mech.call(self.private_kernel.vm,
-                                 self.public_kernel.vm, name, *args,
-                                 executor=self.net_proc)
+                return mech.call(private_vm, public_vm, name, *args,
+                                 executor=net_proc)
         else:
             proxos = Proxos(machine, self.private_kernel.vm,
                             self.public_kernel.vm, optimized=False)
@@ -175,9 +178,7 @@ class OpenSSHTransfer:
             # The public VM is busy serving other tenants: scheduling a
             # redirected call queues behind one runnable peer.
             machine.hypervisor.scheduler.set_load(self.public_kernel.vm, 1)
-
-            def redirect(name, *args):
-                return proxos._redirect(name, *args)
+            redirect = proxos._redirect
 
         self._redirect = redirect
         self._ready = True

@@ -169,6 +169,50 @@ class TestCall:
             assert mech.call(vm1, vm2, "getpid") == \
                 mech.setup_pair(vm1, vm2).helpers["vm2"].pid
 
+    def test_failing_remote_body_unwinds_to_caller(self):
+        """A remote body that raises anything but a guest error (here a
+        TypeError: ``getppid`` takes no arguments) unwinds through steps
+        5-6 with no reply written, then re-raises: the CPU is back in
+        vm1's kernel with the caller's CR3 and IDT, interrupts on.  Both
+        tiers charge the same counters for the failing call, and the
+        next call costs what it costs on a pair that never failed."""
+
+        def run(traced: bool, fail: bool):
+            machine, vm1, k1, vm2, k2 = build_two_vm_machine()
+            cpu = machine.cpu
+            cpu.trace.enabled = traced
+            mech = CrossVMSyscallMechanism(machine)
+            enter_vm_kernel(machine, vm1)
+            mech.setup_pair(vm1, vm2)
+            enter_vm_kernel(machine, vm1)
+            executor = k2.spawn("executor")
+            mech.call(vm1, vm2, "getppid", executor=executor)    # warm
+            context = (cpu.mode, cpu.ring, cpu.cr3, cpu.eptp,
+                       cpu.interrupts.idt)
+            failed = None
+            if fail:
+                start = cpu.perf.snapshot()
+                with pytest.raises(TypeError):
+                    mech.call(vm1, vm2, "getppid", 1, 2, 3,
+                              executor=executor)
+                failed = start.delta(cpu.perf.snapshot())
+                assert cpu.world_label == "K(vm1)"
+                assert (cpu.mode, cpu.ring, cpu.cr3, cpu.eptp,
+                        cpu.interrupts.idt) == context
+                assert cpu.interrupts.idt is k1.idt
+                assert cpu.interrupts.interrupts_enabled
+            start = cpu.perf.snapshot()
+            assert mech.call(vm1, vm2, "getppid",
+                             executor=executor) == 0
+            return failed, start.delta(cpu.perf.snapshot())
+
+        untraced, after_untraced = run(traced=False, fail=True)
+        traced, after_traced = run(traced=True, fail=True)
+        _, clean = run(traced=False, fail=False)
+        assert traced == untraced
+        assert untraced.count("vmfunc_ept_switch") == 2
+        assert after_untraced == after_traced == clean
+
     @pytest.mark.parametrize("fast", [True, False],
                              ids=["fused", "stepwise"])
     def test_oversized_request_unwinds_to_caller(self, mechanism, fast):

@@ -34,20 +34,31 @@ rest.  Mechanism differences enter exactly twice:
 * **switchless** calls pay the measured cold surcharge when the
   tenant's worker context has been idle past the spin window.
 
-Determinism rule: events commit in strict ``(cycle, seq)`` order.  The
-``interleave`` knob only changes how many same-cycle events are popped
-per batch — newly pushed events always carry a larger ``seq`` than
-anything already queued, so every interleave width commits the same
-sequence and the results are **cycle-identical at 1/2/4 lanes** (the
-claim the scale tests and the CI smoke job ``cmp``).
+Determinism rule: events commit in strict ``(cycle, seq)`` order, one
+event per heap pop; ``seq`` comes from one counter shared by the event
+heap and the ready heap.  Every handler pushes only events with
+``cycle >= now`` and a ``seq`` larger than anything already queued, so
+no event it pushes can sort before an event that was already due.
+``interleave`` is validated (``>= 1``) and recorded in the result, but
+it cannot change the commit order: popping up to that many same-cycle
+events ahead of time pops exactly the events a one-pop loop would
+commit next.  The results are therefore **cycle-identical at 1/2/4
+lanes** (the claim the scale tests and the CI smoke job ``cmp``).
+
+Each tenant flattens its traffic profile once into a stage plan, a
+tuple of ``(opcode, operand)`` stages; its requests share that plan
+and keep only their own stage index.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
+from bisect import bisect_left
+from collections import deque
 from contextlib import closing
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Deque, Dict, Iterator, List, Optional, Tuple
 
 from repro.core.call import MECHANISMS
 from repro.errors import SimulationError
@@ -313,17 +324,35 @@ def build_fleet(specs: List[traffic.TenantSpec], *,
 # ---------------------------------------------------------------------------
 
 
+#: One stage a request walks: ``(opcode, operand)``.
+_Stage = Tuple[int, int]
+
+
+def _stage_plan(ops: Tuple[Tuple, ...]) -> Tuple[_Stage, ...]:
+    """Flatten a traffic profile into the stages one request walks:
+    each call becomes issue / service / return, each local op one
+    stage of its own length."""
+    stages: List[_Stage] = []
+    for op in ops:
+        if op[0] == "call":
+            stages += ((_ISSUE, 0), (_SERVICE, 0), (_RETURN, 0))
+        else:
+            stages.append((_LOCAL, op[1]))
+    return tuple(stages)
+
+
 class _Tenant:
-    __slots__ = ("spec", "ops", "busy", "queue", "last_service",
+    __slots__ = ("spec", "plan", "busy", "queue", "last_service",
                  "pending_penalty", "arrivals_iter", "fleet_tenant")
 
     def __init__(self, spec: traffic.TenantSpec,
                  arrivals_iter: Iterator[int],
                  fleet_tenant: Optional[FleetTenant]) -> None:
         self.spec = spec
-        self.ops = traffic.profile_ops(spec.kind)
+        #: The stage plan every request of this tenant walks.
+        self.plan = _stage_plan(traffic.profile_ops(spec.kind))
         self.busy = False
-        self.queue: List["_Request"] = []
+        self.queue: Deque["_Request"] = deque()
         self.last_service = -(10 ** 12)
         self.pending_penalty = 0
         self.arrivals_iter = arrivals_iter
@@ -336,17 +365,9 @@ class _Request:
     def __init__(self, tenant: _Tenant, arrival: int) -> None:
         self.tenant = tenant
         self.arrival = arrival
+        self.stages = tenant.plan   # shared with the tenant, read-only
         self.idx = 0
         self.xr = None          # TraceState when an xray recorder rides
-        stages: List = []
-        for op in tenant.ops:
-            if op[0] == "call":
-                stages.append((_ISSUE, 0))
-                stages.append((_SERVICE, 0))
-                stages.append((_RETURN, 0))
-            else:
-                stages.append((_LOCAL, op[1]))
-        self.stages = stages
 
 
 class _Window:
@@ -370,19 +391,14 @@ class _Window:
         self.sum += value
         if value > self.max:
             self.max = value
-        lo, hi = 0, len(LATENCY_BOUNDS)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if LATENCY_BOUNDS[mid] < value:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo < len(LATENCY_BOUNDS):
-            self.counts[lo] += 1
-        # else: overflow, derived as count - sum(counts)
+        # The first bound >= value; len(LATENCY_BOUNDS) is overflow,
+        # derived as count - sum(counts).
+        bucket = bisect_left(LATENCY_BOUNDS, value)
+        if bucket < len(LATENCY_BOUNDS):
+            self.counts[bucket] += 1
         if exemplar is not None:
             self.exemplars = merge_exemplar(
-                self.exemplars, lo, exemplar, value)
+                self.exemplars, bucket, exemplar, value)
 
 
 class FleetScheduler:
@@ -392,7 +408,6 @@ class FleetScheduler:
                  costs: MechanismCosts, *,
                  seed: int = 0,
                  horizon_cycles: int,
-                 window_cycles: Optional[int] = None,
                  cores: int = DEFAULT_CORES,
                  interleave: int = 1,
                  churn_every: int = 0,
@@ -400,17 +415,23 @@ class FleetScheduler:
                  xray=None) -> None:
         if horizon_cycles <= 0:
             raise SimulationError("horizon must be positive")
+        if cores < 1:
+            raise SimulationError("cores must be >= 1")
         if interleave < 1:
             raise SimulationError("interleave must be >= 1")
+        if churn_every < 0:
+            raise SimulationError("churn_every must be >= 0")
         if churn_every and fleet is None:
             raise SimulationError(
                 "world churn needs a real fleet machine to revoke on")
         self.costs = costs
         self.seed = seed
         self.horizon = horizon_cycles
-        self.window_cycles = window_cycles or max(1, horizon_cycles // 32)
+        self.window_cycles = max(1, horizon_cycles // 32)
         self.cores_total = cores
         self.free_cores = cores
+        #: Recorded in the result only: the commit order is the same
+        #: at every width (see the module docstring).
         self.interleave = interleave
         self.churn_every = churn_every
         self.fleet = fleet
@@ -427,10 +448,9 @@ class FleetScheduler:
             _Tenant(spec, traffic.arrivals(spec, seed, horizon_cycles),
                     by_index.get(spec.index))
             for spec in specs]
-        # Event heap + ready queue, both keyed (cycle, seq): seq is a
-        # global monotone counter, so commit order is total and any
-        # interleave width replays the identical sequence.
-        self._seq = 0
+        # Event heap + ready heap, both keyed (cycle, seq): seq comes
+        # from this one monotone counter, so commit order is total.
+        self._seq = itertools.count()
         self.events: List = []
         self.ready: List = []
         self.sched_events = 0
@@ -448,12 +468,6 @@ class FleetScheduler:
         self.windows: Dict[int, _Window] = {}
         self.total = _Window()
 
-    # -- plumbing ----------------------------------------------------
-
-    def _push(self, cycle: int, kind: int, payload) -> None:
-        heapq.heappush(self.events, (cycle, self._seq, kind, payload))
-        self._seq += 1
-
     def _window(self, cycle: int) -> _Window:
         index = cycle // self.window_cycles
         window = self.windows.get(index)
@@ -467,29 +481,41 @@ class FleetScheduler:
         """Drain the fleet: replay arrivals up to the horizon, then let
         in-flight and queued requests finish (the drain tail is where
         a saturated baseline's worst latencies live)."""
+        events = self.events
+        seq = self._seq
+        pop = heapq.heappop
         for tenant in self.tenants:
             first = next(tenant.arrivals_iter, None)
             if first is not None:
-                self._push(first, _EV_ARRIVAL, tenant)
-        events = self.events
+                heapq.heappush(events,
+                               (first, next(seq), _EV_ARRIVAL, tenant))
+        committed = 0
         while events:
-            batch = [heapq.heappop(events)]
-            cycle0 = batch[0][0]
-            while (len(batch) < self.interleave and events
-                   and events[0][0] == cycle0):
-                batch.append(heapq.heappop(events))
-            for cycle, _seq, kind, payload in batch:
-                self.sched_events += 1
-                if kind == _EV_ARRIVAL:
-                    self._on_arrival(cycle, payload)
-                else:
-                    self._on_stage(cycle, payload)
+            cycle, _seq, kind, request = pop(events)
+            committed += 1
+            if kind == _EV_ARRIVAL:
+                self._on_arrival(cycle, request)    # payload: a tenant
+                continue
+            # A stage finished: start the request's next one, or
+            # complete the request after its last.
+            stages = request.stages
+            idx = request.idx
+            if stages[idx][0] == _SERVICE:
+                request.tenant.last_service = cycle
+            idx += 1
+            request.idx = idx
+            if idx < len(stages):
+                self._start_stage(request, cycle)
+            else:
+                self._complete(request, cycle)
+        self.sched_events += committed
         return self._results()
 
     def _on_arrival(self, cycle: int, tenant: _Tenant) -> None:
         nxt = next(tenant.arrivals_iter, None)
         if nxt is not None:
-            self._push(nxt, _EV_ARRIVAL, tenant)
+            heapq.heappush(self.events,
+                           (nxt, next(self._seq), _EV_ARRIVAL, tenant))
         request = _Request(tenant, cycle)
         if self.xray is not None:
             request.xr = self.xray.begin(tenant.spec.index, cycle)
@@ -504,27 +530,28 @@ class FleetScheduler:
             tenant.queue.append(request)
             return
         tenant.busy = True
-        heapq.heappush(self.ready, (cycle, self._seq, request))
-        self._seq += 1
+        heapq.heappush(self.ready, (cycle, next(self._seq), request))
         self._grant(cycle)
 
     def _grant(self, cycle: int) -> None:
         while self.free_cores > 0 and self.ready:
             _rc, _rs, request = heapq.heappop(self.ready)
             self.free_cores -= 1
+            xr = request.xr
+            if xr is not None:
+                xr.grant = cycle    # queue_wait = grant - arrival
+                xr.hv_busyg = self.hv_busy
             self._start_stage(request, cycle)
 
     def _start_stage(self, request: _Request, cycle: int) -> None:
         opcode, operand = request.stages[request.idx]
         costs = self.costs
         xr = request.xr
-        if xr is not None and xr.grant is None:
-            xr.grant = cycle    # queue_wait = grant - arrival
-            xr.hv_busyg = self.hv_busy
         if opcode == _LOCAL:
             if xr is not None:
                 xr.segs[HANDLER] += operand
-            self._push(cycle + operand, _EV_STAGE, request)
+            heapq.heappush(self.events, (cycle + operand, next(self._seq),
+                                         _EV_STAGE, request))
             return
         if opcode == _ISSUE:
             tenant = request.tenant
@@ -551,7 +578,9 @@ class FleetScheduler:
         if opcode == _SERVICE:
             if xr is not None:
                 xr.segs[HANDLER] += costs.service_cycles
-            self._push(cycle + costs.service_cycles, _EV_STAGE, request)
+            heapq.heappush(self.events,
+                           (cycle + costs.service_cycles, next(self._seq),
+                            _EV_STAGE, request))
             return
         # _RETURN
         if xr is not None:
@@ -563,7 +592,8 @@ class FleetScheduler:
         """Issue/return transport: contends on the hypervisor for the
         serialized (legacy trap) mechanism, pure hardware otherwise."""
         if not self.costs.serialized:
-            self._push(cycle + duration, _EV_STAGE, request)
+            heapq.heappush(self.events, (cycle + duration, next(self._seq),
+                                         _EV_STAGE, request))
             return
         start = max(cycle, self.hv_free)
         wait = start - cycle
@@ -578,17 +608,8 @@ class FleetScheduler:
                     self.xray.hv_blame(self.hv_holder,
                                        request.tenant.spec.index, wait)
             self.hv_holder = request.tenant.spec.index
-        self._push(start + duration, _EV_STAGE, request)
-
-    def _on_stage(self, cycle: int, request: _Request) -> None:
-        opcode, _operand = request.stages[request.idx]
-        if opcode == _SERVICE:
-            request.tenant.last_service = cycle
-        request.idx += 1
-        if request.idx < len(request.stages):
-            self._start_stage(request, cycle)
-            return
-        self._complete(request, cycle)
+        heapq.heappush(self.events, (start + duration, next(self._seq),
+                                     _EV_STAGE, request))
 
     def _complete(self, request: _Request, cycle: int) -> None:
         tenant = request.tenant
@@ -617,9 +638,8 @@ class FleetScheduler:
             window.revocations += 1
         self.free_cores += 1
         if tenant.queue:
-            nxt = tenant.queue.pop(0)
-            heapq.heappush(self.ready, (cycle, self._seq, nxt))
-            self._seq += 1
+            heapq.heappush(self.ready, (cycle, next(self._seq),
+                                        tenant.queue.popleft()))
         else:
             tenant.busy = False
         self._grant(cycle)

@@ -1,5 +1,9 @@
 """Fleet scheduler: calibration properties, determinism, conservation,
-hypervisor serialization, churn against a real fleet machine."""
+hypervisor serialization, churn against a real fleet machine, the
+latency bucket rule, and golden digests of whole replays."""
+
+import hashlib
+import json
 
 import pytest
 
@@ -7,12 +11,15 @@ from repro.errors import SimulationError
 from repro.fleet import traffic
 from repro.fleet.scheduler import (
     HOT_WINDOW_CYCLES,
+    LATENCY_BOUNDS,
     MECHANISMS,
     FleetScheduler,
     MechanismCosts,
     build_fleet,
+    _Window,
     calibrate_costs,
 )
+from repro.xray.trace import XrayRecorder
 
 
 def model_costs(mechanism, *, serialized=False, cold=0):
@@ -113,6 +120,7 @@ class TestSchedulerModel:
         result = run_model(model_costs("world_call"))
         windows = result["windows"]
         assert [w["index"] for w in windows] == list(range(len(windows)))
+        assert result["window_cycles"] == 20_000_000 // 32
         total_completed = 0
         for window in windows:
             assert window["cycles"] == result["window_cycles"]
@@ -131,8 +139,104 @@ class TestSchedulerModel:
         with pytest.raises(SimulationError):
             FleetScheduler(specs, costs, horizon_cycles=100, interleave=0)
         with pytest.raises(SimulationError):
+            FleetScheduler(specs, costs, horizon_cycles=100, cores=0)
+        with pytest.raises(SimulationError):
+            FleetScheduler(specs, costs, horizon_cycles=100, churn_every=-1)
+        with pytest.raises(SimulationError):
             FleetScheduler(specs, costs, horizon_cycles=100,
                            churn_every=10, fleet=None)
+
+
+class TestLatencyBuckets:
+    """A latency lands in the first bucket whose bound is >= it; past
+    the last bound it is overflow (``count - sum(counts)``)."""
+
+    @staticmethod
+    def bucket_of(value):
+        window = _Window()
+        window.observe(value, exemplar=f"t0#{value}")
+        assert window.count == 1 and window.sum == value
+        overflow = window.count - sum(window.counts)
+        (bucket,) = window.exemplars          # same index as the count
+        if overflow:
+            assert bucket == len(LATENCY_BOUNDS)
+            return "overflow"
+        assert window.counts[bucket] == 1
+        return bucket
+
+    def test_zero_lands_in_first_bucket(self):
+        assert self.bucket_of(0) == 0
+
+    def test_each_bound_lands_in_its_own_bucket(self):
+        for i, bound in enumerate(LATENCY_BOUNDS):
+            assert self.bucket_of(bound) == i, bound
+
+    def test_one_past_each_bound_lands_in_the_next(self):
+        last = len(LATENCY_BOUNDS) - 1
+        for i, bound in enumerate(LATENCY_BOUNDS):
+            expected = i + 1 if i < last else "overflow"
+            assert self.bucket_of(bound + 1) == expected, bound
+
+    def test_above_last_bound_is_overflow(self):
+        assert self.bucket_of(10 * LATENCY_BOUNDS[-1]) == "overflow"
+
+
+#: sha256 of ``json.dumps(result, sort_keys=True)`` for the golden
+#: replays below, recorded before the event loop committed one event
+#: per heap pop.  A changed digest means a changed commit order or a
+#: changed counter; re-record only for an intended model change.
+GOLDEN_DIGESTS = {
+    "baseline":
+        "c2a05dee8795ee8f028bf048807dfb8bf36de82132ae1e60e1c421418104b4cd",
+    "world_call":
+        "bc70dbc5853b28f33e852b3464bfe4acbf5112378bb6b30ccc3c98507f101e23",
+    "switchless":
+        "6a7dc152a669b2ee3b8e5d21c2c25ebb2d352cbb8e27f15c6820cc1c4b06e016",
+    "baseline+xray":
+        "67b971755cd617af860d8b3fac7ac3a7db7e2758e553be2348c1e82a31a9330b",
+}
+
+
+class TestGoldenReplay:
+    """A 50-tenant fleet on a real sharded machine, churning every 9th
+    completion on 4 cores, with fixed stage costs per mechanism so the
+    digests pin the scheduler rather than the calibrated cost model."""
+
+    @staticmethod
+    def replay(mechanism, xray=False):
+        costs = MechanismCosts(
+            mechanism=mechanism, total_cycles=600, service_cycles=100,
+            issue_cycles=250, return_cycles=250,
+            cold_extra_cycles=2_400 if mechanism == "switchless" else 0,
+            miss_penalty_cycles=5_000,
+            serialized=(mechanism == "baseline"), marshal_cycles=90)
+        specs = traffic.tenant_plan(50, 5, rate_scale=20.0)
+        fleet = build_fleet(specs, shards=4)
+        try:
+            recorder = XrayRecorder(seed=5, sample_every=4) if xray else None
+            return FleetScheduler(specs, costs, seed=5,
+                                  horizon_cycles=8_000_000, cores=4,
+                                  churn_every=9, fleet=fleet,
+                                  xray=recorder).run()
+        finally:
+            fleet.machine.close()
+
+    @staticmethod
+    def digest(result):
+        return hashlib.sha256(
+            json.dumps(result, sort_keys=True).encode()).hexdigest()
+
+    @pytest.mark.parametrize("mechanism", MECHANISMS)
+    def test_dormant_replay_digest(self, mechanism):
+        result = self.replay(mechanism)
+        assert result["revocations"] > 0
+        assert result["completed"] == result["requests"]
+        assert self.digest(result) == GOLDEN_DIGESTS[mechanism]
+
+    def test_traced_replay_digest(self):
+        result = self.replay("baseline", xray=True)
+        assert result["xray"]["conservation"]["ok"]
+        assert self.digest(result) == GOLDEN_DIGESTS["baseline+xray"]
 
 
 class TestChurn:

@@ -22,6 +22,8 @@ from __future__ import annotations
 import ast
 import zlib
 from collections import OrderedDict
+from math import isfinite
+from operator import is_not
 from typing import Any
 
 from repro import faults as _faults
@@ -51,8 +53,26 @@ _SCALAR_TYPES = frozenset({bool, int, float, str, type(None)})
 
 def _to_wire(value: Any) -> Any:
     """Convert to literal-encodable form (tagging rich types)."""
-    if type(value) in _SCALAR_TYPES:
+    t = type(value)
+    if t in _SCALAR_TYPES:
         return value
+    if t is tuple or t is list:
+        wired = []
+        for v in value:
+            wired.append(v if type(v) in _SCALAR_TYPES else _to_wire(v))
+        if t is list:
+            return wired
+        wired = tuple(wired)
+        if wired and isinstance(wired[0], str) and wired[0] in _ALL_TAGS:
+            return (_LIT_TAG, wired)
+        return wired
+    if t is dict:
+        wired = {}
+        for k, v in value.items():
+            wired[k] = v if type(v) in _SCALAR_TYPES else _to_wire(v)
+        return wired
+    if t is bytes:
+        return (_BYTES_TAG, value.hex())
     if isinstance(value, StatResult):
         fields = (value.ino, value.type.value, value.mode, value.uid,
                   value.gid, value.size, value.nlink, value.atime,
@@ -62,15 +82,13 @@ def _to_wire(value: Any) -> Any:
         return (_ERR_TAG, value.errno, value.message)
     if isinstance(value, bytes):
         return (_BYTES_TAG, value.hex())
+    # Container subclasses marshal as their base type.
     if isinstance(value, tuple):
-        wired = tuple([_to_wire(v) for v in value])
-        if wired and isinstance(wired[0], str) and wired[0] in _ALL_TAGS:
-            return (_LIT_TAG, wired)
-        return wired
+        return _to_wire(tuple(value))
     if isinstance(value, list):
-        return [_to_wire(v) for v in value]
+        return _to_wire(list(value))
     if isinstance(value, dict):
-        return {k: _to_wire(v) for k, v in value.items()}
+        return _to_wire(dict(value.items()))
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
     raise SimulationError(f"cannot marshal {type(value).__name__} "
@@ -106,23 +124,28 @@ def _from_wire(value: Any) -> Any:
 #
 # Benchmarks call the same operations thousands of times with identical
 # payloads, and every hot call path needs both halves of a crossing: the
-# wire form (for copy charges and register-fit checks) and a fresh
-# decoded copy (for the peer).  :func:`roundtrip` memoizes both in one
-# LRU keyed by the payload's content (type-qualified, and
+# wire form (for copy charges and register-fit checks) and a fresh copy
+# of the payload for the peer.  :func:`roundtrip` memoizes both in one
+# LRU keyed by the payload's content (type-qualified at every level, and
 # order-preserving for dicts, whose repr depends on insertion order), so
 # mutating a payload between calls simply produces a different key.
-# The decoded half is cached as a template: deeply immutable payloads
-# are shared outright; payloads containing mutable containers (or rich
-# types like ``GuestOSError``, whose instances must not be shared across
-# raises) are frozen and thawed — rebuilt container-by-container — on
-# every hit, so no two callers ever alias.  The cached wire is exactly
-# what :func:`encode` emits, so simulated copy charges (which depend
-# only on payload length) are bit-identical.
+# The peer's copy is cached as a template frozen straight from the
+# payload; nothing parses back the wire it has just written.  That is
+# sound because only payloads that ``decode(encode(v))`` reproduces
+# exactly get a key: nested ``nan``/``inf`` and dict keys that are not
+# literals do not, and take the uncached encode -> decode path, which
+# rejects them.  Deeply immutable payloads are shared outright; payloads
+# containing mutable containers (or rich types like ``GuestOSError``,
+# whose instances must not be shared across raises) are frozen and
+# thawed — rebuilt container-by-container — on every call, so no two
+# callers ever alias.  The cached wire is exactly what :func:`encode`
+# emits, so simulated copy charges (which depend only on payload
+# length) are bit-identical.
 # ---------------------------------------------------------------------------
 
 _CACHE_MAX = 4096
 
-#: Content key -> (wire bytes, frozen decoded template).
+#: Content key -> (wire bytes, frozen template of the peer's copy).
 _roundtrip_cache: "OrderedDict[Any, tuple]" = OrderedDict()
 
 #: Integrity digests of cached wires, recorded only while a fault engine
@@ -136,50 +159,88 @@ _wire_crc: dict = {}
 cache_stats = {"roundtrip_hits": 0, "roundtrip_misses": 0,
                "poison_repaired": 0}
 
+#: Exact scalar types keyed by their own value: their repr is a literal
+#: that evaluates back to an equal value of the same type.
+_VALUE_KEYED = frozenset({bool, int, str, type(None), bytes})
+
+
+def _scalar_key(value: Any) -> Any:
+    """Type-qualified key of a scalar the wire reproduces exactly, or
+    ``None``.
+
+    Floats are keyed by their repr, so ``-0.0`` and ``0.0`` (equal, but
+    marshaled apart) never share an entry; ``nan`` and ``±inf`` have no
+    literal repr, so they get no key.
+    """
+    t = type(value)
+    if t in _VALUE_KEYED:
+        return (t, value)
+    if t is float and isfinite(value):
+        return (float, repr(value))
+    return None
+
+
+def _literal_key(value: Any) -> Any:
+    """Key of a dict key, or ``None``.  The wire carries dict keys as
+    bare literals (never tagged), so only scalars and tuples of them
+    survive the trip."""
+    if type(value) is tuple:
+        parts = [_literal_key(item) for item in value]
+        return None if None in parts else (tuple, tuple(parts))
+    return _scalar_key(value)
+
 
 def _cache_key(value: Any) -> Any:
     """A hashable key identifying ``value`` and its structure, or
     ``None`` when the payload is not safely cacheable.
 
-    The concrete type is part of the key at every level, dict keys
-    included: ``1``, ``1.0`` and ``True`` hash equal but encode
-    differently.  Floats are keyed by their repr, so ``-0.0`` and
-    ``0.0`` (equal, but marshaled apart) never share an entry.  Mutable
+    The concrete type is part of the key at every level — dict keys and
+    the fields of ``StatResult`` and ``GuestOSError`` included: ``1``,
+    ``1.0`` and ``True`` hash equal but encode differently.  Mutable
     containers are keyed by content: a later mutation yields a
-    different key rather than a stale hit.
+    different key rather than a stale hit.  A payload the uncached
+    ``decode(encode(v))`` would not reproduce exactly gets no key.
     """
     t = type(value)
-    if t in _SCALAR_TYPES or t is bytes:
-        return (t, repr(value)) if t is float else (t, value)
     if t is tuple or t is list:
         parts = []
-        for item in value:
-            part = _cache_key(item)
-            if part is None:
-                return None
-            parts.append(part)
+        for v in value:
+            tv = type(v)
+            if tv in _VALUE_KEYED:
+                parts.append((tv, v))
+            else:
+                part = _cache_key(v)
+                if part is None:
+                    return None
+                parts.append(part)
         return (t, tuple(parts))
     if t is dict:
         parts = []
-        for k, item in value.items():
-            kpart = _cache_key(k)
-            part = _cache_key(item)
+        for k, v in value.items():
+            tk = type(k)
+            kpart = (tk, k) if tk in _VALUE_KEYED else _literal_key(k)
+            tv = type(v)
+            part = (tv, v) if tv in _VALUE_KEYED else _cache_key(v)
             if kpart is None or part is None:
                 return None
             parts.append((kpart, part))
         return (dict, tuple(parts))
     if t is StatResult:
-        return (StatResult, value.ino, value.type, value.mode, value.uid,
-                value.gid, value.size, value.nlink, value.atime,
-                value.mtime, value.ctime)
+        if type(value.type) is not InodeType:
+            return None
+        parts = tuple(map(_scalar_key, (
+            value.ino, value.mode, value.uid, value.gid, value.size,
+            value.nlink, value.atime, value.mtime, value.ctime)))
+        return None if None in parts else (StatResult, value.type, parts)
     if t is GuestOSError:
-        return (GuestOSError, value.errno, value.message)
-    return None
+        parts = (_scalar_key(value.errno), _scalar_key(value.message))
+        return None if None in parts else (GuestOSError, parts)
+    return _scalar_key(value)
 
 
 class _Thaw:
-    """Frozen template for a decoded payload that must be rebuilt (not
-    shared) on every cache hit."""
+    """Frozen template for a peer's copy that must be rebuilt (not
+    shared) on every call."""
 
     __slots__ = ("items",)
 
@@ -207,26 +268,38 @@ class _ThawErr(_Thaw):
     pass
 
 
-def _freeze(value: Any) -> Any:
-    """Build a cacheable template for a decoded value.
+_THAW_TYPES = frozenset({_ThawTuple, _ThawList, _ThawDict, _ThawStat,
+                         _ThawErr})
 
-    Deeply immutable values are returned as-is (shared on hits);
+#: Exact types a template shares with every caller: immutable.
+_SHARED_TYPES = _SCALAR_TYPES | {bytes}
+
+
+def _freeze(value: Any) -> Any:
+    """Build the cached template of a keyed payload's fresh copy.
+
+    Deeply immutable values are returned as-is (shared by every call);
     anything containing a mutable container or a rich type becomes a
-    :class:`_Thaw` node tree rebuilt by :func:`_thaw` per hit.
+    :class:`_Thaw` node tree rebuilt by :func:`_thaw` per call.
     """
     t = type(value)
-    if t in _SCALAR_TYPES or t is bytes:
+    if t in _SHARED_TYPES:
         return value
-    if t is tuple:
-        frozen = tuple(_freeze(item) for item in value)
-        if all(f is v for f, v in zip(frozen, value)):
-            return value
-        return _ThawTuple(frozen)
-    if t is list:
-        return _ThawList(tuple(_freeze(item) for item in value))
+    if t is tuple or t is list:
+        items = []
+        for v in value:
+            items.append(v if type(v) in _SHARED_TYPES else _freeze(v))
+        if t is list:
+            return _ThawList(tuple(items))
+        # A tuple of shared items is itself shared.
+        if any(map(is_not, items, value)):
+            return _ThawTuple(tuple(items))
+        return value
     if t is dict:
-        return _ThawDict(tuple((k, _freeze(item))
-                               for k, item in value.items()))
+        items = []
+        for k, v in value.items():
+            items.append((k, v if type(v) in _SHARED_TYPES else _freeze(v)))
+        return _ThawDict(tuple(items))
     if t is StatResult:
         return _ThawStat((value.ino, value.type, value.mode, value.uid,
                           value.gid, value.size, value.nlink, value.atime,
@@ -238,23 +311,23 @@ def _freeze(value: Any) -> Any:
     raise SimulationError(f"cannot freeze {t.__name__}")  # pragma: no cover
 
 
-def _thaw(node: Any) -> Any:
-    """Rebuild a fresh value from a :func:`_freeze` template."""
+def _thaw(node: _Thaw) -> Any:
+    """Rebuild a fresh value from a :func:`_freeze` template node."""
     t = type(node)
-    if t is _ThawList:
-        return [_thaw(item) for item in node.items]
-    if t is _ThawTuple:
-        return tuple(_thaw(item) for item in node.items)
-    if t is _ThawDict:
-        return {k: _thaw(item) for k, item in node.items}
+    items = node.items
     if t is _ThawStat:
-        f = node.items
-        return StatResult(ino=f[0], type=f[1], mode=f[2], uid=f[3],
-                          gid=f[4], size=f[5], nlink=f[6], atime=f[7],
-                          mtime=f[8], ctime=f[9])
+        return StatResult(*items)
     if t is _ThawErr:
-        return GuestOSError(node.items[0], node.items[1])
-    return node
+        return GuestOSError(*items)
+    if t is _ThawDict:
+        fresh = {}
+        for k, v in items:
+            fresh[k] = _thaw(v) if type(v) in _THAW_TYPES else v
+        return fresh
+    out = []
+    for v in items:
+        out.append(_thaw(v) if type(v) in _THAW_TYPES else v)
+    return out if t is _ThawList else tuple(out)
 
 
 class _Unsupported(Exception):
@@ -446,7 +519,9 @@ def roundtrip(value: Any) -> "tuple[bytes, Any]":
     """Marshal ``value`` and return ``(wire, fresh_decoded_copy)``.
 
     Equal to ``(encode(value), decode(encode(value)))``, memoized on the
-    payload's content: a hit costs one key walk and a thaw.
+    payload's content: a hit costs one key walk and a thaw, a miss one
+    :func:`encode` and a copy walk.  Only a payload with no cache key
+    (see :func:`_cache_key`) is decoded from its wire.
     """
     if type(value) in _SCALAR_TYPES:
         # Scalars are immutable and shareable: the repr is the wire form
@@ -463,7 +538,7 @@ def roundtrip(value: Any) -> "tuple[bytes, Any]":
         if crc is None or zlib.crc32(wire) == crc:
             _roundtrip_cache.move_to_end(key)
             cache_stats["roundtrip_hits"] += 1
-            return wire, (_thaw(frozen) if isinstance(frozen, _Thaw)
+            return wire, (_thaw(frozen) if type(frozen) in _THAW_TYPES
                           else frozen)
         # Poisoned entry: drop it and re-marshal from the live payload
         # rather than ever returning corrupted bytes.
@@ -473,15 +548,15 @@ def roundtrip(value: Any) -> "tuple[bytes, Any]":
                      detail="poisoned round-trip cache entry re-marshaled")
     cache_stats["roundtrip_misses"] += 1
     wire = encode(value)
-    fresh = decode(wire)
-    # Freeze before handing ``fresh`` back: the caller may mutate it.
-    _roundtrip_cache[key] = (wire, _freeze(fresh))
+    frozen = _freeze(value)
+    _roundtrip_cache[key] = (wire, frozen)
     if _faults._engine is not None:
         _wire_crc[key] = zlib.crc32(wire)
     if len(_roundtrip_cache) > _CACHE_MAX:
         evicted, _ = _roundtrip_cache.popitem(last=False)
         _wire_crc.pop(evicted, None)
-    return wire, fresh
+    return wire, (_thaw(frozen) if type(frozen) in _THAW_TYPES
+                  else frozen)
 
 
 def fits_registers(data: bytes) -> bool:

@@ -7,12 +7,11 @@ a real procfs.
 
 from __future__ import annotations
 
+from types import MethodType
 from typing import Dict, List
 
 from repro.errors import GuestOSError
 from repro.guestos.fs.inode import Errno, Inode, InodeType
-
-_STATIC_FILES = ("uptime", "loadavg", "meminfo", "stat", "version")
 
 
 class ProcFS:
@@ -122,18 +121,12 @@ class ProcFS:
         return node
 
     def _lookup_root(self, name: str) -> Inode:
-        generators = {
-            "uptime": self._gen_uptime,
-            "loadavg": self._gen_loadavg,
-            "meminfo": self._gen_meminfo,
-            "stat": self._gen_stat,
-            "version": self._gen_version,
-        }
-        if name in generators:
+        generate = _ROOT_FILES.get(name)
+        if generate is not None:
             node = self._cache.get(name)
             if node is None:
                 node = Inode(InodeType.FILE, mode=0o444)
-                node.generator = generators[name]
+                node.generator = MethodType(generate, self)
                 self._cache[name] = node
             return node
         if name.isdigit():
@@ -161,9 +154,19 @@ class ProcFS:
         directory.require_dir()
         if directory is self._root:
             pids = [str(pid) for pid in sorted(self.kernel.processes)]
-            return list(_STATIC_FILES) + pids
+            return list(_ROOT_FILES) + pids
         return ["cmdline", "comm", "stat", "status"]
 
+
+#: The static files of ``/proc``, in listing order, each with the method
+#: that generates its content.
+_ROOT_FILES = {
+    "uptime": ProcFS._gen_uptime,
+    "loadavg": ProcFS._gen_loadavg,
+    "meminfo": ProcFS._gen_meminfo,
+    "stat": ProcFS._gen_stat,
+    "version": ProcFS._gen_version,
+}
 
 #: The files of a ``/proc/<pid>`` directory, each with the method that
 #: builds its content generator (only on the lookup that creates the

@@ -6,6 +6,9 @@ returns the same wire and an equal fresh copy cold and warm, and no
 two copies alias.
 """
 
+import math
+import random
+
 import pytest
 
 from repro.core import convention
@@ -30,6 +33,19 @@ PAYLOADS = [
     (("t", ("u", ("p", ("l", "e"))))),
     {"empty-ish": [None, (), [], {}, "", b""]},
 ]
+
+
+def _fields(value):
+    """A payload's content, with the fields of rich types spelled out
+    (their reprs alone do not show the fields' types)."""
+    t = type(value)
+    if t is list or t is tuple:
+        return t(_fields(v) for v in value)
+    if t is dict:
+        return {k: _fields(v) for k, v in value.items()}
+    if t is GuestOSError:
+        return ("GuestOSError", value.errno, value.message)
+    return value
 
 
 def _eq(a, b):
@@ -97,6 +113,22 @@ class TestScalarTypeFidelity:
             wire, decoded = convention.roundtrip(v)
             assert wire == repr(v).encode()
             assert repr(decoded) == repr(v)
+
+    @pytest.mark.parametrize("a,b", [
+        (_stat(ino=1), _stat(ino=True)), (_stat(ino=1), _stat(ino=1.0)),
+        (GuestOSError(2, "x"), GuestOSError(2.0, "x")),
+        (GuestOSError(1, "x"), GuestOSError(True, "x")),
+        ([_stat(ino=0.0)], [_stat(ino=-0.0)]),
+    ])
+    def test_rich_type_fields_stay_distinct(self, a, b):
+        """The fields of ``StatResult`` and ``GuestOSError`` are keyed
+        with their types too: a cached ``ino=1`` must not answer for
+        ``ino=True``, nor ``errno=2`` for ``errno=2.0``."""
+        convention.clear_caches()
+        for v in (a, b, a, b):
+            wire, decoded = convention.roundtrip(v)
+            assert wire == convention.encode(v)
+            assert repr(_fields(decoded)) == repr(_fields(v))
 
     def test_enum_rejected_identically_both_paths(self):
         """A bare enum is not marshalable; the memo must reject it
@@ -176,3 +208,99 @@ class TestCorruptPayloads:
             with pytest.raises(SimulationError):
                 convention.decode(wire)
             convention.roundtrip(("warm", 1))
+
+
+class TestUndecodablePayloadsStayRejected:
+    """A payload whose wire the strict reader rejects never starts
+    crossing: the memo gives it no key, so ``roundtrip`` takes the
+    uncached ``encode`` -> ``decode`` path and fails exactly like it,
+    on a cold cache and after the memo has been warmed."""
+
+    @pytest.mark.parametrize("value", [
+        (math.nan,), [math.inf], {"k": -math.inf},
+        {GuestOSError(2, "x"): 1},
+        [_stat(ino=math.nan)], (GuestOSError(math.inf, "x"),),
+    ], ids=["nan-in-tuple", "inf-in-list", "neg-inf-dict-value",
+            "error-dict-key", "nan-stat-field", "inf-errno"])
+    def test_rejected_cold_and_warm(self, value):
+        with pytest.raises(SimulationError, match="corrupt wire"):
+            convention.decode(convention.encode(value))
+        convention.clear_caches()
+        for _ in range(2):      # cold, then with the memo warmed
+            with pytest.raises(SimulationError, match="corrupt wire"):
+                convention.roundtrip(value)
+            convention.roundtrip(("warm", [1]))
+        assert convention.cache_stats["roundtrip_misses"] == 1
+        assert len(convention._roundtrip_cache) == 1
+
+    def test_top_level_nan_crosses_as_a_scalar(self):
+        """Pinned as it is: a bare scalar takes the scalar fast path,
+        which never parses, so a top-level ``nan`` crosses although
+        ``decode`` rejects its wire."""
+        with pytest.raises(SimulationError):
+            convention.decode(convention.encode(math.nan))
+        for _ in range(2):
+            wire, decoded = convention.roundtrip(math.nan)
+            assert wire == b"nan" and math.isnan(decoded)
+
+
+def _random_payload(rng, depth=0):
+    """A nested payload mixing every marshaled type with the values the
+    wire cannot carry (non-finite floats, non-literal dict keys) and
+    equal-hashing scalars of different types."""
+    scalars = [0, 1, True, False, 1.0, -0.0, 2 ** 70, math.nan, math.inf,
+               "", "'\"", "\\", "é", "__stat__", "__lit__", None, b"",
+               b"\x00'"]
+    kind = rng.randrange(8 if depth < 3 else 1)
+    if kind == 0:
+        return rng.choice(scalars)
+    if kind == 1:
+        return tuple(_random_payload(rng, depth + 1)
+                     for _ in range(rng.randrange(4)))
+    if kind == 2:
+        return [_random_payload(rng, depth + 1)
+                for _ in range(rng.randrange(4))]
+    if kind == 3:
+        keys = scalars + [(1, "a"), (math.nan,), GuestOSError(2, "x")]
+        return {rng.choice(keys): _random_payload(rng, depth + 1)
+                for _ in range(rng.randrange(3))}
+    if kind == 4:
+        return _stat(ino=rng.choice(scalars))
+    if kind == 5:
+        return GuestOSError(rng.choice(scalars), rng.choice(scalars))
+    if kind == 6:
+        return (rng.choice(["__stat__", "__denied__", "__bytes__"]),
+                _random_payload(rng, depth + 1))
+    return (rng.choice(scalars), [rng.choice(scalars)])
+
+
+def _outcome(marshal, value):
+    try:
+        wire, copy = marshal(value)
+    except SimulationError:
+        return "rejected"
+    return wire, repr(_fields(copy))
+
+
+class TestMemoMatchesReference:
+    def test_random_payloads_match_encode_then_decode(self):
+        """The uncached ``encode`` -> ``decode`` pair is the reference:
+        for every non-scalar payload the memo returns the same wire and
+        an equal copy, or rejects it, cold and warm."""
+        rng = random.Random(11)
+        convention.clear_caches()
+        checked = 0
+        for _ in range(2000):
+            value = _random_payload(rng)
+            if type(value) in convention._SCALAR_TYPES:
+                continue    # the scalar fast path is pinned above
+            expected = _outcome(
+                lambda v: (convention.encode(v),
+                           convention.decode(convention.encode(v))),
+                value)
+            for _ in range(2):
+                assert _outcome(convention.roundtrip, value) == expected, \
+                    value
+            checked += 1
+        assert checked > 1000
+        assert convention.cache_stats["roundtrip_hits"] > 0

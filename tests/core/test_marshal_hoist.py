@@ -5,14 +5,17 @@
 wire, then ``decode`` parsed the wire right back — and took that path
 whenever a fault engine was installed.  The hoisted
 :func:`repro.core.convention.roundtrip` keys both halves off a single
-walk and hits its own cache in steady state, faults armed or not.  This
-pins the counts with counting stubs so the re-derivation cannot creep
-back in.
+walk and hits its own cache in steady state, faults armed or not; on a
+miss it encodes once and copies the payload, never parsing the wire it
+has just written.  This pins the counts with counting stubs so the
+re-derivation cannot creep back in.
 """
 
 from repro import faults
 from repro.core import convention
+from repro.core.crossvm import CrossVMSyscallMechanism
 from repro.faults import FaultEngine
+from repro.testbed import build_two_vm_machine, enter_vm_kernel
 
 
 def _build_worldcall_harness(handler):
@@ -36,7 +39,12 @@ def _build_worldcall_harness(handler):
     return machine, runtime, caller, callee
 
 
-def _counting(monkeypatch, name, counts):
+def _counting(monkeypatch, counts):
+    for name in counts:
+        _count(monkeypatch, name, counts)
+
+
+def _count(monkeypatch, name, counts):
     real = getattr(convention, name)
 
     def wrapper(arg):
@@ -56,8 +64,7 @@ def _steady_state_counts(monkeypatch):
         for _ in range(4):
             runtime.call(caller, callee.wid, payload)
         counts = {"encode": 0, "decode": 0, "roundtrip": 0}
-        for name in counts:
-            _counting(monkeypatch, name, counts)
+        _counting(monkeypatch, counts)
         for _ in range(10):
             result = runtime.call(caller, callee.wid, payload)
             assert result == ("pong", payload)
@@ -78,3 +85,50 @@ class TestMarshalHoist:
         with faults.scoped(FaultEngine([])):
             counts = _steady_state_counts(monkeypatch)
         assert counts == {"encode": 0, "decode": 0, "roundtrip": 20}, counts
+
+
+def _cold_crossvm_counts(monkeypatch, traced):
+    """Marshaling calls made by one Figure-4 round trip on a cold memo:
+    a ``readdir``, whose request and reply are both non-scalar."""
+    machine, vm1, _, vm2, _ = build_two_vm_machine()
+    mech = CrossVMSyscallMechanism(machine)
+    enter_vm_kernel(machine, vm1)
+    mech.setup_pair(vm1, vm2)
+    enter_vm_kernel(machine, vm1)
+    convention.clear_caches()
+    counts = {"encode": 0, "decode": 0, "roundtrip": 0}
+    _counting(monkeypatch, counts)
+    with machine.cpu.trace.scoped(traced):
+        names = mech.call(vm1, vm2, "readdir", "/")
+    assert "etc" in names
+    assert convention.cache_stats["roundtrip_hits"] == 0
+    return counts
+
+
+class TestColdRoundTripNeverParses:
+    """A memo miss encodes once per non-scalar direction and copies the
+    payload; only the step-by-step cross-VM half, which reads its bytes
+    back through the shared page, decodes."""
+
+    def test_cold_world_call(self, monkeypatch):
+        machine, runtime, caller, callee = _build_worldcall_harness(
+            lambda request: ("pong", request.payload))
+        convention.clear_caches()
+        counts = {"encode": 0, "decode": 0, "roundtrip": 0}
+        _counting(monkeypatch, counts)
+        with machine.cpu.trace.scoped(False):
+            assert runtime.call(caller, callee.wid, ("ping", [7])) == \
+                ("pong", ("ping", [7]))
+        assert convention.cache_stats["roundtrip_hits"] == 0
+        assert counts == {"encode": 2, "decode": 0, "roundtrip": 2}, counts
+
+    def test_cold_crossvm_straight_half(self, monkeypatch):
+        counts = _cold_crossvm_counts(monkeypatch, traced=False)
+        assert counts == {"encode": 2, "decode": 0, "roundtrip": 2}, counts
+
+    def test_cold_crossvm_step_by_step_half_decodes_the_page(
+            self, monkeypatch):
+        # The request is marshaled once up front; the callee decodes it
+        # from the shared page, and the caller decodes the reply.
+        counts = _cold_crossvm_counts(monkeypatch, traced=True)
+        assert counts == {"encode": 2, "decode": 2, "roundtrip": 1}, counts

@@ -175,3 +175,62 @@ class TestSplitDriver:
         driver.transmit(b"w")
         path = machine.cpu.trace.path(mark)
         assert "U(dom0)" in path     # the user-space device model ran
+
+
+# One warm call of each hypervisor-mediated baseline: its cycles and
+# its (kind, from, to, detail) transition sequence, pinned exactly.
+OVERSHADOW_TRACE = (
+    ("vmexit", "U(vm1)", "K(host)", "overshadow interpose"),
+    ("vmentry", "K(host)", "U(vm1)", "enter cloaked shim"),
+    ("vmexit", "U(vm1)", "K(host)", "shim marshalled"),
+    ("vmentry", "K(host)", "U(vm1)", "enter guest kernel"),
+    ("syscall_trap", "U(vm1)", "K(vm1)", "uncloaked shim issues syscall"),
+    ("sysret", "K(vm1)", "U(vm1)", "back to uncloaked shim"),
+    ("vmexit", "U(vm1)", "K(host)", "syscall done"),
+    ("vmentry", "K(host)", "U(vm1)", "re-cloak results"),
+    ("vmexit", "U(vm1)", "K(host)", "results cloaked"),
+    ("vmentry", "K(host)", "U(vm1)", "resume cloaked app"),
+)
+_KICK = (
+    ("vmexit", "K(guest)", "K(host)", "event channel kick"),
+    ("vm_schedule", "K(host)", "K(host)", "run dom0"),
+    ("vmentry", "K(host)", "K(dom0)", "deliver to netback"),
+)
+_QEMU = (
+    ("sysret", "K(dom0)", "U(dom0)", "qemu emulates"),
+    ("syscall_trap", "U(dom0)", "K(dom0)", "qemu completes"),
+)
+_DEVICE_AND_COMPLETION = (
+    ("vmexit", "K(dom0)", "K(host)", "tx 64B"),
+    ("vmentry", "K(host)", "K(dom0)", "tx done"),
+    ("vmexit", "K(dom0)", "K(host)", "tx complete"),
+    ("vmentry", "K(host)", "K(guest)", "resume frontend"),
+    ("irq_deliver", "K(guest)", "K(guest)", "tx irq"),
+)
+PINNED_CALLS = {
+    "overshadow": (11_572, OVERSHADOW_TRACE),
+    "emulated": (35_634, _KICK + _QEMU + _DEVICE_AND_COMPLETION),
+    "paravirt": (29_534, _KICK + _DEVICE_AND_COMPLETION),
+}
+
+
+def baseline_call(path):
+    """A machine and one call of ``path``'s hypervisor-mediated
+    baseline: Overshadow's ``getpid`` or a 64-byte bounced frame."""
+    if path == "overshadow":
+        machine, kernel, shadow = build_overshadow(False)
+        return machine, lambda: shadow.cloaked_syscall("getpid")
+    machine, driver = build_driver(path)
+    return machine, lambda: driver.transmit(b"\x00" * 64)
+
+
+@pytest.mark.parametrize("path", sorted(PINNED_CALLS))
+def test_warm_call_cycles_and_trace_are_pinned(path):
+    machine, call = baseline_call(path)
+    call()
+    cycles, mark = machine.cpu.perf.cycles, machine.cpu.trace.mark
+    call()
+    events = machine.cpu.trace.since(mark)
+    assert (machine.cpu.perf.cycles - cycles,
+            tuple((e.kind, e.frm, e.to, e.detail) for e in events)) == \
+        PINNED_CALLS[path]

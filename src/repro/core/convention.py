@@ -523,9 +523,11 @@ def roundtrip(value: Any) -> "tuple[bytes, Any]":
     :func:`encode` and a copy walk.  Only a payload with no cache key
     (see :func:`_cache_key`) is decoded from its wire.
     """
-    if type(value) in _SCALAR_TYPES:
+    kind = type(value)
+    if kind in _SCALAR_TYPES and (kind is not float or isfinite(value)):
         # Scalars are immutable and shareable: the repr is the wire form
-        # and the "fresh copy" is the value itself.
+        # and the "fresh copy" is the value itself.  A non-finite float
+        # has no literal wire, so it takes encode -> decode and fails.
         return repr(value).encode(), value
     key = _cache_key(value)
     if key is None:

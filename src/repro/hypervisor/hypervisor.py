@@ -25,8 +25,8 @@ from repro.hw.paging import PageTable
 from repro.hw.vmx import ExitReason
 from repro.hw.world_table import WorldTableEntry
 from repro.hypervisor.hypercalls import Hypercall, HypercallTable
-from repro.hypervisor.injection import VECTOR_SYSCALL_REDIRECT, Injector
-from repro.hypervisor.paths import (CALLEE, COPY, EXIT, INJECT, LAUNCH,
+from repro.hypervisor.injection import Injector
+from repro.hypervisor.paths import (CALLEE, COPY, EXIT, INJECT, LAUNCH, RUN,
                                     SCHEDULE, SLEEP, SYSRET, TRAP_AND_INJECT,
                                     TRAP_IF_USER, WAKE, Step, TrapPath)
 from repro.hypervisor.scheduler import HostScheduler
@@ -142,22 +142,25 @@ class Hypervisor:
                  to_vm: VirtualMachine, body: Callable[[], Any],
                  path: TrapPath = TRAP_AND_INJECT, *,
                  executor: Optional[Process] = None,
-                 request: Optional[bytes] = None) -> Any:
+                 request: Optional[bytes] = None,
+                 run: Optional[Callable[[], Any]] = None) -> Any:
         """Walk ``path.enter``, run ``body`` in ``to_vm``, walk
         ``path.leave`` back to ``from_vm`` — also when ``body`` raises.
 
         ``TRAP_AND_INJECT`` serves the runtime's ``baseline`` mechanism,
         Table 7's "w/o CrossOver" redirector and the fault campaign's
-        baseline cell; the four case-study baselines (``TRAP_PATH``)
-        and crossvm (``BASELINE_PATH``, ``LEGACY_PATH``) pass their own.
-        Wake/sleep rows act on ``executor``; copy rows copy ``request``,
-        then the marshaled outcome: a ``GuestOSError`` is copied back
-        before it is raised, any other exception leaves no reply.  A
-        call that starts in the host kernel skips the leading exit and
-        the trailing resume."""
+        baseline cell; the four case-study baselines (``TRAP_PATH``),
+        Overshadow (``TRAP_PATH``), the bounced split driver
+        (``TRAP_PATHS``) and crossvm (``BASELINE_PATH``,
+        ``LEGACY_PATH``) pass their own.  Wake/sleep rows act on
+        ``executor``; run rows call ``run()``; copy rows copy
+        ``request``, then the marshaled outcome: a ``GuestOSError`` is
+        copied back before it is raised, any other exception leaves no
+        reply.  A call that starts in the host kernel skips the leading
+        exit and the trailing resume."""
         in_host = cpu.mode is Mode.ROOT
         self._walk(cpu, path.host_enter if in_host else path.enter,
-                   from_vm, to_vm, executor, request)
+                   from_vm, to_vm, executor, request, run)
         outcome: Any = _NO_OUTCOME
         try:
             outcome = body()
@@ -170,14 +173,14 @@ class Hypervisor:
             if path.copies_reply and outcome is not _NO_OUTCOME:
                 reply = convention.encode(outcome)
             self._walk(cpu, path.host_leave if in_host else path.leave,
-                       from_vm, to_vm, executor, reply)
+                       from_vm, to_vm, executor, reply, run)
 
     def _walk(self, cpu: CPU, steps: Tuple[Step, ...],
               caller: VirtualMachine, callee: VirtualMachine,
-              executor: Optional[Process], payload: Optional[bytes]
-              ) -> None:
+              executor: Optional[Process], payload: Optional[bytes],
+              run: Optional[Callable[[], Any]]) -> None:
         """Charge and perform one half of a trap round trip."""
-        for op, arg, detail, _label in steps:
+        for op, arg, detail, _label, vector in steps:
             target = callee if arg == CALLEE else caller
             if op == EXIT:
                 self.exit_to_host(cpu, arg, detail)
@@ -197,10 +200,11 @@ class Hypervisor:
             elif op == SLEEP:
                 callee.kernel.current = None
             elif op == INJECT:
-                self.injector.inject(cpu, target, VECTOR_SYSCALL_REDIRECT,
-                                     detail)
+                self.injector.inject(cpu, target, vector, detail)
             elif op == SCHEDULE:
                 self.scheduler.schedule(cpu, target, detail)
+            elif op == RUN:
+                run()
             else:
                 cpu.charge(arg)
 

@@ -5,8 +5,9 @@ Table 7) once: the rows that leave the caller's VM and deliver work
 into the callee's, and the rows that come back after the body.
 :meth:`~repro.hypervisor.hypervisor.Hypervisor.redirect` walks them.
 A :class:`Step` holds its primitive, its exit reason, charge name or
-target VM, the detail its trace event records and that event's
-profiler label, so a path's charges and its attribution cannot drift.
+target VM, the detail its trace event records, that event's profiler
+label and, on an inject row, its vector, so a path's charges and its
+attribution cannot drift.
 """
 
 from __future__ import annotations
@@ -15,18 +16,20 @@ from typing import Dict, Iterable, NamedTuple, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.hw.vmx import ExitReason
+from repro.hypervisor.injection import VECTOR_SYSCALL_REDIRECT
 
 # The primitives a row can name.
 EXIT = "exit"              # vmexit(reason) + the hypervisor's handling
 CHARGE = "charge"          # one named cost-model charge
 COPY = "copy"              # copy the request (before the body) or reply
-INJECT = "inject"          # queue the redirect vector on the target VM
+INJECT = "inject"          # queue the row's vector on the target VM
 SCHEDULE = "schedule"      # the host scheduler picks the target VM
 LAUNCH = "launch"          # VM entry into the target VM
 TRAP_IF_USER = "trap"      # syscall trap if the entry landed at CPL 3
 WAKE = "wake"              # callee kernel switches to the executor
 SYSRET = "sysret"          # into the executor's user mode
 SLEEP = "sleep"            # the executor blocks: callee kernel idles
+RUN = "run"                # the caller's own step (a shim, a device model)
 
 # Target VMs of INJECT, SCHEDULE and LAUNCH rows.
 CALLER = "caller"
@@ -44,6 +47,7 @@ class Step(NamedTuple):
     arg: Optional[str] = None      # exit reason, charge name or target
     detail: str = ""
     label: Optional[str] = None    # profiler path-step label
+    vector: int = VECTOR_SYSCALL_REDIRECT   # an INJECT row's vector
 
 
 class TrapPath:
@@ -68,7 +72,7 @@ def step_labels(paths: Iterable[TrapPath]) -> Dict[Tuple[str, str], str]:
     labels for one ``(kind, detail)``, is a configuration error."""
     merged: Dict[Tuple[str, str], str] = {}
     for path in paths:
-        for op, _arg, detail, label in path.enter + path.leave:
+        for op, _arg, detail, label, _vector in path.enter + path.leave:
             if label is None:
                 continue
             if op not in _EVENT_KINDS:

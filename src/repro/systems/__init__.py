@@ -16,7 +16,8 @@ eleven Table-1 systems for the survey reproduction.
 
 from repro.core import crossvm
 from repro.hypervisor.paths import TRAP_AND_INJECT, step_labels
-from repro.systems import hypershell, proxos, shadowcontext, tahoma
+from repro.systems import (hypershell, overshadow, proxos, shadowcontext,
+                           splitdriver, tahoma)
 from repro.systems.base import CrossWorldSystem, SystemRedirector
 from repro.systems.proxos import Proxos
 from repro.systems.hypershell import HyperShell
@@ -30,7 +31,8 @@ from repro.systems.splitdriver import SplitDriver
 #: Every single-body trap round trip, and the profiler's path-step
 #: labels read off their rows.
 TRAP_PATHS = (proxos.TRAP_PATH, shadowcontext.TRAP_PATH,
-              hypershell.TRAP_PATH, tahoma.TRAP_PATH, crossvm.BASELINE_PATH,
+              hypershell.TRAP_PATH, tahoma.TRAP_PATH, overshadow.TRAP_PATH,
+              *splitdriver.TRAP_PATHS.values(), crossvm.BASELINE_PATH,
               crossvm.LEGACY_PATH, TRAP_AND_INJECT)
 STEP_LABELS = step_labels(TRAP_PATHS)
 

@@ -265,17 +265,14 @@ class UserSpaceFS:
         kernel.scheduler.switch_to(self.daemon_proc, "wake fuse daemon")
         cpu.sysret("fuse daemon runs")
         try:
-            result: Any = self.daemon.serve(op, *args)
-        except GuestOSError as err:
-            result = err
-        # Daemon replies (trap) and the kernel resumes the caller.
-        cpu.charge("user_wrapper")
-        cpu.syscall_trap("fuse reply")
-        cpu.charge("syscall_dispatch")
-        kernel.scheduler.switch_to(proc, "resume app")
-        if isinstance(result, GuestOSError):
-            raise result
-        return result
+            return self.daemon.serve(op, *args)
+        finally:
+            # Daemon replies (trap) and the kernel resumes the caller,
+            # whatever the daemon raised.
+            cpu.charge("user_wrapper")
+            cpu.syscall_trap("fuse reply")
+            cpu.charge("syscall_dispatch")
+            kernel.scheduler.switch_to(proc, "resume app")
 
     def _direct_call(self, proc: Process, op: str, args: tuple) -> Any:
         """Optimized: a same-VM U->U world call, no kernel involved.

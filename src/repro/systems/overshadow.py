@@ -24,16 +24,17 @@ plaintext — tests verify this end to end.
 
 from __future__ import annotations
 
-from typing import Any, Optional, Tuple
+from typing import Any, Optional
 
 from repro.core.authorization import AllowListPolicy
 from repro.core.call import CallRequest, WorldCallRuntime
 from repro.core.world import World, WorldRegistry
-from repro.errors import ConfigurationError, GuestOSError, SimulationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.guestos.kernel import Kernel
-from repro.guestos.process import Process
 from repro.hw.cpu import Mode
 from repro.hw.vmx import ExitReason
+from repro.hypervisor.paths import (CALLEE, CALLER, CHARGE, EXIT, LAUNCH, RUN,
+                                    SYSRET, TRAP_IF_USER, Step, TrapPath)
 from repro.testbed import enter_vm_kernel
 
 #: Where the cloaked data page sits in the app's address space.
@@ -41,6 +42,26 @@ CLOAKED_BUFFER_GVA = 0x5000_0000
 
 #: Transcryption cost (cycles per byte) at each cloak boundary.
 TRANSCRYPT_CYCLES_PER_BYTE = 6
+
+#: The baseline's four hypervisor detours around one syscall (Figure
+#: 2's Overshadow row): the interposed syscall traps out, the cloaked
+#: shim marshals the arguments, the guest kernel executes the call, the
+#: shim re-cloaks the results, and the app resumes.  Caller and callee
+#: are the app's own VM; each run row is a shim transcryption.
+TRAP_PATH = TrapPath(
+    enter=(Step(CHARGE, "user_wrapper"),
+           Step(EXIT, ExitReason.VMCALL, "overshadow interpose"),
+           Step(LAUNCH, CALLEE, "enter cloaked shim"),
+           Step(RUN),                       # marshal out of cloaked memory
+           Step(EXIT, ExitReason.VMCALL, "shim marshalled"),
+           Step(LAUNCH, CALLEE, "enter guest kernel"),
+           Step(TRAP_IF_USER, None, "uncloaked shim issues syscall")),
+    leave=(Step(SYSRET, None, "back to uncloaked shim"),
+           Step(EXIT, ExitReason.VMCALL, "syscall done"),
+           Step(LAUNCH, CALLEE, "re-cloak results"),
+           Step(RUN),                       # re-encrypt the results
+           Step(EXIT, ExitReason.VMCALL, "results cloaked"),
+           Step(LAUNCH, CALLER, "resume cloaked app")))
 
 
 class CloakShim:
@@ -148,53 +169,24 @@ class Overshadow:
             raise SimulationError("setup() must run first")
         if self.optimized:
             return self._worldcall_path(name, args, kwargs)
-        return self._baseline_path(name, args, kwargs)
+        return self._interposed(name, args, kwargs)
 
     def _marshal_cost(self, args: tuple) -> int:
         return sum(len(a) for a in args if isinstance(a, bytes)) or 16
 
-    def _baseline_path(self, name: str, args: tuple, kwargs: dict) -> Any:
-        """The 9-crossing interposition of Figure 2's Overshadow row."""
+    def _interposed(self, name: str, args: tuple, kwargs: dict) -> Any:
+        """The hypervisor walks :data:`TRAP_PATH` around the syscall;
+        each run row transcrypts the marshalled arguments."""
         cpu = self.machine.cpu
-        if cpu.mode is not Mode.NON_ROOT or cpu.vm_name != \
-                self.kernel.vm.name:
-            raise SimulationError("the cloaked app is not running")
-        hypervisor = self.machine.hypervisor
         vm = self.kernel.vm
-        nbytes = self._marshal_cost(args)
-
-        # 1. U(vm) -> hypervisor: the interposed syscall traps out.
-        cpu.charge("user_wrapper")
-        cpu.vmexit(ExitReason.VMCALL, "overshadow interpose")
-        cpu.charge("vmexit_handle")
-        # 2. hypervisor -> cloaked shim: marshal args out of cloaked
-        #    memory (decrypt into the uncloaked buffer).
-        hypervisor.launch(cpu, vm, "enter cloaked shim")
-        self.shim.transcrypt(b"\x00" * nbytes)
-        cpu.vmexit(ExitReason.VMCALL, "shim marshalled")
-        cpu.charge("vmexit_handle")
-        # 3. hypervisor -> guest kernel: execute the real syscall.
-        hypervisor.launch(cpu, vm, "enter guest kernel")
-        if cpu.ring != 0:
-            cpu.syscall_trap("uncloaked shim issues syscall")
-        try:
-            result: Any = self.kernel.execute_syscall(
-                self.shim_proc, name, *args, **kwargs)
-        except GuestOSError as err:
-            result = err
-        cpu.sysret("back to uncloaked shim")
-        cpu.vmexit(ExitReason.VMCALL, "syscall done")
-        cpu.charge("vmexit_handle")
-        # 4. hypervisor -> cloaked shim: re-encrypt results.
-        hypervisor.launch(cpu, vm, "re-cloak results")
-        self.shim.transcrypt(b"\x00" * nbytes)
-        cpu.vmexit(ExitReason.VMCALL, "results cloaked")
-        cpu.charge("vmexit_handle")
-        # 5. hypervisor -> app.
-        hypervisor.launch(cpu, vm, "resume cloaked app")
-        if isinstance(result, GuestOSError):
-            raise result
-        return result
+        if cpu.mode is not Mode.NON_ROOT or cpu.vm_name != vm.name:
+            raise SimulationError("the cloaked app is not running")
+        marshalled = b"\x00" * self._marshal_cost(args)
+        return self.machine.hypervisor.redirect(
+            cpu, vm, vm,
+            lambda: self.kernel.execute_syscall(self.shim_proc, name, *args,
+                                                **kwargs),
+            TRAP_PATH, run=lambda: self.shim.transcrypt(marshalled))
 
     # -- optimized: app -> shim -> kernel via world calls ---------------
 

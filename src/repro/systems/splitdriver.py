@@ -22,7 +22,7 @@ so tests verify payload integrity along every path.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional
+from typing import Optional
 
 from repro.core.crossvm import CrossVMSyscallMechanism
 from repro.errors import ConfigurationError, SimulationError
@@ -31,6 +31,9 @@ from repro.guestos.net import HostEndpoint
 from repro.hw.cpu import Mode
 from repro.hw.vmx import ExitReason
 from repro.hypervisor.injection import VECTOR_NET_RX
+from repro.hypervisor.paths import (CALLEE, CALLER, CHARGE, EXIT, INJECT,
+                                    LAUNCH, RUN, SCHEDULE, SYSRET,
+                                    TRAP_IF_USER, WAKE, Step, TrapPath)
 from repro.testbed import enter_vm_kernel
 
 #: Device-model work per request in the QEMU process (emulated mode).
@@ -40,6 +43,31 @@ QEMU_EMULATION_CYCLES = 5200
 BACKEND_TX_CYCLES = 900
 
 MODES = ("emulated", "paravirt", "crossover")
+
+#: The bounced modes' event-channel round trips through the hypervisor
+#: (Table 1's Xen emulated devices and ClickOS rows): the frontend's
+#: kick exits, dom0 is scheduled and entered, the backend transmits,
+#: and the completion exits and injects "tx irq" into the frontend.
+#: The emulated request first detours through the user-space device
+#: model (QEMU's work is the run row).
+_KICK = (Step(EXIT, ExitReason.IO, "event channel kick"),
+         Step(SCHEDULE, CALLEE, "run dom0"),
+         Step(LAUNCH, CALLEE, "deliver to netback"),
+         Step(TRAP_IF_USER, None, "netback handles event"))
+_COMPLETE = (Step(EXIT, ExitReason.IO, "tx complete"),
+             Step(INJECT, CALLER, "tx irq", vector=VECTOR_NET_RX),
+             Step(LAUNCH, CALLER, "resume frontend"))
+TRAP_PATHS = {
+    "emulated": TrapPath(
+        enter=_KICK + (Step(WAKE, None, "wake qemu"),
+                       Step(SYSRET, None, "qemu emulates"),
+                       Step(RUN),
+                       Step(CHARGE, "user_wrapper"),
+                       Step(TRAP_IF_USER, None, "qemu completes"),
+                       Step(CHARGE, "syscall_dispatch")),
+        leave=_COMPLETE),
+    "paravirt": TrapPath(enter=_KICK, leave=_COMPLETE),
+}
 
 
 class SplitDriver:
@@ -105,7 +133,10 @@ class SplitDriver:
                 f"(frontend); CPU is at {cpu.world_label}")
         if self.mode == "crossover":
             return self._crossover_tx(frame)
-        return self._bounced_tx(frame)
+        return self.machine.hypervisor.redirect(
+            cpu, self.guest_kernel.vm, self.dom0_kernel.vm,
+            lambda: self._backend_tx(frame), TRAP_PATHS[self.mode],
+            executor=self.qemu, run=self._emulate)
 
     def _backend_tx(self, frame: bytes) -> int:
         """The dom0 backend's transmit routine (runs in dom0 context)."""
@@ -115,34 +146,9 @@ class SplitDriver:
         self.frames_tx += 1
         return len(frame)
 
-    def _bounced_tx(self, frame: bytes) -> int:
-        """Emulated/paravirt: event channel through the hypervisor."""
-        cpu = self.machine.cpu
-        hypervisor = self.machine.hypervisor
-        # Frontend kick: exit to the hypervisor, schedule dom0.
-        cpu.vmexit(ExitReason.IO, "event channel kick")
-        cpu.charge("vmexit_handle")
-        hypervisor.scheduler.schedule(cpu, self.dom0_kernel.vm, "run dom0")
-        hypervisor.launch(cpu, self.dom0_kernel.vm, "deliver to netback")
-        if cpu.ring != 0:
-            cpu.syscall_trap("netback handles event")
-        if self.mode == "emulated":
-            # The request detours through the user-space device model.
-            assert self.qemu is not None
-            self.dom0_kernel.scheduler.switch_to(self.qemu, "wake qemu")
-            cpu.sysret("qemu emulates")
-            cpu.work(QEMU_EMULATION_CYCLES, 1800, kind="qemu")
-            cpu.charge("user_wrapper")
-            cpu.syscall_trap("qemu completes")
-            cpu.charge("syscall_dispatch")
-        result = self._backend_tx(frame)
-        # Completion event back to the guest.
-        cpu.vmexit(ExitReason.IO, "tx complete")
-        cpu.charge("vmexit_handle")
-        hypervisor.injector.inject(cpu, self.guest_kernel.vm,
-                                   VECTOR_NET_RX, "tx irq")
-        hypervisor.launch(cpu, self.guest_kernel.vm, "resume frontend")
-        return result
+    def _emulate(self) -> None:
+        """QEMU's device-model work for one request (emulated mode)."""
+        self.machine.cpu.work(QEMU_EMULATION_CYCLES, 1800, kind="qemu")
 
     def _crossover_tx(self, frame: bytes) -> int:
         """Frontend calls the backend's routine directly, cross-VM."""

@@ -12,11 +12,15 @@ run does.  After every call the results, the counters and the CPU's
 architectural state must agree between the two.
 """
 
+import math
+import random
+
 from repro import faults, observe
 from repro.core import convention
 from repro.core.crossvm import CrossVMSyscallMechanism
 from repro.testbed import build_two_vm_machine, enter_vm_kernel
 
+from tests.core.test_convention_roundtrip import _fields, _random_payload
 from tests.core.test_marshal_hoist import _build_worldcall_harness
 
 
@@ -223,3 +227,46 @@ class TestCrossVMTiers:
         assert degraded[3] == b"x" * 90_000
         assert degraded[4] == ("raised", "SimulationError")
         assert degraded[:3] == [r[0] for r in results[:3]]
+
+
+def _crossvm_replies(fast, replies):
+    """Each of ``replies`` returned by a remote function over the
+    Figure-4 round trip, with the transition trace off (``fast``) or
+    on; per reply, the result's fields (or the error type), the cycles
+    the call charged and the CPU's architectural state afterwards."""
+    convention.clear_caches()
+    machine, vm1, k1, vm2, k2 = build_two_vm_machine()
+    mech = CrossVMSyscallMechanism(machine)
+    enter_vm_kernel(machine, vm1)
+    mech.setup_pair(vm1, vm2)
+    enter_vm_kernel(machine, vm1)
+    records = []
+    with machine.cpu.trace.scoped(not fast):
+        for reply in replies:
+            before = machine.cpu.perf.cycles
+            try:
+                outcome = repr(_fields(
+                    mech.call_function(vm1, vm2, lambda _: reply)))
+            except Exception as exc:  # noqa: BLE001 - compared
+                outcome = ("raised", type(exc).__name__)
+            records.append((outcome, machine.cpu.perf.cycles - before,
+                            _arch_state(machine)))
+    return records
+
+
+class TestCrossVMReplyTiers:
+    def test_random_replies_agree_traced_and_untraced(self):
+        """Seeded replies mixing every marshaled type with values the
+        wire cannot carry (non-finite floats, bare or nested): both
+        halves return the same result or raise the same error, charge
+        the same cycles and leave the CPU in the same world."""
+        rng = random.Random(36)
+        replies = [(math.nan,), math.nan, -math.inf] + \
+            [_random_payload(rng) for _ in range(300)]
+        fast = _crossvm_replies(True, replies)
+        assert fast == _crossvm_replies(False, replies)
+        assert fast[0][0] == fast[1][0] == ("raised", "SimulationError")
+        assert all(state[4] == "vm1" and state[1] == 0
+                   for _outcome, _cycles, state in fast)
+        assert sum(outcome[0] == "raised"
+                   for outcome, _cycles, _state in fast) > 10

@@ -233,15 +233,15 @@ class TestUndecodablePayloadsStayRejected:
         assert convention.cache_stats["roundtrip_misses"] == 1
         assert len(convention._roundtrip_cache) == 1
 
-    def test_top_level_nan_crosses_as_a_scalar(self):
-        """Pinned as it is: a bare scalar takes the scalar fast path,
-        which never parses, so a top-level ``nan`` crosses although
-        ``decode`` rejects its wire."""
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_top_level_non_finite_float_is_rejected(self, value):
+        """A bare non-finite float skips the scalar fast path and fails
+        like a nested one: its wire has no literal to decode."""
         with pytest.raises(SimulationError):
-            convention.decode(convention.encode(math.nan))
+            convention.decode(convention.encode(value))
         for _ in range(2):
-            wire, decoded = convention.roundtrip(math.nan)
-            assert wire == b"nan" and math.isnan(decoded)
+            with pytest.raises(SimulationError, match="corrupt wire"):
+                convention.roundtrip(value)
 
 
 def _random_payload(rng, depth=0):
@@ -285,15 +285,13 @@ def _outcome(marshal, value):
 class TestMemoMatchesReference:
     def test_random_payloads_match_encode_then_decode(self):
         """The uncached ``encode`` -> ``decode`` pair is the reference:
-        for every non-scalar payload the memo returns the same wire and
-        an equal copy, or rejects it, cold and warm."""
+        for every payload the memo returns the same wire and an equal
+        copy, or rejects it, cold and warm."""
         rng = random.Random(11)
         convention.clear_caches()
         checked = 0
         for _ in range(2000):
             value = _random_payload(rng)
-            if type(value) in convention._SCALAR_TYPES:
-                continue    # the scalar fast path is pinned above
             expected = _outcome(
                 lambda v: (convention.encode(v),
                            convention.decode(convention.encode(v))),

@@ -50,6 +50,18 @@ class TestFuseBaseline:
         app.syscall("unlink", "/mnt/d/f")
         assert app.syscall("readdir", "/mnt/d") == []
 
+    def test_a_raising_daemon_unwinds_to_the_app(self, monkeypatch):
+        machine, kernel, fuse, app = build_fuse(False)
+
+        def broken(op, *args):
+            raise RuntimeError("daemon crashed")
+
+        monkeypatch.setattr(fuse.daemon, "serve", broken)
+        with pytest.raises(RuntimeError, match="daemon crashed"):
+            app.syscall("stat", "/mnt")
+        assert kernel.current is app
+        assert machine.cpu.world_label == "U(vm1)"
+
     def test_non_mount_paths_stay_in_kernel(self):
         machine, kernel, fuse, app = build_fuse(False)
         served = fuse.daemon.requests_served

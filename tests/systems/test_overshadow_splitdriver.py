@@ -215,18 +215,20 @@ PINNED_CALLS = {
 
 
 def baseline_call(path):
-    """A machine and one call of ``path``'s hypervisor-mediated
-    baseline: Overshadow's ``getpid`` or a 64-byte bounced frame."""
+    """A machine, the object that owns the body of ``path``'s
+    hypervisor-mediated baseline (the guest kernel, or the split driver
+    whose ``_backend_tx`` runs in dom0) and one call of it: Overshadow's
+    ``getpid`` or a 64-byte bounced frame."""
     if path == "overshadow":
         machine, kernel, shadow = build_overshadow(False)
-        return machine, lambda: shadow.cloaked_syscall("getpid")
+        return machine, kernel, lambda: shadow.cloaked_syscall("getpid")
     machine, driver = build_driver(path)
-    return machine, lambda: driver.transmit(b"\x00" * 64)
+    return machine, driver, lambda: driver.transmit(b"\x00" * 64)
 
 
 @pytest.mark.parametrize("path", sorted(PINNED_CALLS))
 def test_warm_call_cycles_and_trace_are_pinned(path):
-    machine, call = baseline_call(path)
+    machine, _owner, call = baseline_call(path)
     call()
     cycles, mark = machine.cpu.perf.cycles, machine.cpu.trace.mark
     call()
@@ -234,3 +236,20 @@ def test_warm_call_cycles_and_trace_are_pinned(path):
     assert (machine.cpu.perf.cycles - cycles,
             tuple((e.kind, e.frm, e.to, e.detail) for e in events)) == \
         PINNED_CALLS[path]
+
+
+@pytest.mark.parametrize("path, caller", [("overshadow", "U(vm1)"),
+                                          ("emulated", "K(guest)"),
+                                          ("paravirt", "K(guest)")])
+def test_a_raising_body_unwinds_to_the_caller(path, caller, monkeypatch):
+    machine, owner, call = baseline_call(path)
+    call()
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("body failed")
+
+    body = "execute_syscall" if path == "overshadow" else "_backend_tx"
+    monkeypatch.setattr(owner, body, broken)
+    with pytest.raises(RuntimeError, match="body failed"):
+        call()
+    assert machine.cpu.world_label == caller

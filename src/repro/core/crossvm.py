@@ -607,7 +607,6 @@ class CrossVMSyscallMechanism:
         interrupts.interrupts_enabled = True
         perf.charge_batch(charge[0], charge[1])
         outcome: Any = _NO_OUTCOME
-        undecodable: Optional[SimulationError] = None
         try:
             outcome = server(decoded)
         except GuestOSError as err:
@@ -615,17 +614,13 @@ class CrossVMSyscallMechanism:
         finally:
             # Steps 5-6: returned buffer, switch back, restore VM1
             # context.  An oversized reply, or none, unwinds the same way
-            # before failing, and so does one the caller cannot decode
-            # (a non-finite float): its wire is written, as the
-            # step-by-step path writes it, and fails after the switch.
-            if outcome is _NO_OUTCOME:
-                reply, result = b"", None
-            else:
-                try:
-                    reply, result = convention.roundtrip(outcome)
-                except SimulationError as err:
-                    reply, result = convention.encode(outcome), None
-                    undecodable = err
+            # before failing; so does a written one the caller cannot
+            # decode (a non-finite float): its error is the result.
+            try:
+                reply, result = ((b"", None) if outcome is _NO_OUTCOME
+                                 else convention.roundtrip(outcome))
+            except SimulationError as err:
+                reply, result = convention.encode(outcome), err
             reply_len = len(reply)
             if outcome is not _NO_OUTCOME and reply_len <= _CAPACITY:
                 cpu.write_virt(memory, SHARED_GVA + _CONTEXT_SAVE_BYTES,
@@ -651,8 +646,6 @@ class CrossVMSyscallMechanism:
         self._check_fits(reply_len)
         state.calls += 1
 
-        if undecodable is not None:
-            raise undecodable
-        if isinstance(result, GuestOSError):
+        if isinstance(result, (GuestOSError, SimulationError)):
             raise result
         return result

@@ -149,15 +149,13 @@ class Hypervisor:
 
         ``TRAP_AND_INJECT`` serves the runtime's ``baseline`` mechanism,
         Table 7's "w/o CrossOver" redirector and the fault campaign's
-        baseline cell; the four case-study baselines (``TRAP_PATH``),
-        Overshadow (``TRAP_PATH``), the bounced split driver
-        (``TRAP_PATHS``) and crossvm (``BASELINE_PATH``,
-        ``LEGACY_PATH``) pass their own.  Wake/sleep rows act on
-        ``executor``; run rows call ``run()``; copy rows copy
-        ``request``, then the marshaled outcome: a ``GuestOSError`` is
-        copied back before it is raised, any other exception leaves no
-        reply.  A call that starts in the host kernel skips the leading
-        exit and the trailing resume."""
+        baseline cell; the case-study baselines, Overshadow, the split
+        driver and crossvm pass their own.  Wake/sleep rows act on
+        ``executor``, run rows call ``run``; copy rows copy ``request``,
+        then the marshaled outcome: a ``GuestOSError`` is copied back
+        before it is raised, any other exception leaves no reply.  A
+        call that starts in the host kernel skips the leading exit and
+        the trailing resume."""
         in_host = cpu.mode is Mode.ROOT
         self._walk(cpu, path.host_enter if in_host else path.enter,
                    from_vm, to_vm, executor, request, run)

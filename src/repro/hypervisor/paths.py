@@ -5,9 +5,8 @@ Table 7) once: the rows that leave the caller's VM and deliver work
 into the callee's, and the rows that come back after the body.
 :meth:`~repro.hypervisor.hypervisor.Hypervisor.redirect` walks them.
 A :class:`Step` holds its primitive, its exit reason, charge name or
-target VM, the detail its trace event records, that event's profiler
-label and, on an inject row, its vector, so a path's charges and its
-attribution cannot drift.
+target VM, its trace detail, that event's profiler label and an inject
+row's vector, so a path's charges and its attribution cannot drift.
 """
 
 from __future__ import annotations

@@ -44,22 +44,20 @@ CLOAKED_BUFFER_GVA = 0x5000_0000
 TRANSCRYPT_CYCLES_PER_BYTE = 6
 
 #: The baseline's four hypervisor detours around one syscall (Figure
-#: 2's Overshadow row): the interposed syscall traps out, the cloaked
-#: shim marshals the arguments, the guest kernel executes the call, the
-#: shim re-cloaks the results, and the app resumes.  Caller and callee
-#: are the app's own VM; each run row is a shim transcryption.
+#: 2's Overshadow row), all within the app's own VM; the run rows are
+#: the shim's transcryptions out of and back into cloaked memory.
 TRAP_PATH = TrapPath(
     enter=(Step(CHARGE, "user_wrapper"),
            Step(EXIT, ExitReason.VMCALL, "overshadow interpose"),
            Step(LAUNCH, CALLEE, "enter cloaked shim"),
-           Step(RUN),                       # marshal out of cloaked memory
+           Step(RUN),
            Step(EXIT, ExitReason.VMCALL, "shim marshalled"),
            Step(LAUNCH, CALLEE, "enter guest kernel"),
            Step(TRAP_IF_USER, None, "uncloaked shim issues syscall")),
     leave=(Step(SYSRET, None, "back to uncloaked shim"),
            Step(EXIT, ExitReason.VMCALL, "syscall done"),
            Step(LAUNCH, CALLEE, "re-cloak results"),
-           Step(RUN),                       # re-encrypt the results
+           Step(RUN),
            Step(EXIT, ExitReason.VMCALL, "results cloaked"),
            Step(LAUNCH, CALLER, "resume cloaked app")))
 
@@ -164,19 +162,12 @@ class Overshadow:
     # ------------------------------------------------------------------
 
     def cloaked_syscall(self, name: str, *args, **kwargs) -> Any:
-        """One syscall from the cloaked app, with shim interposition."""
+        """One syscall from the cloaked app, with shim interposition: the
+        hypervisor walks :data:`TRAP_PATH` around it in the baseline."""
         if not self._ready:
             raise SimulationError("setup() must run first")
         if self.optimized:
             return self._worldcall_path(name, args, kwargs)
-        return self._interposed(name, args, kwargs)
-
-    def _marshal_cost(self, args: tuple) -> int:
-        return sum(len(a) for a in args if isinstance(a, bytes)) or 16
-
-    def _interposed(self, name: str, args: tuple, kwargs: dict) -> Any:
-        """The hypervisor walks :data:`TRAP_PATH` around the syscall;
-        each run row transcrypts the marshalled arguments."""
         cpu = self.machine.cpu
         vm = self.kernel.vm
         if cpu.mode is not Mode.NON_ROOT or cpu.vm_name != vm.name:
@@ -187,6 +178,9 @@ class Overshadow:
             lambda: self.kernel.execute_syscall(self.shim_proc, name, *args,
                                                 **kwargs),
             TRAP_PATH, run=lambda: self.shim.transcrypt(marshalled))
+
+    def _marshal_cost(self, args: tuple) -> int:
+        return sum(len(a) for a in args if isinstance(a, bytes)) or 16
 
     # -- optimized: app -> shim -> kernel via world calls ---------------
 

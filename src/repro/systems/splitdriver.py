@@ -44,12 +44,9 @@ BACKEND_TX_CYCLES = 900
 
 MODES = ("emulated", "paravirt", "crossover")
 
-#: The bounced modes' event-channel round trips through the hypervisor
-#: (Table 1's Xen emulated devices and ClickOS rows): the frontend's
-#: kick exits, dom0 is scheduled and entered, the backend transmits,
-#: and the completion exits and injects "tx irq" into the frontend.
-#: The emulated request first detours through the user-space device
-#: model (QEMU's work is the run row).
+#: The bounced modes' event-channel round trips (Table 1's Xen emulated
+#: devices and ClickOS rows); an emulated request first detours through
+#: the user-space device model, whose work is the run row.
 _KICK = (Step(EXIT, ExitReason.IO, "event channel kick"),
          Step(SCHEDULE, CALLEE, "run dom0"),
          Step(LAUNCH, CALLEE, "deliver to netback"),
@@ -136,7 +133,8 @@ class SplitDriver:
         return self.machine.hypervisor.redirect(
             cpu, self.guest_kernel.vm, self.dom0_kernel.vm,
             lambda: self._backend_tx(frame), TRAP_PATHS[self.mode],
-            executor=self.qemu, run=self._emulate)
+            executor=self.qemu,
+            run=lambda: cpu.work(QEMU_EMULATION_CYCLES, 1800, kind="qemu"))
 
     def _backend_tx(self, frame: bytes) -> int:
         """The dom0 backend's transmit routine (runs in dom0 context)."""
@@ -145,10 +143,6 @@ class SplitDriver:
                                          self.backend_fd, frame)
         self.frames_tx += 1
         return len(frame)
-
-    def _emulate(self) -> None:
-        """QEMU's device-model work for one request (emulated mode)."""
-        self.machine.cpu.work(QEMU_EMULATION_CYCLES, 1800, kind="qemu")
 
     def _crossover_tx(self, frame: bytes) -> int:
         """Frontend calls the backend's routine directly, cross-VM."""
